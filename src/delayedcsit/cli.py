@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--snr", default="40:60:5", metavar="LO:HI:STEP",
                    help="SNR grid in dB (default 40:60:5)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: trials run serially")
     p.set_defaults(func=cmd_rate_sim)
 
     p = sub.add_parser("region-check", parents=[common, dims],

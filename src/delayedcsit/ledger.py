@@ -5,8 +5,9 @@ coefficients over the base data symbols plus tracked weights on past
 noise samples.  Transmitter-side reconstructions of overheard equations
 are exact (delayed CSI is perfect), so their noise weight set is empty;
 anything received over the air picks up one fresh unit-variance noise
-sample.  Decodability is then a rank question on the stacked coefficient
-rows, answered with the SVD tolerance machinery from :mod:`.numerics`.
+sample.  Decodability is then a row-space question on the stacked
+coefficient rows, answered with one SVD per receiver by
+:func:`.numerics.rowspace_residuals`.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from .numerics import (
     as_complex_matrix,
     haar_unitary,
     numerical_rank,
+    rowspace_residuals,
 )
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "alignment_ranks",
     "can_decode",
     "combine",
+    "decode_residuals",
     "noise_covariance",
     "random_combination",
     "transmit_slot",
@@ -200,7 +203,7 @@ class ReceiverState:
                 "equations": [eq.to_dict() for eq in self.equations]}
 
 
-def transmit_slot(plan, h_slot, states, rng=None):
+def transmit_slot(plan, h_slot, states):
     """Broadcast one slot and append the resulting equation everywhere.
 
     Each receiver ``r`` gains an equation whose form is the channel-row
@@ -217,9 +220,6 @@ def transmit_slot(plan, h_slot, states, rng=None):
         The slot's channel matrix, one row per receiver.
     states : list of ReceiverState
         All receiver states, in receiver order; mutated in place.
-    rng : RngStream, optional
-        Unused: the ledger tracks noise symbolically.  Accepted so
-        callers can treat symbolic and sampled transmitters uniformly.
 
     Returns
     -------
@@ -253,12 +253,14 @@ def transmit_slot(plan, h_slot, states, rng=None):
     return reconstructions
 
 
-def can_decode(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
-    """True iff every target symbol is linearly recoverable.
+def decode_residuals(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL):
+    """Distance of each target's unit row from the receiver's row space.
 
-    A target ``s`` is recoverable when the unit row ``e_s`` lies in the
-    row space of the receiver's stacked coefficient rows, i.e. stacking
-    it on top does not increase the numerical rank.
+    Returns ``(residuals, thresholds)`` from
+    :func:`.numerics.rowspace_residuals`, one entry per target, in the
+    order given.  The coefficient matrix spans every symbol that appears
+    in an equation plus the targets, and is factored once for all
+    targets.
     """
     targets = list(targets)
     if not targets:
@@ -266,14 +268,28 @@ def can_decode(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL) 
     ids = sorted({s for eq in state.equations for s in eq.form.coeffs}
                  | set(targets))
     a = state.coefficient_matrix(ids)
-    base_rank = numerical_rank(a, tol)
     col = {s: i for i, s in enumerate(ids)}
-    for t in targets:
-        e = np.zeros((1, len(ids)), dtype=np.complex128)
-        e[0, col[t]] = 1.0
-        if numerical_rank(np.vstack([a, e]), tol) != base_rank:
-            return False
-    return True
+    units = np.zeros((len(targets), len(ids)), dtype=np.complex128)
+    units[np.arange(len(targets)), [col[t] for t in targets]] = 1.0
+    return rowspace_residuals(a, units, tol)
+
+
+def can_decode(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
+    """True iff every target symbol is linearly recoverable.
+
+    A target ``t`` is recoverable when the unit row ``e_t`` lies in the
+    row space of the receiver's stacked coefficient rows ``A``: stacking
+    ``e_t`` under ``A`` must not raise the numerical rank.  ``A`` is
+    factored once, ``A = U S V^H``, with rank ``r`` by the
+    :class:`.numerics.RankTolerance` rule.  Each target's residual
+    ``d_t = ||e_t - V_r^H V_r e_t||``, divided by
+    ``sqrt(1 + ||S_r^-1 V_r e_t||^2)``, is the singular value that
+    stacking ``e_t`` would add; it is compared with
+    ``tol.relative * sqrt(s_0^2 + 1)``, the rank threshold of the stacked
+    matrix.  The derivation is in :func:`.numerics.rowspace_residuals`.
+    """
+    residuals, thresholds = decode_residuals(state, targets, tol)
+    return bool(np.all(residuals <= thresholds))
 
 
 def combine(forms, weights) -> list:

@@ -22,7 +22,9 @@ __all__ = [
     "in_rowspace",
     "logdet_capacity",
     "numerical_rank",
+    "rowspace_residuals",
     "sample_channel",
+    "whiten",
 ]
 
 # Alias used in signatures: a validated 2-D complex128 ndarray.
@@ -63,6 +65,16 @@ class RankTolerance:
 
     def __eq__(self, other):
         return isinstance(other, RankTolerance) and self.relative == other.relative
+
+    def rank(self, singular_values) -> int:
+        """Rank of a matrix with these singular values, largest first.
+
+        Returns 0 when there are none or the largest is exactly zero.
+        """
+        s = np.asarray(singular_values)
+        if s.size == 0 or s[0] == 0.0:
+            return 0
+        return int(np.count_nonzero(s > self.relative * s[0]))
 
 
 #: Default tolerance shared by all rank decisions.
@@ -183,26 +195,103 @@ def numerical_rank(a, tol: RankTolerance = DEFAULT_TOL) -> int:
     a = as_complex_matrix(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.relative * s[0]))
+    return tol.rank(np.linalg.svd(a, compute_uv=False))
+
+
+def rowspace_residuals(a, vectors, tol: RankTolerance = DEFAULT_TOL):
+    """How far each row of ``vectors`` is from the row space of ``a``, and
+    the threshold up to which that row counts as inside it.
+
+    ``a`` is factored once, ``a = U S V^H`` (economy SVD).  Its rank ``r``
+    follows the :class:`RankTolerance` rule; ``S_r`` holds the ``r`` kept
+    singular values and ``V_r`` the matching right singular vectors as
+    rows.  For a row ``v`` with coordinates ``c = v V_r^H``, let
+    ``d = ||v - c V_r||`` be the norm of the explicit residual (never
+    ``sqrt(||v||^2 - ||c||^2)``: that difference of squares cancels below
+    ``d`` of about 1e-8, above the 1e-9 default tolerance).  The returned
+    residual is ``g = d / sqrt(1 + ||c S_r^-1||^2)``.
+
+    ``g`` is the singular value that stacking ``v`` under ``a`` adds, and
+    the threshold is what the stacked-rank rule ("``v`` is in the row
+    space iff stacking it does not raise the numerical rank") compares
+    that value with.  In the basis ``(V_r, residual direction)``, the rank
+    ``r`` part of ``a`` stacked with ``v`` is the arrowhead matrix
+    ``M = [[S_r, 0], [c, d]]``.  The last row of ``M^-1`` has norm
+    ``sqrt(1 + ||c S_r^-1||^2) / d = 1 / g``, so the added singular value
+    ``sigma_min(M)`` is at most ``g``, and since ``||M^-1|| <= 1/s_(r-1) +
+    1/g`` it is at least ``min(g, s_(r-1)) / 2``.  Plain ``d`` is only
+    Weyl's upper bound on it: ``M`` differs from a rank-``r`` matrix by one
+    row of norm ``d``.  On ill-conditioned ``a`` (square ``k = 6``, kept
+    singular values down to 2e-9 of ``s_0``), rounding in ``V_r`` alone
+    inflates ``d`` past the tolerance; the weight removes exactly that,
+    because a rotation of ``V_r`` by ``eps * s_0 / s_i`` is divided by
+    ``1 / s_i`` again.  The stacked-rank rule counts the added value when
+    it exceeds ``tol.relative * s_max([a; v])``, and
+    ``s_max([a; v]) <= sqrt(s_0^2 + ||v||^2)``.  So the threshold is
+    ``tol.relative * sqrt(s_0^2 + ||v||^2)``, ``v`` is in the row space iff
+    ``g <= threshold``, and the two rules can disagree only when the
+    added singular value lies within a factor 2 below the threshold.
+
+    Parameters
+    ----------
+    a : array_like
+        Matrix whose row space is tested; may have no rows.
+    vectors : array_like
+        Row vectors to test, one per row, with as many columns as ``a``.
+    tol : RankTolerance
+        Rank decision tolerance.
+
+    Returns
+    -------
+    residuals, thresholds : numpy.ndarray
+        ``g`` and its threshold, one float each per row of ``vectors``.
+    """
+    a = as_complex_matrix(a)
+    v = as_complex_matrix(vectors)
+    if v.shape[1] != a.shape[1]:
+        raise ValueError(
+            f"vectors have {v.shape[1]} columns but the matrix has {a.shape[1]}")
+    norms = np.linalg.norm(v, axis=1)
+    if a.size == 0:
+        return norms, tol.relative * norms
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    r = tol.rank(s)
+    coords = v @ vh[:r].conj().T
+    d = np.linalg.norm(v - coords @ vh[:r], axis=1)
+    weight = np.sqrt(1.0 + np.sum(np.abs(coords / s[:r]) ** 2, axis=1))
+    return d / weight, tol.relative * np.sqrt(s[0] ** 2 + norms ** 2)
 
 
 def in_rowspace(a, v, tol: RankTolerance = DEFAULT_TOL) -> bool:
-    """True iff row vector ``v`` lies in the row space of ``a``.
-
-    Decided by comparing ``numerical_rank(a)`` with the rank of ``a``
-    stacked on top of ``v``; appending a vector already in the span
-    cannot raise the rank.
-    """
-    a = as_complex_matrix(a)
+    """True iff row vector ``v`` lies in the row space of ``a``, by the
+    residual rule of :func:`rowspace_residuals`."""
     v = np.asarray(v, dtype=np.complex128).ravel()
-    if v.shape[0] != a.shape[1]:
-        raise ValueError(
-            f"vector length {v.shape[0]} does not match {a.shape[1]} columns")
-    stacked = np.vstack([a, v[np.newaxis, :]])
-    return numerical_rank(stacked, tol) == numerical_rank(a, tol)
+    residuals, thresholds = rowspace_residuals(a, v[np.newaxis, :], tol)
+    return bool(residuals[0] <= thresholds[0])
+
+
+def whiten(g, noise_cov) -> ComplexMatrix:
+    """``L^-1 g`` for the Cholesky factor ``L`` of ``noise_cov``: the
+    effective channel of ``y = g x + z`` once its noise is made white.
+
+    Raises
+    ------
+    NumericalDomainError
+        If ``noise_cov`` is not Hermitian positive definite.
+    """
+    g = as_complex_matrix(g)
+    noise_cov = as_complex_matrix(noise_cov)
+    n = noise_cov.shape[0]
+    if noise_cov.shape[1] != n or g.shape[0] != n:
+        raise ValueError("noise covariance must be square and match g's rows")
+    if not np.allclose(noise_cov, noise_cov.conj().T, atol=1e-12 * max(1.0, np.abs(noise_cov).max())):
+        raise NumericalDomainError("noise covariance is not Hermitian")
+    try:
+        chol = np.linalg.cholesky(noise_cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError(
+            "noise covariance is not positive definite") from exc
+    return np.linalg.solve(chol, g)
 
 
 def logdet_capacity(g, noise_cov, power_per_symbol: float) -> float:
@@ -227,22 +316,9 @@ def logdet_capacity(g, noise_cov, power_per_symbol: float) -> float:
     NumericalDomainError
         If ``noise_cov`` is not Hermitian positive definite.
     """
-    g = as_complex_matrix(g)
-    noise_cov = as_complex_matrix(noise_cov)
     if power_per_symbol < 0:
         raise ValueError("power_per_symbol must be nonnegative")
-    n = noise_cov.shape[0]
-    if noise_cov.shape[1] != n or g.shape[0] != n:
-        raise ValueError("noise covariance must be square and match g's rows")
-    if not np.allclose(noise_cov, noise_cov.conj().T, atol=1e-12 * max(1.0, np.abs(noise_cov).max())):
-        raise NumericalDomainError("noise covariance is not Hermitian")
-    try:
-        chol = np.linalg.cholesky(noise_cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError(
-            "noise covariance is not positive definite") from exc
-    # Whiten: y' = L^-1 y has identity noise covariance.
-    gw = np.linalg.solve(chol, g)
+    gw = whiten(g, noise_cov)
     k = gw.shape[1]
     gram = np.eye(k, dtype=np.complex128) + power_per_symbol * (gw.conj().T @ gw)
     sign, logdet = np.linalg.slogdet(gram)

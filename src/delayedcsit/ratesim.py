@@ -10,28 +10,35 @@ equations, so the cancellation cost shows up in the effective noise.
 Rates are normalized per slot; the high-SNR slope of the sum rate
 estimates the scheme's DoF.
 
+Everything but the SNR factor is SNR-independent, so each receiver of a
+trace is factored once (:func:`receiver_gains`) and the whole SNR grid
+is read off its gains as ``sum log2(1 + P * gain) / slots``.
+
 The asymptotic model pins down only the DoF, not a finite-SNR decoding
 strategy; unit-power Gaussian symbols with per-slot power split equally
 over active antennas plus zero-forcing is the instantiation used here.
 
 Trials are independent: trial ``t`` consumes the derived stream
-``rng.split(t)``, so results are identical for any thread count.
+``rng.split(t)``, so a run is reproducible from its seed alone.  Trials
+run serially in the calling thread: a thread pool over trials measured
+slower than the serial loop, because the per-trial work is mostly
+interpreter-bound ledger building.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ledger import noise_covariance
-from .numerics import DEFAULT_TOL, RngStream, logdet_capacity, numerical_rank
+from .numerics import DEFAULT_TOL, RngStream, whiten
 from .schemes import tdma_trace
 
 __all__ = [
     "RatePoint",
     "SlopeFit",
     "fit_dof_slope",
+    "receiver_gains",
     "receiver_rate",
     "simulate_rates",
     "snr_grid",
@@ -82,23 +89,26 @@ def snr_grid(lo_db: float, hi_db: float, step_db: float) -> list:
     return grid
 
 
-def receiver_rate(trace, receiver: int, snr: float, tol=DEFAULT_TOL) -> float:
-    """Gaussian mutual information of one receiver, in bits per slot.
+def receiver_gains(trace, receiver: int, tol=DEFAULT_TOL) -> np.ndarray:
+    """SNR-free gains of one receiver: its rate at SNR ``P`` is
+    ``sum(log2(1 + P * gains)) / trace.total_slots`` bits per slot.
 
-    Stacks the receiver's equations at the given SNR, zero-forces the
-    columns of all other receivers' symbols, and evaluates log det of
-    the resulting Gaussian channel with unit-power symbols.
+    Scales each stored equation row by ``1/sqrt(active_antennas)`` of its
+    slot, zero-forces the columns of all other receivers' symbols with one
+    SVD of the interference block (its rank by the ``tol`` rule), whitens
+    the remaining desired block ``G`` with the projected noise covariance,
+    and returns the eigenvalues of ``G^H G``.  Eigenvalues that roundoff
+    pushes below zero are clipped to zero.  Empty when the receiver wants
+    nothing, heard nothing, or the interference fills every observation.
     """
-    if snr < 0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
     state = trace.states[receiver - 1]
     own = trace.targets_for(receiver)
-    if not own or not state.equations or snr == 0:
-        return 0.0
+    if not own or not state.equations:
+        return np.zeros(0)
     ids = trace.table.ids
     rows = state.coefficient_matrix(ids)
     scale = np.array([
-        math.sqrt(snr / trace.active_antennas[eq.slot])
+        1.0 / math.sqrt(trace.active_antennas[eq.slot])
         for eq in state.equations
     ])
     rows = rows * scale[:, None]
@@ -108,25 +118,43 @@ def receiver_rate(trace, receiver: int, snr: float, tol=DEFAULT_TOL) -> float:
     cov = noise_covariance(state.equations)
     desired = rows[:, own_idx]
     if int_idx:
-        interference = rows[:, int_idx]
-        rank = numerical_rank(interference, tol)
+        u, s, _ = np.linalg.svd(rows[:, int_idx], full_matrices=True)
+        rank = tol.rank(s)
         if rank == rows.shape[0]:
-            return 0.0
-        u = np.linalg.svd(interference, full_matrices=True)[0]
+            return np.zeros(0)
         w = u[:, rank:].conj().T
         desired = w @ desired
         cov = w @ cov @ w.conj().T
-    bits = logdet_capacity(desired, cov, 1.0)
-    return max(bits, 0.0) / trace.total_slots
+    g = whiten(desired, cov)
+    return np.maximum(np.linalg.eigvalsh(g.conj().T @ g), 0.0)
 
 
-def _trial_matrix(builder, stream, snrs, k):
+def _rates(gains, snrs, slots) -> np.ndarray:
+    """Per-slot rate at every SNR in ``snrs`` from one receiver's gains."""
+    return np.log1p(np.outer(snrs, gains)).sum(axis=1) / (math.log(2.0) * slots)
+
+
+def receiver_rate(trace, receiver: int, snr: float, tol=DEFAULT_TOL) -> float:
+    """Gaussian mutual information of one receiver, in bits per slot.
+
+    The receiver's equations at the given SNR, with the columns of all
+    other receivers' symbols zero-forced, form a Gaussian channel with
+    unit-power symbols; its log det is evaluated from the SNR-free
+    :func:`receiver_gains`.
+    """
+    if snr < 0:
+        raise ValueError(f"snr must be nonnegative, got {snr}")
+    gains = receiver_gains(trace, receiver, tol)
+    return float(_rates(gains, [snr], trace.total_slots)[0])
+
+
+def _trial_matrix(builder, stream, snrs):
+    """Rates of one trial: row per SNR, column per receiver."""
     trace = builder(stream)
-    out = np.empty((len(snrs), k))
-    for gi, snr in enumerate(snrs):
-        for r in range(1, k + 1):
-            out[gi, r - 1] = receiver_rate(trace, r, snr)
-    return out
+    return np.column_stack([
+        _rates(receiver_gains(trace, r), snrs, trace.total_slots)
+        for r in range(1, trace.k + 1)
+    ])
 
 
 def simulate_rates(builder, snr_grid_db, trials: int, rng: RngStream,
@@ -135,7 +163,8 @@ def simulate_rates(builder, snr_grid_db, trials: int, rng: RngStream,
 
     ``builder`` maps an RNG stream to a scheme trace; one trace per
     trial is shared by every grid point (common random numbers), which
-    removes most of the trial noise from slope estimates.
+    removes most of the trial noise from slope estimates.  ``threads`` is
+    accepted and ignored: trials always run serially (module docstring).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -143,19 +172,8 @@ def simulate_rates(builder, snr_grid_db, trials: int, rng: RngStream,
     if not grid:
         raise ValueError("the SNR grid must be nonempty")
     snrs = [10.0 ** (db / 10.0) for db in grid]
-    k = builder(rng.split(0)).k
-    results = np.empty((trials, len(grid), k))
-
-    def run(t):
-        return _trial_matrix(builder, rng.split(t), snrs, k)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, mat in enumerate(pool.map(run, range(trials))):
-                results[t] = mat
-    else:
-        for t in range(trials):
-            results[t] = run(t)
+    results = np.stack([_trial_matrix(builder, rng.split(t), snrs)
+                        for t in range(trials)])
     points = []
     for gi, db in enumerate(grid):
         per = results[:, gi, :].mean(axis=0)
@@ -173,7 +191,8 @@ def simulate_rates(builder, snr_grid_db, trials: int, rng: RngStream,
 
 def tdma_baseline(k: int, snr_grid_db, trials: int, rng: RngStream,
                   threads=None) -> list:
-    """Round-robin single-user rates; the sum-rate slope is 1."""
+    """Round-robin single-user rates; the sum-rate slope is 1.
+    ``threads`` is ignored, as in :func:`simulate_rates`."""
     return simulate_rates(lambda s: tdma_trace(k, s), snr_grid_db, trials,
                           rng, threads=threads)
 

@@ -13,12 +13,27 @@ from delayedcsit.ledger import (
     alignment_ranks,
     can_decode,
     combine,
+    decode_residuals,
     noise_covariance,
     random_combination,
     transmit_slot,
 )
-from delayedcsit.numerics import RngStream
-from delayedcsit.schemes import run_square_scheme
+from delayedcsit.numerics import RngStream, numerical_rank
+from delayedcsit.schemes import (
+    _run_chain,
+    run_alt22,
+    run_mat23_suboptimal,
+    run_opt23,
+    run_square_scheme,
+)
+
+SMALL_SCHEMES = {
+    "square-2": lambda s: run_square_scheme(2, s),
+    "square-3": lambda s: run_square_scheme(3, s),
+    "alt22": run_alt22,
+    "mat23": run_mat23_suboptimal,
+    "opt23": run_opt23,
+}
 
 
 def test_linear_form_algebra():
@@ -122,6 +137,65 @@ def test_can_decode_hand_cases():
     assert can_decode(st1, [x, y])
     with pytest.raises(ValueError):
         can_decode(st1, [])
+
+
+def _stacked_rank_decodes(state, targets):
+    """The per-target rule ``can_decode`` replaced: stack each unit row
+    under the coefficient matrix and compare numerical ranks."""
+    ids = sorted({s for eq in state.equations for s in eq.form.coeffs}
+                 | set(targets))
+    a = state.coefficient_matrix(ids)
+    base = numerical_rank(a)
+    for t in targets:
+        e = np.zeros((1, len(ids)), dtype=complex)
+        e[0, ids.index(t)] = 1.0
+        if numerical_rank(np.vstack([a, e])) != base:
+            return False
+    return True
+
+
+def _truncated(trace):
+    """Receiver states of ``trace`` without its last slot's equations."""
+    last = trace.total_slots - 1
+    return [ReceiverState(st.receiver,
+                          [eq for eq in st.equations if eq.slot != last],
+                          last)
+            for st in trace.states]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SCHEMES))
+def test_can_decode_matches_stacked_rank_oracle(name):
+    for seed in range(50):
+        trace = SMALL_SCHEMES[name](RngStream(seed))
+        for states, complete in ((trace.states, True),
+                                 (_truncated(trace), False)):
+            verdicts = []
+            for st in states:
+                targets = trace.targets_for(st.receiver)
+                got = can_decode(st, targets)
+                assert got == _stacked_rank_decodes(st, targets), (
+                    name, seed, complete, st.receiver)
+                verdicts.append(got)
+            assert all(verdicts) == complete, (name, seed, complete)
+
+
+def test_decode_residuals_are_decades_from_threshold():
+    # every verified size up to square-5 and the (2, 4) chain, complete
+    # and truncated: no residual lies within 10x of its threshold
+    builders = [(SMALL_SCHEMES[name], range(5)) for name in sorted(SMALL_SCHEMES)]
+    builders += [(lambda s: run_square_scheme(4, s), range(3)),
+                 (lambda s: run_square_scheme(5, s), range(2)),
+                 (lambda s: _run_chain("nonsquare", 2, 4, 1, s), range(3))]
+    for build, seeds in builders:
+        for seed in seeds:
+            trace = build(RngStream(seed))
+            for states in (trace.states, _truncated(trace)):
+                for st in states:
+                    residuals, thresholds = decode_residuals(
+                        st, trace.targets_for(st.receiver))
+                    ratio = residuals / thresholds
+                    assert np.all((ratio <= 0.1) | (ratio >= 10.0)), (
+                        seed, st.receiver, ratio[(ratio > 0.1) & (ratio < 10)])
 
 
 def test_combine_exact():

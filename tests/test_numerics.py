@@ -16,6 +16,7 @@ from delayedcsit.numerics import (
     in_rowspace,
     logdet_capacity,
     numerical_rank,
+    rowspace_residuals,
     sample_channel,
 )
 
@@ -112,6 +113,32 @@ def test_in_rowspace():
     a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     assert in_rowspace(a, np.array([2.0, -3.0, 0.0]))
     assert not in_rowspace(a, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        in_rowspace(a, np.array([1.0, 0.0]))
+    # distances far below 1e-8 are resolved, on both sides of the
+    # threshold 1e-9 * sqrt(1 + 1); the residual is the singular value
+    # that stacking v adds
+    for delta, inside, rel in ((1e-7, False, 1e-6), (1e-11, True, 1e-3)):
+        v = np.array([0.6, 0.8j, delta])
+        assert in_rowspace(a, v) == inside
+        (g,), (thr,) = rowspace_residuals(a, v[np.newaxis, :])
+        added = np.linalg.svd(np.vstack([a, v]), compute_uv=False)[-1]
+        assert g == pytest.approx(added, rel=rel)
+        assert thr == pytest.approx(1e-9 * math.sqrt(2.0), rel=1e-12)
+    # next to a tiny kept singular value the verdict still follows the
+    # stacked-rank rule, which the plain distance from the row space
+    # does not: [1, 1, 1e-3] is 1e-3 away but adds a singular value of
+    # only about 1e-11
+    skew = np.diag([1.0, 1e-8, 0.0])
+    for v in ([1.0, 1.0, 0.0], [1.0, 1.0, 1e-3], [0.0, 0.0, 1e-3],
+              [1.0, 0.0, 1e-5]):
+        stacked = np.vstack([skew, v])
+        assert in_rowspace(skew, np.array(v)) == (
+            numerical_rank(stacked) == numerical_rank(skew)), v
+    # nothing but the zero vector lies in the row space of no rows
+    empty = np.zeros((0, 3))
+    assert in_rowspace(empty, np.zeros(3))
+    assert not in_rowspace(empty, np.array([0.0, 1e-3, 0.0]))
 
 
 def test_logdet_capacity_scalar_oracle():

@@ -14,10 +14,11 @@ from delayedcsit.ledger import (
     noise_covariance,
     transmit_slot,
 )
-from delayedcsit.numerics import RngStream
+from delayedcsit.numerics import RngStream, logdet_capacity, numerical_rank
 from delayedcsit.ratesim import (
     RatePoint,
     fit_dof_slope,
+    receiver_gains,
     receiver_rate,
     simulate_rates,
     snr_grid,
@@ -80,6 +81,42 @@ def test_combined_equation_noise_covariance_analytic():
         [a, b, abs(a) ** 2 + abs(b) ** 2],
     ])
     assert np.max(np.abs(cov - want)) < 1e-12
+
+
+def _per_snr_rate(trace, receiver, snr):
+    """One receiver's rate the long way: scale by the SNR, zero-force the
+    other receivers' symbols and take the log det, all at this SNR."""
+    state = trace.states[receiver - 1]
+    ids = trace.table.ids
+    own = set(trace.targets_for(receiver))
+    rows = state.coefficient_matrix(ids) * np.array(
+        [math.sqrt(snr / trace.active_antennas[eq.slot])
+         for eq in state.equations])[:, None]
+    own_idx = [i for i, s in enumerate(ids) if s in own]
+    int_idx = [i for i, s in enumerate(ids) if s not in own]
+    interference = rows[:, int_idx]
+    rank = numerical_rank(interference)
+    w = np.linalg.svd(interference)[0][:, rank:].conj().T
+    cov = noise_covariance(state.equations)
+    bits = logdet_capacity(w @ rows[:, own_idx], w @ cov @ w.conj().T, 1.0)
+    return bits / trace.total_slots
+
+
+def test_snr_curve_matches_per_snr_logdet():
+    snrs = [10.0 ** (db / 10.0) for db in range(0, 81, 10)]
+    for k in (2, 3):
+        for seed in range(5):
+            trace = run_square_scheme(k, RngStream(seed))
+            for r in range(1, k + 1):
+                gains = receiver_gains(trace, r)
+                assert np.all(gains >= 0.0)
+                for snr in snrs:
+                    want = _per_snr_rate(trace, r, snr)
+                    curve = float(np.sum(np.log2(1.0 + snr * gains))
+                                  / trace.total_slots)
+                    assert curve == pytest.approx(want, rel=1e-9)
+                    assert receiver_rate(trace, r, snr) == pytest.approx(
+                        want, rel=1e-9)
 
 
 def test_rate_is_monotone_in_snr():
