@@ -8,6 +8,8 @@ slots deliver four symbols (DoF 4/3) because the transmitter can
 rebroadcast what each receiver overheard about the other's symbols.
 """
 
+import numpy as np
+
 from delayedcsit import RngStream, alignment_ranks, run_square_scheme
 
 trace = run_square_scheme(2, RngStream(7))
@@ -19,9 +21,11 @@ for sym in table.symbols:
     print(f"  symbol {sym.id} ({sym.label}) -> wanted by receiver(s) {owner}")
 
 
-def fmt(form):
+def fmt(row):
+    # a form is a row of coefficients over the symbol table
     parts = []
-    for s, c in sorted(form.coeffs.items()):
+    for s in np.flatnonzero(row):
+        c = row[s]
         parts.append(f"({c.real:+.2f}{c.imag:+.2f}j)*x{s}")
     return " + ".join(parts) if parts else "0"
 
@@ -36,7 +40,7 @@ for slot in range(trace.total_slots):
         print(f"  antenna {a} sends {fmt(form)}")
     for state in trace.states:
         eq = state.equations[slot]
-        print(f"  receiver {state.receiver} hears {fmt(eq.form)}")
+        print(f"  receiver {state.receiver} hears {fmt(eq.row)} + noise")
 
 # After slot 3, receiver 1 has three equations in four unknowns, but the
 # two interference symbols only ever appear in one combined direction:

@@ -1,13 +1,19 @@
 """Symbolic ledger of everything transmitted and received.
 
-Every signal in a scheme execution is a :class:`LinearForm`: complex
-coefficients over the base data symbols plus tracked weights on past
-noise samples.  Transmitter-side reconstructions of overheard equations
-are exact (delayed CSI is perfect), so their noise weight set is empty;
-anything received over the air picks up one fresh unit-variance noise
-sample.  Decodability is then a row-space question on the stacked
-coefficient rows, answered with one SVD per receiver by
-:func:`.numerics.rowspace_residuals`.
+Every signal in a scheme execution is linear in the base data symbols,
+so a *form* is a ``complex128`` row over the symbol table (entry ``i``
+is the coefficient of symbol ``i``) and a block of forms is a 2-D array,
+one row per form.  Mixing is a matrix product: :func:`combine` is
+``W @ F`` and a broadcast slot is ``H @ P``.  Forms span the whole
+table, so a scheme registers all of its symbols before it builds any.
+
+Receiver noise is white by rule: every equation heard over the air
+carries one fresh unit-variance noise sample, named by its
+``(slot, receiver)`` pair, and nothing the transmitter rebuilds from
+delayed CSI carries any.  So the ledger stores coefficient rows only,
+and the noise appears in the JSON trace from that rule.  Decodability
+is a row-space question on a receiver's stacked rows, answered with one
+SVD per receiver by :func:`.numerics.rowspace_residuals`.
 """
 
 from dataclasses import dataclass, field
@@ -26,84 +32,39 @@ from .numerics import (
 __all__ = [
     "BaseSymbol",
     "Equation",
-    "LinearForm",
     "ReceiverState",
     "SymbolTable",
     "alignment_ranks",
     "can_decode",
     "combine",
     "decode_residuals",
-    "noise_covariance",
+    "form_dict",
     "random_combination",
     "transmit_slot",
 ]
 
 
-class LinearForm:
-    """A linear combination of base symbols with tracked noise weights.
+def _block(forms) -> np.ndarray:
+    """Forms as a 2-D complex array, one row per form; no forms is ``(0, 0)``."""
+    f = np.asarray(forms, dtype=np.complex128)
+    if f.size == 0 and f.ndim < 2:
+        return f.reshape(0, 0)
+    if f.ndim != 2:
+        raise ValueError(f"forms must be rows of one length, got shape {f.shape}")
+    return f
 
-    Parameters
-    ----------
-    coeffs : dict, optional
-        Maps base symbol id to complex coefficient.  Absent ids carry an
-        exactly-zero coefficient.
-    noise : dict, optional
-        Maps noise sample id to complex weight.  Empty for anything the
-        transmitter builds from delayed CSI.
-    """
 
-    __slots__ = ("coeffs", "noise")
-
-    def __init__(self, coeffs=None, noise=None):
-        # exact zeros are dropped so that forms are canonical: support()
-        # and equality-of-dicts reflect actual content
-        self.coeffs = ({s: v for s, v in coeffs.items() if v != 0}
-                       if coeffs else {})
-        self.noise = ({n: v for n, v in noise.items() if v != 0}
-                      if noise else {})
-
-    def scaled(self, c) -> "LinearForm":
-        c = complex(c)
-        return LinearForm(
-            {s: c * v for s, v in self.coeffs.items()},
-            {n: c * v for n, v in self.noise.items()},
-        )
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        coeffs = dict(self.coeffs)
-        for s, v in other.coeffs.items():
-            coeffs[s] = coeffs.get(s, 0.0) + v
-        noise = dict(self.noise)
-        for n, v in other.noise.items():
-            noise[n] = noise.get(n, 0.0) + v
-        return LinearForm(coeffs, noise)
-
-    def restrict(self, symbol_ids) -> "LinearForm":
-        """The part of the form supported on ``symbol_ids`` only."""
-        keep = set(symbol_ids)
-        return LinearForm(
-            {s: v for s, v in self.coeffs.items() if s in keep},
-            dict(self.noise),
-        )
-
-    def coeff_norm(self) -> float:
-        """Euclidean norm of the symbol coefficients (noise excluded)."""
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values())))
-
-    def support(self):
-        return frozenset(s for s, v in self.coeffs.items() if v != 0)
-
-    def to_dict(self):
-        return {
-            "coeffs": {str(s): [v.real, v.imag]
-                       for s, v in sorted(self.coeffs.items())},
-            "noise": {f"{n[0]}:{n[1]}": [complex(v).real, complex(v).imag]
-                      for n, v in sorted(self.noise.items())},
-        }
-
-    def __repr__(self):
-        terms = ", ".join(f"{s}:{v:.3g}" for s, v in sorted(self.coeffs.items()))
-        return f"LinearForm({terms})"
+def form_dict(row, noise=None) -> dict:
+    """Schema-``v1`` JSON of one form: its nonzero coefficients keyed by
+    symbol id, and its noise weights keyed ``"slot:receiver"`` (none for
+    anything the transmitter builds)."""
+    idx = np.flatnonzero(row)
+    vals = row[idx]
+    return {
+        "coeffs": {str(s): [re, im] for s, re, im in
+                   zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist())},
+        "noise": noise or {},
+    }
 
 
 @dataclass(frozen=True)
@@ -118,6 +79,8 @@ class BaseSymbol:
 
 class SymbolTable:
     """Registry of base symbols for one scheme instance.
+
+    A symbol's id is its column in every form.
 
     Parameters
     ----------
@@ -141,8 +104,12 @@ class SymbolTable:
         self.symbols.append(sym)
         return sym.id
 
-    def unit_form(self, sym_id: int) -> LinearForm:
-        return LinearForm({sym_id: 1.0})
+    def unit_forms(self, sym_ids) -> np.ndarray:
+        """The unit rows of ``sym_ids``, in order: rows of the identity."""
+        sym_ids = list(sym_ids)
+        rows = np.zeros((len(sym_ids), len(self)), dtype=np.complex128)
+        rows[np.arange(len(sym_ids)), sym_ids] = 1.0
+        return rows
 
     @property
     def ids(self):
@@ -156,46 +123,42 @@ class SymbolTable:
         return len(self.symbols)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Equation:
-    """One stored observation: ``form`` plus its accumulated noise.
-
-    ``noise_variance`` is the squared norm of the form's noise weights;
-    it is at least 1 for anything received over the air (the fresh
-    reception noise) and exactly 0 for transmitter-internal constructs.
-    """
+    """One stored observation: coefficient ``row`` plus the unit noise
+    sample of ``(slot, receiver)``."""
 
     receiver: int
     slot: int
-    form: LinearForm
-
-    @property
-    def noise_variance(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self.form.noise.values()))
+    row: np.ndarray
 
     def to_dict(self):
+        noise = {f"{self.slot}:{self.receiver}": [1.0, 0.0]}
         return {"receiver": self.receiver, "slot": self.slot,
-                "form": self.form.to_dict(),
-                "noise_variance": self.noise_variance}
+                "form": form_dict(self.row, noise), "noise_variance": 1.0}
 
 
 @dataclass
 class ReceiverState:
-    """Everything one receiver has heard so far."""
+    """Everything one receiver has heard so far: one coefficient row per
+    equation, and the slot each row was heard in."""
 
     receiver: int
-    equations: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
+    slots: list = field(default_factory=list)
     slots_observed: int = 0
+
+    @property
+    def equations(self) -> tuple:
+        """The stored equations, in the order heard (a read-only view)."""
+        return tuple(Equation(self.receiver, s, row)
+                     for s, row in zip(self.slots, self.rows))
 
     def coefficient_matrix(self, symbol_ids) -> np.ndarray:
         """Stacked coefficient rows over the given symbol ordering."""
-        a = np.zeros((len(self.equations), len(symbol_ids)), dtype=np.complex128)
-        col = {s: i for i, s in enumerate(symbol_ids)}
-        for row, eq in enumerate(self.equations):
-            for s, v in eq.form.coeffs.items():
-                if s in col:
-                    a[row, col[s]] = v
-        return a
+        if not self.rows:
+            return np.zeros((0, len(symbol_ids)), dtype=np.complex128)
+        return np.vstack(self.rows)[:, list(symbol_ids)]
 
     def to_dict(self):
         return {"receiver": self.receiver,
@@ -206,16 +169,15 @@ class ReceiverState:
 def transmit_slot(plan, h_slot, states):
     """Broadcast one slot and append the resulting equation everywhere.
 
-    Each receiver ``r`` gains an equation whose form is the channel-row
-    weighted sum of the plan forms, ``sum_m h[r, m] * plan[m]``, plus a
-    fresh unit-weight noise sample unique to ``(slot, r)``.  An empty
-    plan advances every receiver's slot counter without adding
+    Receiver ``r`` gains the row ``h[r, :p] @ plan`` for a plan of ``p``
+    forms (plus, by rule, the fresh noise sample of this slot and ``r``).
+    An empty plan advances every receiver's slot counter without adding
     equations.
 
     Parameters
     ----------
-    plan : list of LinearForm
-        One form per active antenna; at most ``h_slot.shape[1]`` entries.
+    plan : array_like
+        One form per active antenna, as rows; at most ``h_slot.shape[1]``.
     h_slot : array_like
         The slot's channel matrix, one row per receiver.
     states : list of ReceiverState
@@ -223,34 +185,30 @@ def transmit_slot(plan, h_slot, states):
 
     Returns
     -------
-    list of LinearForm
+    numpy.ndarray
         The noise-free reconstruction of each receiver's new equation
-        (what the transmitter recovers from delayed CSI), in receiver
-        order; empty when the plan is empty.
+        (what the transmitter recovers from delayed CSI), one read-only
+        row per receiver; no rows when the plan is empty.
     """
     h = as_complex_matrix(h_slot)
+    plan = _block(plan)
     if h.shape[0] != len(states):
         raise ValueError(
             f"channel has {h.shape[0]} rows but there are {len(states)} receivers")
     if len(plan) > h.shape[1]:
         raise ValueError(
             f"plan uses {len(plan)} antennas but the channel has only {h.shape[1]}")
-    if not plan:
+    if not len(plan):
         for st in states:
             st.slots_observed += 1
-        return []
-    reconstructions = []
-    for idx, st in enumerate(states):
-        slot = st.slots_observed
-        form = LinearForm()
-        for m, antenna_form in enumerate(plan):
-            form = form + antenna_form.scaled(h[idx, m])
-        reconstructions.append(form)
-        received = LinearForm(form.coeffs, form.noise)
-        received.noise[(slot, st.receiver)] = 1.0
-        st.equations.append(Equation(st.receiver, slot, received))
+        return plan
+    recon = h[:, :len(plan)] @ plan
+    recon.flags.writeable = False
+    for st, row in zip(states, recon):
+        st.rows.append(row)
+        st.slots.append(st.slots_observed)
         st.slots_observed += 1
-    return reconstructions
+    return recon
 
 
 def decode_residuals(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL):
@@ -258,19 +216,18 @@ def decode_residuals(state: ReceiverState, targets, tol: RankTolerance = DEFAULT
 
     Returns ``(residuals, thresholds)`` from
     :func:`.numerics.rowspace_residuals`, one entry per target, in the
-    order given.  The coefficient matrix spans every symbol that appears
-    in an equation plus the targets, and is factored once for all
+    order given.  The receiver's stacked rows are factored once for all
     targets.
     """
     targets = list(targets)
     if not targets:
         raise ValueError("targets must be nonempty")
-    ids = sorted({s for eq in state.equations for s in eq.form.coeffs}
-                 | set(targets))
-    a = state.coefficient_matrix(ids)
-    col = {s: i for i, s in enumerate(ids)}
-    units = np.zeros((len(targets), len(ids)), dtype=np.complex128)
-    units[np.arange(len(targets)), [col[t] for t in targets]] = 1.0
+    if state.rows:
+        a = np.vstack(state.rows)
+    else:
+        a = np.zeros((0, max(targets) + 1), dtype=np.complex128)
+    units = np.zeros((len(targets), a.shape[1]), dtype=np.complex128)
+    units[np.arange(len(targets)), targets] = 1.0
     return rowspace_residuals(a, units, tol)
 
 
@@ -292,23 +249,18 @@ def can_decode(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL) 
     return bool(np.all(residuals <= thresholds))
 
 
-def combine(forms, weights) -> list:
-    """Deterministic linear combinations: row ``i`` of ``weights`` gives
-    the coefficients of output form ``i`` over ``forms``."""
+def combine(forms, weights) -> np.ndarray:
+    """Deterministic linear combinations ``weights @ forms``: row ``i`` of
+    ``weights`` gives the coefficients of output form ``i`` over ``forms``."""
+    forms = _block(forms)
     w = np.asarray(weights, dtype=np.complex128)
     if w.ndim != 2 or w.shape[1] != len(forms):
         raise ValueError(
             f"weights must be 2-D with {len(forms)} columns, got shape {w.shape}")
-    out = []
-    for row in w:
-        acc = LinearForm()
-        for c, f in zip(row, forms):
-            acc = acc + f.scaled(c)
-        out.append(acc)
-    return out
+    return w @ forms
 
 
-def random_combination(forms, count: int, rng, log=None) -> list:
+def random_combination(forms, count: int, rng, log=None) -> np.ndarray:
     """``count`` random linear combinations of ``forms``.
 
     Coefficients are the first ``count`` rows of a Haar unitary: as
@@ -318,8 +270,8 @@ def random_combination(forms, count: int, rng, log=None) -> list:
     of publicly pre-shared constants; pass ``log`` to capture the drawn
     matrix for the execution trace.
     """
-    forms = list(forms)
-    if not forms:
+    forms = _block(forms)
+    if not len(forms):
         raise ValueError("forms must be nonempty")
     if not 1 <= count <= len(forms):
         raise ValueError(
@@ -329,22 +281,6 @@ def random_combination(forms, count: int, rng, log=None) -> list:
     if log is not None:
         log.append(w)
     return combine(forms, w)
-
-
-def noise_covariance(equations) -> np.ndarray:
-    """Exact noise covariance of a list of equations.
-
-    Entry ``(i, l)`` is the inner product of the noise weight vectors of
-    equations ``i`` and ``l``; with unit-variance independent noise
-    samples this is the covariance of the stacked observation noise.
-    """
-    ids = sorted({n for eq in equations for n in eq.form.noise})
-    col = {n: i for i, n in enumerate(ids)}
-    w = np.zeros((len(equations), len(ids)), dtype=np.complex128)
-    for row, eq in enumerate(equations):
-        for n, v in eq.form.noise.items():
-            w[row, col[n]] = v
-    return w @ w.conj().T
 
 
 def alignment_ranks(trace, tol: RankTolerance = DEFAULT_TOL):
@@ -380,7 +316,7 @@ def alignment_ranks(trace, tol: RankTolerance = DEFAULT_TOL):
         raise ValueError("trace does not look like a completed 2-user scheme "
                          "(need 2 receivers, 4 symbols, 3 slots)")
     first = states[0]
-    if len(first.equations) != 3:
+    if len(first.rows) != 3:
         raise ValueError("first receiver must hold exactly 3 equations")
     desired_ids = table.owned_by(1)
     interference_ids = [s for s in table.ids if s not in desired_ids]

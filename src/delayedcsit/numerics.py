@@ -24,7 +24,6 @@ __all__ = [
     "numerical_rank",
     "rowspace_residuals",
     "sample_channel",
-    "whiten",
 ]
 
 # Alias used in signatures: a validated 2-D complex128 ndarray.
@@ -270,30 +269,6 @@ def in_rowspace(a, v, tol: RankTolerance = DEFAULT_TOL) -> bool:
     return bool(residuals[0] <= thresholds[0])
 
 
-def whiten(g, noise_cov) -> ComplexMatrix:
-    """``L^-1 g`` for the Cholesky factor ``L`` of ``noise_cov``: the
-    effective channel of ``y = g x + z`` once its noise is made white.
-
-    Raises
-    ------
-    NumericalDomainError
-        If ``noise_cov`` is not Hermitian positive definite.
-    """
-    g = as_complex_matrix(g)
-    noise_cov = as_complex_matrix(noise_cov)
-    n = noise_cov.shape[0]
-    if noise_cov.shape[1] != n or g.shape[0] != n:
-        raise ValueError("noise covariance must be square and match g's rows")
-    if not np.allclose(noise_cov, noise_cov.conj().T, atol=1e-12 * max(1.0, np.abs(noise_cov).max())):
-        raise NumericalDomainError("noise covariance is not Hermitian")
-    try:
-        chol = np.linalg.cholesky(noise_cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError(
-            "noise covariance is not positive definite") from exc
-    return np.linalg.solve(chol, g)
-
-
 def logdet_capacity(g, noise_cov, power_per_symbol: float) -> float:
     """Mutual information of the linear Gaussian system ``y = g x + z``.
 
@@ -318,7 +293,19 @@ def logdet_capacity(g, noise_cov, power_per_symbol: float) -> float:
     """
     if power_per_symbol < 0:
         raise ValueError("power_per_symbol must be nonnegative")
-    gw = whiten(g, noise_cov)
+    g = as_complex_matrix(g)
+    noise_cov = as_complex_matrix(noise_cov)
+    n = noise_cov.shape[0]
+    if noise_cov.shape[1] != n or g.shape[0] != n:
+        raise ValueError("noise covariance must be square and match g's rows")
+    if not np.allclose(noise_cov, noise_cov.conj().T, atol=1e-12 * max(1.0, np.abs(noise_cov).max())):
+        raise NumericalDomainError("noise covariance is not Hermitian")
+    try:
+        chol = np.linalg.cholesky(noise_cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError(
+            "noise covariance is not positive definite") from exc
+    gw = np.linalg.solve(chol, g)  # the channel once the noise is white
     k = gw.shape[1]
     gram = np.eye(k, dtype=np.complex128) + power_per_symbol * (gw.conj().T @ gw)
     sign, logdet = np.linalg.slogdet(gram)

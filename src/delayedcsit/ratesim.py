@@ -3,12 +3,12 @@
 A trace stores SNR-free equation rows (transmit forms are normalized to
 unit coefficient norm), so the physical receive equation at SNR ``P`` is
 the stored row scaled by ``sqrt(P / active_antennas)`` plus unit-variance
-noise.  Each receiver's rate is the Gaussian mutual information of its
-stacked equations after zero-forcing the other receivers' symbols —
-interference cancellation uses the receiver's own stored (noisy)
-equations, so the cancellation cost shows up in the effective noise.
-Rates are normalized per slot; the high-SNR slope of the sum rate
-estimates the scheme's DoF.
+noise, independent across equations.  Each receiver's rate is the
+Gaussian mutual information of its stacked equations after zero-forcing
+the other receivers' symbols with its own stored (noisy) equations; the
+zero-forcing projection has orthonormal rows, so the projected noise
+stays white.  Rates are normalized per slot; the high-SNR slope of the
+sum rate estimates the scheme's DoF.
 
 Everything but the SNR factor is SNR-independent, so each receiver of a
 trace is factored once (:func:`receiver_gains`) and the whole SNR grid
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ledger import noise_covariance
-from .numerics import DEFAULT_TOL, RngStream, whiten
+from .numerics import DEFAULT_TOL, RngStream
 from .schemes import tdma_trace
 
 __all__ = [
@@ -95,37 +94,30 @@ def receiver_gains(trace, receiver: int, tol=DEFAULT_TOL) -> np.ndarray:
 
     Scales each stored equation row by ``1/sqrt(active_antennas)`` of its
     slot, zero-forces the columns of all other receivers' symbols with one
-    SVD of the interference block (its rank by the ``tol`` rule), whitens
-    the remaining desired block ``G`` with the projected noise covariance,
-    and returns the eigenvalues of ``G^H G``.  Eigenvalues that roundoff
-    pushes below zero are clipped to zero.  Empty when the receiver wants
-    nothing, heard nothing, or the interference fills every observation.
+    SVD of the interference block (its rank by the ``tol`` rule), and
+    returns the eigenvalues of ``G^H G`` for the remaining desired block
+    ``G``.  The noise needs no whitening: it is white, and the projection
+    onto the interference-free subspace keeps it white.  Eigenvalues that
+    roundoff pushes below zero are clipped to zero.  Empty when the
+    receiver wants nothing, heard nothing, or the interference fills every
+    observation.
     """
     state = trace.states[receiver - 1]
     own = trace.targets_for(receiver)
-    if not own or not state.equations:
+    if not own or not state.rows:
         return np.zeros(0)
     ids = trace.table.ids
-    rows = state.coefficient_matrix(ids)
-    scale = np.array([
-        1.0 / math.sqrt(trace.active_antennas[eq.slot])
-        for eq in state.equations
-    ])
-    rows = rows * scale[:, None]
-    own_set = set(own)
-    own_idx = [i for i, s in enumerate(ids) if s in own_set]
-    int_idx = [i for i, s in enumerate(ids) if s not in own_set]
-    cov = noise_covariance(state.equations)
-    desired = rows[:, own_idx]
-    if int_idx:
-        u, s, _ = np.linalg.svd(rows[:, int_idx], full_matrices=True)
+    scale = 1.0 / np.sqrt(np.asarray(trace.active_antennas)[state.slots])
+    rows = state.coefficient_matrix(ids) * scale[:, None]
+    own_mask = np.zeros(len(ids), dtype=bool)
+    own_mask[own] = True
+    g = rows[:, own_mask]
+    if not own_mask.all():
+        u, s, _ = np.linalg.svd(rows[:, ~own_mask], full_matrices=True)
         rank = tol.rank(s)
         if rank == rows.shape[0]:
             return np.zeros(0)
-        w = u[:, rank:].conj().T
-        desired = w @ desired
-        cov = w @ cov @ w.conj().T
-    g = whiten(desired, cov)
+        g = u[:, rank:].conj().T @ g
     return np.maximum(np.linalg.eigvalsh(g.conj().T @ g), 0.0)
 
 

@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import mul
 
 import numpy as np
 
@@ -43,7 +44,8 @@ def as_point(d) -> tuple:
     Accepts ints, Fractions, floats (converted exactly), and strings
     such as ``"2/3"`` or ``"0.5"``.
     """
-    pt = tuple(Fraction(x) for x in d)
+    # Fraction(x) re-normalizes even a Fraction, at a few microseconds each
+    pt = tuple(x if type(x) is Fraction else Fraction(x) for x in d)
     if not pt:
         raise ValueError("a region point needs at least one coordinate")
     if any(x < 0 for x in pt):
@@ -71,7 +73,7 @@ def _integerize(pt):
     ``sum n_{pi(i)} * (L/i) <= den * L`` with ``L = lcm(1..k)``.
     """
     den = math.lcm(*(x.denominator for x in pt))
-    nums = [int(x * den) for x in pt]
+    nums = [x.numerator * (den // x.denominator) for x in pt]
     els = math.lcm(*range(1, len(pt) + 1))
     weights = [els // i for i in range(1, len(pt) + 1)]
     return nums, den, weights, els
@@ -108,24 +110,46 @@ def in_region(d, mode: str = "sorted", m=None) -> bool:
 
 def tight_permutations(d, m=None) -> list:
     """Permutations ``pi`` (as 1-based receiver tuples) whose constraint
-    holds with equality.  Exact; ``k <= 8``."""
+    holds with equality, in ``itertools.permutations`` order.  Exact.
+
+    A depth-first search over positions.  The weights ``1/i`` strictly
+    decrease, so by the rearrangement inequality the receivers not yet
+    placed contribute at most their descending pairing with the remaining
+    weights and at least their ascending one; a prefix is dropped as soon
+    as what is left to reach 1 falls outside that range.  For a boundary
+    point the search therefore walks only the non-increasing orderings
+    (every ordering within each group of equal coordinates), and for an
+    interior point it stops at the root; a point outside the region may
+    still saturate some other orderings, which the bounds leave in.
+    """
     pt = as_point(d)
     k = len(pt)
     _require_square(m, k)
-    if k > 8:
-        raise ValueError(f"tight_permutations supports k <= 8, got k={k}")
     nums, den, weights, els = _integerize(pt)
-    rhs = den * els
-    if max(nums) * els * k < _INT64_SAFE:
-        perms = _perm_matrix(k)
-        lhs = np.asarray(nums, dtype=np.int64)[perms] @ np.asarray(
-            weights, dtype=np.int64)
-        hits = np.nonzero(lhs == rhs)[0]
-        return [tuple(int(r) + 1 for r in perms[i]) for i in hits]
     out = []
-    for order in permutations(range(k)):
-        if sum(nums[r] * w for r, w in zip(order, weights)) == rhs:
-            out.append(tuple(r + 1 for r in order))
+    bounds = {}  # receivers left -> (most, least) they can add
+
+    def extend(prefix, rest, need):
+        if len(rest) == 2:  # the last two positions: test both orders
+            for tail in (rest, rest[::-1]):
+                if nums[tail[0]] * weights[-2] + nums[tail[1]] * weights[-1] == need:
+                    out.append(tuple(r + 1 for r in prefix + tail))
+            return
+        if rest not in bounds:
+            w = weights[len(prefix):]
+            vals = sorted([nums[r] for r in rest], reverse=True)
+            bounds[rest] = (sum(map(mul, vals, w)), sum(map(mul, vals, w[::-1])))
+        most, least = bounds[rest]
+        if not most >= need >= least:
+            return
+        if len(rest) == 1:
+            out.append(tuple(r + 1 for r in prefix + rest))
+            return
+        w0 = weights[len(prefix)]
+        for i, r in enumerate(rest):
+            extend(prefix + (r,), rest[:i] + rest[i + 1:], need - nums[r] * w0)
+
+    extend((), tuple(range(k)), den * els)
     return out
 
 

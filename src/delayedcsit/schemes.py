@@ -31,6 +31,7 @@ from .ledger import (
     SymbolTable,
     can_decode,
     combine,
+    form_dict,
     random_combination,
     transmit_slot,
 )
@@ -102,13 +103,13 @@ class AirLog:
     def slot(self, plan):
         """Transmit one slot and return the per-receiver reconstructions.
 
-        Plan forms are normalized to unit coefficient norm first (equal
-        power per active antenna).
+        Plan forms (rows) are normalized to unit coefficient norm first
+        (equal power per active antenna).
         """
-        normalized = []
-        for f in plan:
-            norm = f.coeff_norm()
-            normalized.append(f.scaled(1.0 / norm) if norm > 0 else f)
+        plan = np.asarray(plan, dtype=np.complex128)
+        norms = np.linalg.norm(plan, axis=1)
+        inverse = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0)
+        normalized = plan * inverse[:, np.newaxis]
         h = self._next_channel()
         recon = transmit_slot(normalized, h, self.states)
         self.channels.append(h)
@@ -235,7 +236,7 @@ class SchemeTrace:
             "slots": [
                 {"slot": i,
                  "active_antennas": self.active_antennas[i],
-                 "plan": [f.to_dict() for f in self.plans[i]],
+                 "plan": [form_dict(f) for f in self.plans[i]],
                  "channel": matrix(self.channels[i])}
                 for i in range(self.total_slots)
             ],
@@ -408,6 +409,13 @@ def _replication_factors(m: int, k: int, start: int) -> dict:
     return {lvl: int(r * scale) for lvl, r in ratios.items()}
 
 
+def _restrict(form, sym_ids) -> np.ndarray:
+    """The part of ``form`` on the columns ``sym_ids`` only."""
+    out = np.zeros_like(form)
+    out[sym_ids] = form[sym_ids]
+    return out
+
+
 def _symbol_label(owner, idx: int) -> str:
     tag = "".join(str(r) for r in sorted(owner))
     return f"u{tag}.{idx}"
@@ -420,12 +428,10 @@ def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
     table = SymbolTable(k)
     air = AirLog(table, m, rng, channels)
     per0 = _per_run_counts(m, k, start)[0] // math.comb(k, start)
-    inputs = {}
-    for s in _subsets(k, start):
-        forms = []
-        for i in range(per0 * factors[start]):
-            forms.append(table.unit_form(table.new_symbol(s, _symbol_label(s, i))))
-        inputs[s] = forms
+    ids = {s: [table.new_symbol(s, _symbol_label(s, i))
+               for i in range(per0 * factors[start])]
+           for s in _subsets(k, start)}
+    inputs = {s: table.unit_forms(lst) for s, lst in ids.items()}
     phases = []
     for level in range(start, k):
         runs = factors.get(level, 0)
@@ -518,17 +524,15 @@ def run_alt22(rng: RngStream, channels=None) -> SchemeTrace:
     """
     table = SymbolTable(2)
     air = AirLog(table, 2, rng, channels)
-    sym = {}
     for r in (1, 2):
         for name in ("u", "v"):
-            sym[(name, r)] = table.new_symbol({r}, f"{name}{r}")
-    all_forms = [table.unit_form(i) for i in table.ids]
+            table.new_symbol({r}, f"{name}{r}")
     w = haar_unitary(4, rng)[:2, :]
     air.log_combo("phase1/mixed-slot/plan", w)
-    recon = air.slot(combine(all_forms, w))
-    own = {r: set(table.owned_by(r)) for r in (1, 2)}
-    u_ab = recon[1].restrict(own[1])  # receiver 2's equation, first user's part
-    v_ab = recon[0].restrict(own[2])  # receiver 1's equation, second user's part
+    recon = air.slot(combine(table.unit_forms(table.ids), w))
+    # receiver 2's equation, first user's part; then the reverse
+    u_ab = _restrict(recon[1], table.owned_by(1))
+    v_ab = _restrict(recon[0], table.owned_by(2))
     phases = [PhaseRecord(1, 1, 4, 1, 2)]
     for f in (u_ab, v_ab):
         air.slot([f])
@@ -562,13 +566,12 @@ def run_opt23(rng: RngStream, channels=None) -> SchemeTrace:
     for pair in pairs:
         x, y = sorted(pair)
         ids_x, ids_y = pair_syms[pair]
-        forms = [table.unit_form(i) for i in ids_x + ids_y]
         tag = f"{x}{y}"
         w = haar_unitary(4, rng)[:2, :]
         air.log_combo(f"phase1/mixed{tag}/plan", w)
-        recon = air.slot(combine(forms, w))
-        u = recon[y - 1].restrict(ids_x)  # y's equation, x's symbols
-        v = recon[x - 1].restrict(ids_y)  # x's equation, y's symbols
+        recon = air.slot(combine(table.unit_forms(ids_x + ids_y), w))
+        u = _restrict(recon[y - 1], ids_x)  # y's equation, x's symbols
+        v = _restrict(recon[x - 1], ids_y)  # x's equation, y's symbols
         pair_forms[pair] = [u, v]
     phases = [PhaseRecord(1, 1, 12, 3, 6)]
     used, outs = build_square_phase(3, 2, pair_forms, air, rng)
@@ -591,9 +594,9 @@ def tdma_trace(k: int, rng: RngStream, channels=None) -> SchemeTrace:
         raise ValueError(f"need at least one receiver, got k={k}")
     table = SymbolTable(k)
     air = AirLog(table, 1, rng, channels)
-    for r in range(1, k + 1):
-        sym = table.new_symbol({r}, f"s{r}")
-        air.slot([table.unit_form(sym)])
+    syms = [table.new_symbol({r}, f"s{r}") for r in range(1, k + 1)]
+    for form in table.unit_forms(syms):
+        air.slot([form])
     phases = [PhaseRecord(1, k, k, k, 0)]
     return SchemeTrace(
         name="tdma", m=1, k=k, replication={1: k}, table=table,

@@ -125,7 +125,8 @@ def test_scheme_verify_pass(capsys):
 def test_scheme_verify_failure_exits_one(capsys, monkeypatch):
     def broken(stream):
         trace = run_alt22(stream)
-        trace.states[0].equations.clear()  # first receiver heard nothing
+        trace.states[0].rows.clear()  # first receiver heard nothing
+        trace.states[0].slots.clear()
         return trace
 
     monkeypatch.setattr(cli, "run_alt22", broken)

@@ -6,20 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayedcsit.ledger import (
-    Equation,
-    LinearForm,
     ReceiverState,
     SymbolTable,
     alignment_ranks,
     can_decode,
     combine,
     decode_residuals,
-    noise_covariance,
+    form_dict,
     random_combination,
     transmit_slot,
 )
-from delayedcsit.numerics import RngStream, numerical_rank
+from delayedcsit.numerics import DEFAULT_TOL, RngStream, numerical_rank
 from delayedcsit.schemes import (
+    _restrict,
     _run_chain,
     run_alt22,
     run_mat23_suboptimal,
@@ -35,32 +34,38 @@ SMALL_SCHEMES = {
     "opt23": run_opt23,
 }
 
+#: The small schemes plus square-4, for the ledger invariants.
+LEDGER_SCHEMES = {**SMALL_SCHEMES,
+                  "square-4": lambda s: run_square_scheme(4, s)}
+
 
 def test_linear_form_algebra():
-    f = LinearForm({1: 2.0, 2: 1.0})
-    g = LinearForm({2: -1.0, 3: 4.0})
-    s = f + g
-    assert s.coeffs == {1: 2.0, 3: 4.0}  # symbol 2 cancels exactly
-    assert f.scaled(2.0).coeffs == {1: 4.0, 2: 2.0}
-    assert f.support() == {1, 2}
-    assert abs(f.coeff_norm() - np.sqrt(5.0)) < 1e-15
+    # a form is a row over the symbol table; sums and scalings are
+    # matrix products, and a cancelling coefficient is an exact zero
+    f = np.array([0.0, 2.0, 1.0, 0.0])
+    g = np.array([0.0, 0.0, -1.0, 4.0])
+    s = combine([f, g], [[1.0, 1.0]])[0]
+    assert np.array_equal(s, [0.0, 2.0, 0.0, 4.0])
+    assert np.array_equal(combine([f], [[2.0]])[0], [0.0, 4.0, 2.0, 0.0])
+    assert form_dict(s) == {"coeffs": {"1": [2.0, 0.0], "3": [4.0, 0.0]},
+                            "noise": {}}
 
 
-def test_linear_form_restrict_keeps_noise():
-    f = LinearForm({1: 1.0, 2: 2.0, 3: 3.0}, noise={(0, 1): 1.0})
-    r = f.restrict({1, 3})
-    assert r.coeffs == {1: 1.0, 3: 3.0}
-    assert r.noise == {(0, 1): 1.0}
+def test_restrict_is_a_column_mask():
+    f = np.array([1.0, 2.0, 3.0j])
+    assert np.array_equal(_restrict(f, [0, 2]), [1.0, 0.0, 3.0j])
+    assert np.array_equal(f, [1.0, 2.0, 3.0j])  # the input is untouched
 
 
 @given(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
                           allow_infinity=False))
 @settings(max_examples=50, deadline=None)
 def test_linear_form_scaling_is_homogeneous(c):
-    f = LinearForm({1: 1.0 + 2.0j, 5: -3.0}, noise={(2, 1): 0.5j})
-    g = f.scaled(c)
-    assert abs(g.coeff_norm() - abs(c) * f.coeff_norm()) <= 1e-9 * (1 + abs(c))
-    assert g.noise.get((2, 1), 0) == 0.5j * c
+    f = np.array([0.0, 1.0 + 2.0j, 0.0, -3.0])
+    g = combine([f], [[c]])[0]
+    assert (abs(np.linalg.norm(g) - abs(c) * np.linalg.norm(f))
+            <= 1e-9 * (1 + abs(c)))
+    assert set(np.flatnonzero(g)) <= {1, 3}
 
 
 def test_symbol_table_bookkeeping():
@@ -83,67 +88,118 @@ def test_transmit_slot_exact_rows():
     t = SymbolTable(2)
     x = t.new_symbol({1}, "x")
     y = t.new_symbol({2}, "y")
+    assert np.array_equal(t.unit_forms([y, x]), [[0.0, 1.0], [1.0, 0.0]])
     states = [ReceiverState(1), ReceiverState(2)]
     h = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    recon = transmit_slot([t.unit_form(x), t.unit_form(y)], h, states)
-    # receiver r hears h[r, 0]*x + h[r, 1]*y plus unit fresh noise
-    eq = states[0].equations[0]
-    assert eq.form.coeffs == {x: 1.0, y: 2.0}
-    assert eq.form.noise == {(0, 1): 1.0}
-    assert states[1].equations[0].form.coeffs == {x: 3.0, y: 4.0}
-    assert states[1].equations[0].form.noise == {(0, 2): 1.0}
-    # reconstructions are noiseless copies of the received forms
-    assert recon[0].coeffs == eq.form.coeffs
-    assert recon[0].noise == {}
+    recon = transmit_slot(t.unit_forms([x, y]), h, states)
+    # receiver r hears h[r, 0]*x + h[r, 1]*y plus its own fresh noise
+    (eq,) = states[0].equations
+    assert (eq.receiver, eq.slot) == (1, 0)
+    assert np.array_equal(eq.row, [1.0, 2.0])
+    assert eq.to_dict()["form"]["noise"] == {"0:1": [1.0, 0.0]}
+    assert np.array_equal(states[1].rows[0], [3.0, 4.0])
+    assert states[1].slots == [0]
+    # reconstructions are the noiseless rows, and read-only
+    assert np.array_equal(recon, [[1.0, 2.0], [3.0, 4.0]])
+    assert not recon.flags.writeable
     assert states[0].slots_observed == 1
 
 
 def test_transmit_slot_validation_and_empty_plan():
     t = SymbolTable(2)
-    t.new_symbol({1}, "x")
-    states = [ReceiverState(1), ReceiverState(2)]
-    h = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError):
-        transmit_slot([t.unit_form(1)] * 3, h, states)  # more forms than antennas
-    with pytest.raises(ValueError):
-        transmit_slot([t.unit_form(1)], np.eye(3, dtype=complex), states)
-    out = transmit_slot([], h, states)
-    assert out == []
-    assert all(s.slots_observed == 1 and not s.equations for s in states)
-
-
-def test_noise_ids_are_unique_per_slot_and_receiver():
-    t = SymbolTable(2)
     x = t.new_symbol({1}, "x")
     states = [ReceiverState(1), ReceiverState(2)]
     h = np.eye(2, dtype=complex)
-    transmit_slot([t.unit_form(x)], h, states)
-    transmit_slot([t.unit_form(x)], h, states)
-    ids = [n for s in states for eq in s.equations for n in eq.form.noise]
-    assert len(ids) == len(set(ids)) == 4
-    assert all(eq.noise_variance == 1.0
-               for s in states for eq in s.equations)
+    with pytest.raises(ValueError):
+        transmit_slot(t.unit_forms([x] * 3), h, states)  # more forms than antennas
+    with pytest.raises(ValueError):
+        transmit_slot(t.unit_forms([x]), np.eye(3, dtype=complex), states)
+    with pytest.raises(ValueError):
+        transmit_slot(t.unit_forms([x]), [[np.nan], [1.0]], states)
+    out = transmit_slot([], h, states)
+    assert len(out) == 0
+    assert all(s.slots_observed == 1 and not s.equations for s in states)
+
+
+def _noise_weights(receiver_doc):
+    """Noise weight matrix of one receiver's emitted equations: a row per
+    equation, a column per noise sample id."""
+    eqs = receiver_doc["equations"]
+    ids = sorted({n for eq in eqs for n in eq["form"]["noise"]})
+    w = np.zeros((len(eqs), len(ids)), dtype=complex)
+    for row, eq in enumerate(eqs):
+        for n, (re, im) in eq["form"]["noise"].items():
+            w[row, ids.index(n)] = complex(re, im)
+    return w
+
+
+def test_noise_ids_are_unique_per_slot_and_receiver():
+    # every emitted equation carries exactly the unit noise sample of its
+    # (slot, receiver) pair; no transmitted plan form carries any noise
+    for name, build in sorted(LEDGER_SCHEMES.items()):
+        doc = build(RngStream(4)).to_dict()
+        ids = []
+        for rec in doc["receivers"]:
+            for eq in rec["equations"]:
+                want = f"{eq['slot']}:{rec['receiver']}"
+                assert eq["receiver"] == rec["receiver"], name
+                assert eq["form"]["noise"] == {want: [1.0, 0.0]}, name
+                assert eq["noise_variance"] == 1.0, name
+                ids.append(want)
+            assert len(rec["equations"]) == rec["slots_observed"], name
+        assert len(ids) == len(set(ids)) == doc["k"] * doc["total_slots"], name
+        assert all(f["noise"] == {} for sl in doc["slots"] for f in sl["plan"])
+
+
+def test_noise_covariance_identity_for_raw_equations():
+    # the emitted noise weights of each receiver are orthonormal: its
+    # observation noise is white, which is all the rate path assumes
+    for name, build in sorted(LEDGER_SCHEMES.items()):
+        for rec in build(RngStream(5)).to_dict()["receivers"]:
+            w = _noise_weights(rec)
+            assert np.array_equal(w @ w.conj().T, np.eye(len(w))), name
+
+
+def test_equation_rows_are_channel_times_plan():
+    # each stored row is its slot's channel row times the slot's plan,
+    # summed antenna by antenna here, and the JSON holds its nonzeros
+    for name, build in sorted(LEDGER_SCHEMES.items()):
+        trace = build(RngStream(6))
+        doc = trace.to_dict()
+        for st, rec in zip(trace.states, doc["receivers"]):
+            assert st.slots == list(range(trace.total_slots)), name
+            for slot, row, eq in zip(st.slots, st.rows, rec["equations"]):
+                h = trace.channels[slot][st.receiver - 1]
+                plan = trace.plans[slot]
+                want = sum(h[m] * plan[m] for m in range(len(plan)))
+                assert (np.linalg.norm(row - want)
+                        <= 1e-12 * np.linalg.norm(want)), (name, slot)
+                coeffs = {int(s): complex(re, im)
+                          for s, (re, im) in eq["form"]["coeffs"].items()}
+                assert sorted(coeffs) == np.flatnonzero(row).tolist()
+                assert all(coeffs[s] == row[s] for s in coeffs)
 
 
 def test_can_decode_hand_cases():
     t = SymbolTable(2)
     x = t.new_symbol({1}, "x")
     y = t.new_symbol({2}, "y")
-    st1 = ReceiverState(1)
-    st1.equations.append(Equation(1, 0, LinearForm({x: 1.0, y: 1.0})))
+    st1 = ReceiverState(1, [np.array([1.0, 1.0])], [0])
     assert not can_decode(st1, [x])  # one equation, two unknowns
-    st1.equations.append(Equation(1, 1, LinearForm({y: 1.0})))
+    st1.rows.append(np.array([0.0, 1.0]))
+    st1.slots.append(1)
     assert can_decode(st1, [x])
     assert can_decode(st1, [x, y])
     with pytest.raises(ValueError):
         can_decode(st1, [])
+    assert not can_decode(ReceiverState(2), [y])  # heard nothing
 
 
 def _stacked_rank_decodes(state, targets):
     """The per-target rule ``can_decode`` replaced: stack each unit row
     under the coefficient matrix and compare numerical ranks."""
-    ids = sorted({s for eq in state.equations for s in eq.form.coeffs}
-                 | set(targets))
+    used = np.flatnonzero(np.any(np.vstack(state.rows) != 0, axis=0))
+    ids = sorted(set(used.tolist()) | set(targets))
     a = state.coefficient_matrix(ids)
     base = numerical_rank(a)
     for t in targets:
@@ -157,10 +213,12 @@ def _stacked_rank_decodes(state, targets):
 def _truncated(trace):
     """Receiver states of ``trace`` without its last slot's equations."""
     last = trace.total_slots - 1
-    return [ReceiverState(st.receiver,
-                          [eq for eq in st.equations if eq.slot != last],
-                          last)
-            for st in trace.states]
+    out = []
+    for st in trace.states:
+        keep = [i for i, slot in enumerate(st.slots) if slot != last]
+        out.append(ReceiverState(st.receiver, [st.rows[i] for i in keep],
+                                 [st.slots[i] for i in keep], last))
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SCHEMES))
@@ -181,7 +239,9 @@ def test_can_decode_matches_stacked_rank_oracle(name):
 
 def test_decode_residuals_are_decades_from_threshold():
     # every verified size up to square-5 and the (2, 4) chain, complete
-    # and truncated: no residual lies within 10x of its threshold
+    # and truncated: no residual lies within 10x of its threshold, and
+    # the smallest kept singular value of every receiver's matrix is at
+    # least 100x the rank tolerance relative to the largest
     builders = [(SMALL_SCHEMES[name], range(5)) for name in sorted(SMALL_SCHEMES)]
     builders += [(lambda s: run_square_scheme(4, s), range(3)),
                  (lambda s: run_square_scheme(5, s), range(2)),
@@ -196,41 +256,33 @@ def test_decode_residuals_are_decades_from_threshold():
                     ratio = residuals / thresholds
                     assert np.all((ratio <= 0.1) | (ratio >= 10.0)), (
                         seed, st.receiver, ratio[(ratio > 0.1) & (ratio < 10)])
+                    sv = np.linalg.svd(np.vstack(st.rows), compute_uv=False)
+                    kept = sv[DEFAULT_TOL.rank(sv) - 1] / sv[0]
+                    assert kept >= 100 * DEFAULT_TOL.relative, (
+                        seed, st.receiver, kept)
 
 
 def test_combine_exact():
-    f = LinearForm({1: 1.0})
-    g = LinearForm({2: 1.0})
+    f = np.array([0.0, 1.0, 0.0])
+    g = np.array([0.0, 0.0, 1.0])
     out = combine([f, g], [[2.0, 3.0], [0.0, 1.0j]])
-    assert out[0].coeffs == {1: 2.0, 2: 3.0}
-    assert out[1].coeffs == {2: 1.0j}
+    assert np.array_equal(out, [[0.0, 2.0, 3.0], [0.0, 0.0, 1.0j]])
     with pytest.raises(ValueError):
         combine([f, g], [[1.0]])
 
 
 def test_random_combination_uses_unitary_rows():
-    forms = [LinearForm({i: 1.0}) for i in range(1, 5)]
+    forms = np.eye(5)[1:]
     log = []
     out = random_combination(forms, 2, RngStream(3), log=log)
-    assert len(out) == 2
     w = log[0]
     assert w.shape == (2, 4)
     assert np.allclose(w @ w.conj().T, np.eye(2), atol=1e-12)
+    assert np.array_equal(out, w @ forms)
     with pytest.raises(ValueError):
         random_combination(forms, 5, RngStream(3))
     with pytest.raises(ValueError):
         random_combination([], 1, RngStream(3))
-
-
-def test_noise_covariance_identity_for_raw_equations():
-    t = SymbolTable(2)
-    x = t.new_symbol({1}, "x")
-    states = [ReceiverState(1), ReceiverState(2)]
-    rng = RngStream(4)
-    transmit_slot([t.unit_form(x)], rng.complex_normal((2, 1)), states)
-    transmit_slot([t.unit_form(x)], rng.complex_normal((2, 1)), states)
-    cov = noise_covariance(states[0].equations)
-    assert np.allclose(cov, np.eye(2), atol=1e-15)
 
 
 def test_alignment_ranks_generic():

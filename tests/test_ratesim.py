@@ -6,14 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from delayedcsit.ledger import (
-    Equation,
-    ReceiverState,
-    SymbolTable,
-    combine,
-    noise_covariance,
-    transmit_slot,
-)
 from delayedcsit.numerics import RngStream, logdet_capacity, numerical_rank
 from delayedcsit.ratesim import (
     RatePoint,
@@ -62,27 +54,6 @@ def test_single_user_rate_matches_hand_formula():
         receiver_rate(trace, 1, -1.0)
 
 
-def test_combined_equation_noise_covariance_analytic():
-    # two clean receptions plus one receiver-side combination of them:
-    # cov = [[1, 0, conj(a)], [0, 1, conj(b)], [a, b, |a|^2 + |b|^2]]
-    t = SymbolTable(1)
-    x = t.new_symbol(frozenset({1}), "x")
-    y = t.new_symbol(frozenset({1}), "y")
-    states = [ReceiverState(1)]
-    transmit_slot([t.unit_form(x)], [[1.0]], states)
-    transmit_slot([t.unit_form(y)], [[1.0]], states)
-    e1, e2 = states[0].equations
-    a, b = 0.3 - 0.4j, 1.25j
-    e3 = Equation(1, 2, combine([e1.form, e2.form], [[a, b]])[0])
-    cov = noise_covariance([e1, e2, e3])
-    want = np.array([
-        [1.0, 0.0, np.conj(a)],
-        [0.0, 1.0, np.conj(b)],
-        [a, b, abs(a) ** 2 + abs(b) ** 2],
-    ])
-    assert np.max(np.abs(cov - want)) < 1e-12
-
-
 def _per_snr_rate(trace, receiver, snr):
     """One receiver's rate the long way: scale by the SNR, zero-force the
     other receivers' symbols and take the log det, all at this SNR."""
@@ -97,8 +68,8 @@ def _per_snr_rate(trace, receiver, snr):
     interference = rows[:, int_idx]
     rank = numerical_rank(interference)
     w = np.linalg.svd(interference)[0][:, rank:].conj().T
-    cov = noise_covariance(state.equations)
-    bits = logdet_capacity(w @ rows[:, own_idx], w @ cov @ w.conj().T, 1.0)
+    # the stored equations' noise covariance is the identity; w projects it
+    bits = logdet_capacity(w @ rows[:, own_idx], w @ w.conj().T, 1.0)
     return bits / trace.total_slots
 
 

@@ -1,6 +1,7 @@
 """Region membership, corners, and time-sharing decomposition."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -62,6 +63,59 @@ def test_tight_permutations_symmetric_corner():
     assert sorted(tight_permutations(["2/3", "2/3"])) == [(1, 2), (2, 1)]
     # (1, 0) saturates only the ordering that puts receiver 1 first
     assert tight_permutations([1, 0]) == [(1, 2)]
+
+
+def _tight_by_scan(pt):
+    """Every ordering whose constraint equals 1, by checking all k!."""
+    return [tuple(r + 1 for r in order)
+            for order in permutations(range(len(pt)))
+            if sum(pt[r] / i for i, r in enumerate(order, start=1)) == 1]
+
+
+def test_tight_permutations_equal_exhaustive_scan():
+    # corners, random points (as in acceptance 7), the same points moved
+    # onto the boundary, and points scaled so one random ordering is
+    # saturated, which leaves most of them outside the region
+    rnd = random.Random(11)
+    for k in range(1, 7):
+        points = list(corner_candidates(k))
+        h = harmonic(k)
+        for _ in range(12):
+            pt = tuple(Fraction(rnd.randint(0, 1500), 1000) / h
+                       for _ in range(k))
+            points.append(pt)
+            if any(pt):
+                value = sum(x / i for i, x in enumerate(
+                    sorted(pt, reverse=True), start=1))
+                points.append(tuple(x / value for x in pt))
+                order = rnd.sample(range(k), k)
+                value = sum(pt[r] / i for i, r in enumerate(order, start=1))
+                if value:
+                    points.append(tuple(x / value for x in pt))
+        ties = tuple(Fraction(rnd.randint(0, 2), 3) for _ in range(k))
+        points.append(ties)
+        for pt in points:
+            assert tight_permutations(pt) == _tight_by_scan(pt), pt
+
+
+def test_tight_permutations_past_eight_receivers():
+    # k = 10 on the boundary: distinct coordinates leave one saturated
+    # ordering, one tie leaves two; an interior point leaves none
+    k = 10
+    desc = [Fraction(k + 1 - i) for i in range(1, k + 1)]
+    value = sum(x / i for i, x in enumerate(desc, start=1))
+    pt = [desc[r] / value for r in (3, 0, 9, 1, 8, 2, 7, 4, 6, 5)]
+    assert in_region(pt)
+    best = tuple(sorted(range(1, k + 1), key=lambda r: -pt[r - 1]))
+    assert tight_permutations(pt) == [best]
+    assert best[:2] == (2, 4)
+    tied = list(pt)
+    tied[1] = tied[3] = (pt[1] + pt[3]) / 2  # the two largest
+    value = sum(x / i for i, x in enumerate(
+        sorted(tied, reverse=True), start=1))
+    tied = [x / value for x in tied]
+    assert tight_permutations(tied) == [best, (4, 2) + best[2:]]
+    assert tight_permutations([x / 2 for x in pt]) == []
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=12),
