@@ -34,11 +34,8 @@ from .ledger import (
 )
 from .numerics import (
     DEFAULT_TOL,
-    NumericalDomainError,
     RankTolerance,
     RngStream,
-    in_rowspace,
-    logdet_capacity,
     numerical_rank,
     sample_channel,
 )
@@ -46,7 +43,6 @@ from .ratesim import (
     RatePoint,
     SlopeFit,
     fit_dof_slope,
-    receiver_rate,
     simulate_rates,
     snr_grid,
     tdma_baseline,
@@ -81,7 +77,6 @@ __all__ = [
     "DofQuery",
     "Equation",
     "NonsquarePhaseParams",
-    "NumericalDomainError",
     "OutOfRegimeError",
     "PhaseRecord",
     "RankTolerance",
@@ -109,14 +104,11 @@ __all__ = [
     "hockey_stick",
     "identity_check",
     "in_region",
-    "in_rowspace",
-    "logdet_capacity",
     "nonsquare_closed_form",
     "nonsquare_recursion",
     "numerical_rank",
     "outer_bound_lhs",
     "random_combination",
-    "receiver_rate",
     "run_alt22",
     "run_mat23_suboptimal",
     "run_opt23",

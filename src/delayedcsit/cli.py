@@ -10,9 +10,10 @@ environment variable.
 import argparse
 import csv
 import io
-import json
+import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .dof_calc import (
@@ -30,6 +31,7 @@ from .numerics import RngStream
 from .ratesim import fit_dof_slope, simulate_rates, snr_grid
 from .region import decompose_time_sharing, in_region, tight_permutations
 from .schemes import (
+    canonical_json,
     run_alt22,
     run_mat23_suboptimal,
     run_opt23,
@@ -80,7 +82,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _emit_json(obj: dict, out_path) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
+    _emit(canonical_json(obj) + "\n", out_path)
 
 
 def _emit_csv(header, rows, out_path) -> None:
@@ -284,8 +286,17 @@ def cmd_region_check(args) -> int:
         raise ValueError(
             f"--k {args.k} does not match the {len(point)} coordinates given")
     member = in_region(point, mode="sorted")
-    tight = tight_permutations(point)
     parts = decompose_time_sharing(point)
+    # an interior point (weights summing below 1) has no tight ordering;
+    # on or outside the boundary each comes with all reorderings of ties.
+    # 9! of them take 0.6 s and 77 MB, and each further tie multiplies both
+    interior = parts is not None and sum(w for _, w in parts) < 1
+    orderings = math.prod(map(math.factorial, Counter(point).values()))
+    if not interior and orderings > math.factorial(9):
+        raise ValueError(
+            f"the point's equal coordinates allow {orderings} tight orderings; "
+            "region-check lists at most 9! = 362880")
+    tight = tight_permutations(point)
     decomposition = None
     if parts is not None:
         decomposition = [

@@ -38,7 +38,6 @@ __all__ = [
     "SlopeFit",
     "fit_dof_slope",
     "receiver_gains",
-    "receiver_rate",
     "simulate_rates",
     "snr_grid",
     "tdma_baseline",
@@ -124,20 +123,6 @@ def receiver_gains(trace, receiver: int, tol=DEFAULT_TOL) -> np.ndarray:
 def _rates(gains, snrs, slots) -> np.ndarray:
     """Per-slot rate at every SNR in ``snrs`` from one receiver's gains."""
     return np.log1p(np.outer(snrs, gains)).sum(axis=1) / (math.log(2.0) * slots)
-
-
-def receiver_rate(trace, receiver: int, snr: float, tol=DEFAULT_TOL) -> float:
-    """Gaussian mutual information of one receiver, in bits per slot.
-
-    The receiver's equations at the given SNR, with the columns of all
-    other receivers' symbols zero-forced, form a Gaussian channel with
-    unit-power symbols; its log det is evaluated from the SNR-free
-    :func:`receiver_gains`.
-    """
-    if snr < 0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
-    gains = receiver_gains(trace, receiver, tol)
-    return float(_rates(gains, [snr], trace.total_slots)[0])
 
 
 def _trial_matrix(builder, stream, snrs):

@@ -43,6 +43,7 @@ __all__ = [
     "SchemeTrace",
     "build_nonsquare_phase",
     "build_square_phase",
+    "canonical_json",
     "run_alt22",
     "run_mat23_suboptimal",
     "run_opt23",
@@ -248,7 +249,81 @@ class SchemeTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return canonical_json(self.to_dict())
+
+
+def canonical_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    Any ``indent`` makes json encode in pure Python.  Here the C encoder
+    takes each container of scalars, with the newline and indentation as
+    item separator, and each container of flat number lists (a trace's
+    coefficient maps and matrix rows of ``[re, im]`` pairs), in compact
+    form indented by :func:`_rows_json`.  Only the rest is walked here.
+    """
+    out = []
+
+    def write(node, nl):
+        inner = nl + "  "
+        keyed = isinstance(node, dict)
+        nested = keyed or isinstance(node, (list, tuple))
+        kinds = set(map(type, node.values() if keyed else node)) if nested else ()
+        if kinds and all(issubclass(kind, (list, tuple)) for kind in kinds):
+            text = _rows_json(node, nl)
+            if text is not None:
+                out.append(text)
+                return
+        if not any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+            text = json.dumps(node, sort_keys=True, separators=("," + inner, ": "))
+            if text[0] in "[{" and len(text) > 2:
+                text = text[0] + inner + text[1:-1] + nl + text[-1]
+            out.append(text)
+        elif keyed and not all(isinstance(key, str) for key in node):
+            # json turns such keys into strings only after sorting them
+            out.append(json.dumps(node, sort_keys=True, indent=2).replace("\n", nl))
+        else:
+            sep = ("{" if keyed else "[") + inner
+            for key in sorted(node) if keyed else range(len(node)):
+                out.append(sep + (json.dumps(key) + ": " if keyed else ""))
+                write(node[key], inner)
+                sep = "," + inner
+            out.append(nl + ("}" if keyed else "]"))
+
+    try:
+        write(obj, "\n")
+    except RecursionError:  # a cycle, or nesting too deep: fail as json does
+        return json.dumps(obj, sort_keys=True, indent=2)
+    return "".join(out)
+
+
+def _rows_json(node, nl: str):
+    """Indented JSON of a dict or list of lists from its compact text, or
+    None unless its ``n`` items are nonempty lists of bare tokens such as
+    numbers, under keys free of brackets, commas and quotes.  The text
+    shows it: ``2n`` quotes in a dict (the keys) and none in a list, a
+    bracket pair per item (and a list's own), one comma fewer than the
+    items' entries.  Then each ``],`` separates two items, each ``[`` or
+    ``:[`` opens one, and fixed substitutions indent the text."""
+    items = node.values() if isinstance(node, dict) else node
+    if any(isinstance(v, (dict, list, tuple)) for v in next(iter(items))):
+        return None  # refused before encoding, as matrices are
+    text = json.dumps(node, sort_keys=True, separators=(",", ":"))
+    keyed = text[0] == "{"
+    brackets = len(node) + (not keyed)
+    if (text.count('"') != 2 * len(node) * keyed
+            or text.count("[") != brackets or text.count("]") != brackets
+            or text.count(",") != sum(map(len, items)) - 1):
+        return None
+    one, two = nl + "  ", nl + "    "
+    # each comma ends a line; one between items also closes the item before
+    body = text[1:-2].replace(",", "," + two)
+    if keyed:
+        body = (body.replace('],' + two + '"', one + '],' + one + '"')
+                .replace(":[", ": [" + two))
+    else:
+        body = "[" + two + body[1:].replace(
+            "]," + two + "[", one + "]," + one + "[" + two)
+    return text[0] + one + body + one + "]" + nl + text[-1]
 
 
 def _subsets(k: int, size: int):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -205,6 +206,20 @@ def test_region_check_outside(capsys):
     assert doc["tight_permutations"] == [[2, 1]]
 
 
+def test_region_check_refuses_too_many_tight_orderings(capsys):
+    # the symmetric corner of 12 receivers has 12! tight orderings; the
+    # refusal comes before the search, so the call returns at once
+    corner = ",".join(["27720/86021"] * 12)  # 1 / H_12
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["region-check", "--point", corner])
+    assert code == 2 and "362880" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+    # an interior point has no tight ordering, however many ties it has
+    doc = run_json(capsys, ["region-check", "--point",
+                            ",".join(["1/100"] * 12)])
+    assert doc["in_region"] is True and doc["tight_permutations"] == []
+
+
 def test_region_check_csv(capsys):
     code, out, err = run_cli(
         capsys, ["region-check", "--point", "6/11,6/11,6/11",
@@ -273,3 +288,21 @@ def test_unknown_scheme_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scheme-run", "--scheme", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dof-table", "--k", "3"],
+    ["scheme-run", "--scheme", "square", "--k", "3", "--seed", "5"],
+    ["scheme-run", "--scheme", "order", "--m", "2", "--k", "3", "--j", "2"],
+    ["scheme-verify", "--scheme", "opt23", "--trials", "20"],
+    ["rate-sim", "--scheme", "square", "--k", "2", "--trials", "10"],
+    ["region-check", "--point", "6/11,6/11,6/11"],
+    ["identity-check", "--k", "6"],
+])
+def test_json_output_is_the_stdlib_rendering(capsys, argv):
+    # every command's JSON is json.dumps(doc, sort_keys=True, indent=2)
+    # of its own document, byte for byte
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+

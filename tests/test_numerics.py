@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayedcsit.numerics import (
-    NumericalDomainError,
     RankTolerance,
     RngStream,
     as_complex_matrix,
     haar_unitary,
-    in_rowspace,
-    logdet_capacity,
     numerical_rank,
     rowspace_residuals,
     sample_channel,
 )
+from oracles import NumericalDomainError, logdet_capacity
 
 
 def test_rng_stream_reproducible():
@@ -109,18 +107,24 @@ def test_numerical_rank_respects_tolerance():
     assert numerical_rank(d, RankTolerance(1e-2)) == 1
 
 
+def _in_rowspace(a, v):
+    """The verdict of :func:`rowspace_residuals` on one row vector ``v``."""
+    (g,), (thr,) = rowspace_residuals(a, np.asarray(v)[np.newaxis, :])
+    return bool(g <= thr)
+
+
 def test_in_rowspace():
     a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert in_rowspace(a, np.array([2.0, -3.0, 0.0]))
-    assert not in_rowspace(a, np.array([0.0, 0.0, 1.0]))
+    assert _in_rowspace(a, np.array([2.0, -3.0, 0.0]))
+    assert not _in_rowspace(a, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
-        in_rowspace(a, np.array([1.0, 0.0]))
+        _in_rowspace(a, np.array([1.0, 0.0]))
     # distances far below 1e-8 are resolved, on both sides of the
     # threshold 1e-9 * sqrt(1 + 1); the residual is the singular value
     # that stacking v adds
     for delta, inside, rel in ((1e-7, False, 1e-6), (1e-11, True, 1e-3)):
         v = np.array([0.6, 0.8j, delta])
-        assert in_rowspace(a, v) == inside
+        assert _in_rowspace(a, v) == inside
         (g,), (thr,) = rowspace_residuals(a, v[np.newaxis, :])
         added = np.linalg.svd(np.vstack([a, v]), compute_uv=False)[-1]
         assert g == pytest.approx(added, rel=rel)
@@ -133,12 +137,12 @@ def test_in_rowspace():
     for v in ([1.0, 1.0, 0.0], [1.0, 1.0, 1e-3], [0.0, 0.0, 1e-3],
               [1.0, 0.0, 1e-5]):
         stacked = np.vstack([skew, v])
-        assert in_rowspace(skew, np.array(v)) == (
+        assert _in_rowspace(skew, np.array(v)) == (
             numerical_rank(stacked) == numerical_rank(skew)), v
     # nothing but the zero vector lies in the row space of no rows
     empty = np.zeros((0, 3))
-    assert in_rowspace(empty, np.zeros(3))
-    assert not in_rowspace(empty, np.array([0.0, 1e-3, 0.0]))
+    assert _in_rowspace(empty, np.zeros(3))
+    assert not _in_rowspace(empty, np.array([0.0, 1e-3, 0.0]))
 
 
 def test_logdet_capacity_scalar_oracle():

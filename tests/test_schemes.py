@@ -1,10 +1,13 @@
 """Scheme execution: phase cardinalities, exact accounting, decodability."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delayedcsit.dof_calc import OutOfRegimeError, dof_square, harmonic
 from delayedcsit.numerics import RngStream
@@ -12,6 +15,7 @@ from delayedcsit.schemes import (
     AirLog,
     build_nonsquare_phase,
     build_square_phase,
+    canonical_json,
     run_alt22,
     run_mat23_suboptimal,
     run_opt23,
@@ -222,3 +226,84 @@ def test_scheme_trace_decode_across_seeds():
     for seed in range(25):
         assert run_square_scheme(3, RngStream(seed)).decode_ok()
         assert run_opt23(RngStream(seed)).decode_ok()
+
+
+def _stdlib_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("build, seeds", [
+    (lambda s: run_square_scheme(2, s), range(4)),
+    (lambda s: run_square_scheme(3, s), range(4)),
+    (lambda s: run_square_scheme(4, s), range(2)),
+    (lambda s: run_square_scheme(5, s), range(1)),
+    (run_alt22, range(4)),
+    (run_mat23_suboptimal, range(4)),
+    (run_opt23, range(4)),
+    (lambda s: tdma_trace(3, s), range(4)),
+    (lambda s: run_order_j_delivery(2, 3, 2, s), range(4)),
+], ids=["square-2", "square-3", "square-4", "square-5", "alt22", "mat23",
+        "opt23", "tdma-3", "order-2-3-2"])
+def test_canonical_json_matches_stdlib_on_traces(build, seeds):
+    for seed in seeds:
+        trace = build(RngStream(100 + seed))
+        doc = trace.to_dict()
+        assert canonical_json(doc) == _stdlib_json(doc), seed
+        assert trace.to_json() == _stdlib_json(doc), seed
+
+
+_EDGE_FLOATS = (-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf)
+_TRICKY_TEXT = ("", "0", "3:2", "a,b", "x]", "[", "[]", ":[", '"q"', "\\",
+                "],\n", "\u00e9\u6f22", "\U0001f600", "\x00\t")
+_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_texts = st.text() | st.sampled_from(_TRICKY_TEXT)
+_numbers = st.none() | st.booleans() | st.integers() | _floats
+_pairs = st.lists(_floats, min_size=2, max_size=2)
+_rows = _pairs | st.lists(_numbers, max_size=4) | st.lists(_numbers | _texts,
+                                                          max_size=3)
+_keys = _texts | st.from_regex(r"[0-9]{1,3}(:[0-9]{1,2})?", fullmatch=True)
+_leaves = (_numbers | _texts | _rows
+           | st.lists(_rows, max_size=4)
+           | st.dictionaries(_keys, _rows, max_size=4)
+           | st.dictionaries(st.integers(), _pairs, max_size=3))
+_json_trees = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_keys, inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=40)
+
+
+@given(_json_trees)
+@settings(max_examples=400, deadline=None)
+def test_canonical_json_matches_stdlib_on_any_tree(tree):
+    # empty dicts and lists; [re, im] pairs and other number lists among
+    # other values; keys and strings that need escaping, non-ASCII ones
+    # and ones holding brackets, commas and quotes; ints, bools, None,
+    # -0.0, the least subnormal, 1e16, NaN and infinities; tuples and
+    # dicts with integer keys
+    assert canonical_json(tree) == _stdlib_json(tree)
+
+
+@given(st.dictionaries(_keys, _rows, min_size=1, max_size=4)
+       | st.lists(_rows, min_size=1, max_size=4))
+@example({"a,b": [], "c": [1.0, 2.0]})  # a comma in a key, an empty row
+@example({"x]": [1.0]})
+@example({'"q"': [1.0]})
+@example({"k": [1.0, [2.0]]})
+@example({"a": [1.0], "b": [{"c": 2.0}]})
+@example([[1.0], []])
+@example([[1.0], [{"c": 2.0}]])
+@example([[1.0, "],[\n"]])
+@settings(max_examples=400, deadline=None)
+def test_canonical_json_matches_stdlib_on_containers_of_lists(node):
+    # the containers whose compact text the writer re-indents, when it can
+    assert canonical_json(node) == _stdlib_json(node)
+
+
+def test_canonical_json_fails_on_a_cycle_as_json_does():
+    cycle = [1.0]
+    cycle.append({"back": cycle})
+    with pytest.raises(ValueError, match="Circular reference"):
+        canonical_json(cycle)
+
