@@ -29,15 +29,13 @@ from .ledger import (
     alignment_ranks,
     can_decode,
     combine,
-    random_combination,
-    transmit_slot,
+    transmit_slots,
 )
 from .numerics import (
     DEFAULT_TOL,
     RankTolerance,
     RngStream,
     numerical_rank,
-    sample_channel,
 )
 from .ratesim import (
     RatePoint,
@@ -108,18 +106,16 @@ __all__ = [
     "nonsquare_recursion",
     "numerical_rank",
     "outer_bound_lhs",
-    "random_combination",
     "run_alt22",
     "run_mat23_suboptimal",
     "run_opt23",
     "run_order_j_delivery",
     "run_square_scheme",
-    "sample_channel",
     "simulate_rates",
     "snr_grid",
     "symmetric_corner",
     "tdma_baseline",
     "tdma_trace",
     "tight_permutations",
-    "transmit_slot",
+    "transmit_slots",
 ]

@@ -4,8 +4,10 @@ Every signal in a scheme execution is linear in the base data symbols,
 so a *form* is a ``complex128`` row over the symbol table (entry ``i``
 is the coefficient of symbol ``i``) and a block of forms is a 2-D array,
 one row per form.  Mixing is a matrix product: :func:`combine` is
-``W @ F`` and a broadcast slot is ``H @ P``.  Forms span the whole
-table, so a scheme registers all of its symbols before it builds any.
+``W @ F`` and a broadcast slot is ``H @ P``.  Both work on stacks, so a
+phase mixes all of its blocks with one ``W @ F`` and broadcasts all of
+its slots with one :func:`transmit_slots`.  Forms span the whole table,
+so a scheme registers all of its symbols before it builds any.
 
 Receiver noise is white by rule: every equation heard over the air
 carries one fresh unit-variance noise sample, named by its
@@ -23,8 +25,6 @@ import numpy as np
 from .numerics import (
     DEFAULT_TOL,
     RankTolerance,
-    as_complex_matrix,
-    haar_unitary,
     numerical_rank,
     rowspace_residuals,
 )
@@ -39,17 +39,17 @@ __all__ = [
     "combine",
     "decode_residuals",
     "form_dict",
-    "random_combination",
-    "transmit_slot",
+    "transmit_slots",
 ]
 
 
 def _block(forms) -> np.ndarray:
-    """Forms as a 2-D complex array, one row per form; no forms is ``(0, 0)``."""
+    """Forms as a complex array of rows, or a stack of such blocks; no
+    forms is ``(0, 0)``."""
     f = np.asarray(forms, dtype=np.complex128)
     if f.size == 0 and f.ndim < 2:
         return f.reshape(0, 0)
-    if f.ndim != 2:
+    if f.ndim < 2:
         raise ValueError(f"forms must be rows of one length, got shape {f.shape}")
     return f
 
@@ -166,48 +166,44 @@ class ReceiverState:
                 "equations": [eq.to_dict() for eq in self.equations]}
 
 
-def transmit_slot(plan, h_slot, states):
-    """Broadcast one slot and append the resulting equation everywhere.
+def transmit_slots(plans, channels, states):
+    """Broadcast a stack of slots and append their equations everywhere.
 
-    Receiver ``r`` gains the row ``h[r, :p] @ plan`` for a plan of ``p``
-    forms (plus, by rule, the fresh noise sample of this slot and ``r``).
-    An empty plan advances every receiver's slot counter without adding
-    equations.
-
-    Parameters
-    ----------
-    plan : array_like
-        One form per active antenna, as rows; at most ``h_slot.shape[1]``.
-    h_slot : array_like
-        The slot's channel matrix, one row per receiver.
-    states : list of ReceiverState
-        All receiver states, in receiver order; mutated in place.
-
-    Returns
-    -------
-    numpy.ndarray
-        The noise-free reconstruction of each receiver's new equation
-        (what the transmitter recovers from delayed CSI), one read-only
-        row per receiver; no rows when the plan is empty.
+    ``plans`` is ``(slots, p, symbols)``, one form per active antenna,
+    and ``channels`` is ``(slots, receivers, antennas)`` with at least
+    ``p`` antennas.  In slot ``s`` receiver ``r`` (``states``, in receiver
+    order, mutated in place) gains the row ``channels[s, r, :p] @
+    plans[s]``, plus by rule the fresh noise sample of that slot and
+    ``r``; the slots are heard in stack order.  Returns those rows, the
+    noise-free reconstructions the transmitter recovers from delayed
+    CSI, as a read-only ``(slots, receivers, symbols)`` array.  Empty
+    plans (``p = 0``) advance every slot counter and add no equations.
     """
-    h = as_complex_matrix(h_slot)
-    plan = _block(plan)
-    if h.shape[0] != len(states):
+    h = np.asarray(channels, dtype=np.complex128)
+    plans = np.asarray(plans, dtype=np.complex128)
+    if h.ndim != 3 or plans.ndim != 3 or len(h) != len(plans):
+        raise ValueError(f"need one channel per plan, got channels of shape "
+                         f"{h.shape} and plans of shape {plans.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("channel entries must be finite")
+    if h.shape[1] != len(states):
         raise ValueError(
-            f"channel has {h.shape[0]} rows but there are {len(states)} receivers")
-    if len(plan) > h.shape[1]:
+            f"channel has {h.shape[1]} rows but there are {len(states)} receivers")
+    p = plans.shape[1]
+    if p > h.shape[2]:
         raise ValueError(
-            f"plan uses {len(plan)} antennas but the channel has only {h.shape[1]}")
-    if not len(plan):
+            f"plan uses {p} antennas but the channel has only {h.shape[2]}")
+    slots = len(plans)
+    if not p:
         for st in states:
-            st.slots_observed += 1
-        return plan
-    recon = h[:, :len(plan)] @ plan
+            st.slots_observed += slots
+        return plans
+    recon = h[:, :, :p] @ plans
     recon.flags.writeable = False
-    for st, row in zip(states, recon):
-        st.rows.append(row)
-        st.slots.append(st.slots_observed)
-        st.slots_observed += 1
+    for st, rows in zip(states, recon.transpose(1, 0, 2)):
+        st.rows.extend(rows)
+        st.slots.extend(range(st.slots_observed, st.slots_observed + slots))
+        st.slots_observed += slots
     return recon
 
 
@@ -251,36 +247,14 @@ def can_decode(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL) 
 
 def combine(forms, weights) -> np.ndarray:
     """Deterministic linear combinations ``weights @ forms``: row ``i`` of
-    ``weights`` gives the coefficients of output form ``i`` over ``forms``."""
+    ``weights`` gives the coefficients of output form ``i`` over ``forms``,
+    and stacks of blocks combine block by block."""
     forms = _block(forms)
     w = np.asarray(weights, dtype=np.complex128)
-    if w.ndim != 2 or w.shape[1] != len(forms):
+    if w.ndim < 2 or w.shape[-1] != forms.shape[-2]:
         raise ValueError(
-            f"weights must be 2-D with {len(forms)} columns, got shape {w.shape}")
+            f"weights must have {forms.shape[-2]} columns, got shape {w.shape}")
     return w @ forms
-
-
-def random_combination(forms, count: int, rng, log=None) -> np.ndarray:
-    """``count`` random linear combinations of ``forms``.
-
-    Coefficients are the first ``count`` rows of a Haar unitary: as
-    generic as i.i.d. Gaussians (any continuous law gives generic
-    combinations almost surely) but better conditioned, which keeps
-    finite-SNR rates close to the asymptote.  The weights play the role
-    of publicly pre-shared constants; pass ``log`` to capture the drawn
-    matrix for the execution trace.
-    """
-    forms = _block(forms)
-    if not len(forms):
-        raise ValueError("forms must be nonempty")
-    if not 1 <= count <= len(forms):
-        raise ValueError(
-            f"count must be in 1..{len(forms)} (got {count}); more "
-            "combinations than forms would be linearly dependent")
-    w = haar_unitary(len(forms), rng)[:count, :]
-    if log is not None:
-        log.append(w)
-    return combine(forms, w)
 
 
 def alignment_ranks(trace, tol: RankTolerance = DEFAULT_TOL):

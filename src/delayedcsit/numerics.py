@@ -1,15 +1,18 @@
 """Complex dense linear algebra, rank decisions, and reproducible sampling.
 
 Everything downstream (symbol ledgers, scheme runners, rate simulation)
-funnels its numerical work through this module: channel draws, Haar
-unitaries, SVD-based rank tests and row-space membership.
+funnels its numerical work through this module: batched complex
+Gaussian draws, stacked Haar unitaries, SVD-based rank tests and
+row-space membership.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` dtype;
 :func:`as_complex_matrix` is the validating constructor used at module
 boundaries.
 """
 
+import math
 import numbers
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,9 +20,9 @@ __all__ = [
     "RankTolerance",
     "RngStream",
     "as_complex_matrix",
+    "haar_unitaries",
     "numerical_rank",
     "rowspace_residuals",
-    "sample_channel",
 ]
 
 class RankTolerance:
@@ -107,12 +110,55 @@ class RngStream:
 
     def complex_normal(self, shape):
         """Circularly-symmetric complex Gaussian samples, CN(0, 1)."""
-        re = self._gen.standard_normal(shape)
-        im = self._gen.standard_normal(shape)
-        return (re + 1j * im) / np.sqrt(2.0)
+        return self.complex_normals([(None, shape)])[None][0]
+
+    def complex_normals(self, draws):
+        """Many :meth:`complex_normal` draws from one generator call.
+
+        ``draws`` lists ``(key, shape)`` pairs in the order the draws
+        would be made one at a time; one key has one shape.  Returns each
+        key's draws stacked in order, ``(count, *shape)``, bit for bit as
+        consecutive ``complex_normal(shape)`` calls: a draw takes ``2 *
+        size`` consecutive standard normals, the real parts first, and
+        numpy divides a complex by a real as a product with its
+        reciprocal, so the normals are scaled by ``1 / sqrt(2)`` first.
+        """
+        total, index, stacks = _normals_layout(tuple(
+            (key, shape if isinstance(shape, tuple) else
+             (shape,) if isinstance(shape, numbers.Integral) else tuple(shape))
+            for key, shape in draws))
+        pairs = (self._gen.standard_normal(total) * (1.0 / np.sqrt(2.0)))[index]
+        z = pairs.view(np.complex128)
+        return {key: z[a:b].reshape(shape) for key, a, b, shape in stacks}
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, index={self.index})"
+
+
+@lru_cache(maxsize=256)
+def _normals_layout(draws):
+    """How many standard normals :meth:`RngStream.complex_normals` draws,
+    the positions of the real and imaginary part of each output entry,
+    key by key, and per key its slice of the entries and stack shape."""
+    starts, shapes = {}, {}
+    total = 0
+    for key, shape in draws:
+        if shapes.setdefault(key, shape) != shape:
+            raise ValueError(
+                f"draws under key {key!r} have shapes {shapes[key]} and {shape}")
+        starts.setdefault(key, []).append(total)
+        total += 2 * math.prod(shape)
+    index, stacks = [np.zeros((0, 2), dtype=np.intp)], []
+    done = 0
+    for key, first in starts.items():
+        size = math.prod(shapes[key])
+        re = np.add.outer(np.array(first, dtype=np.intp), np.arange(size)).ravel()
+        index.append(np.stack([re, re + size], axis=-1))
+        stacks.append((key, done, done + len(re), (len(first), *shapes[key])))
+        done += len(re)
+    index = np.concatenate(index)
+    index.flags.writeable = False  # shared by every caller
+    return total, index, tuple(stacks)
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -131,49 +177,24 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def sample_channel(k_rx: int, m_tx: int, rng: RngStream) -> np.ndarray:
-    """Draw one channel matrix with i.i.d. CN(0, 1) entries.
+def haar_unitaries(z) -> np.ndarray:
+    """Haar-distributed unitaries from a stack of complex Gaussian squares.
 
-    Row ``r`` holds the (conjugated) channel vector of receiver ``r`` for
-    the current slot, so the noiseless observation of receiver ``r`` is
-    ``H[r, :] @ x``.  Entries are independent over receivers, antennas,
-    and (across calls) time.
-
-    Parameters
-    ----------
-    k_rx : int
-        Number of receivers (rows), at least 1.
-    m_tx : int
-        Number of transmit antennas (columns), at least 1.
-    rng : RngStream
-        Source of randomness.
-
-    Returns
-    -------
-    numpy.ndarray
-        A ``k_rx x m_tx`` complex matrix.
+    ``z`` has shape ``(..., n, n)`` with i.i.d. CN(0, 1) entries, as drawn
+    by :meth:`RngStream.complex_normals`.  Each matrix is factored by one
+    stacked QR and the phases of R's diagonal are folded back into Q,
+    which makes Q exactly Haar.  Used for mixing weights: Haar rows are as
+    generic as raw Gaussian rows (every rank event that holds almost
+    surely for one holds for the other) but keep the mixtures well
+    conditioned, which matters for finite-SNR rates.
     """
-    if k_rx < 1 or m_tx < 1:
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim < 2 or z.shape[-1] != z.shape[-2] or z.shape[-1] < 1:
         raise ValueError(
-            f"channel dimensions must be positive, got {k_rx}x{m_tx}")
-    return rng.complex_normal((k_rx, m_tx))
-
-
-def haar_unitary(n: int, rng: RngStream) -> np.ndarray:
-    """Draw an ``n x n`` unitary matrix from the Haar distribution.
-
-    QR of a complex Gaussian matrix with the R-diagonal phases folded
-    back into Q.  Used for mixing weights: Haar rows are as generic as
-    raw Gaussian rows (every rank event that holds almost surely for one
-    holds for the other) but keep the mixtures well conditioned, which
-    matters for finite-SNR rates.
-    """
-    if n < 1:
-        raise ValueError(f"unitary size must be positive, got {n}")
-    z = rng.complex_normal((n, n))
+            f"need a stack of nonempty square matrices, got shape {z.shape}")
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
 def numerical_rank(a, tol: RankTolerance = DEFAULT_TOL) -> int:

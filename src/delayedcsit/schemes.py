@@ -10,6 +10,14 @@ delivered by plain broadcast.  When consecutive phases' output/input
 cardinalities do not match, earlier phases are replicated the minimal
 integral number of times.
 
+The phase is the unit of work.  The slots of a phase do not depend on
+each other, so a phase builder makes all of its random draws with one
+generator call (:meth:`AirLog.draw`), mixes all of its blocks of forms
+with one stacked ``W @ F`` and sends all of its slots with one
+:meth:`AirLog.broadcast`.  The draws are laid out in the order a
+slot-at-a-time execution would make them, so a seed gives the same trace
+either way.
+
 Transmitted antenna forms are normalized to unit coefficient norm, so a
 recorded trace doubles as the SNR-independent skeleton used by the rate
 simulator: the physical transmit signal at SNR ``P`` is the recorded
@@ -18,8 +26,8 @@ plan scaled by ``sqrt(P / active_antennas)``.
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,13 +40,13 @@ from .ledger import (
     can_decode,
     combine,
     form_dict,
-    random_combination,
-    transmit_slot,
+    transmit_slots,
 )
-from .numerics import DEFAULT_TOL, RngStream, haar_unitary, sample_channel
+from .numerics import DEFAULT_TOL, RngStream, haar_unitaries
 
 __all__ = [
     "AirLog",
+    "CHANNEL",
     "PhaseRecord",
     "SchemeTrace",
     "build_nonsquare_phase",
@@ -53,25 +61,17 @@ __all__ = [
 ]
 
 
+#: Layout entry of :meth:`AirLog.draw` standing for the next slot's channel.
+CHANNEL = ("channel", None)
+
+
 class AirLog:
-    """Shared transmission context of one scheme execution.
-
-    Owns the receiver states, the per-slot channel source, and the trace
-    records (channels, transmitted plans, combination coefficients).
-    Phase builders transmit through :meth:`slot`.
-
-    Parameters
-    ----------
-    table : SymbolTable
-        Symbol registry; fixes the receiver count.
-    m : int
-        Number of transmit antennas.
-    rng : RngStream
-        Randomness for channel draws.
-    channels : sequence of matrices, optional
-        Channel override, one ``k x m`` matrix per slot, consumed in slot
-        order.  When exhausted (or absent) fresh i.i.d. channels are
-        drawn.
+    """Shared transmission context of one scheme execution: the symbol
+    ``table``, ``m`` transmit antennas, the stream ``rng``, the receiver
+    states and the trace records.  Phase builders draw through
+    :meth:`draw` and transmit through :meth:`broadcast`.  ``channels``
+    optionally overrides the ``k x m`` channels of the first slots, in
+    slot order; later slots get fresh i.i.d. CN(0, 1) draws.
     """
 
     def __init__(self, table: SymbolTable, m: int, rng: RngStream, channels=None):
@@ -85,38 +85,81 @@ class AirLog:
         self.active_antennas = []
         self.combos = []
         self._override = list(channels) if channels is not None else []
-        self._next_override = 0
 
     @property
     def slots(self) -> int:
         return len(self.channels)
 
-    def log_combo(self, label: str, weights) -> None:
-        self.combos.append({"label": label, "weights": np.asarray(weights)})
+    def log_combos(self, labels, weights) -> None:
+        self.combos.extend({"label": label, "weights": w}
+                           for label, w in zip(labels, weights))
 
-    def _next_channel(self):
-        if self._next_override < len(self._override):
-            h = np.asarray(self._override[self._next_override], dtype=np.complex128)
-            self._next_override += 1
-            return h
-        return sample_channel(self.k, self.m, self.rng)
+    def draw(self, layout) -> dict:
+        """Draw a phase's randomness with one generator call and return the
+        stack of each key (:meth:`.numerics.RngStream.complex_normals`).
 
-    def slot(self, plan):
-        """Transmit one slot and return the per-receiver reconstructions.
-
-        Plan forms (rows) are normalized to unit coefficient norm first
-        (equal power per active antenna).
+        ``layout`` lists ``(key, n)`` pairs in the order a slot-at-a-time
+        execution draws them: an ``n x n`` Haar unitary of mixing weights
+        (all of one size share one QR), or :data:`CHANNEL`, the next
+        slot's ``k x m`` channel, drawn unless an override covers it.
         """
-        plan = np.asarray(plan, dtype=np.complex128)
-        norms = np.linalg.norm(plan, axis=1)
+        draws, sizes = _draw_plan(tuple(layout), len(self._override), self.k, self.m)
+        drawn = self.rng.complex_normals(draws)
+        for keys in sizes:
+            u = haar_unitaries(np.concatenate([drawn[key] for key in keys]))
+            for key in keys:
+                drawn[key], u = u[:len(drawn[key])], u[len(drawn[key]):]
+        return drawn
+
+    def broadcast(self, plans, drawn) -> np.ndarray:
+        """Transmit a stack of plans, each form (row) normalized to unit
+        coefficient norm (equal power per active antenna), on the override
+        channels while they last, then on ``drawn["channel"]``; return the
+        ``(slots, k, symbols)`` reconstructions."""
+        plans = np.asarray(plans, dtype=np.complex128)
+        norms = np.linalg.norm(plans, axis=-1)
         inverse = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0)
-        normalized = plan * inverse[:, np.newaxis]
-        h = self._next_channel()
-        recon = transmit_slot(normalized, h, self.states)
-        self.channels.append(h)
-        self.plans.append(normalized)
-        self.active_antennas.append(len(normalized))
+        normalized = plans * inverse[..., np.newaxis]
+        h = drawn.get(CHANNEL[0])
+        if self._override:
+            over = np.array(self._override[:len(plans)], dtype=np.complex128)
+            del self._override[:len(plans)]
+            h = over if len(over) == len(plans) else np.concatenate([over, h])
+        recon = transmit_slots(normalized, h, self.states)
+        self.channels.extend(h)
+        self.plans.extend(normalized)
+        self.active_antennas.extend([normalized.shape[1]] * len(normalized))
         return recon
+
+    def send_each(self, forms) -> None:
+        """Broadcast each form alone, one slot per form."""
+        self.broadcast(np.asarray(forms)[:, np.newaxis], self.draw([CHANNEL] * len(forms)))
+
+    def trace(self, name: str, replication: dict, phases: list) -> "SchemeTrace":
+        """The record of this execution, under the scheme name ``name``."""
+        return SchemeTrace(
+            name=name, m=self.m, k=self.k, replication=replication,
+            table=self.table, states=self.states, channels=self.channels,
+            plans=self.plans, active_antennas=self.active_antennas,
+            phases=phases, combination_log=self.combos, seed=self.rng.seed,
+            stream_index=self.rng.index)
+
+
+@lru_cache(maxsize=256)
+def _draw_plan(layout, spare: int, k: int, m: int):
+    """The draws of :meth:`AirLog.draw` with ``spare`` override channels
+    left, and its square keys grouped by size."""
+    draws, sizes = [], {}
+    for key, n in layout:
+        if key != CHANNEL[0]:
+            draws.append((key, (n, n)))
+            if key not in sizes.setdefault(n, [key]):
+                sizes[n].append(key)
+        elif spare:
+            spare -= 1
+        else:
+            draws.append((key, (k, m)))
+    return tuple(draws), tuple(sizes.values())
 
 
 @dataclass
@@ -326,45 +369,61 @@ def _rows_json(node, nl: str):
     return text[0] + one + body + one + "]" + nl + text[-1]
 
 
+@lru_cache(maxsize=None)
 def _subsets(k: int, size: int):
-    return [frozenset(s) for s in combinations(range(1, k + 1), size)]
+    return tuple(frozenset(s) for s in combinations(range(1, k + 1), size))
 
 
-def _check_inputs(inputs, subsets, per_subset, what):
+@lru_cache(maxsize=None)
+def _tag(subset: frozenset) -> str:
+    return "".join(str(r) for r in sorted(subset))
+
+
+@lru_cache(maxsize=None)
+def _overheard(k: int, j: int):
+    """Who overheard what in phase ``j``: each size-``j`` subset ``S``
+    paired with each receiver ``r`` outside it, by subset, then receiver.
+
+    Returns the pairs' subset positions and receiver indices (``r - 1``),
+    and per size-``j+1`` subset ``T`` the positions of the pairs
+    ``(T - {r}, r)`` for ``r`` in ``T`` in order.
+    """
+    subsets = _subsets(k, j)
+    pairs = [(s, r) for s in subsets for r in range(1, k + 1) if r not in s]
+    position = {p: n for n, p in enumerate(pairs)}
+    out = (np.array([subsets.index(s) for s, _ in pairs]),
+           np.array([r - 1 for _, r in pairs]),
+           np.array([[position[(t - {r}, r)] for r in sorted(t)]
+                     for t in _subsets(k, j + 1)]))
+    for a in out:
+        a.flags.writeable = False  # shared by every caller
+    return out
+
+
+def _runs(inputs, subsets, block: int, what: str):
+    """Each subset's forms as ``runs`` blocks of ``block``, run by run:
+    an array of shape ``(runs, subsets, block, symbols)``."""
     if set(inputs) != set(subsets):
         raise ValueError(f"{what}: inputs must be keyed by all size-j subsets")
-    for s in subsets:
-        if len(inputs[s]) != per_subset:
-            raise ValueError(
-                f"{what}: subset {sorted(s)} needs {per_subset} forms, "
-                f"got {len(inputs[s])}")
+    counts = sorted({len(inputs[s]) for s in subsets})
+    if len(counts) > 1 or not counts[0] or counts[0] % block:
+        raise ValueError(f"{what}: every subset needs the same positive "
+                         f"multiple of {block} forms, got {counts}")
+    forms = np.stack([inputs[s] for s in subsets])
+    return forms.reshape(len(subsets), -1, block, forms.shape[-1]).swapaxes(0, 1)
 
 
-def build_square_phase(k: int, j: int, inputs, air: AirLog, rng: RngStream):
-    """Run phase ``j`` of the full-antenna scheme.
+def build_square_phase(k: int, j: int, inputs, air: AirLog):
+    """Run phase ``j`` (``1 <= j < k``) of the full-antenna scheme on ``air``.
 
-    One slot per size-``j`` subset ``S``, sending ``k - j + 1`` random
-    mixtures of S's ``k - j + 1`` forms on as many antennas.  For every
-    size-``j+1`` subset ``T``, the ``j + 1`` overheard equations (one
-    per member ``r``, from the slot of ``T - {r}``) are compressed into
-    ``j`` fresh random combinations: the order-``j+1`` outputs.
-
-    Parameters
-    ----------
-    k, j : int
-        Receiver count and phase level, ``1 <= j < k``.
-    inputs : dict
-        Maps each size-``j`` ``frozenset`` to its ``k - j + 1`` forms.
-    air : AirLog
-        Transmission context (receiver states and trace records).
-    rng : RngStream
-        Randomness for the public combination coefficients.
-
-    Returns
-    -------
-    (int, dict)
-        Slots used (``C(k, j)``) and the outputs, keyed by size-``j+1``
-        subset with ``j`` forms each.
+    ``inputs`` maps each size-``j`` subset ``S`` (a ``frozenset``) to
+    ``k - j + 1`` forms per run of the phase, run after run.  In a run,
+    one slot per ``S`` sends ``k - j + 1`` random mixtures of them on as
+    many antennas.  For every size-``j+1`` subset ``T``, the ``j + 1``
+    overheard equations (one per member ``r``, from the slot of
+    ``T - {r}``) are compressed into ``j`` fresh random combinations: the
+    order-``j+1`` outputs.  Returns the slots used and the outputs keyed
+    by ``T``, run after run.
     """
     if not 1 <= j < k:
         raise ValueError(f"phase level must satisfy 1 <= j < k, got j={j}, k={k}")
@@ -372,98 +431,95 @@ def build_square_phase(k: int, j: int, inputs, air: AirLog, rng: RngStream):
     if air.m < need:
         raise OutOfRegimeError(
             f"square phase {j} needs {need} antennas, air has {air.m}")
-    subsets = _subsets(k, j)
-    _check_inputs(inputs, subsets, need, f"square phase {j}")
-    overheard = {}
-    slots = 0
-    for s in subsets:
-        tag = "".join(str(r) for r in sorted(s))
-        w = haar_unitary(need, rng)
-        air.log_combo(f"phase{j}/slot{tag}/plan", w)
-        recon = air.slot(combine(inputs[s], w))
-        slots += 1
-        for r in range(1, k + 1):
-            if r not in s:
-                overheard[(s, r)] = recon[r - 1]
-    outputs = {}
-    for t in _subsets(k, j + 1):
-        forms = [overheard[(t - {r}, r)] for r in sorted(t)]
-        tag = "".join(str(r) for r in sorted(t))
-        log = []
-        outputs[t] = random_combination(forms, j, rng, log=log)
-        air.log_combo(f"phase{j}/order{j + 1}/{tag}", log[0])
-    return slots, outputs
+    subsets, uppers = _subsets(k, j), _subsets(k, j + 1)
+    forms = _runs(inputs, subsets, need, f"square phase {j}")
+    runs = len(forms)
+    drawn = air.draw(([("plan", need), CHANNEL] * len(subsets)
+                      + [("order", j + 1)] * len(uppers)) * runs)
+    plan_w = drawn["plan"].reshape(forms.shape[:2] + (need, need))
+    recon = air.broadcast(combine(forms, plan_w).reshape(-1, need, forms.shape[-1]),
+                          drawn)
+    subset, receiver, pair = _overheard(k, j)
+    heard = recon.reshape(runs, len(subsets), k, -1)[:, subset, receiver]
+    order_w = drawn["order"][:, :j].reshape(runs, len(uppers), j, j + 1)
+    outs = combine(heard[:, pair], order_w).swapaxes(0, 1)
+    for plans, orders in zip(plan_w, order_w):
+        air.log_combos([f"phase{j}/slot{_tag(s)}/plan" for s in subsets], plans)
+        air.log_combos([f"phase{j}/order{j + 1}/{_tag(t)}" for t in uppers], orders)
+    return len(recon), dict(zip(uppers, outs.reshape(len(uppers), -1, outs.shape[-1])))
 
 
 def build_nonsquare_phase(m: int, k: int, j: int, params: NonsquarePhaseParams,
-                          inputs, air: AirLog, rng: RngStream):
+                          inputs, air: AirLog):
     """Run phase ``j`` with fewer antennas than receivers outside ``S``.
 
-    Each size-``j`` subset gets a sub-phase of ``(k - j) / eta`` slots,
-    every slot sending ``q + 1`` random mixtures of the sub-phase's
-    ``beta`` forms on ``q + 1`` antennas.  Each receiver outside ``S``
-    then *purifies* its overheard equations into ``q / eta`` random
+    ``inputs`` maps each size-``j`` subset ``S`` to ``beta`` forms per
+    run, run after run.  In a run, each ``S`` gets a sub-phase of
+    ``(k - j) / eta`` slots, every slot sending ``q + 1`` random mixtures
+    of the ``beta`` forms on ``q + 1`` antennas.  Each receiver outside
+    ``S`` then *purifies* its overheard equations into ``q / eta`` random
     combinations (preshared coefficients), and for every size-``j+1``
     subset ``T`` the ``(j + 1) q / eta`` purified forms are compressed
-    into ``j * q / eta`` order-``j+1`` outputs.
-
-    With ``m >= k - j + 1`` the parameters collapse to one slot per
-    subset and the phase matches :func:`build_square_phase` in slot count
-    and output cardinality.
-
-    Returns
-    -------
-    (int, dict)
-        Slots used and outputs keyed by size-``j+1`` subset
-        (``j * q / eta`` forms each; empty when ``m == 1``).
+    into ``j * q / eta`` order-``j+1`` outputs per run (none when
+    ``m == 1``).  With ``m >= k - j + 1`` the parameters collapse to one
+    slot per subset, as in :func:`build_square_phase`.
     """
     if not 1 <= j < k:
         raise ValueError(f"phase level must satisfy 1 <= j < k, got j={j}, k={k}")
     if air.m < params.q + 1:
         raise OutOfRegimeError(
             f"nonsquare phase {j} needs {params.q + 1} antennas, air has {air.m}")
-    subsets = _subsets(k, j)
-    _check_inputs(inputs, subsets, params.beta, f"nonsquare phase {j}")
+    subsets, uppers = _subsets(k, j), _subsets(k, j + 1)
+    forms = _runs(inputs, subsets, params.beta, f"nonsquare phase {j}")
+    runs, beta, sub_slots = len(forms), params.beta, params.slots_per_subphase
     pur_each = params.q // params.eta
-    purified = {}
-    slots = 0
-    for s in subsets:
-        tag = "".join(str(r) for r in sorted(s))
-        slot_recons = []
-        for t in range(params.slots_per_subphase):
-            w = haar_unitary(params.beta, rng)[:params.q + 1, :]
-            air.log_combo(f"phase{j}/sub{tag}/t{t}/plan", w)
-            slot_recons.append(air.slot(combine(inputs[s], w)))
-            slots += 1
-        for r in range(1, k + 1):
-            if r in s:
-                continue
-            heard = [rec[r - 1] for rec in slot_recons]
-            if pur_each == 0:
-                purified[(s, r)] = []
-                continue
-            log = []
-            purified[(s, r)] = random_combination(heard, pur_each, rng, log=log)
-            air.log_combo(f"phase{j}/sub{tag}/purify-r{r}", log[0])
-    outputs = {}
-    out_each = j * pur_each
-    for t in _subsets(k, j + 1):
-        if out_each == 0:
-            outputs[t] = []
-            continue
-        forms = [f for r in sorted(t) for f in purified[(t - {r}, r)]]
-        tag = "".join(str(r) for r in sorted(t))
-        log = []
-        outputs[t] = random_combination(forms, out_each, rng, log=log)
-        air.log_combo(f"phase{j}/order{j + 1}/{tag}", log[0])
-    return slots, outputs
+    outside = (k - j) if pur_each else 0
+    drawn = air.draw((
+        ([("plan", beta), CHANNEL] * sub_slots
+         + [("purify", sub_slots)] * outside) * len(subsets)
+        + [("order", (j + 1) * pur_each)] * (len(uppers) if pur_each else 0)) * runs)
+    plan_w = drawn["plan"][:, :params.q + 1].reshape(
+        runs, len(subsets), sub_slots, params.q + 1, beta)
+    plans = combine(forms[:, :, np.newaxis], plan_w)
+    recon = air.broadcast(plans.reshape((-1,) + plans.shape[-2:]), drawn)
+    outputs = {t: recon[:0, 0] for t in uppers}
+    pur_w = np.zeros((runs, 0))  # one antenna: nothing to purify, nothing to log
+    if pur_each:
+        # receiver r purifies what it heard in the sub-phase of S
+        subset, receiver, pair = _overheard(k, j)
+        heard = recon.reshape(runs, len(subsets), sub_slots, k, -1).swapaxes(2, 3)
+        pur_w = drawn["purify"][:, :pur_each].reshape(
+            runs, len(subset), pur_each, sub_slots)
+        purified = combine(heard[:, subset, receiver], pur_w)
+        stacked = purified[:, pair].reshape(runs, len(uppers), (j + 1) * pur_each, -1)
+        out_w = drawn["order"][:, :j * pur_each].reshape(
+            runs, len(uppers), j * pur_each, (j + 1) * pur_each)
+        outs = combine(stacked, out_w).swapaxes(0, 1)
+        outputs = dict(zip(uppers, outs.reshape(len(uppers), -1, outs.shape[-1])))
+    for run in range(runs):
+        pur = iter(pur_w[run])
+        for s, ws in zip(subsets, plan_w[run]):
+            tag = f"phase{j}/sub{_tag(s)}"
+            air.log_combos([f"{tag}/t{t}/plan" for t in range(sub_slots)], ws)
+            air.log_combos([f"{tag}/purify-r{r}" for r in range(1, k + 1)
+                            if r not in s], pur)
+        if pur_each:
+            air.log_combos([f"phase{j}/order{j + 1}/{_tag(t)}" for t in uppers],
+                           out_w[run])
+    return len(recon), outputs
 
 
+@lru_cache(maxsize=None)
+def _params(m: int, k: int, level: int) -> NonsquarePhaseParams:
+    return NonsquarePhaseParams.for_query(DofQuery(m, k, level))
+
+
+@lru_cache(maxsize=None)
 def _per_run_counts(m: int, k: int, level: int):
     """Per-run (inputs, slots, outputs) of one phase at ``level``."""
     if level == k:
         return 1, 1, 0
-    p = NonsquarePhaseParams.for_query(DofQuery(m, k, level))
+    p = _params(m, k, level)
     n_sub = math.comb(k, level)
     inputs = p.beta * n_sub
     slots = p.slots_per_subphase * n_sub
@@ -471,6 +527,7 @@ def _per_run_counts(m: int, k: int, level: int):
     return inputs, slots, outputs
 
 
+@lru_cache(maxsize=None)
 def _replication_factors(m: int, k: int, start: int) -> dict:
     """Minimal integer replication per level making the chain integral."""
     ratios = {start: Fraction(1)}
@@ -491,19 +548,14 @@ def _restrict(form, sym_ids) -> np.ndarray:
     return out
 
 
-def _symbol_label(owner, idx: int) -> str:
-    tag = "".join(str(r) for r in sorted(owner))
-    return f"u{tag}.{idx}"
-
-
 def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
                channels=None) -> SchemeTrace:
     """Chain phases ``start .. k`` with minimal replication."""
-    factors = _replication_factors(m, k, start)
+    factors = dict(_replication_factors(m, k, start))  # the cached one stays unshared
     table = SymbolTable(k)
     air = AirLog(table, m, rng, channels)
     per0 = _per_run_counts(m, k, start)[0] // math.comb(k, start)
-    ids = {s: [table.new_symbol(s, _symbol_label(s, i))
+    ids = {s: [table.new_symbol(s, f"u{_tag(s)}.{i}")
                for i in range(per0 * factors[start])]
            for s in _subsets(k, start)}
     inputs = {s: table.unit_forms(lst) for s, lst in ids.items()}
@@ -513,28 +565,13 @@ def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
         if runs == 0:
             break
         per_in, _, _ = _per_run_counts(m, k, level)
-        per_subset = per_in // math.comb(k, level)
-        merged = defaultdict(list)
-        consumed = slots_used = produced = 0
-        square = m >= k - level + 1
-        params = NonsquarePhaseParams.for_query(DofQuery(m, k, level))
-        for run_idx in range(runs):
-            chunk = {
-                s: lst[run_idx * per_subset:(run_idx + 1) * per_subset]
-                for s, lst in inputs.items()
-            }
-            if square:
-                used, outs = build_square_phase(k, level, chunk, air, rng)
-            else:
-                used, outs = build_nonsquare_phase(m, k, level, params, chunk,
-                                                   air, rng)
-            slots_used += used
-            consumed += per_in
-            for t, lst in outs.items():
-                merged[t].extend(lst)
-                produced += len(lst)
-        phases.append(PhaseRecord(level, runs, consumed, slots_used, produced))
-        inputs = dict(merged)
+        if m >= k - level + 1:
+            slots, inputs = build_square_phase(k, level, inputs, air)
+        else:
+            slots, inputs = build_nonsquare_phase(m, k, level, _params(m, k, level),
+                                                  inputs, air)
+        produced = sum(map(len, inputs.values()))
+        phases.append(PhaseRecord(level, runs, per_in * runs, slots, produced))
         if produced == 0:
             break
     top = factors.get(k, 0)
@@ -544,15 +581,9 @@ def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
             raise AssertionError(
                 f"chain accounting is off: expected {top} order-{k} forms, "
                 f"got {len(forms)}")
-        for f in forms:
-            air.slot([f])
+        air.send_each(forms)
         phases.append(PhaseRecord(k, top, top, top, 0))
-    return SchemeTrace(
-        name=name, m=m, k=k, replication=factors, table=table,
-        states=air.states, channels=air.channels, plans=air.plans,
-        active_antennas=air.active_antennas, phases=phases,
-        combination_log=air.combos, seed=rng.seed, stream_index=rng.index,
-    )
+    return air.trace(name, factors, phases)
 
 
 def run_square_scheme(k: int, rng: RngStream, channels=None) -> SchemeTrace:
@@ -602,22 +633,15 @@ def run_alt22(rng: RngStream, channels=None) -> SchemeTrace:
     for r in (1, 2):
         for name in ("u", "v"):
             table.new_symbol({r}, f"{name}{r}")
-    w = haar_unitary(4, rng)[:2, :]
-    air.log_combo("phase1/mixed-slot/plan", w)
-    recon = air.slot(combine(table.unit_forms(table.ids), w))
+    drawn = air.draw([("plan", 4), CHANNEL])
+    w = drawn["plan"][:, :2]
+    air.log_combos(["phase1/mixed-slot/plan"], w)
+    (recon,) = air.broadcast(combine(table.unit_forms(table.ids), w), drawn)
     # receiver 2's equation, first user's part; then the reverse
-    u_ab = _restrict(recon[1], table.owned_by(1))
-    v_ab = _restrict(recon[0], table.owned_by(2))
-    phases = [PhaseRecord(1, 1, 4, 1, 2)]
-    for f in (u_ab, v_ab):
-        air.slot([f])
-    phases.append(PhaseRecord(2, 2, 2, 2, 0))
-    return SchemeTrace(
-        name="alt22", m=2, k=2, replication={1: 1, 2: 2}, table=table,
-        states=air.states, channels=air.channels, plans=air.plans,
-        active_antennas=air.active_antennas, phases=phases,
-        combination_log=air.combos, seed=rng.seed, stream_index=rng.index,
-    )
+    air.send_each([_restrict(recon[1], table.owned_by(1)),
+                   _restrict(recon[0], table.owned_by(2))])
+    phases = [PhaseRecord(1, 1, 4, 1, 2), PhaseRecord(2, 2, 2, 2, 0)]
+    return air.trace("alt22", {1: 1, 2: 2}, phases)
 
 
 def run_opt23(rng: RngStream, channels=None) -> SchemeTrace:
@@ -634,33 +658,25 @@ def run_opt23(rng: RngStream, channels=None) -> SchemeTrace:
     pair_syms = {}
     for pair in pairs:
         x, y = sorted(pair)
-        ids_x = [table.new_symbol({x}, _symbol_label({x}, i)) for i in range(2)]
-        ids_y = [table.new_symbol({y}, _symbol_label({y}, i + 2)) for i in range(2)]
+        ids_x = [table.new_symbol({x}, f"u{x}.{i}") for i in range(2)]
+        ids_y = [table.new_symbol({y}, f"u{y}.{i + 2}") for i in range(2)]
         pair_syms[pair] = (ids_x, ids_y)
+    drawn = air.draw([("plan", 4), CHANNEL] * len(pairs))
+    forms = np.stack([table.unit_forms(x + y) for x, y in pair_syms.values()])
+    w = drawn["plan"][:, :2]
+    air.log_combos([f"phase1/mixed{_tag(pair)}/plan" for pair in pairs], w)
+    recon = air.broadcast(combine(forms, w), drawn)
     pair_forms = {}
-    for pair in pairs:
+    for (pair, (ids_x, ids_y)), heard in zip(pair_syms.items(), recon):
         x, y = sorted(pair)
-        ids_x, ids_y = pair_syms[pair]
-        tag = f"{x}{y}"
-        w = haar_unitary(4, rng)[:2, :]
-        air.log_combo(f"phase1/mixed{tag}/plan", w)
-        recon = air.slot(combine(table.unit_forms(ids_x + ids_y), w))
-        u = _restrict(recon[y - 1], ids_x)  # y's equation, x's symbols
-        v = _restrict(recon[x - 1], ids_y)  # x's equation, y's symbols
-        pair_forms[pair] = [u, v]
-    phases = [PhaseRecord(1, 1, 12, 3, 6)]
-    used, outs = build_square_phase(3, 2, pair_forms, air, rng)
+        # y's equation on x's symbols, and x's equation on y's symbols
+        pair_forms[pair] = [_restrict(heard[y - 1], ids_x), _restrict(heard[x - 1], ids_y)]
+    used, outs = build_square_phase(3, 2, pair_forms, air)
     top = outs[frozenset({1, 2, 3})]
-    phases.append(PhaseRecord(2, 1, 6, used, len(top)))
-    for f in top:
-        air.slot([f])
-    phases.append(PhaseRecord(3, len(top), len(top), len(top), 0))
-    return SchemeTrace(
-        name="opt23", m=2, k=3, replication={1: 1, 2: 1, 3: 2}, table=table,
-        states=air.states, channels=air.channels, plans=air.plans,
-        active_antennas=air.active_antennas, phases=phases,
-        combination_log=air.combos, seed=rng.seed, stream_index=rng.index,
-    )
+    air.send_each(top)
+    phases = [PhaseRecord(1, 1, 12, 3, 6), PhaseRecord(2, 1, 6, used, len(top)),
+              PhaseRecord(3, len(top), len(top), len(top), 0)]
+    return air.trace("opt23", {1: 1, 2: 1, 3: 2}, phases)
 
 
 def tdma_trace(k: int, rng: RngStream, channels=None) -> SchemeTrace:
@@ -670,12 +686,5 @@ def tdma_trace(k: int, rng: RngStream, channels=None) -> SchemeTrace:
     table = SymbolTable(k)
     air = AirLog(table, 1, rng, channels)
     syms = [table.new_symbol({r}, f"s{r}") for r in range(1, k + 1)]
-    for form in table.unit_forms(syms):
-        air.slot([form])
-    phases = [PhaseRecord(1, k, k, k, 0)]
-    return SchemeTrace(
-        name="tdma", m=1, k=k, replication={1: k}, table=table,
-        states=air.states, channels=air.channels, plans=air.plans,
-        active_antennas=air.active_antennas, phases=phases,
-        combination_log=air.combos, seed=rng.seed, stream_index=rng.index,
-    )
+    air.send_each(table.unit_forms(syms))
+    return air.trace("tdma", {1: k}, [PhaseRecord(1, k, k, k, 0)])

@@ -1,0 +1,140 @@
+"""Golden outputs: scheme traces and rate points stay bit for bit the same.
+
+The values were captured from the slot-at-a-time scheme build, before
+phases drew their randomness in one call and factored and broadcast
+their slots as stacks.  They pin this numpy/OpenBLAS build (numpy 2.4.6
+with scipy-openblas 0.3.31 on x86-64): another BLAS or numpy may round a
+product or a QR differently, and then these hashes change while every
+rational and decode verdict stays the same.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from delayedcsit.numerics import RngStream
+from delayedcsit.ratesim import simulate_rates, snr_grid
+from delayedcsit.schemes import (
+    run_alt22,
+    run_mat23_suboptimal,
+    run_opt23,
+    run_order_j_delivery,
+    run_square_scheme,
+    tdma_trace,
+)
+
+SEEDS = (1, 2024)
+
+BUILDERS = {
+    "square-2": lambda s, c=None: run_square_scheme(2, s, c),
+    "square-3": lambda s, c=None: run_square_scheme(3, s, c),
+    "square-5": lambda s, c=None: run_square_scheme(5, s, c),
+    "alt22": run_alt22,
+    "mat23": run_mat23_suboptimal,
+    "opt23": run_opt23,
+    "tdma-3": lambda s, c=None: tdma_trace(3, s, c),
+    "order-2-3-2": lambda s, c=None: run_order_j_delivery(2, 3, 2, s, c),
+}
+
+#: sha256 of ``to_json()`` at stream ``(seed, 3)``, one per seed.
+TRACE_SHA256 = {
+    "square-2": (
+        "c381f3abcda851099f7f8245b505d286eb18fd8213eb2eb4e201d8f109b36070",
+        "31422a9f46521b2c5af3fdb4829bebbfa79a58dda3932bad8a6405d8df457fb5",
+    ),
+    "square-3": (
+        "1a78cc5e87fd9ae8e59a4744b796a0a72d2d656fc8e9c7b74f1168829cad5676",
+        "3a7501a83cd1f71179d73be090c5055e49fdd7bc9fe0d392a9117f524fde99c6",
+    ),
+    "square-5": (
+        "79eab7adfb6972bca2cc3cc710d28cf753d301861baaf2a50b51878e13669d6b",
+        "9f3c374fc3e16441b0fede0862bc97837b68a929cb7dd152c7a9975e2c2523e3",
+    ),
+    "alt22": (
+        "f81964207ca0fc6b35e0db74c6e75defe1a8f8b935edce80a34239767e917b8b",
+        "7c1743f0d253a466a15ca4f1f5efbdf8423506a31d1b7e5f6ac46529c7d1f1f0",
+    ),
+    "mat23": (
+        "a9d5dccdc9f988402a4c0936e55ccef623d421c2772e75fff2fc6c7ccae0f6dd",
+        "bdbc72540e85e50458dbb728b4171a77e80968200b95f99facf4834065bf608d",
+    ),
+    "opt23": (
+        "1d34beced298732a2ccb46a165d8a757e7c05e44001354a88747c9fa03736e42",
+        "b3d003337da7c54365a809fc88ad618834ab51da61ccc47639733e8fd692af11",
+    ),
+    "tdma-3": (
+        "7be00d078ddad62be6c6d70c475c4bb17bdd6a3cda4229fdcea8f8a752dbeedd",
+        "3ed9859809706dd1a4f1cdb20f1a5a649b341ab0517c9fcd11acaf99a923e5dd",
+    ),
+    "order-2-3-2": (
+        "c68b8d118f704d54057a849833f5faecf1724ce96763b2c708465b3cf016ebc9",
+        "143063ee754950a2471a6f356c0ff94908cd61a48789bc92a9d6d1fb506da2e8",
+    ),
+}
+
+#: The same with channel overrides that run out partway through phase
+#: one: 2 of square-3's 6 phase-one slots, 3 of mat23's 12.
+OVERRIDE_SHA256 = {
+    "square-3": (
+        "80539d85d4cc45c84a566ec582714619f96fbb43cdabbd927e8abec6dd571dba",
+        "0cb0fe964ba9c6c9e45a1b26e3e62e90c67be19506bb40702e98f31bb3057aa2",
+    ),
+    "mat23": (
+        "0122349208465f6e4134d6974c95a126534cf43da43a46b0a2c68cb1c167ea6d",
+        "7178ba89ecc6b140fe6c53b651f2faa03bf39ff5cebeefdc213efc50a2233f67",
+    ),
+}
+
+#: ``repr`` of ``simulate_rates`` for square-3, 20 trials, 40:60:5 dB.
+RATE_POINTS_REPR = (
+    '[RatePoint(snr_db=40.0, sum_rate=15.429954070025982, '
+    'per_receiver=(5.091893549038749, 5.1991453471414735, '
+    '5.138915173845759), trials=20, stderr=0.15977793273466806), '
+    'RatePoint(snr_db=45.0, sum_rate=18.020340610159757, '
+    'per_receiver=(5.9455598748760226, 6.071505668907895, '
+    '6.0032750663758385), trials=20, stderr=0.17302686458422167), '
+    'RatePoint(snr_db=50.0, sum_rate=20.65984582591662, '
+    'per_receiver=(6.818152036348647, 6.958594943318365, '
+    '6.883098846249607), trials=20, stderr=0.18259809704810762), '
+    'RatePoint(snr_db=55.0, sum_rate=23.33343384227083, '
+    'per_receiver=(7.704912354714388, 7.85444759254783, '
+    '7.774073895008613), trials=20, stderr=0.18863422419108736), '
+    'RatePoint(snr_db=60.0, sum_rate=26.030131572724507, '
+    'per_receiver=(8.60161510406701, 8.75579320726963, '
+    '8.672723261387866), trials=20, stderr=0.19173547974260674)]'
+)
+
+
+def _sha(trace):
+    return hashlib.sha256(trace.to_json().encode()).hexdigest()
+
+
+def _overrides():
+    rng = RngStream(5)
+    square3 = [rng.complex_normal((3, 3)) for _ in range(2)]
+    mat23 = [rng.complex_normal((3, 2)) for _ in range(3)]
+    return {"square-3": square3, "mat23": mat23}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_trace_json_is_unchanged(name):
+    got = tuple(_sha(BUILDERS[name](RngStream(seed, 3))) for seed in SEEDS)
+    assert got == TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(OVERRIDE_SHA256))
+def test_trace_json_with_partial_override_is_unchanged(name):
+    channels = _overrides()[name]
+    got = tuple(_sha(BUILDERS[name](RngStream(seed, 3), channels))
+                for seed in SEEDS)
+    assert got == OVERRIDE_SHA256[name]
+    trace = BUILDERS[name](RngStream(SEEDS[0], 3), channels)
+    for got, want in zip(trace.channels, channels):
+        assert np.array_equal(got, want)
+
+
+def test_rate_points_are_unchanged():
+    points = simulate_rates(lambda s: run_square_scheme(3, s),
+                            snr_grid(40.0, 60.0, 5.0), 20, RngStream(6))
+    assert repr(points) == RATE_POINTS_REPR

@@ -13,11 +13,12 @@ from delayedcsit.ledger import (
     combine,
     decode_residuals,
     form_dict,
-    random_combination,
-    transmit_slot,
+    transmit_slots,
 )
-from delayedcsit.numerics import DEFAULT_TOL, RngStream, numerical_rank
+from delayedcsit.numerics import DEFAULT_TOL, RngStream, haar_unitaries, numerical_rank
 from delayedcsit.schemes import (
+    CHANNEL,
+    AirLog,
     _restrict,
     _run_chain,
     run_alt22,
@@ -85,13 +86,14 @@ def test_symbol_table_bookkeeping():
 
 
 def test_transmit_slot_exact_rows():
+    # a single slot is a stack of one
     t = SymbolTable(2)
     x = t.new_symbol({1}, "x")
     y = t.new_symbol({2}, "y")
     assert np.array_equal(t.unit_forms([y, x]), [[0.0, 1.0], [1.0, 0.0]])
     states = [ReceiverState(1), ReceiverState(2)]
     h = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    recon = transmit_slot(t.unit_forms([x, y]), h, states)
+    recon = transmit_slots(t.unit_forms([x, y])[np.newaxis], h[np.newaxis], states)
     # receiver r hears h[r, 0]*x + h[r, 1]*y plus its own fresh noise
     (eq,) = states[0].equations
     assert (eq.receiver, eq.slot) == (1, 0)
@@ -100,7 +102,7 @@ def test_transmit_slot_exact_rows():
     assert np.array_equal(states[1].rows[0], [3.0, 4.0])
     assert states[1].slots == [0]
     # reconstructions are the noiseless rows, and read-only
-    assert np.array_equal(recon, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(recon, [[[1.0, 2.0], [3.0, 4.0]]])
     assert not recon.flags.writeable
     assert states[0].slots_observed == 1
 
@@ -109,16 +111,51 @@ def test_transmit_slot_validation_and_empty_plan():
     t = SymbolTable(2)
     x = t.new_symbol({1}, "x")
     states = [ReceiverState(1), ReceiverState(2)]
-    h = np.eye(2, dtype=complex)
+    h = np.eye(2, dtype=complex)[np.newaxis]
+    with pytest.raises(ValueError):  # more forms than antennas
+        transmit_slots(t.unit_forms([x] * 3)[np.newaxis], h, states)
     with pytest.raises(ValueError):
-        transmit_slot(t.unit_forms([x] * 3), h, states)  # more forms than antennas
+        transmit_slots(t.unit_forms([x])[np.newaxis],
+                       np.eye(3, dtype=complex)[np.newaxis], states)
     with pytest.raises(ValueError):
-        transmit_slot(t.unit_forms([x]), np.eye(3, dtype=complex), states)
-    with pytest.raises(ValueError):
-        transmit_slot(t.unit_forms([x]), [[np.nan], [1.0]], states)
-    out = transmit_slot([], h, states)
-    assert len(out) == 0
+        transmit_slots(t.unit_forms([x])[np.newaxis], [[[np.nan], [1.0]]], states)
+    with pytest.raises(ValueError):  # two plans, one channel
+        transmit_slots(np.stack([t.unit_forms([x])] * 2), h, states)
+    out = transmit_slots(np.zeros((1, 0, 1)), h, states)
+    assert out.size == 0
     assert all(s.slots_observed == 1 and not s.equations for s in states)
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 3),
+       st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_transmit_slots_stacked_rows(slots, receivers, p, symbols, seed):
+    # slot s puts h_s[r, :p] @ plan_s into receiver r, slots in stack
+    # order, after what the receiver heard before; rows are read-only
+    rng = RngStream(seed)
+    antennas = max(p, 1) + 1
+    h = rng.complex_normal((slots, receivers, antennas))
+    plans = rng.complex_normal((slots, p, symbols))
+    states = [ReceiverState(r) for r in range(1, receivers + 1)]
+    transmit_slots(plans[:1], h[:1], states)
+    recon = transmit_slots(plans, h, states)
+    assert recon.shape == (slots, receivers if p else 0, symbols)
+    assert not (p and recon.flags.writeable)
+    for st in states:
+        r = st.receiver - 1
+        assert st.slots_observed == slots + 1
+        rows = st.rows[1:] if p else st.rows
+        assert len(rows) == (slots if p else 0)
+        for s, row in enumerate(rows):
+            # bit for bit the one-slot product; the vector product takes
+            # another BLAS path, so it agrees to rounding only
+            assert np.array_equal(row, (h[s, :, :p] @ plans[s])[r]), (s, r)
+            want = h[s, r, :p] @ plans[s]
+            assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.array_equal(recon[s, r], row)
+            assert not row.flags.writeable
+        if p:
+            assert st.slots == list(range(slots + 1))
 
 
 def _noise_weights(receiver_doc):
@@ -273,17 +310,31 @@ def test_combine_exact():
 
 
 def test_random_combination_uses_unitary_rows():
+    # mixing weights are rows of Haar unitaries; a phase's draw factors
+    # every square of one size with one QR, bit for bit as one by one
+    layout = [("a", 4), CHANNEL, ("b", 4), ("c", 2)]
+    drawn = AirLog(SymbolTable(2), 2, RngStream(3)).draw(layout)
+    z = RngStream(3).complex_normals(
+        [("a", (4, 4)), ("channel", (2, 2)), ("b", (4, 4)), ("c", (2, 2))])
+    for key in "abc":
+        assert np.array_equal(drawn[key], haar_unitaries(z[key])), key
+    assert np.array_equal(drawn["channel"], z["channel"])
     forms = np.eye(5)[1:]
-    log = []
-    out = random_combination(forms, 2, RngStream(3), log=log)
-    w = log[0]
+    w = drawn["a"][0, :2]
+    out = combine(forms, w)
     assert w.shape == (2, 4)
     assert np.allclose(w @ w.conj().T, np.eye(2), atol=1e-12)
     assert np.array_equal(out, w @ forms)
-    with pytest.raises(ValueError):
-        random_combination(forms, 5, RngStream(3))
-    with pytest.raises(ValueError):
-        random_combination([], 1, RngStream(3))
+    # a stack: block i is mixed by its own weights
+    blocks = RngStream(4).complex_normal((3, 4, 6))
+    w = haar_unitaries(RngStream(5).complex_normal((3, 4, 4)))[:, :3]
+    out = combine(blocks, w)
+    for i in range(3):
+        assert np.array_equal(out[i], w[i] @ blocks[i])
+    with pytest.raises(ValueError):  # weights over 3 forms, given 4
+        combine(forms, drawn["a"][0, :2, :3])
+    with pytest.raises(ValueError):  # no forms
+        combine([], drawn["c"][0, :1])
 
 
 def test_alignment_ranks_generic():

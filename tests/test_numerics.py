@@ -11,10 +11,9 @@ from delayedcsit.numerics import (
     RankTolerance,
     RngStream,
     as_complex_matrix,
-    haar_unitary,
+    haar_unitaries,
     numerical_rank,
     rowspace_residuals,
-    sample_channel,
 )
 from oracles import NumericalDomainError, logdet_capacity
 
@@ -50,6 +49,43 @@ def test_complex_normal_is_unit_variance():
     assert abs(np.mean(z)) < 0.03
 
 
+_shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), _shapes), min_size=1,
+                max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_complex_normals_equal_consecutive_draws(draws, seed):
+    # one shape per key: the first one drawn under it
+    first = {}
+    draws = [(key, first.setdefault(key, shape)) for key, shape in draws]
+    ref, one, many = (RngStream(seed, 1) for _ in range(3))
+    want, calls = {}, {}
+    for key, shape in draws:
+        # the definition: real parts, then imaginary parts, over sqrt(2)
+        re = ref.standard_normal(shape)
+        im = ref.standard_normal(shape)
+        want.setdefault(key, []).append((re + 1j * im) / np.sqrt(2.0))
+        calls.setdefault(key, []).append(one.complex_normal(shape))
+    got = many.complex_normals(draws)
+    assert set(got) == set(want)
+    for key, parts in want.items():
+        stacked = np.stack(parts)
+        assert got[key].shape == stacked.shape, key
+        assert got[key].tobytes() == stacked.tobytes(), key
+        assert np.stack(calls[key]).tobytes() == stacked.tobytes(), key
+    # all three streams go on from the same state
+    after = {s.standard_normal(4).tobytes() for s in (ref, one, many)}
+    assert len(after) == 1
+
+
+def test_complex_normals_rejects_two_shapes_under_one_key():
+    with pytest.raises(ValueError):
+        RngStream(1).complex_normals([("a", (2, 2)), ("a", (3, 3))])
+    assert RngStream(1).complex_normals([]) == {}
+
+
 def test_rank_tolerance_validation():
     assert RankTolerance(1e-6).relative == 1e-6
     assert RankTolerance(1e-6) == RankTolerance(1e-6)
@@ -70,23 +106,35 @@ def test_as_complex_matrix_validation():
         as_complex_matrix([[np.nan * 1j, 0], [0, 1]])
 
 
-def test_sample_channel_shape_and_law():
-    rng = RngStream(5)
-    h = sample_channel(3, 2, rng)
-    assert h.shape == (3, 2)
-    big = sample_channel(200, 200, rng)
-    assert abs(np.mean(np.abs(big) ** 2) - 1.0) < 0.02
-    with pytest.raises(ValueError):
-        sample_channel(0, 2, rng)
-
-
 def test_haar_unitary_is_unitary_and_deterministic():
-    u = haar_unitary(6, RngStream(11))
+    (u,) = haar_unitaries(RngStream(11).complex_normal((1, 6, 6)))
     assert np.allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
-    v = haar_unitary(6, RngStream(11))
+    (v,) = haar_unitaries(RngStream(11).complex_normal((1, 6, 6)))
     assert np.array_equal(u, v)
     with pytest.raises(ValueError):
-        haar_unitary(0, RngStream(1))
+        haar_unitaries(np.zeros((1, 0, 0)))
+    with pytest.raises(ValueError):
+        haar_unitaries(np.ones((2, 3, 4)))
+    with pytest.raises(ValueError):
+        haar_unitaries(np.ones(3))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_haar_unitaries_equal_per_matrix_qr(n):
+    # the stacked QR gives each matrix the bits of its own QR, phases
+    # of R's diagonal folded into Q's columns, and a unitary to 1e-12
+    z = RngStream(n, 5).complex_normal((40, n, n))
+    u = haar_unitaries(z)
+    assert u.shape == z.shape
+    for zi, ui in zip(z, u):
+        q, r = np.linalg.qr(zi)
+        d = np.diagonal(r)
+        assert ui.tobytes() == (q * (d / np.abs(d))).tobytes()
+        assert np.allclose(ui @ ui.conj().T, np.eye(n), rtol=0, atol=1e-12)
+        # the folded R has a positive real diagonal: Q is unique, so Haar
+        assert np.allclose(ui.conj().T @ zi, np.triu(ui.conj().T @ zi),
+                           rtol=0, atol=1e-12)
+        assert np.all(np.diagonal(ui.conj().T @ zi).real > 0)
 
 
 def test_numerical_rank_constructed_cases():
@@ -196,7 +244,7 @@ def test_capacity_unitary_invariance(seed):
     """Rotating the equation stack by a unitary changes nothing."""
     rng = RngStream(seed)
     g = rng.complex_normal((3, 3))
-    u = haar_unitary(3, rng)
+    (u,) = haar_unitaries(rng.complex_normal((1, 3, 3)))
     direct = logdet_capacity(g, np.eye(3), 2.0)
     rotated = logdet_capacity(u @ g, np.eye(3), 2.0)
     assert abs(direct - rotated) < 1e-9

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayedcsit.dof_calc import OutOfRegimeError, dof_square, harmonic
-from delayedcsit.numerics import RngStream
+from delayedcsit.numerics import RngStream, haar_unitaries
 from delayedcsit.schemes import (
+    CHANNEL,
     AirLog,
     build_nonsquare_phase,
     build_square_phase,
@@ -162,6 +163,32 @@ def test_channel_override_is_used():
         assert np.array_equal(got, want)
 
 
+def test_channel_draws_shape_and_law():
+    # a channel is a k x m draw of i.i.d. CN(0, 1) entries
+    air = AirLog(SymbolTable(3), 2, RngStream(5))
+    (h,) = air.draw([CHANNEL])["channel"]
+    assert h.shape == (3, 2)
+    big = AirLog(SymbolTable(200), 200, RngStream(5)).draw([CHANNEL])["channel"]
+    assert abs(np.mean(np.abs(big) ** 2) - 1.0) < 0.02
+    with pytest.raises(ValueError):
+        AirLog(SymbolTable(0), 2, RngStream(5))
+
+
+def test_draw_skips_channels_an_override_covers():
+    # the channels of overridden slots are not drawn; the other draws
+    # keep their place in the stream
+    layout = [("plan", 2), CHANNEL] * 3
+    over = [np.eye(3, 2)] * 2
+    drawn = AirLog(SymbolTable(3), 2, RngStream(6), over).draw(layout)
+    want = RngStream(6).complex_normals([("plan", (2, 2))] * 3
+                                        + [("channel", (3, 2))])
+    assert drawn.keys() == want.keys()
+    assert np.array_equal(drawn["plan"], haar_unitaries(want["plan"]))
+    assert np.array_equal(drawn["channel"], want["channel"])
+    fully = AirLog(SymbolTable(3), 2, RngStream(6), over * 2).draw(layout)
+    assert "channel" not in fully
+
+
 def test_plans_are_unit_norm():
     for tr in (run_square_scheme(3, RngStream(12)),
                run_mat23_suboptimal(RngStream(13)),
@@ -178,7 +205,7 @@ def test_build_square_phase_cardinalities():
     syms = {frozenset(s): [table.new_symbol(s, f"u{s[0]}.{i}") for i in range(3)]
             for s in combinations(range(1, 4), 1)}
     inputs = {fs: table.unit_forms(ids) for fs, ids in syms.items()}
-    slots, outs = build_square_phase(3, 1, inputs, air, RngStream(16))
+    slots, outs = build_square_phase(3, 1, inputs, air)
     assert slots == 3
     assert set(outs) == {frozenset(t) for t in combinations(range(1, 4), 2)}
     assert all(len(v) == 1 for v in outs.values())
@@ -196,12 +223,23 @@ def test_build_square_phase_validation():
     inputs = {frozenset(s): table.unit_forms(syms)
               for s in [(1,), (2,), (3,)]}
     with pytest.raises(OutOfRegimeError):
-        build_square_phase(3, 1, inputs, air, RngStream(18))
+        build_square_phase(3, 1, inputs, air)
     air3 = AirLog(SymbolTable(3), 3, RngStream(19))
     with pytest.raises(ValueError):
-        build_square_phase(3, 1, {frozenset({1}): []}, air3, RngStream(20))
+        build_square_phase(3, 1, {frozenset({1}): []}, air3)
     with pytest.raises(ValueError):
-        build_square_phase(3, 3, inputs, air3, RngStream(21))
+        build_square_phase(3, 3, inputs, air3)
+    # each subset needs the same positive multiple of k - j + 1 forms:
+    # one block per run of the phase
+    for counts in ((3, 3, 4), (3, 3, 6), (0, 0, 0)):
+        uneven = {frozenset({r}): table.unit_forms(syms * 2)[:n]
+                  for r, n in zip((1, 2, 3), counts)}
+        with pytest.raises(ValueError):
+            build_square_phase(3, 1, uneven, air3)
+    slots, outs = build_square_phase(
+        3, 1, {fs: table.unit_forms(syms * 2) for fs in inputs}, air3)
+    assert slots == 6 and all(len(v) == 2 for v in outs.values())
+    assert air3.slots == 6
 
 
 def test_build_nonsquare_phase_cardinalities():
@@ -214,8 +252,7 @@ def test_build_nonsquare_phase_cardinalities():
     syms = {frozenset(s): [table.new_symbol(s, "") for _ in range(params.beta)]
             for s in combinations(range(1, 4), 1)}
     inputs = {fs: table.unit_forms(ids) for fs, ids in syms.items()}
-    slots, outs = build_nonsquare_phase(2, 3, 1, params, inputs, air,
-                                        RngStream(23))
+    slots, outs = build_nonsquare_phase(2, 3, 1, params, inputs, air)
     assert slots == 6
     assert all(len(v) == 1 for v in outs.values())
     assert air.slots == 6
