@@ -54,5 +54,10 @@ print(f"every receiver decodes its symbols : {trace.decode_ok()}")
 print(f"symbols delivered / slots used     : "
       f"{trace.symbols_delivered}/{trace.total_slots}"
       f" = {trace.empirical_dof} DoF")
-print(f"equation matrix condition numbers  : "
-      f"{['%.1f' % c for c in trace.condition_numbers()]}")
+
+# The decode check's margins: a target decodes when its residual is at
+# most its threshold, and the rank rule keeps singular values above 1e-9
+# of the largest.
+residuals, thresholds, kept = trace.decode_residuals()
+print(f"worst residual / threshold         : {max(residuals / thresholds):.1e}")
+print(f"smallest kept singular value / s_0 : {min(kept):.2e}")

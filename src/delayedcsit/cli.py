@@ -189,16 +189,22 @@ def cmd_scheme_verify(args) -> int:
     master = RngStream(seed)
     successes = 0
     dof_values = set()
-    cond_min = float("inf")
-    cond_max = 0.0
+    # decode margins, read off the decode check's own factorizations
+    max_pass, min_fail, min_kept = -math.inf, math.inf, math.inf
     for t in range(trials):
         trace = builder(master.split(t))
-        if trace.decode_ok():
+        residuals, thresholds, kept = trace.decode_residuals()
+        inside = residuals <= thresholds
+        if inside.all():
             successes += 1
+        ratio = residuals / thresholds
+        max_pass = max(max_pass, ratio[inside].max(initial=-math.inf))
+        min_fail = min(min_fail, ratio[~inside].min(initial=math.inf))
+        min_kept = min(min_kept, kept.min())
         dof_values.add(trace.empirical_dof)
-        for c in trace.condition_numbers():
-            cond_min = min(cond_min, c)
-            cond_max = max(cond_max, c)
+    margins = {name: float(x) if math.isfinite(x) else None for name, x in
+               (("max_pass_ratio", max_pass), ("min_fail_ratio", min_fail),
+                ("min_kept_ratio", min_kept))}
     rate = successes / trials
     dof_ok = dof_values == {expected}
     passed = rate >= 0.999 and dof_ok
@@ -208,16 +214,17 @@ def cmd_scheme_verify(args) -> int:
         "success_rate": rate,
         "empirical_dof": sorted(_rat(d) for d in dof_values),
         "expected_dof": _rat(expected), "dof_matches": dof_ok,
-        "min_condition": cond_min, "max_condition": cond_max,
+        **margins,
         "pass": passed,
     }
     if args.format == "csv":
         _emit_csv(
             ["scheme", "trials", "decode_successes", "success_rate",
-             "empirical_dof", "expected_dof", "min_condition", "pass", "seed"],
+             "empirical_dof", "expected_dof", *margins, "pass", "seed"],
             [[name, trials, successes, rate,
               ";".join(report["empirical_dof"]), _rat(expected),
-              cond_min, str(passed).lower(), seed]],
+              *("" if x is None else x for x in margins.values()),
+              str(passed).lower(), seed]],
             args.out)
     else:
         _emit_json(report, args.out)

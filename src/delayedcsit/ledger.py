@@ -14,8 +14,12 @@ carries one fresh unit-variance noise sample, named by its
 ``(slot, receiver)`` pair, and nothing the transmitter rebuilds from
 delayed CSI carries any.  So the ledger stores coefficient rows only,
 and the noise appears in the JSON trace from that rule.  Decodability
-is a row-space question on a receiver's stacked rows, answered with one
-SVD per receiver by :func:`.numerics.rowspace_residuals`.
+is a row-space question on a receiver's stacked rows.  Every slot is
+heard by every receiver, so a trace's receivers hold matrices of one
+shape: :func:`decode_stacks` groups them, and each group is answered
+with one batched SVD by :func:`.numerics.rowspace_residuals`.  A group
+holds at most :data:`.numerics.STACK_BYTES` of rows, so a large receiver
+is a group of one.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +31,7 @@ from .numerics import (
     RankTolerance,
     numerical_rank,
     rowspace_residuals,
+    stacks,
 )
 
 __all__ = [
@@ -38,6 +43,7 @@ __all__ = [
     "can_decode",
     "combine",
     "decode_residuals",
+    "decode_stacks",
     "form_dict",
     "transmit_slots",
 ]
@@ -158,7 +164,7 @@ class ReceiverState:
         """Stacked coefficient rows over the given symbol ordering."""
         if not self.rows:
             return np.zeros((0, len(symbol_ids)), dtype=np.complex128)
-        return np.vstack(self.rows)[:, list(symbol_ids)]
+        return np.vstack(self.rows)[:, np.asarray(symbol_ids, dtype=np.intp)]
 
     def to_dict(self):
         return {"receiver": self.receiver,
@@ -207,28 +213,56 @@ def transmit_slots(plans, channels, states):
     return recon
 
 
-def decode_residuals(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL):
-    """Distance of each target's unit row from the receiver's row space.
+def decode_stacks(states, targets):
+    """Group receivers into the stacks :func:`decode_residuals` factors
+    together.
 
-    Returns ``(residuals, thresholds)`` from
-    :func:`.numerics.rowspace_residuals`, one entry per target, in the
-    order given.  The receiver's stacked rows are factored once for all
-    targets.
+    ``targets`` holds one list of symbol ids per receiver.  Receivers share
+    a stack when their stored rows form matrices of one shape and they
+    want as many symbols, up to :data:`.numerics.STACK_BYTES` of rows per
+    stack (:func:`.numerics.stacks`).  Returns ``(states, targets)`` pairs
+    in receiver order within each stack.
     """
-    targets = list(targets)
-    if not targets:
-        raise ValueError("targets must be nonempty")
-    if state.rows:
-        a = np.vstack(state.rows)
+    targets = [list(t) for t in targets]
+    shapes = [(len(st.rows), len(st.rows[0]) if st.rows else 0) for st in states]
+    keys = [(*shape, len(t)) for shape, t in zip(shapes, targets)]
+    return [([states[i] for i in idx], [targets[i] for i in idx])
+            for idx in stacks(keys, [16 * m * n for m, n in shapes])]
+
+
+def decode_residuals(states, targets, tol: RankTolerance = DEFAULT_TOL):
+    """Distance of each target's unit row from its receiver's row space,
+    for a stack of receivers factored together.
+
+    ``states`` are receivers whose stored rows form matrices of one shape,
+    and ``targets`` holds one nonempty list of symbol ids per receiver,
+    all of one length (:func:`decode_stacks` groups receivers so).
+    Returns ``(residuals, thresholds, kept)`` from
+    :func:`.numerics.rowspace_residuals`: two ``(receivers, targets)``
+    arrays in the order given, and per receiver the smallest kept
+    singular value relative to its largest.  The whole stack is factored
+    by one batched SVD.
+    """
+    units = np.asarray(targets, dtype=np.intp)
+    if units.ndim != 2 or not units.size or len(units) != len(states):
+        raise ValueError("need one nonempty list of targets per receiver, "
+                         "all of one length")
+    heard = {len(st.rows) for st in states}
+    if len(heard) != 1:
+        raise ValueError(f"receivers of one stack heard {sorted(heard)} equations")
+    if states[0].rows:
+        a = np.concatenate([row for st in states for row in st.rows])
+        a = a.reshape(len(states), len(states[0].rows), -1)
     else:
-        a = np.zeros((0, max(targets) + 1), dtype=np.complex128)
-    units = np.zeros((len(targets), a.shape[1]), dtype=np.complex128)
-    units[np.arange(len(targets)), targets] = 1.0
-    return rowspace_residuals(a, units, tol)
+        a = np.zeros((len(states), 0, int(units.max()) + 1), dtype=np.complex128)
+    v = np.zeros((*units.shape, a.shape[-1]), dtype=np.complex128)
+    v[np.arange(len(units))[:, np.newaxis], np.arange(units.shape[1]), units] = 1.0
+    return rowspace_residuals(a, v, tol)
 
 
-def can_decode(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
-    """True iff every target symbol is linearly recoverable.
+def can_decode(states, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
+    """True iff every receiver of a stack can recover every one of its
+    target symbols (arguments as for :func:`decode_residuals`).
 
     A target ``t`` is recoverable when the unit row ``e_t`` lies in the
     row space of the receiver's stacked coefficient rows ``A``: stacking
@@ -241,8 +275,8 @@ def can_decode(state: ReceiverState, targets, tol: RankTolerance = DEFAULT_TOL) 
     ``tol.relative * sqrt(s_0^2 + 1)``, the rank threshold of the stacked
     matrix.  The derivation is in :func:`.numerics.rowspace_residuals`.
     """
-    residuals, thresholds = decode_residuals(state, targets, tol)
-    return bool(np.all(residuals <= thresholds))
+    residuals, thresholds, _ = decode_residuals(states, targets, tol)
+    return bool((residuals <= thresholds).all())
 
 
 def combine(forms, weights) -> np.ndarray:

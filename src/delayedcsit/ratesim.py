@@ -10,9 +10,11 @@ zero-forcing projection has orthonormal rows, so the projected noise
 stays white.  Rates are normalized per slot; the high-SNR slope of the
 sum rate estimates the scheme's DoF.
 
-Everything but the SNR factor is SNR-independent, so each receiver of a
-trace is factored once (:func:`receiver_gains`) and the whole SNR grid
-is read off its gains as ``sum log2(1 + P * gain) / slots``.
+Everything but the SNR factor is SNR-independent, so a trace's receivers
+are factored once, together (:func:`receiver_gains`: one batched SVD,
+projection and eigenvalue call for all receivers of one shape), and the
+whole SNR grid is read off each receiver's gains as
+``sum log2(1 + P * gain) / slots``.
 
 The asymptotic model pins down only the DoF, not a finite-SNR decoding
 strategy; unit-power Gaussian symbols with per-slot power split equally
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, RngStream
+from .numerics import DEFAULT_TOL, RngStream, stacks
 from .schemes import tdma_trace
 
 __all__ = [
@@ -87,9 +89,10 @@ def snr_grid(lo_db: float, hi_db: float, step_db: float) -> list:
     return grid
 
 
-def receiver_gains(trace, receiver: int, tol=DEFAULT_TOL) -> np.ndarray:
-    """SNR-free gains of one receiver: its rate at SNR ``P`` is
-    ``sum(log2(1 + P * gains)) / trace.total_slots`` bits per slot.
+def receiver_gains(trace, receivers=None, tol=DEFAULT_TOL) -> list:
+    """SNR-free gains of each receiver in ``receivers`` (default: all, in
+    order): receiver ``r``'s rate at SNR ``P`` is ``sum(log2(1 + P *
+    gains)) / trace.total_slots`` bits per slot.
 
     Scales each stored equation row by ``1/sqrt(active_antennas)`` of its
     slot, zero-forces the columns of all other receivers' symbols with one
@@ -100,24 +103,50 @@ def receiver_gains(trace, receiver: int, tol=DEFAULT_TOL) -> np.ndarray:
     roundoff pushes below zero are clipped to zero.  Empty when the
     receiver wants nothing, heard nothing, or the interference fills every
     observation.
+
+    Receivers whose blocks have one shape are stacked
+    (:func:`.numerics.stacks`): one batched SVD of their interference
+    blocks, then, for each interference rank among them, one batched
+    projection and one batched ``eigvalsh``.  Each receiver's gains have
+    the bits of that receiver computed alone.
     """
-    state = trace.states[receiver - 1]
-    own = trace.targets_for(receiver)
-    if not own or not state.rows:
-        return np.zeros(0)
-    ids = trace.table.ids
-    scale = 1.0 / np.sqrt(np.asarray(trace.active_antennas)[state.slots])
-    rows = state.coefficient_matrix(ids) * scale[:, None]
-    own_mask = np.zeros(len(ids), dtype=bool)
-    own_mask[own] = True
-    g = rows[:, own_mask]
-    if not own_mask.all():
-        u, s, _ = np.linalg.svd(rows[:, ~own_mask], full_matrices=True)
-        rank = tol.rank(s)
-        if rank == rows.shape[0]:
-            return np.zeros(0)
-        g = u[:, rank:].conj().T @ g
-    return np.maximum(np.linalg.eigvalsh(g.conj().T @ g), 0.0)
+    receivers = range(1, trace.k + 1) if receivers is None else receivers
+    jobs = [(i, trace.states[r - 1], trace.targets_for(r))
+            for i, r in enumerate(receivers)]
+    gains = [np.zeros(0) for _ in jobs]
+    jobs = [job for job in jobs if job[2] and job[1].rows]
+    n = len(trace.table)
+    scale = 1.0 / np.sqrt(np.asarray(trace.active_antennas, dtype=float))
+    shapes = [(len(st.rows), len(own)) for _, st, own in jobs]
+    for idx in stacks(shapes, [16 * m * n for m, _ in shapes]):
+        group = [jobs[i] for i in idx]
+        m, mine = shapes[idx[0]]
+        # each receiver's columns read in the order (own symbols, others)
+        rows = np.stack([st.coefficient_matrix(_own_first(own, n))
+                         for _, st, own in group])
+        rows *= scale[np.array([st.slots for _, st, _ in group])][..., np.newaxis]
+        g = rows[..., :mine]
+        if mine < n:
+            u, s, _ = np.linalg.svd(rows[..., mine:], full_matrices=True)
+            ranks = tol.rank(s).tolist()
+        else:
+            u, ranks = None, [0] * len(group)
+        # rank m: the interference fills every observation, no gains
+        for rank in sorted(set(ranks) - {m}):
+            at = [i for i, r in enumerate(ranks) if r == rank]
+            pick = slice(None) if len(at) == len(group) else at
+            p = g[pick] if u is None else u[pick][..., rank:].conj().mT @ g[pick]
+            lam = np.maximum(np.linalg.eigvalsh(p.conj().mT @ p), 0.0)
+            for i, values in zip(at, lam):
+                gains[group[i][0]] = values
+    return gains
+
+
+def _own_first(own, n: int) -> np.ndarray:
+    """Symbol ids ``0..n-1`` with ``own`` first, each part in id order."""
+    others = np.ones(n, dtype=bool)
+    others[own] = False
+    return np.concatenate([own, np.flatnonzero(others)])
 
 
 def _rates(gains, snrs, slots) -> np.ndarray:
@@ -128,10 +157,8 @@ def _rates(gains, snrs, slots) -> np.ndarray:
 def _trial_matrix(builder, stream, snrs):
     """Rates of one trial: row per SNR, column per receiver."""
     trace = builder(stream)
-    return np.column_stack([
-        _rates(receiver_gains(trace, r), snrs, trace.total_slots)
-        for r in range(1, trace.k + 1)
-    ])
+    return np.column_stack([_rates(gains, snrs, trace.total_slots)
+                            for gains in receiver_gains(trace)])
 
 
 def simulate_rates(builder, snr_grid_db, trials: int, rng: RngStream,

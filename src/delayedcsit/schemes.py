@@ -39,6 +39,8 @@ from .ledger import (
     SymbolTable,
     can_decode,
     combine,
+    decode_residuals,
+    decode_stacks,
     form_dict,
     transmit_slots,
 )
@@ -211,29 +213,28 @@ class SchemeTrace:
     def targets_for(self, receiver: int):
         return self.table.owned_by(receiver)
 
+    def decode_stacks(self):
+        """The receivers grouped as the decode check factors them,
+        ``(states, targets)`` per stack (:func:`.ledger.decode_stacks`)."""
+        return decode_stacks(self.states, [self.targets_for(st.receiver)
+                                           for st in self.states])
+
     def decode_ok(self, tol=DEFAULT_TOL) -> bool:
         """True iff every receiver can decode all of its symbols."""
-        return all(
-            can_decode(st, self.targets_for(st.receiver), tol)
-            for st in self.states
-        )
+        return all(can_decode(states, targets, tol)
+                   for states, targets in self.decode_stacks())
 
-    def condition_numbers(self):
-        """Per-receiver condition number of the stacked equation matrix.
-
-        Reported for diagnostics only; decodability is gated on rank,
-        not conditioning.
-        """
-        ids = self.table.ids
-        out = []
-        for st in self.states:
-            a = st.coefficient_matrix(ids)
-            s = np.linalg.svd(a, compute_uv=False)
-            if s.size == 0 or s[-1] == 0:
-                out.append(float("inf"))
-            else:
-                out.append(float(s[0] / s[-1]))
-        return out
+    def decode_residuals(self, tol=DEFAULT_TOL):
+        """What :meth:`decode_ok` decides from, with the same
+        factorizations: every target's residual and threshold, and every
+        receiver's smallest kept singular value relative to its largest
+        (:func:`.ledger.decode_residuals`), flat in the order of
+        :meth:`decode_stacks`.  The trace decodes iff no residual exceeds
+        its threshold."""
+        parts = [decode_residuals(states, targets, tol)
+                 for states, targets in self.decode_stacks()]
+        return tuple(np.concatenate([np.ravel(p[i]) for p in parts])
+                     for i in range(3))
 
     def summary_row(self, decode_rate=None) -> dict:
         dof = self.empirical_dof

@@ -119,8 +119,13 @@ def test_scheme_verify_pass(capsys):
     assert doc["pass"] is True
     assert doc["decode_successes"] == 10
     assert doc["empirical_dof"] == ["4/3"]
-    assert doc["min_condition"] >= 1.0
-    assert doc["max_condition"] >= doc["min_condition"]
+    # decode margins from the decode check's own factorizations: every
+    # residual decades below its threshold, none failing, every kept
+    # singular value far above the 1e-9 rank tolerance
+    assert 0.0 <= doc["max_pass_ratio"] <= 0.1
+    assert doc["min_fail_ratio"] is None
+    assert 1e-7 <= doc["min_kept_ratio"] <= 1.0
+    assert "min_condition" not in doc and "max_condition" not in doc
 
 
 def test_scheme_verify_failure_exits_one(capsys, monkeypatch):
@@ -137,6 +142,10 @@ def test_scheme_verify_failure_exits_one(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["pass"] is False
     assert doc["decode_successes"] == 0
+    # the deaf receiver's residuals are the targets' norms, 1, against a
+    # threshold of 1e-9; the other receiver still passes by decades
+    assert doc["min_fail_ratio"] == pytest.approx(1e9)
+    assert doc["max_pass_ratio"] <= 0.1
 
 
 def test_scheme_verify_csv(capsys):
@@ -145,9 +154,15 @@ def test_scheme_verify_csv(capsys):
                  "--trials", "5", "--format", "csv"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0][0] == "scheme"
-    assert rows[1][0] == "square"
-    assert rows[1][7] == "true"  # pass column
+    assert rows[0] == ["scheme", "trials", "decode_successes", "success_rate",
+                       "empirical_dof", "expected_dof", "max_pass_ratio",
+                       "min_fail_ratio", "min_kept_ratio", "pass", "seed"]
+    row = dict(zip(rows[0], rows[1]))
+    assert row["scheme"] == "square"
+    assert row["pass"] == "true"
+    assert row["min_fail_ratio"] == ""  # nothing failed
+    assert float(row["max_pass_ratio"]) <= 0.1
+    assert float(row["min_kept_ratio"]) >= 1e-7
 
 
 def test_rate_sim_json_slope(capsys):

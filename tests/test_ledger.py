@@ -12,10 +12,17 @@ from delayedcsit.ledger import (
     can_decode,
     combine,
     decode_residuals,
+    decode_stacks,
     form_dict,
     transmit_slots,
 )
-from delayedcsit.numerics import DEFAULT_TOL, RngStream, haar_unitaries, numerical_rank
+from delayedcsit.numerics import (
+    DEFAULT_TOL,
+    RngStream,
+    haar_unitaries,
+    numerical_rank,
+    rowspace_residuals,
+)
 from delayedcsit.schemes import (
     CHANNEL,
     AirLog,
@@ -222,14 +229,25 @@ def test_can_decode_hand_cases():
     x = t.new_symbol({1}, "x")
     y = t.new_symbol({2}, "y")
     st1 = ReceiverState(1, [np.array([1.0, 1.0])], [0])
-    assert not can_decode(st1, [x])  # one equation, two unknowns
+    assert not can_decode([st1], [[x]])  # one equation, two unknowns
     st1.rows.append(np.array([0.0, 1.0]))
     st1.slots.append(1)
-    assert can_decode(st1, [x])
-    assert can_decode(st1, [x, y])
+    assert can_decode([st1], [[x]])
+    assert can_decode([st1], [[x, y]])
     with pytest.raises(ValueError):
-        can_decode(st1, [])
-    assert not can_decode(ReceiverState(2), [y])  # heard nothing
+        can_decode([st1], [[]])
+    assert not can_decode([ReceiverState(2)], [[y]])  # heard nothing
+    # a stack decodes iff each of its receivers does
+    st2 = ReceiverState(2, [np.array([1.0, 1.0]), np.array([1.0, -1.0])], [0, 1])
+    assert can_decode([st1, st2], [[x], [y]])
+    short = ReceiverState(2, [np.array([1.0, 1.0]), np.array([2.0, 2.0])], [0, 1])
+    assert not can_decode([st1, short], [[x], [y]])
+    with pytest.raises(ValueError):
+        can_decode([st1, ReceiverState(2)], [[x], [y]])  # two shapes
+    with pytest.raises(ValueError):
+        can_decode([st1, st2], [[x], [x, y]])  # two target counts
+    with pytest.raises(ValueError):
+        can_decode([st1, st2], [[x]])  # one target list short
 
 
 def _stacked_rank_decodes(state, targets):
@@ -267,11 +285,14 @@ def test_can_decode_matches_stacked_rank_oracle(name):
             verdicts = []
             for st in states:
                 targets = trace.targets_for(st.receiver)
-                got = can_decode(st, targets)
+                got = can_decode([st], [targets])
                 assert got == _stacked_rank_decodes(st, targets), (
                     name, seed, complete, st.receiver)
                 verdicts.append(got)
             assert all(verdicts) == complete, (name, seed, complete)
+            stacks = decode_stacks(states, [trace.targets_for(st.receiver)
+                                            for st in states])
+            assert all(can_decode(*stack) for stack in stacks) == complete
 
 
 def test_decode_residuals_are_decades_from_threshold():
@@ -288,16 +309,60 @@ def test_decode_residuals_are_decades_from_threshold():
         for seed in seeds:
             trace = build(RngStream(seed))
             for states in (trace.states, _truncated(trace)):
-                for st in states:
-                    residuals, thresholds = decode_residuals(
-                        st, trace.targets_for(st.receiver))
+                targets = [trace.targets_for(st.receiver) for st in states]
+                for stack in decode_stacks(states, targets):
+                    residuals, thresholds, kept = decode_residuals(*stack)
                     ratio = residuals / thresholds
                     assert np.all((ratio <= 0.1) | (ratio >= 10.0)), (
-                        seed, st.receiver, ratio[(ratio > 0.1) & (ratio < 10)])
-                    sv = np.linalg.svd(np.vstack(st.rows), compute_uv=False)
-                    kept = sv[DEFAULT_TOL.rank(sv) - 1] / sv[0]
-                    assert kept >= 1e-7, (
-                        seed, st.receiver, kept)
+                        seed, ratio[(ratio > 0.1) & (ratio < 10)])
+                    for st, margin in zip(stack[0], kept):
+                        sv = np.linalg.svd(np.vstack(st.rows), compute_uv=False)
+                        want = sv[DEFAULT_TOL.rank(sv) - 1] / sv[0]
+                        assert margin == pytest.approx(want, rel=1e-6)
+                        assert margin >= 1e-7, (seed, st.receiver, margin)
+
+
+def _cleared(states, receiver):
+    """``states`` with one receiver's equations removed."""
+    return [ReceiverState(st.receiver, [], [], st.slots_observed)
+            if st.receiver == receiver else st for st in states]
+
+
+def _deficient(states, receiver):
+    """``states`` with one receiver's last row replaced by a copy of its
+    first: the same shape, one rank less."""
+    return [ReceiverState(st.receiver, st.rows[:-1] + st.rows[:1],
+                          st.slots, st.slots_observed)
+            if st.receiver == receiver else st for st in states]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SCHEMES))
+def test_stacked_residuals_equal_per_matrix(name):
+    # a stack gives each receiver the bits of rowspace_residuals on that
+    # receiver's matrix alone: complete and truncated traces, a receiver
+    # that heard nothing (a group of two shapes) and one of lower rank
+    for seed in range(20):
+        trace = SMALL_SCHEMES[name](RngStream(seed))
+        for states in (trace.states, _truncated(trace),
+                       _cleared(trace.states, 1), _deficient(trace.states, 2)):
+            targets = [trace.targets_for(st.receiver) for st in states]
+            stacks = decode_stacks(states, targets)
+            assert sorted(st.receiver for group, _ in stacks for st in group) == [
+                st.receiver for st in states]
+            for group, wanted in stacks:
+                residuals, thresholds, kept = decode_residuals(group, wanted)
+                for i, (st, t) in enumerate(zip(group, wanted)):
+                    n = len(trace.table)
+                    a = np.vstack(st.rows) if st.rows else np.zeros((0, n))
+                    units = np.eye(n)[t]
+                    g, thr, margin = rowspace_residuals(a, units)
+                    assert residuals[i].tobytes() == g.tobytes(), (seed, st.receiver)
+                    assert thresholds[i].tobytes() == thr.tobytes()
+                    assert kept[i] == margin
+            verdict = all(can_decode(*stack) for stack in stacks)
+            assert verdict == all(
+                _stacked_rank_decodes(st, t) if st.rows else False
+                for st, t in zip(states, targets))
 
 
 def test_combine_exact():

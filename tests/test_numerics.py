@@ -12,8 +12,10 @@ from delayedcsit.numerics import (
     RngStream,
     as_complex_matrix,
     haar_unitaries,
+    STACK_BYTES,
     numerical_rank,
     rowspace_residuals,
+    stacks,
 )
 from oracles import NumericalDomainError, logdet_capacity
 
@@ -155,9 +157,31 @@ def test_numerical_rank_respects_tolerance():
     assert numerical_rank(d, RankTolerance(1e-2)) == 1
 
 
+def test_rank_rule_is_per_matrix_on_stacks():
+    tol = RankTolerance(1e-9)
+    s = np.array([[2.0, 1e-3, 1e-12], [1e-6, 1e-15, 0.0], [0.0, 0.0, 0.0]])
+    assert tol.kept(s).tolist() == [[True, True, False], [True, False, False],
+                                    [False, False, False]]
+    assert tol.rank(s).tolist() == [2, 1, 0]
+    assert tol.rank(s[0]) == 2 and isinstance(tol.rank(s[0]), int)
+    assert tol.rank([]) == 0
+    stack = np.stack([np.diag(row) for row in s])
+    assert numerical_rank(stack).tolist() == [2, 1, 0]
+    assert numerical_rank(np.zeros((2, 0, 3))).tolist() == [0, 0]
+
+
+def test_stacks_group_by_key_under_the_byte_cap():
+    assert stacks([], []) == []
+    assert stacks(["a", "b", "a", "a"], [8, 8, 8, 8]) == [[0, 2, 3], [1]]
+    half = STACK_BYTES // 2
+    assert stacks(["a"] * 5, [half] * 5) == [[0, 1], [2, 3], [4]]
+    # an item above the cap is a stack of its own
+    assert stacks(["a", "a"], [STACK_BYTES + 1] * 2) == [[0], [1]]
+
+
 def _in_rowspace(a, v):
     """The verdict of :func:`rowspace_residuals` on one row vector ``v``."""
-    (g,), (thr,) = rowspace_residuals(a, np.asarray(v)[np.newaxis, :])
+    (g,), (thr,), _ = rowspace_residuals(a, np.asarray(v)[np.newaxis, :])
     return bool(g <= thr)
 
 
@@ -173,7 +197,7 @@ def test_in_rowspace():
     for delta, inside, rel in ((1e-7, False, 1e-6), (1e-11, True, 1e-3)):
         v = np.array([0.6, 0.8j, delta])
         assert _in_rowspace(a, v) == inside
-        (g,), (thr,) = rowspace_residuals(a, v[np.newaxis, :])
+        (g,), (thr,), _ = rowspace_residuals(a, v[np.newaxis, :])
         added = np.linalg.svd(np.vstack([a, v]), compute_uv=False)[-1]
         assert g == pytest.approx(added, rel=rel)
         assert thr == pytest.approx(1e-9 * math.sqrt(2.0), rel=1e-12)
@@ -191,6 +215,43 @@ def test_in_rowspace():
     empty = np.zeros((0, 3))
     assert _in_rowspace(empty, np.zeros(3))
     assert not _in_rowspace(empty, np.array([0.0, 1e-3, 0.0]))
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stacked_rowspace_residuals_equal_per_matrix(rows, cols, count, seed):
+    # a stack of matrices of mixed rank (a product of rank 1..min) gives
+    # each matrix the bits of its own call, and a margin per matrix
+    rng = RngStream(seed)
+    ranks = [1 + i % min(rows, cols) for i in range(count)]
+    a = np.stack([rng.complex_normal((rows, r)) @ rng.complex_normal((r, cols))
+                  for r in ranks]) if count else np.zeros((0, rows, cols))
+    v = rng.complex_normal((count, 2, cols))
+    v[:, 1] = rng.complex_normal(rows) @ a if count else v[:, 1]
+    residuals, thresholds, kept = rowspace_residuals(a, v)
+    assert residuals.shape == thresholds.shape == (count, 2)
+    assert kept.shape == (count,)
+    for i in range(count):
+        g, thr, margin = rowspace_residuals(a[i], v[i])
+        assert residuals[i].tobytes() == g.tobytes()
+        assert thresholds[i].tobytes() == thr.tobytes()
+        assert kept[i] == margin and margin.shape == ()
+        sv = np.linalg.svd(a[i], compute_uv=False)
+        assert margin == pytest.approx(sv[ranks[i] - 1] / sv[0], rel=1e-9)
+        # the second row lies in the row space, the first does not
+        assert g[1] <= thr[1] and g[0] > thr[0] or ranks[i] == cols
+
+
+def test_rowspace_residuals_shapes():
+    a = np.eye(3)[:2]
+    with pytest.raises(ValueError):
+        rowspace_residuals(np.stack([a, a]), a)  # one set of rows for two
+    with pytest.raises(ValueError):
+        rowspace_residuals(np.stack([a, a]), np.ones((2, 1, 2)))
+    # nothing is kept in a matrix of no rows
+    g, thr, kept = rowspace_residuals(np.zeros((2, 0, 3)), np.ones((2, 1, 3)))
+    assert g.shape == thr.shape == (2, 1) and kept.tolist() == [np.inf, np.inf]
 
 
 def test_logdet_capacity_scalar_oracle():

@@ -2,9 +2,11 @@
 
 ``perfbench/`` calls into ``delayedcsit`` by name and by position, for
 example ``schemes._run_chain("nonsquare", 2, 4, 1, rng)`` and
-``simulate_rates(builder, grid, trials, master, None)``.  One round of
-``verify`` and of ``ratesim`` is played here with a stub clock, so a
-change to the package that breaks the benchmark fails tier-1.
+``simulate_rates(builder, grid, trials, master, None)``, and its tracer
+probes package functions by name.  One round of ``verify`` and of
+``ratesim`` is played here with a stub clock, and one ``verify`` round
+under the tracer, so a change to the package that breaks the benchmark
+fails tier-1.
 """
 
 import importlib.util
@@ -15,15 +17,29 @@ import pytest
 
 from delayedcsit.numerics import RngStream
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+#: Probe targets the package no longer defines; the tracer skips them,
+#: and every other probe must still find its function.
+DELETED_PROBES = [
+    "ledger.transmit_slot", "ledger.random_combination",
+    "ledger.noise_covariance", "numerics.logdet_capacity",
+    "numerics.haar_unitary", "numerics.sample_channel",
+    "ratesim.receiver_rate",
+]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("workloads")
 
 
 class StubSampler:
@@ -48,3 +64,19 @@ def test_workload_round_has_no_failed_ops(workloads, name, tmp_path):
 def test_frontier_chain_entry_point(workloads):
     trace, decoded = workloads.Frontier._chain(2, 3, RngStream(7))
     assert decoded and trace.total_slots == 17
+
+
+def test_traced_verify_round_sees_the_decode_layer(workloads, tmp_path):
+    # the tracer finds can_decode by name; it is called once per stacked
+    # factorization, and each verify-mix trace is one stack
+    tracing = _load("tracing")
+    workload = workloads.WORKLOADS["verify"](7, str(tmp_path))
+    rd = workloads.Round(StubSampler())
+    with tracing.Tracer(time.perf_counter) as tracer:
+        workload.run_round(rd, 0, tracer=tracer)
+    assert (rd.failed, rd.failures) == (0, [])
+    assert tracer.skipped == DELETED_PROBES
+    metrics = tracer.layer_metrics(scale=1.0)
+    assert metrics["ledger.decode_ms"][0] > 0
+    assert metrics["ledger.decode_checks"][0] == rd.attempted == 200
+    assert metrics["ledger.decode_failures"][0] == 0

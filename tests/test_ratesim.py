@@ -1,5 +1,6 @@
 """Finite-SNR simulation: exact hand cases, oracles, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from delayedcsit.ratesim import (
     snr_grid,
     tdma_baseline,
 )
-from delayedcsit.schemes import run_square_scheme, tdma_trace
+from delayedcsit.ledger import ReceiverState
+from delayedcsit.schemes import run_order_j_delivery, run_square_scheme, tdma_trace
 from oracles import logdet_capacity
 
 LOG2_10 = math.log2(10.0)
@@ -47,7 +49,7 @@ def test_rate_point_validation():
 def _receiver_rate(trace, receiver, snr):
     """One receiver's rate in bits per slot at ``snr``, read off its gains
     by the formula :func:`simulate_rates` uses."""
-    gains = receiver_gains(trace, receiver)
+    (gains,) = receiver_gains(trace, [receiver])
     return float(_rates(gains, [snr], trace.total_slots)[0])
 
 
@@ -84,8 +86,7 @@ def test_snr_curve_matches_per_snr_logdet():
     for k in (2, 3):
         for seed in range(5):
             trace = run_square_scheme(k, RngStream(seed))
-            for r in range(1, k + 1):
-                gains = receiver_gains(trace, r)
+            for r, gains in enumerate(receiver_gains(trace), start=1):
                 assert np.all(gains >= 0.0)
                 for snr in snrs:
                     want = _per_snr_rate(trace, r, snr)
@@ -94,6 +95,48 @@ def test_snr_curve_matches_per_snr_logdet():
                     assert curve == pytest.approx(want, rel=1e-9)
                     assert _receiver_rate(trace, r, snr) == pytest.approx(
                         want, rel=1e-9)
+
+
+GAIN_SCHEMES = {
+    "square-2": lambda s: run_square_scheme(2, s),
+    "square-3": lambda s: run_square_scheme(3, s),
+    "square-4": lambda s: run_square_scheme(4, s),
+    "tdma-3": lambda s: tdma_trace(3, s),
+    "order-2-3-2": lambda s: run_order_j_delivery(2, 3, 2, s),
+}
+
+
+def _altered(trace):
+    """``trace`` with receiver 1's equations removed (a stack of two
+    shapes) and receiver 2's last row replaced by its first (the same
+    shape, one rank less)."""
+    first, second = trace.states[:2]
+    return dataclasses.replace(trace, states=[
+        ReceiverState(1, [], [], first.slots_observed),
+        ReceiverState(2, second.rows[:-1] + second.rows[:1], second.slots,
+                      second.slots_observed),
+        *trace.states[2:]])
+
+
+@pytest.mark.parametrize("name", sorted(GAIN_SCHEMES))
+def test_stacked_gains_equal_per_receiver(name):
+    # one stacked SVD, projection and eigvalsh per shape and rank give
+    # each receiver the bits of that receiver computed alone
+    for seed in range(8):
+        trace = GAIN_SCHEMES[name](RngStream(seed))
+        for tr in (trace, _altered(trace)):
+            stacked = receiver_gains(tr)
+            assert len(stacked) == tr.k
+            for r in range(1, tr.k + 1):
+                (alone,) = receiver_gains(tr, [r])
+                assert stacked[r - 1].shape == alone.shape, (seed, r)
+                assert stacked[r - 1].tobytes() == alone.tobytes(), (seed, r)
+        assert receiver_gains(_altered(trace))[0].size == 0  # heard nothing
+        # any subset, in the order asked
+        every = receiver_gains(trace)
+        picked = receiver_gains(trace, [trace.k, 1])
+        assert [g.tobytes() for g in picked] == [every[-1].tobytes(),
+                                                 every[0].tobytes()]
 
 
 def test_rate_is_monotone_in_snr():

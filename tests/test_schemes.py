@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delayedcsit.dof_calc import OutOfRegimeError, dof_square, harmonic
+from delayedcsit.dof_calc import (
+    OutOfRegimeError,
+    dof_square,
+    harmonic,
+    nonsquare_recursion,
+)
 from delayedcsit.numerics import RngStream, haar_unitaries
 from delayedcsit.schemes import (
     CHANNEL,
     AirLog,
+    _run_chain,
     build_nonsquare_phase,
     build_square_phase,
     canonical_json,
@@ -144,11 +151,14 @@ def test_trace_determinism_and_serialization():
     assert len(doc["symbol_table"]) == 4
 
 
-def test_trace_condition_numbers_and_summary():
+def test_trace_decode_residuals_and_summary():
     tr = run_square_scheme(2, RngStream(9))
-    conds = tr.condition_numbers()
-    assert len(conds) == 2
-    assert all(c >= 1.0 for c in conds)
+    # both receivers share one factorization; two targets each
+    assert [len(states) for states, _ in tr.decode_stacks()] == [2]
+    residuals, thresholds, kept = tr.decode_residuals()
+    assert residuals.shape == thresholds.shape == (4,) and kept.shape == (2,)
+    assert bool(np.all(residuals <= thresholds)) == tr.decode_ok() is True
+    assert np.all((kept > 0.0) & (kept <= 1.0))
     row = tr.summary_row(decode_rate=1.0)
     assert row["scheme"] == "square"
     assert (row["dof_num"], row["dof_den"]) == (4, 3)
@@ -263,6 +273,47 @@ def test_scheme_trace_decode_across_seeds():
     for seed in range(25):
         assert run_square_scheme(3, RngStream(seed)).decode_ok()
         assert run_opt23(RngStream(seed)).decode_ok()
+
+
+#: The executed frontier: square ``k = 5, 6`` and the antenna-limited
+#: ``k = 5`` chains, each built and decoded at stream ``(1, 0)``.
+FRONTIER = ((5, 5), (6, 6), (4, 5), (3, 5), (2, 5))
+
+#: Seconds for building and decoding all of ``FRONTIER``; about 5 s on a
+#: 2-core x86-64 host.
+FRONTIER_BUDGET_S = 30.0
+
+
+def _frontier_trace(m, k, rng):
+    return run_square_scheme(k, rng) if m == k else _run_chain(
+        "nonsquare", m, k, 1, rng)
+
+
+def test_executed_frontier_matches_the_recursion():
+    start = time.perf_counter()
+    for m, k in FRONTIER:
+        trace = _frontier_trace(m, k, RngStream(1, 0))
+        assert trace.empirical_dof == nonsquare_recursion(DofQuery(m, k, 1)), (m, k)
+        assert trace.decode_ok(), (m, k)
+    elapsed = time.perf_counter() - start
+    assert elapsed < FRONTIER_BUDGET_S, f"frontier took {elapsed:.1f}s"
+
+
+def test_decode_stacks_follow_the_size_rule():
+    # a small trace's receivers share one factorization; a receiver of
+    # square-6 or (2, 5) is too large to share (numerics.STACK_BYTES)
+    for build in (lambda s: run_square_scheme(2, s),
+                  lambda s: run_square_scheme(3, s), run_alt22,
+                  run_mat23_suboptimal, run_opt23):
+        for seed in range(3):
+            trace = build(RngStream(seed))
+            [(states, targets)] = trace.decode_stacks()
+            assert states == trace.states
+            assert targets == [trace.targets_for(r) for r in range(1, trace.k + 1)]
+    for m, k in ((6, 6), (2, 5)):
+        trace = _frontier_trace(m, k, RngStream(1, 0))
+        stacks = trace.decode_stacks()
+        assert [states for states, _ in stacks] == [[st] for st in trace.states]
 
 
 def _stdlib_json(obj):
