@@ -57,7 +57,8 @@ print(f"symbols delivered / slots used     : "
 
 # The decode check's margins: a target decodes when its residual is at
 # most its threshold, and the rank rule keeps singular values above 1e-9
-# of the largest.
-residuals, thresholds, kept = trace.decode_residuals()
+# of the largest (each receiver here has full row rank: nothing dropped).
+residuals, thresholds, kept, dropped = trace.decode_residuals()
 print(f"worst residual / threshold         : {max(residuals / thresholds):.1e}")
 print(f"smallest kept singular value / s_0 : {min(kept):.2e}")
+print(f"largest dropped singular value/s_0 : {max(dropped):.2e}")

@@ -172,11 +172,8 @@ def cmd_scheme_run(args) -> int:
               str(ok).lower(), seed]],
             args.out)
     else:
-        doc = trace.to_dict()
-        doc["command"] = "scheme-run"
-        doc["decode_ok"] = ok
-        doc["expected_dof"] = _rat(expected)
-        _emit_json(doc, args.out)
+        _emit(trace.to_json({"command": "scheme-run", "decode_ok": ok,
+                             "expected_dof": _rat(expected)}) + "\n", args.out)
     return 0
 
 
@@ -190,10 +187,10 @@ def cmd_scheme_verify(args) -> int:
     successes = 0
     dof_values = set()
     # decode margins, read off the decode check's own factorizations
-    max_pass, min_fail, min_kept = -math.inf, math.inf, math.inf
+    max_pass, min_fail, min_kept, max_dropped = -math.inf, math.inf, math.inf, 0.0
     for t in range(trials):
         trace = builder(master.split(t))
-        residuals, thresholds, kept = trace.decode_residuals()
+        residuals, thresholds, kept, dropped = trace.decode_residuals()
         inside = residuals <= thresholds
         if inside.all():
             successes += 1
@@ -201,10 +198,11 @@ def cmd_scheme_verify(args) -> int:
         max_pass = max(max_pass, ratio[inside].max(initial=-math.inf))
         min_fail = min(min_fail, ratio[~inside].min(initial=math.inf))
         min_kept = min(min_kept, kept.min())
+        max_dropped = max(max_dropped, dropped.max())
         dof_values.add(trace.empirical_dof)
     margins = {name: float(x) if math.isfinite(x) else None for name, x in
                (("max_pass_ratio", max_pass), ("min_fail_ratio", min_fail),
-                ("min_kept_ratio", min_kept))}
+                ("min_kept_ratio", min_kept), ("max_dropped_ratio", max_dropped))}
     rate = successes / trials
     dof_ok = dof_values == {expected}
     passed = rate >= 0.999 and dof_ok
@@ -408,8 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_scheme_verify)
 
-    p = sub.add_parser("rate-sim", parents=[common, dims],
-                       help="Monte Carlo rate curve and DoF slope")
+    p = sub.add_parser(
+        "rate-sim", parents=[common, dims],
+        help="Monte Carlo rate curve and DoF slope",
+        description=("Monte Carlo sum-rate curve and its fitted DoF slope.  The sum "
+                     "rate adds up every receiver's rate, so under --scheme order a "
+                     "common symbol counts once per receiver that wants it, and the "
+                     "fitted slope is j times expected_dof."))
     p.add_argument("--scheme", required=True, choices=SCHEME_CHOICES)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--snr", default="40:60:5", metavar="LO:HI:STEP",

@@ -44,7 +44,6 @@ __all__ = [
     "combine",
     "decode_residuals",
     "decode_stacks",
-    "form_dict",
     "transmit_slots",
 ]
 
@@ -58,19 +57,6 @@ def _block(forms) -> np.ndarray:
     if f.ndim < 2:
         raise ValueError(f"forms must be rows of one length, got shape {f.shape}")
     return f
-
-
-def form_dict(row, noise=None) -> dict:
-    """Schema-``v1`` JSON of one form: its nonzero coefficients keyed by
-    symbol id, and its noise weights keyed ``"slot:receiver"`` (none for
-    anything the transmitter builds)."""
-    idx = np.flatnonzero(row)
-    vals = row[idx]
-    return {
-        "coeffs": {str(s): [re, im] for s, re, im in
-                   zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist())},
-        "noise": noise or {},
-    }
 
 
 @dataclass(frozen=True)
@@ -138,11 +124,6 @@ class Equation:
     slot: int
     row: np.ndarray
 
-    def to_dict(self):
-        noise = {f"{self.slot}:{self.receiver}": [1.0, 0.0]}
-        return {"receiver": self.receiver, "slot": self.slot,
-                "form": form_dict(self.row, noise), "noise_variance": 1.0}
-
 
 @dataclass
 class ReceiverState:
@@ -165,11 +146,6 @@ class ReceiverState:
         if not self.rows:
             return np.zeros((0, len(symbol_ids)), dtype=np.complex128)
         return np.vstack(self.rows)[:, np.asarray(symbol_ids, dtype=np.intp)]
-
-    def to_dict(self):
-        return {"receiver": self.receiver,
-                "slots_observed": self.slots_observed,
-                "equations": [eq.to_dict() for eq in self.equations]}
 
 
 def transmit_slots(plans, channels, states):
@@ -237,11 +213,11 @@ def decode_residuals(states, targets, tol: RankTolerance = DEFAULT_TOL):
     ``states`` are receivers whose stored rows form matrices of one shape,
     and ``targets`` holds one nonempty list of symbol ids per receiver,
     all of one length (:func:`decode_stacks` groups receivers so).
-    Returns ``(residuals, thresholds, kept)`` from
+    Returns ``(residuals, thresholds, kept, dropped)`` from
     :func:`.numerics.rowspace_residuals`: two ``(receivers, targets)``
-    arrays in the order given, and per receiver the smallest kept
-    singular value relative to its largest.  The whole stack is factored
-    by one batched SVD.
+    arrays in the order given, and per receiver the smallest kept and
+    the largest dropped singular value relative to its largest.  The
+    whole stack is factored by one batched SVD.
     """
     units = np.asarray(targets, dtype=np.intp)
     if units.ndim != 2 or not units.size or len(units) != len(states):
@@ -275,7 +251,7 @@ def can_decode(states, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
     ``tol.relative * sqrt(s_0^2 + 1)``, the rank threshold of the stacked
     matrix.  The derivation is in :func:`.numerics.rowspace_residuals`.
     """
-    residuals, thresholds, _ = decode_residuals(states, targets, tol)
+    residuals, thresholds, *_ = decode_residuals(states, targets, tol)
     return bool((residuals <= thresholds).all())
 
 

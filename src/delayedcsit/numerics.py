@@ -302,10 +302,12 @@ def rowspace_residuals(a, vectors, tol: RankTolerance = DEFAULT_TOL):
     -------
     residuals, thresholds : numpy.ndarray
         ``g`` and its threshold, one float each per row of ``vectors``.
-    kept : numpy.ndarray
-        ``s_(r-1) / s_0``, the smallest kept singular value relative to
-        the largest, per matrix (0-d for a single matrix); ``inf`` where
-        nothing is kept.
+    kept, dropped : numpy.ndarray
+        ``s_(r-1) / s_0`` and ``s_r / s_0``, the smallest kept and the
+        largest dropped singular value relative to the largest, per matrix
+        (0-d for a single matrix); ``kept`` is ``inf`` where nothing is
+        kept and ``dropped`` is 0 where nothing is dropped.  The rank
+        decision's margin lies between the two.
     """
     a = as_complex_matrix(a)
     v = as_complex_matrix(vectors)
@@ -318,11 +320,13 @@ def rowspace_residuals(a, vectors, tol: RankTolerance = DEFAULT_TOL):
     norms = np.linalg.norm(v, axis=-1)
     if a.size == 0:
         return (norms.reshape(shape), tol.relative * norms.reshape(shape),
-                np.full(shape[:-1], np.inf))
+                np.full(shape[:-1], np.inf), np.zeros(shape[:-1]))
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     keep = tol.kept(s)
     ranks = keep.sum(axis=-1).tolist()
     kept = np.where(keep, s, np.inf).min(axis=-1) / s[:, 0]
+    dropped = np.where(keep, 0.0, s).max(axis=-1)
+    dropped = np.divide(dropped, s[:, 0], out=np.zeros_like(dropped), where=dropped > 0)
     thresholds = tol.relative * np.sqrt(s[:, :1] ** 2 + norms ** 2)
     residuals = np.empty_like(norms)
     for r in sorted(set(ranks)):
@@ -333,4 +337,5 @@ def rowspace_residuals(a, vectors, tol: RankTolerance = DEFAULT_TOL):
         weight = np.sqrt(1.0 + np.sum(np.abs(coords / s[at, np.newaxis, :r]) ** 2,
                                       axis=-1))
         residuals[at] = d / weight
-    return residuals.reshape(shape), thresholds.reshape(shape), kept.reshape(shape[:-1])
+    return (residuals.reshape(shape), thresholds.reshape(shape),
+            kept.reshape(shape[:-1]), dropped.reshape(shape[:-1]))

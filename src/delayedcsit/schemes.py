@@ -41,7 +41,6 @@ from .ledger import (
     combine,
     decode_residuals,
     decode_stacks,
-    form_dict,
     transmit_slots,
 )
 from .numerics import DEFAULT_TOL, RngStream, haar_unitaries
@@ -227,14 +226,14 @@ class SchemeTrace:
     def decode_residuals(self, tol=DEFAULT_TOL):
         """What :meth:`decode_ok` decides from, with the same
         factorizations: every target's residual and threshold, and every
-        receiver's smallest kept singular value relative to its largest
-        (:func:`.ledger.decode_residuals`), flat in the order of
-        :meth:`decode_stacks`.  The trace decodes iff no residual exceeds
-        its threshold."""
+        receiver's smallest kept and largest dropped singular value
+        relative to its largest (:func:`.ledger.decode_residuals`), flat in
+        the order of :meth:`decode_stacks`.  The trace decodes iff no
+        residual exceeds its threshold."""
         parts = [decode_residuals(states, targets, tol)
                  for states, targets in self.decode_stacks()]
         return tuple(np.concatenate([np.ravel(p[i]) for p in parts])
-                     for i in range(3))
+                     for i in range(4))
 
     def summary_row(self, decode_rate=None) -> dict:
         dof = self.empirical_dof
@@ -249,51 +248,119 @@ class SchemeTrace:
             "decode_rate": decode_rate,
         }
 
-    def to_dict(self) -> dict:
-        def cplx(z):
-            z = complex(z)
-            return [z.real, z.imag]
-
-        def matrix(a):
-            return [[cplx(z) for z in row] for row in np.asarray(a)]
-
-        return {
-            "schema": "v1",
-            "scheme": self.name,
-            "m": self.m,
-            "k": self.k,
-            "replication": {str(lvl): n for lvl, n in self.replication.items()},
-            "total_slots": self.total_slots,
-            "symbols": self.symbols_delivered,
-            "dof": f"{self.empirical_dof.numerator}/{self.empirical_dof.denominator}",
+    def to_json(self, extra=None) -> str:
+        """This trace's schema-``v1`` document with the entries of ``extra``
+        added, byte for byte as ``json.dumps(doc, sort_keys=True,
+        indent=2)`` writes it.  The small fields go through
+        :func:`canonical_json`; the slots, receivers and combination log are
+        written from the trace's arrays (:func:`_coeff_maps`,
+        :func:`_matrices`), each receiver equation with the unit noise
+        sample of its ``(slot, receiver)`` pair."""
+        n, dof = len(self.table), self.empirical_dof
+        channels = _matrices(self.channels, _NL[3])
+        plans = iter(_coeff_maps(np.concatenate(self.plans or [np.zeros((0, n))]), _NL[5]))
+        slots = [_block("{}", [
+            f'"active_antennas": {self.active_antennas[i]}', f'"channel": {channels[i]}',
+            '"plan": ' + _block("[]", [_PLAN % next(plans) for _ in plan], _NL[3]),
+            f'"slot": {i}'], _NL[2]) for i, plan in enumerate(self.plans)]
+        receivers = []
+        for st in self.states:
+            forms = _coeff_maps(np.reshape(st.rows, (len(st.rows), n)), _NL[6])
+            receivers.append(_block("{}", ['"equations": ' + _block("[]", [
+                _EQUATION % (form, slot, st.receiver, st.receiver, slot)
+                for slot, form in zip(st.slots, forms)], _NL[3]),
+                f'"receiver": {st.receiver}',
+                f'"slots_observed": {st.slots_observed}'], _NL[2]))
+        weights = _matrices([c["weights"] for c in self.combination_log], _NL[3])
+        combos = [_block("{}", [f'"label": {json.dumps(c["label"])}',
+                                f'"weights": {w}'], _NL[2])
+                  for c, w in zip(self.combination_log, weights)]
+        arrays = {"slots": slots, "receivers": receivers, "combination_log": combos}
+        doc = {
+            "schema": "v1", "scheme": self.name, "m": self.m, "k": self.k,
+            "replication": {str(lvl): runs for lvl, runs in self.replication.items()},
+            "total_slots": self.total_slots, "symbols": self.symbols_delivered,
+            "dof": f"{dof.numerator}/{dof.denominator}",
             "rng": {"seed": self.seed, "index": self.stream_index},
-            "symbol_table": [
-                {"id": s.id, "owner": sorted(s.owner), "order": s.order,
-                 "label": s.label}
-                for s in self.table.symbols
-            ],
-            "phases": [
-                {"level": p.level, "runs": p.runs,
-                 "inputs": p.inputs_consumed, "slots": p.slots,
-                 "outputs": p.outputs_generated}
-                for p in self.phases
-            ],
-            "slots": [
-                {"slot": i,
-                 "active_antennas": self.active_antennas[i],
-                 "plan": [form_dict(f) for f in self.plans[i]],
-                 "channel": matrix(self.channels[i])}
-                for i in range(self.total_slots)
-            ],
-            "receivers": [st.to_dict() for st in self.states],
-            "combination_log": [
-                {"label": c["label"], "weights": matrix(c["weights"])}
-                for c in self.combination_log
-            ],
-        }
+            "symbol_table": [{"id": s.id, "owner": sorted(s.owner),
+                              "order": s.order, "label": s.label}
+                             for s in self.table.symbols],
+            "phases": [{"level": p.level, "runs": p.runs,
+                        "inputs": p.inputs_consumed, "slots": p.slots,
+                        "outputs": p.outputs_generated} for p in self.phases],
+            **(extra or {})}
+        return _block("{}", [json.dumps(key) + ": " + (
+            canonical_json(doc[key]).replace("\n", _NL[1]) if key in doc
+            else _block("[]", arrays[key], _NL[1]))
+            for key in sorted(doc.keys() | arrays.keys())], _NL[0])
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+
+#: Newline and indentation of each nesting depth of the trace document.
+_NL = tuple("\n" + "  " * depth for depth in range(8))
+
+
+def _block(brackets: str, items, nl: str) -> str:
+    """A JSON container of already rendered ``items`` whose closing
+    bracket is indented by ``nl``, as ``json.dumps(..., indent=2)`` writes
+    it."""
+    if not items:
+        return brackets
+    return f'{brackets[0]}{nl}  {("," + nl + "  ").join(items)}{nl}{brackets[1]}'
+
+
+#: A plan form (coefficients only) and a receiver equation (coefficients,
+#: noise sample, receiver, slot), at their depths in the document.
+_PLAN = _block("{}", ['"coeffs": %s', '"noise": {}'], _NL[4])
+_EQUATION = _block("{}", [
+    '"form": ' + _block("{}", [
+        '"coeffs": %s',
+        '"noise": ' + _block("{}", ['"%d:%d": ' + _block("[]", ["1.0", "0.0"], _NL[7])],
+                             _NL[6])], _NL[5]),
+    '"noise_variance": 1.0', '"receiver": %d', '"slot": %d'], _NL[4])
+
+
+def _floats(z) -> list:
+    """The real and imaginary parts of the flat complex array ``z``, in
+    turn, spelled as json spells them (``-0.0``, ``1e-05``, ``5e-324``):
+    the C encoder writes them all as one list."""
+    return json.dumps(z.view(np.float64).tolist())[1:-1].split(", ") if z.size else []
+
+
+@lru_cache(maxsize=16)
+def _id_order(n: int):
+    """Symbol ids ``0 .. n-1`` in json's key order (``"10"`` before
+    ``"2"``), and their keys."""
+    order = sorted(range(n), key=str)
+    return np.array(order, dtype=np.intp), np.array([str(i) for i in order])
+
+
+def _coeff_maps(rows, nl: str) -> list:
+    """Each form's nonzero coefficients as a JSON object keyed by symbol
+    id, its closing brace at ``nl``; ``rows`` is ``(forms, symbols)``."""
+    order, keys = _id_order(rows.shape[1])
+    rows = rows[:, order]
+    at, col = np.nonzero(rows)
+    floats = _floats(rows[at, col])
+    args = [None] * (3 * len(col))
+    args[0::3], args[1::3], args[2::3] = keys[col].tolist(), floats[0::2], floats[1::2]
+    entry = '"%s": ' + _block("[]", ["%s", "%s"], nl + "  ")
+    ends = np.cumsum(np.bincount(at, minlength=len(rows))).tolist()
+    return [_block("{}", [entry] * (b - a), nl) % tuple(args[3 * a:3 * b])
+            for a, b in zip([0] + ends, ends)]
+
+
+def _matrices(mats, nl: str) -> list:
+    """Each complex matrix as rows of ``[re, im]`` pairs, its closing
+    bracket at ``nl``."""
+    mats = [np.asarray(a, dtype=np.complex128) for a in mats]
+    floats = _floats(np.concatenate([a.ravel() for a in mats])) if mats else []
+    pair, out, at = _block("[]", ["%s", "%s"], nl + "    "), [], 0
+    for a in mats:
+        row = _block("[]", [pair] * a.shape[1], nl + "  ")
+        end = at + 2 * a.size
+        out.append(_block("[]", [row] * a.shape[0], nl) % tuple(floats[at:end]))
+        at = end
+    return out
 
 
 def canonical_json(obj) -> str:
@@ -301,9 +368,9 @@ def canonical_json(obj) -> str:
 
     Any ``indent`` makes json encode in pure Python.  Here the C encoder
     takes each container of scalars, with the newline and indentation as
-    item separator, and each container of flat number lists (a trace's
-    coefficient maps and matrix rows of ``[re, im]`` pairs), in compact
-    form indented by :func:`_rows_json`.  Only the rest is walked here.
+    item separator, and each container of flat number lists (such as
+    ``region-check``'s tight orderings), in compact form indented by
+    :func:`_rows_json`.  Only the rest is walked here.
     """
     out = []
 

@@ -53,3 +53,78 @@ def logdet_capacity(g, noise_cov, power_per_symbol: float) -> float:
     if sign.real <= 0:
         raise NumericalDomainError("log-det argument is not positive definite")
     return float(logdet / np.log(2.0))
+
+
+def form_dict(row, noise=None) -> dict:
+    """Schema-``v1`` JSON of one form: its nonzero coefficients keyed by
+    symbol id, and its noise weights keyed ``"slot:receiver"`` (none for
+    anything the transmitter builds)."""
+    idx = np.flatnonzero(row)
+    vals = row[idx]
+    return {
+        "coeffs": {str(s): [re, im] for s, re, im in
+                   zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist())},
+        "noise": noise or {},
+    }
+
+
+def equation_dict(eq) -> dict:
+    """One stored equation with the unit noise sample of its
+    ``(slot, receiver)`` pair."""
+    noise = {f"{eq.slot}:{eq.receiver}": [1.0, 0.0]}
+    return {"receiver": eq.receiver, "slot": eq.slot,
+            "form": form_dict(eq.row, noise), "noise_variance": 1.0}
+
+
+def receiver_dict(st) -> dict:
+    return {"receiver": st.receiver,
+            "slots_observed": st.slots_observed,
+            "equations": [equation_dict(eq) for eq in st.equations]}
+
+
+def trace_doc(trace) -> dict:
+    """The schema-``v1`` document of a scheme trace as nested dicts and
+    lists: ``SchemeTrace.to_json()`` is its ``json.dumps(doc,
+    sort_keys=True, indent=2)``."""
+    def cplx(z):
+        z = complex(z)
+        return [z.real, z.imag]
+
+    def matrix(a):
+        return [[cplx(z) for z in row] for row in np.asarray(a)]
+
+    dof = trace.empirical_dof
+    return {
+        "schema": "v1",
+        "scheme": trace.name,
+        "m": trace.m,
+        "k": trace.k,
+        "replication": {str(lvl): n for lvl, n in trace.replication.items()},
+        "total_slots": trace.total_slots,
+        "symbols": trace.symbols_delivered,
+        "dof": f"{dof.numerator}/{dof.denominator}",
+        "rng": {"seed": trace.seed, "index": trace.stream_index},
+        "symbol_table": [
+            {"id": s.id, "owner": sorted(s.owner), "order": s.order,
+             "label": s.label}
+            for s in trace.table.symbols
+        ],
+        "phases": [
+            {"level": p.level, "runs": p.runs,
+             "inputs": p.inputs_consumed, "slots": p.slots,
+             "outputs": p.outputs_generated}
+            for p in trace.phases
+        ],
+        "slots": [
+            {"slot": i,
+             "active_antennas": trace.active_antennas[i],
+             "plan": [form_dict(f) for f in trace.plans[i]],
+             "channel": matrix(trace.channels[i])}
+            for i in range(trace.total_slots)
+        ],
+        "receivers": [receiver_dict(st) for st in trace.states],
+        "combination_log": [
+            {"label": c["label"], "weights": matrix(c["weights"])}
+            for c in trace.combination_log
+        ],
+    }

@@ -125,6 +125,7 @@ def test_scheme_verify_pass(capsys):
     assert 0.0 <= doc["max_pass_ratio"] <= 0.1
     assert doc["min_fail_ratio"] is None
     assert 1e-7 <= doc["min_kept_ratio"] <= 1.0
+    assert doc["max_dropped_ratio"] == 0.0  # every receiver has full row rank
     assert "min_condition" not in doc and "max_condition" not in doc
 
 
@@ -156,13 +157,15 @@ def test_scheme_verify_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["scheme", "trials", "decode_successes", "success_rate",
                        "empirical_dof", "expected_dof", "max_pass_ratio",
-                       "min_fail_ratio", "min_kept_ratio", "pass", "seed"]
+                       "min_fail_ratio", "min_kept_ratio", "max_dropped_ratio",
+                       "pass", "seed"]
     row = dict(zip(rows[0], rows[1]))
     assert row["scheme"] == "square"
     assert row["pass"] == "true"
     assert row["min_fail_ratio"] == ""  # nothing failed
     assert float(row["max_pass_ratio"]) <= 0.1
     assert float(row["min_kept_ratio"]) >= 1e-7
+    assert float(row["max_dropped_ratio"]) == 0.0
 
 
 def test_rate_sim_json_slope(capsys):
@@ -297,6 +300,15 @@ def test_out_file_writes_instead_of_stdout(capsys, tmp_path):
     assert out == ""
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["command"] == "dof-table"
+
+
+def test_scheme_run_out_file_holds_the_stdout_bytes(capsys, tmp_path):
+    argv = ["scheme-run", "--scheme", "order", "--m", "2", "--k", "3", "--j", "2"]
+    _, out, _ = run_cli(capsys, argv)
+    path = tmp_path / "trace.json"
+    code, empty, _ = run_cli(capsys, argv + ["--out", str(path)])
+    assert code == 0 and empty == ""
+    assert path.read_bytes() == out.encode()
 
 
 def test_unknown_scheme_is_an_argparse_error(capsys):

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from delayedcsit.cli import main
 from delayedcsit.numerics import RngStream
 from delayedcsit.ratesim import simulate_rates, snr_grid
 from delayedcsit.schemes import (
@@ -86,6 +87,28 @@ OVERRIDE_SHA256 = {
     ),
 }
 
+#: sha256 of ``delayedcsit scheme-run`` stdout at ``--seed`` 1 and 2024
+#: (square-5 at 1 alone): the trace document and the keys the command
+#: adds to it (``command``, ``decode_ok``, ``expected_dof``).  Captured
+#: from the writer that rendered the whole document with json.
+CLI_SHA256 = {
+    "square-3": (["--scheme", "square", "--k", "3"], (
+        "81199582e0430b15ffbb10c4f6a47de60f95229ed5c84184f25fb835c5ca24e7",
+        "94bfd6cc2e662c62b70f0137f6265d7cb2555cefca5dd072e5450224070a3112",
+    )),
+    "opt23": (["--scheme", "opt23"], (
+        "96a9c488e5a6a45eb64cf13ab5646bfc82f4ea950fa0c34e1e8384fa9d5224f6",
+        "d17d1f912c328dd0b16b15c930c7a5e953cbce7ca2eefba491148cfb1e98890f",
+    )),
+    "order-2-3-2": (["--scheme", "order", "--m", "2", "--k", "3", "--j", "2"], (
+        "01f0f377a3062e47aecd743f6332686af0aa8e22f1de1a312d63381923488d94",
+        "446fd35d9b06bd098aefe3edf8f7653876f2f23f94c27329fffad0d9b09d04a0",
+    )),
+    "square-5": (["--scheme", "square", "--k", "5"], (
+        "37a2675367217b0283904d2dca32569e765ed98d8f3aa13c787e72824ffba71a",
+    )),
+}
+
 #: ``repr`` of ``simulate_rates`` for square-3, 20 trials, 40:60:5 dB.
 RATE_POINTS_REPR = (
     '[RatePoint(snr_db=40.0, sum_rate=15.429954070025982, '
@@ -132,6 +155,16 @@ def test_trace_json_with_partial_override_is_unchanged(name):
     trace = BUILDERS[name](RngStream(SEEDS[0], 3), channels)
     for got, want in zip(trace.channels, channels):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SHA256))
+def test_scheme_run_stdout_is_unchanged(name, capsys):
+    argv, want = CLI_SHA256[name]
+    got = []
+    for seed in SEEDS[:len(want)]:
+        assert main(["scheme-run", *argv, "--seed", str(seed)]) == 0
+        got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(got) == want
 
 
 def test_rate_points_are_unchanged():

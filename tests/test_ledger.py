@@ -13,7 +13,6 @@ from delayedcsit.ledger import (
     combine,
     decode_residuals,
     decode_stacks,
-    form_dict,
     transmit_slots,
 )
 from delayedcsit.numerics import (
@@ -33,6 +32,7 @@ from delayedcsit.schemes import (
     run_opt23,
     run_square_scheme,
 )
+from oracles import equation_dict, form_dict, trace_doc
 
 SMALL_SCHEMES = {
     "square-2": lambda s: run_square_scheme(2, s),
@@ -105,7 +105,7 @@ def test_transmit_slot_exact_rows():
     (eq,) = states[0].equations
     assert (eq.receiver, eq.slot) == (1, 0)
     assert np.array_equal(eq.row, [1.0, 2.0])
-    assert eq.to_dict()["form"]["noise"] == {"0:1": [1.0, 0.0]}
+    assert equation_dict(eq)["form"]["noise"] == {"0:1": [1.0, 0.0]}
     assert np.array_equal(states[1].rows[0], [3.0, 4.0])
     assert states[1].slots == [0]
     # reconstructions are the noiseless rows, and read-only
@@ -181,7 +181,7 @@ def test_noise_ids_are_unique_per_slot_and_receiver():
     # every emitted equation carries exactly the unit noise sample of its
     # (slot, receiver) pair; no transmitted plan form carries any noise
     for name, build in sorted(LEDGER_SCHEMES.items()):
-        doc = build(RngStream(4)).to_dict()
+        doc = trace_doc(build(RngStream(4)))
         ids = []
         for rec in doc["receivers"]:
             for eq in rec["equations"]:
@@ -199,7 +199,7 @@ def test_noise_covariance_identity_for_raw_equations():
     # the emitted noise weights of each receiver are orthonormal: its
     # observation noise is white, which is all the rate path assumes
     for name, build in sorted(LEDGER_SCHEMES.items()):
-        for rec in build(RngStream(5)).to_dict()["receivers"]:
+        for rec in trace_doc(build(RngStream(5)))["receivers"]:
             w = _noise_weights(rec)
             assert np.array_equal(w @ w.conj().T, np.eye(len(w))), name
 
@@ -209,7 +209,7 @@ def test_equation_rows_are_channel_times_plan():
     # summed antenna by antenna here, and the JSON holds its nonzeros
     for name, build in sorted(LEDGER_SCHEMES.items()):
         trace = build(RngStream(6))
-        doc = trace.to_dict()
+        doc = trace_doc(trace)
         for st, rec in zip(trace.states, doc["receivers"]):
             assert st.slots == list(range(trace.total_slots)), name
             for slot, row, eq in zip(st.slots, st.rows, rec["equations"]):
@@ -311,15 +311,17 @@ def test_decode_residuals_are_decades_from_threshold():
             for states in (trace.states, _truncated(trace)):
                 targets = [trace.targets_for(st.receiver) for st in states]
                 for stack in decode_stacks(states, targets):
-                    residuals, thresholds, kept = decode_residuals(*stack)
+                    residuals, thresholds, kept, dropped = decode_residuals(*stack)
                     ratio = residuals / thresholds
                     assert np.all((ratio <= 0.1) | (ratio >= 10.0)), (
                         seed, ratio[(ratio > 0.1) & (ratio < 10)])
-                    for st, margin in zip(stack[0], kept):
+                    for st, margin, drop in zip(stack[0], kept, dropped):
                         sv = np.linalg.svd(np.vstack(st.rows), compute_uv=False)
                         want = sv[DEFAULT_TOL.rank(sv) - 1] / sv[0]
                         assert margin == pytest.approx(want, rel=1e-6)
                         assert margin >= 1e-7, (seed, st.receiver, margin)
+                        # every receiver has full row rank: nothing dropped
+                        assert drop == 0.0, (seed, st.receiver, drop)
 
 
 def _cleared(states, receiver):
@@ -350,15 +352,15 @@ def test_stacked_residuals_equal_per_matrix(name):
             assert sorted(st.receiver for group, _ in stacks for st in group) == [
                 st.receiver for st in states]
             for group, wanted in stacks:
-                residuals, thresholds, kept = decode_residuals(group, wanted)
+                residuals, thresholds, kept, dropped = decode_residuals(group, wanted)
                 for i, (st, t) in enumerate(zip(group, wanted)):
                     n = len(trace.table)
                     a = np.vstack(st.rows) if st.rows else np.zeros((0, n))
                     units = np.eye(n)[t]
-                    g, thr, margin = rowspace_residuals(a, units)
+                    g, thr, margin, drop = rowspace_residuals(a, units)
                     assert residuals[i].tobytes() == g.tobytes(), (seed, st.receiver)
                     assert thresholds[i].tobytes() == thr.tobytes()
-                    assert kept[i] == margin
+                    assert kept[i] == margin and dropped[i] == drop
             verdict = all(can_decode(*stack) for stack in stacks)
             assert verdict == all(
                 _stacked_rank_decodes(st, t) if st.rows else False

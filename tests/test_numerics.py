@@ -181,7 +181,7 @@ def test_stacks_group_by_key_under_the_byte_cap():
 
 def _in_rowspace(a, v):
     """The verdict of :func:`rowspace_residuals` on one row vector ``v``."""
-    (g,), (thr,), _ = rowspace_residuals(a, np.asarray(v)[np.newaxis, :])
+    (g,), (thr,), *_ = rowspace_residuals(a, np.asarray(v)[np.newaxis, :])
     return bool(g <= thr)
 
 
@@ -197,7 +197,7 @@ def test_in_rowspace():
     for delta, inside, rel in ((1e-7, False, 1e-6), (1e-11, True, 1e-3)):
         v = np.array([0.6, 0.8j, delta])
         assert _in_rowspace(a, v) == inside
-        (g,), (thr,), _ = rowspace_residuals(a, v[np.newaxis, :])
+        (g,), (thr,), *_ = rowspace_residuals(a, v[np.newaxis, :])
         added = np.linalg.svd(np.vstack([a, v]), compute_uv=False)[-1]
         assert g == pytest.approx(added, rel=rel)
         assert thr == pytest.approx(1e-9 * math.sqrt(2.0), rel=1e-12)
@@ -229,16 +229,19 @@ def test_stacked_rowspace_residuals_equal_per_matrix(rows, cols, count, seed):
                   for r in ranks]) if count else np.zeros((0, rows, cols))
     v = rng.complex_normal((count, 2, cols))
     v[:, 1] = rng.complex_normal(rows) @ a if count else v[:, 1]
-    residuals, thresholds, kept = rowspace_residuals(a, v)
+    residuals, thresholds, kept, dropped = rowspace_residuals(a, v)
     assert residuals.shape == thresholds.shape == (count, 2)
-    assert kept.shape == (count,)
+    assert kept.shape == dropped.shape == (count,)
     for i in range(count):
-        g, thr, margin = rowspace_residuals(a[i], v[i])
+        g, thr, margin, drop = rowspace_residuals(a[i], v[i])
         assert residuals[i].tobytes() == g.tobytes()
         assert thresholds[i].tobytes() == thr.tobytes()
         assert kept[i] == margin and margin.shape == ()
+        assert dropped[i] == drop and drop.shape == ()
         sv = np.linalg.svd(a[i], compute_uv=False)
         assert margin == pytest.approx(sv[ranks[i] - 1] / sv[0], rel=1e-9)
+        # what a rank-r product drops is roundoff, and full rank drops nothing
+        assert 0.0 <= drop <= 1e-12 and (drop == 0.0) >= (ranks[i] == min(rows, cols))
         # the second row lies in the row space, the first does not
         assert g[1] <= thr[1] and g[0] > thr[0] or ranks[i] == cols
 
@@ -249,9 +252,24 @@ def test_rowspace_residuals_shapes():
         rowspace_residuals(np.stack([a, a]), a)  # one set of rows for two
     with pytest.raises(ValueError):
         rowspace_residuals(np.stack([a, a]), np.ones((2, 1, 2)))
-    # nothing is kept in a matrix of no rows
-    g, thr, kept = rowspace_residuals(np.zeros((2, 0, 3)), np.ones((2, 1, 3)))
+    # nothing is kept, and nothing dropped, in a matrix of no rows
+    g, thr, kept, dropped = rowspace_residuals(np.zeros((2, 0, 3)), np.ones((2, 1, 3)))
     assert g.shape == thr.shape == (2, 1) and kept.tolist() == [np.inf, np.inf]
+    assert dropped.tolist() == [0.0, 0.0]
+
+
+def test_rank_margin_on_both_sides():
+    # the rank rule (s > 1e-9 s_0) keeps 1e-8 and drops 1e-10: the margin
+    # of the decision lies between the smallest kept and largest dropped
+    v = np.ones((1, 3))
+    *_, kept, dropped = rowspace_residuals(np.diag([2.0, 2e-8, 2e-10]), v)
+    assert kept == pytest.approx(1e-8, rel=1e-12)
+    assert dropped == pytest.approx(1e-10, rel=1e-12)
+    # full rank drops nothing; a zero matrix keeps nothing and drops zeros
+    *_, kept, dropped = rowspace_residuals(np.diag([2.0, 1.0, 0.5]), v)
+    assert (kept, dropped) == (0.25, 0.0)
+    *_, kept, dropped = rowspace_residuals(np.zeros((2, 3)), v)
+    assert (kept, dropped) == (np.inf, 0.0)
 
 
 def test_logdet_capacity_scalar_oracle():

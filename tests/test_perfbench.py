@@ -22,7 +22,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: Probe targets the package no longer defines; the tracer skips them,
 #: and every other probe must still find its function.
 DELETED_PROBES = [
-    "ledger.transmit_slot", "ledger.random_combination",
+    "schemes:SchemeTrace.to_dict", "ledger.transmit_slot", "ledger.random_combination",
     "ledger.noise_covariance", "numerics.logdet_capacity",
     "numerics.haar_unitary", "numerics.sample_channel",
     "ratesim.receiver_rate",

@@ -20,6 +20,8 @@ from delayedcsit.numerics import RngStream, haar_unitaries
 from delayedcsit.schemes import (
     CHANNEL,
     AirLog,
+    PhaseRecord,
+    SchemeTrace,
     _run_chain,
     build_nonsquare_phase,
     build_square_phase,
@@ -31,8 +33,9 @@ from delayedcsit.schemes import (
     run_square_scheme,
     tdma_trace,
 )
-from delayedcsit.ledger import SymbolTable
+from delayedcsit.ledger import ReceiverState, SymbolTable
 from delayedcsit.dof_calc import DofQuery, NonsquarePhaseParams
+from oracles import trace_doc
 
 
 def test_square_scheme_exact_accounting():
@@ -155,10 +158,11 @@ def test_trace_decode_residuals_and_summary():
     tr = run_square_scheme(2, RngStream(9))
     # both receivers share one factorization; two targets each
     assert [len(states) for states, _ in tr.decode_stacks()] == [2]
-    residuals, thresholds, kept = tr.decode_residuals()
-    assert residuals.shape == thresholds.shape == (4,) and kept.shape == (2,)
+    residuals, thresholds, kept, dropped = tr.decode_residuals()
+    assert residuals.shape == thresholds.shape == (4,)
+    assert kept.shape == dropped.shape == (2,)
     assert bool(np.all(residuals <= thresholds)) == tr.decode_ok() is True
-    assert np.all((kept > 0.0) & (kept <= 1.0))
+    assert np.all((kept > 0.0) & (kept <= 1.0)) and np.all(dropped == 0.0)
     row = tr.summary_row(decode_rate=1.0)
     assert row["scheme"] == "square"
     assert (row["dof_num"], row["dof_den"]) == (4, 3)
@@ -335,9 +339,91 @@ def _stdlib_json(obj):
 def test_canonical_json_matches_stdlib_on_traces(build, seeds):
     for seed in seeds:
         trace = build(RngStream(100 + seed))
-        doc = trace.to_dict()
+        doc = trace_doc(trace)
         assert canonical_json(doc) == _stdlib_json(doc), seed
         assert trace.to_json() == _stdlib_json(doc), seed
+
+
+def test_to_json_matches_stdlib_with_extra_keys_and_overrides():
+    # the keys the CLI adds sort among the trace's own; overrides that run
+    # out partway through a phase; a trace with no combination log
+    extra = {"command": "scheme-run", "decode_ok": True, "expected_dof": "18/11"}
+    rng = RngStream(5)
+    square3 = [rng.complex_normal((3, 3)) for _ in range(2)]
+    mat23 = [rng.complex_normal((3, 2)) for _ in range(3)]
+    for trace in (run_square_scheme(3, RngStream(1), square3),
+                  run_mat23_suboptimal(RngStream(2), mat23),
+                  tdma_trace(3, RngStream(3))):
+        assert trace.to_json(extra) == _stdlib_json(trace_doc(trace) | extra)
+    assert trace.combination_log == [] and '"combination_log": []' in trace.to_json()
+    # an extra key replaces the trace's own, as a dict union does
+    assert json.loads(trace.to_json({"slots": 0, "m": None}))["slots"] == 0
+
+
+def _hand_trace(n, plans, channels, rows, weights):
+    """A trace assembled from given arrays: ``n`` symbols, slot ``s``
+    sending ``plans[s]`` over ``channels[s]``, receiver 1 holding
+    ``rows`` and receiver 2 nothing."""
+    table = SymbolTable(2)
+    for i in range(n):
+        table.new_symbol({1 + i % 2}, f"x{i}")
+    states = [ReceiverState(1, list(rows), list(range(len(rows))), len(plans)),
+              ReceiverState(2, [], [], len(plans))]
+    return SchemeTrace(
+        name="hand", m=2, k=2, replication={1: 1}, table=table, states=states,
+        channels=channels, plans=plans, active_antennas=[len(p) for p in plans],
+        phases=[PhaseRecord(1, 1, n, len(plans), 0)],
+        combination_log=[{"label": f"w{i}", "weights": w}
+                         for i, w in enumerate(weights)],
+        seed=0, stream_index=0)
+
+
+def _complex(re, im):
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def test_to_json_edge_cases():
+    # 12 symbols, so key "10" sorts before "2"; a form with no nonzero
+    # coefficient; nonzero coefficients with a -0.0 or 0.0 part; floats
+    # json spells in exponent form; a slot with no active antenna
+    plan = _complex([[0.0] * 12, [-0.0, 0, 1e-05, 0, 0, 0, 0, 0, 0, 0, 1e16, 0]],
+                    [[-0.0] * 12, [0, 0, -0.0, 0, 0, 0, 0, 0, 0, 0, 5e-324, -2.0]])
+    channel = _complex([[1.0, -0.0], [5e-324, 2.0]], [[-0.0, 0.0], [1e-05, -1e16]])
+    trace = _hand_trace(12, [plan, np.zeros((0, 12))], [channel, channel],
+                        [plan[1], plan[0]], [channel[:1], np.zeros((2, 0))])
+    text = trace.to_json()
+    assert text == _stdlib_json(trace_doc(trace))
+    doc = json.loads(text)
+    first, second = doc["slots"]
+    assert first["plan"][0]["coeffs"] == {} and second["plan"] == []
+    assert list(first["plan"][1]["coeffs"]) == ["10", "11", "2"]
+    assert doc["receivers"][1]["equations"] == []
+    assert doc["combination_log"][1]["weights"] == [[], []]
+    for spelled in ("-0.0", "1e-05", "1e+16", "5e-324", "-1e+16"):
+        assert f" {spelled}," in text or f" {spelled}\n" in text, spelled
+
+
+_parts = st.sampled_from((0.0, 0.0, 0.0, -0.0, 1e-05, 1e16, 5e-324)) | st.floats()
+
+
+@given(st.integers(1, 13), st.lists(st.integers(0, 2), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_to_json_matches_stdlib_on_any_arrays(n, antennas, data):
+    def draw(*shape):
+        size = math.prod(shape)
+        re, im = (data.draw(st.lists(_parts, min_size=size, max_size=size))
+                  for _ in range(2))
+        return _complex(np.reshape(re, shape), np.reshape(im, shape))
+
+    plans = [draw(p, n) for p in antennas]
+    channels = [draw(2, 2) for _ in antennas]
+    weights = [draw(*data.draw(st.tuples(st.integers(0, 2), st.integers(0, 3))))
+               for _ in range(data.draw(st.integers(0, 2)))]
+    trace = _hand_trace(n, plans, channels, draw(len(antennas), n), weights)
+    assert trace.to_json() == _stdlib_json(trace_doc(trace))
 
 
 _EDGE_FLOATS = (-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf)
