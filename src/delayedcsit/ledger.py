@@ -17,7 +17,7 @@ and the noise appears in the JSON trace from that rule.  Decodability
 is a row-space question on a receiver's stacked rows.  Every slot is
 heard by every receiver, so a trace's receivers hold matrices of one
 shape: :func:`decode_stacks` groups them, and each group is answered
-with one batched SVD by :func:`.numerics.rowspace_residuals`.  A group
+with one batched SVD by :func:`.numerics.unit_residuals`.  A group
 holds at most :data:`.numerics.STACK_BYTES` of rows, so a large receiver
 is a group of one.
 """
@@ -30,8 +30,8 @@ from .numerics import (
     DEFAULT_TOL,
     RankTolerance,
     numerical_rank,
-    rowspace_residuals,
     stacks,
+    unit_residuals,
 )
 
 __all__ = [
@@ -86,6 +86,7 @@ class SymbolTable:
         self.k = k
         self.universe = frozenset(range(1, k + 1))
         self.symbols: list[BaseSymbol] = []
+        self._owned = {}  # receiver -> its symbol ids, until the next symbol
 
     def new_symbol(self, owner, label: str = "") -> int:
         owner = frozenset(owner)
@@ -94,6 +95,7 @@ class SymbolTable:
                              f"of {set(self.universe)}")
         sym = BaseSymbol(len(self.symbols), owner, len(owner), label)
         self.symbols.append(sym)
+        self._owned.clear()
         return sym.id
 
     def unit_forms(self, sym_ids) -> np.ndarray:
@@ -109,7 +111,16 @@ class SymbolTable:
 
     def owned_by(self, receiver: int):
         """Ids of all symbols receiver ``receiver`` must decode."""
-        return [s.id for s in self.symbols if receiver in s.owner]
+        if receiver not in self._owned:
+            self._owned[receiver] = [s.id for s in self.symbols if receiver in s.owner]
+        return list(self._owned[receiver])
+
+    def copy(self) -> "SymbolTable":
+        """A table of the same symbols that registers its own new ones."""
+        table = SymbolTable(self.k)
+        table.symbols = list(self.symbols)
+        table._owned = dict(self._owned)  # its lists are never handed out
+        return table
 
     def __len__(self):
         return len(self.symbols)
@@ -214,7 +225,7 @@ def decode_residuals(states, targets, tol: RankTolerance = DEFAULT_TOL):
     and ``targets`` holds one nonempty list of symbol ids per receiver,
     all of one length (:func:`decode_stacks` groups receivers so).
     Returns ``(residuals, thresholds, kept, dropped)`` from
-    :func:`.numerics.rowspace_residuals`: two ``(receivers, targets)``
+    :func:`.numerics.unit_residuals`: two ``(receivers, targets)``
     arrays in the order given, and per receiver the smallest kept and
     the largest dropped singular value relative to its largest.  The
     whole stack is factored by one batched SVD.
@@ -231,9 +242,7 @@ def decode_residuals(states, targets, tol: RankTolerance = DEFAULT_TOL):
         a = a.reshape(len(states), len(states[0].rows), -1)
     else:
         a = np.zeros((len(states), 0, int(units.max()) + 1), dtype=np.complex128)
-    v = np.zeros((*units.shape, a.shape[-1]), dtype=np.complex128)
-    v[np.arange(len(units))[:, np.newaxis], np.arange(units.shape[1]), units] = 1.0
-    return rowspace_residuals(a, v, tol)
+    return unit_residuals(a, units, tol)
 
 
 def can_decode(states, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:

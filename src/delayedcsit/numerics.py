@@ -15,17 +15,21 @@ boundaries.
 import math
 import numbers
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "NormalsLayout",
     "RankTolerance",
     "RngStream",
     "as_complex_matrix",
     "haar_unitaries",
+    "normals_layout",
     "numerical_rank",
     "rowspace_residuals",
     "stacks",
+    "unit_residuals",
 ]
 
 class RankTolerance:
@@ -117,23 +121,24 @@ class RngStream:
 
     def complex_normal(self, shape):
         """Circularly-symmetric complex Gaussian samples, CN(0, 1)."""
+        shape = shape if isinstance(shape, (tuple, numbers.Integral)) else tuple(shape)
         return self.complex_normals([(None, shape)])[None][0]
 
     def complex_normals(self, draws):
         """Many :meth:`complex_normal` draws from one generator call.
 
         ``draws`` lists ``(key, shape)`` pairs in the order the draws
-        would be made one at a time; one key has one shape.  Returns each
-        key's draws stacked in order, ``(count, *shape)``, bit for bit as
+        would be made one at a time, each shape an int or a tuple; one key
+        has one shape.  A caller that makes the same draws again and again
+        passes their :func:`normals_layout` instead.  Returns each key's
+        draws stacked in order, ``(count, *shape)``, bit for bit as
         consecutive ``complex_normal(shape)`` calls: a draw takes ``2 *
         size`` consecutive standard normals, the real parts first, and
         numpy divides a complex by a real as a product with its
         reciprocal, so the normals are scaled by ``1 / sqrt(2)`` first.
         """
-        total, index, stacks = _normals_layout(tuple(
-            (key, shape if isinstance(shape, tuple) else
-             (shape,) if isinstance(shape, numbers.Integral) else tuple(shape))
-            for key, shape in draws))
+        total, index, stacks = (draws if isinstance(draws, NormalsLayout)
+                                else normals_layout(tuple(draws)))
         pairs = (self._gen.standard_normal(total) * (1.0 / np.sqrt(2.0)))[index]
         z = pairs.view(np.complex128)
         return {key: z[a:b].reshape(shape) for key, a, b, shape in stacks}
@@ -142,14 +147,24 @@ class RngStream:
         return f"RngStream(seed={self.seed}, index={self.index})"
 
 
+class NormalsLayout(NamedTuple):
+    """Where :meth:`RngStream.complex_normals` puts its standard normals:
+    how many it draws, the positions of the real and imaginary part of
+    each output entry, key by key, and per key its slice of the entries
+    and stack shape."""
+
+    total: int
+    index: np.ndarray
+    stacks: tuple
+
+
 @lru_cache(maxsize=256)
-def _normals_layout(draws):
-    """How many standard normals :meth:`RngStream.complex_normals` draws,
-    the positions of the real and imaginary part of each output entry,
-    key by key, and per key its slice of the entries and stack shape."""
+def normals_layout(draws: tuple) -> NormalsLayout:
+    """The :class:`NormalsLayout` of a tuple of ``(key, shape)`` draws."""
     starts, shapes = {}, {}
     total = 0
     for key, shape in draws:
+        shape = (shape,) if isinstance(shape, numbers.Integral) else tuple(shape)
         if shapes.setdefault(key, shape) != shape:
             raise ValueError(
                 f"draws under key {key!r} have shapes {shapes[key]} and {shape}")
@@ -165,7 +180,7 @@ def _normals_layout(draws):
         done += len(re)
     index = np.concatenate(index)
     index.flags.writeable = False  # shared by every caller
-    return total, index, tuple(stacks)
+    return NormalsLayout(total, index, tuple(stacks))
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -314,28 +329,71 @@ def rowspace_residuals(a, vectors, tol: RankTolerance = DEFAULT_TOL):
     if v.shape[:-2] != a.shape[:-2] or v.shape[-1] != a.shape[-1]:
         raise ValueError(f"vectors of shape {v.shape} do not fit matrices of "
                          f"shape {a.shape}")
-    shape, count = v.shape[:-1], math.prod(a.shape[:-2])
-    a = a.reshape(count, *a.shape[-2:])
-    v = v.reshape(count, *v.shape[-2:])
-    norms = np.linalg.norm(v, axis=-1)
+    shape = v.shape[:-1]
+    v = v.reshape(math.prod(a.shape[:-2]), *v.shape[-2:])
+
+    def residuals(at, vr):
+        coords = v[at] @ vr.conj().mT
+        return coords, np.linalg.norm(v[at] - coords @ vr, axis=-1)
+
+    return _residuals(a, np.linalg.norm(v, axis=-1), shape, residuals, tol)
+
+
+def unit_residuals(a, columns, tol: RankTolerance = DEFAULT_TOL):
+    """:func:`rowspace_residuals` of unit rows, bit for bit, without them.
+
+    ``columns`` holds, per matrix of the stack ``a``, the columns ``t`` of
+    the unit rows ``e_t`` to test, ``(..., count)``.  The coordinates
+    ``c = e_t V_r^H`` are the conjugate of ``V_r``'s column ``t``, and the
+    residual ``e_t - c V_r`` is ``-(c V_r)`` plus 1 at ``t``: the dense
+    products' only nonzero terms, so the bits are the same.  Every
+    ``||e_t||`` is exactly 1.
+    """
+    a = as_complex_matrix(a)
+    t = np.asarray(columns, dtype=np.intp)
+    if t.shape[:-1] != a.shape[:-2]:
+        raise ValueError(f"columns of shape {t.shape} do not fit matrices of "
+                         f"shape {a.shape}")
+    shape = t.shape
+    t = t.reshape(math.prod(a.shape[:-2]), t.shape[-1])
+
+    def residuals(at, vr):
+        picked = t[at]
+        rows = np.arange(len(picked))[:, np.newaxis]
+        # advanced indices around a slice put their axes first: (n, count, r)
+        coords = vr[rows, :, picked].conj()
+        x = -(coords @ vr)
+        x[rows, np.arange(picked.shape[1]), picked] += 1.0
+        return coords, np.linalg.norm(x, axis=-1)
+
+    return _residuals(a, np.ones(t.shape), shape, residuals, tol)
+
+
+def _residuals(a, norms, shape, residuals, tol):
+    """The body of :func:`rowspace_residuals`: factor the stack ``a``,
+    then per rank ``r`` ask ``residuals(at, V_r)`` for the coordinates
+    and the residual norms of the tested rows of the matrices ``at``.
+    ``norms`` holds the tested rows' norms, ``(matrices, count)``, and
+    ``shape`` the batch shape of the results."""
+    a = a.reshape(len(norms), *a.shape[-2:])
     if a.size == 0:
         return (norms.reshape(shape), tol.relative * norms.reshape(shape),
                 np.full(shape[:-1], np.inf), np.zeros(shape[:-1]))
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = tol.kept(s)
-    ranks = keep.sum(axis=-1).tolist()
-    kept = np.where(keep, s, np.inf).min(axis=-1) / s[:, 0]
-    dropped = np.where(keep, 0.0, s).max(axis=-1)
-    dropped = np.divide(dropped, s[:, 0], out=np.zeros_like(dropped), where=dropped > 0)
+    ranks = tol.kept(s).sum(axis=-1).tolist()
+    # s is sorted, so s_(r-1) is the smallest kept value and s_r the
+    # largest dropped one; r = 0 only where s_0 = 0
+    kept, dropped = np.array([
+        (v[r - 1] / v[0], v[r] / v[0] if r < len(v) else 0.0) if r else (math.inf, 0.0)
+        for v, r in zip(s.tolist(), ranks)]).T
     thresholds = tol.relative * np.sqrt(s[:, :1] ** 2 + norms ** 2)
-    residuals = np.empty_like(norms)
+    out = np.empty_like(norms)
     for r in sorted(set(ranks)):
         at = [i for i, rank in enumerate(ranks) if rank == r]
         at = slice(None) if len(at) == len(ranks) else at
-        coords = v[at] @ vh[at, :r].conj().mT
-        d = np.linalg.norm(v[at] - coords @ vh[at, :r], axis=-1)
+        coords, d = residuals(at, vh[at, :r])
         weight = np.sqrt(1.0 + np.sum(np.abs(coords / s[at, np.newaxis, :r]) ** 2,
                                       axis=-1))
-        residuals[at] = d / weight
-    return (residuals.reshape(shape), thresholds.reshape(shape),
+        out[at] = d / weight
+    return (out.reshape(shape), thresholds.reshape(shape),
             kept.reshape(shape[:-1]), dropped.reshape(shape[:-1]))

@@ -10,13 +10,16 @@ delivered by plain broadcast.  When consecutive phases' output/input
 cardinalities do not match, earlier phases are replicated the minimal
 integral number of times.
 
-The phase is the unit of work.  The slots of a phase do not depend on
-each other, so a phase builder makes all of its random draws with one
-generator call (:meth:`AirLog.draw`), mixes all of its blocks of forms
-with one stacked ``W @ F`` and sends all of its slots with one
-:meth:`AirLog.broadcast`.  The draws are laid out in the order a
-slot-at-a-time execution would make them, so a seed gives the same trace
-either way.
+No random draw depends on what was sent, so a scheme draws its whole
+trace's channels and mixing weights up front, with one generator call and
+one QR per size of unitary (:meth:`AirLog.draw`).  The draw list is every
+phase's layout in order (:func:`phase_layout`), laid out in the order a
+slot-at-a-time execution would make the draws, so a seed gives the same
+trace either way; it and the symbol table a chain starts from are cached
+per shape.  The phase is the unit of work: its slots do not depend on
+each other, so a phase builder mixes all of its blocks of forms with one
+stacked ``W @ F`` and sends all of its slots with one
+:meth:`AirLog.broadcast`.
 
 Transmitted antenna forms are normalized to unit coefficient norm, so a
 recorded trace doubles as the SNR-independent skeleton used by the rate
@@ -43,7 +46,7 @@ from .ledger import (
     decode_stacks,
     transmit_slots,
 )
-from .numerics import DEFAULT_TOL, RngStream, haar_unitaries
+from .numerics import DEFAULT_TOL, RngStream, haar_unitaries, normals_layout
 
 __all__ = [
     "AirLog",
@@ -53,6 +56,7 @@ __all__ = [
     "build_nonsquare_phase",
     "build_square_phase",
     "canonical_json",
+    "phase_layout",
     "run_alt22",
     "run_mat23_suboptimal",
     "run_opt23",
@@ -69,10 +73,12 @@ CHANNEL = ("channel", None)
 class AirLog:
     """Shared transmission context of one scheme execution: the symbol
     ``table``, ``m`` transmit antennas, the stream ``rng``, the receiver
-    states and the trace records.  Phase builders draw through
-    :meth:`draw` and transmit through :meth:`broadcast`.  ``channels``
-    optionally overrides the ``k x m`` channels of the first slots, in
-    slot order; later slots get fresh i.i.d. CN(0, 1) draws.
+    states and the trace records.  A scheme draws all of its trace's
+    randomness with one :meth:`draw` before it sends anything; phase
+    builders take their keys from :attr:`drawn` and transmit through
+    :meth:`broadcast`.  ``channels`` optionally overrides the ``k x m``
+    channels of the first slots, in slot order; later slots get fresh
+    i.i.d. CN(0, 1) draws.
     """
 
     def __init__(self, table: SymbolTable, m: int, rng: RngStream, channels=None):
@@ -85,7 +91,9 @@ class AirLog:
         self.plans = []
         self.active_antennas = []
         self.combos = []
-        self._override = list(channels) if channels is not None else []
+        self.drawn = {}
+        self._override = _overrides(channels, table.k, m)
+        self._h = self._override[:0]  # every slot's channel, once drawn
 
     @property
     def slots(self) -> int:
@@ -95,37 +103,48 @@ class AirLog:
         self.combos.extend({"label": label, "weights": w}
                            for label, w in zip(labels, weights))
 
-    def draw(self, layout) -> dict:
-        """Draw a phase's randomness with one generator call and return the
-        stack of each key (:meth:`.numerics.RngStream.complex_normals`).
+    def draw(self, layout, *shape) -> dict:
+        """Draw the whole trace's randomness with one generator call
+        (:meth:`.numerics.RngStream.complex_normals`) and one QR per size
+        of unitary; return the stack of each key, also kept as
+        :attr:`drawn`.  Call it once, before the first slot.
 
-        ``layout`` lists ``(key, n)`` pairs in the order a slot-at-a-time
-        execution draws them: an ``n x n`` Haar unitary of mixing weights
-        (all of one size share one QR), or :data:`CHANNEL`, the next
-        slot's ``k x m`` channel, drawn unless an override covers it.
+        ``layout(*shape)`` lists ``(key, n)`` pairs in the order a
+        slot-at-a-time execution draws them: an ``n x n`` Haar unitary of
+        mixing weights, or :data:`CHANNEL`, the next slot's ``k x m``
+        channel, drawn unless an override covers it.  The plan of the draw
+        is cached per ``(layout, shape)`` and count of overrides, so a
+        trace builds no layout.  :meth:`broadcast` sends slot ``i`` on the
+        ``i``-th channel, overrides first.
         """
-        draws, sizes = _draw_plan(tuple(layout), len(self._override), self.k, self.m)
-        drawn = self.rng.complex_normals(draws)
+        if self.slots:
+            raise ValueError("a trace is drawn once, before its first slot")
+        plan, sizes, covered = _draw_plan(layout, shape, len(self._override),
+                                          self.k, self.m)
+        drawn = self.rng.complex_normals(plan)
         for keys in sizes:
-            u = haar_unitaries(np.concatenate([drawn[key] for key in keys]))
+            z = [drawn[key] for key in keys]
+            u = haar_unitaries(z[0] if len(z) == 1 else np.concatenate(z))
             for key in keys:
                 drawn[key], u = u[:len(drawn[key])], u[len(drawn[key]):]
+        h = drawn.get(CHANNEL[0], self._h)
+        self._h = np.concatenate([self._override[:covered], h]) if covered else h
+        self.drawn = drawn
         return drawn
 
-    def broadcast(self, plans, drawn) -> np.ndarray:
+    def broadcast(self, plans) -> np.ndarray:
         """Transmit a stack of plans, each form (row) normalized to unit
-        coefficient norm (equal power per active antenna), on the override
-        channels while they last, then on ``drawn["channel"]``; return the
-        ``(slots, k, symbols)`` reconstructions."""
+        coefficient norm (equal power per active antenna), on the next
+        slots' channels; return the ``(slots, k, symbols)``
+        reconstructions."""
         plans = np.asarray(plans, dtype=np.complex128)
+        h = self._h[self.slots:self.slots + len(plans)]
+        if len(h) < len(plans):
+            raise ValueError(f"slots {self.slots} to {self.slots + len(plans) - 1} "
+                             f"need channels, but {len(self._h)} were drawn")
         norms = np.linalg.norm(plans, axis=-1)
         inverse = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0)
         normalized = plans * inverse[..., np.newaxis]
-        h = drawn.get(CHANNEL[0])
-        if self._override:
-            over = np.array(self._override[:len(plans)], dtype=np.complex128)
-            del self._override[:len(plans)]
-            h = over if len(over) == len(plans) else np.concatenate([over, h])
         recon = transmit_slots(normalized, h, self.states)
         self.channels.extend(h)
         self.plans.extend(normalized)
@@ -134,7 +153,7 @@ class AirLog:
 
     def send_each(self, forms) -> None:
         """Broadcast each form alone, one slot per form."""
-        self.broadcast(np.asarray(forms)[:, np.newaxis], self.draw([CHANNEL] * len(forms)))
+        self.broadcast(np.asarray(forms)[:, np.newaxis])
 
     def trace(self, name: str, replication: dict, phases: list) -> "SchemeTrace":
         """The record of this execution, under the scheme name ``name``."""
@@ -146,21 +165,69 @@ class AirLog:
             stream_index=self.rng.index)
 
 
+def _overrides(channels, k: int, m: int) -> np.ndarray:
+    """The override channels as one ``(slots, k, m)`` stack, each checked
+    to be a finite ``k x m`` matrix."""
+    channels = [] if channels is None else list(channels)
+    out = np.empty((len(channels), k, m), dtype=np.complex128)
+    for slot, h in enumerate(channels):
+        h = np.asarray(h, dtype=np.complex128)
+        if h.shape != (k, m):
+            raise ValueError(f"the channel override of slot {slot} has shape "
+                             f"{h.shape}, not ({k}, {m})")
+        if not np.isfinite(h).all():
+            raise ValueError(f"the channel override of slot {slot} has "
+                             f"non-finite entries")
+        out[slot] = h
+    return out
+
+
 @lru_cache(maxsize=256)
-def _draw_plan(layout, spare: int, k: int, m: int):
-    """The draws of :meth:`AirLog.draw` with ``spare`` override channels
-    left, and its square keys grouped by size."""
-    draws, sizes = [], {}
-    for key, n in layout:
+def _draw_plan(layout, shape: tuple, spare: int, k: int, m: int):
+    """The draws of :meth:`AirLog.draw` for ``layout(*shape)`` with
+    ``spare`` override channels: their
+    :func:`.numerics.normals_layout`, the square keys grouped by size,
+    and how many channels the overrides cover."""
+    draws, sizes, covered = [], {}, 0
+    for key, n in layout(*shape):
         if key != CHANNEL[0]:
             draws.append((key, (n, n)))
             if key not in sizes.setdefault(n, [key]):
                 sizes[n].append(key)
-        elif spare:
-            spare -= 1
+        elif covered < spare:
+            covered += 1
         else:
             draws.append((key, (k, m)))
-    return tuple(draws), tuple(sizes.values())
+    return normals_layout(tuple(draws)), tuple(map(tuple, sizes.values())), covered
+
+
+def _sends(n: int) -> tuple:
+    """The layout of ``n`` plain broadcasts: a channel each."""
+    return (CHANNEL,) * n
+
+
+@lru_cache(maxsize=None)
+def phase_layout(m: int, k: int, level: int, runs: int) -> tuple:
+    """The draws of phase ``level`` of the ``m``-antenna, ``k``-receiver
+    chain, run ``runs`` times, in :meth:`AirLog.draw`'s layout.
+
+    :func:`build_square_phase` (``m >= k - level + 1``) and
+    :func:`build_nonsquare_phase` take the keys ``(level, name)``; phase
+    ``k``, the broadcast of the order-``k`` forms, draws one channel per
+    form.  A trace's layout is its phases' layouts in order.
+    """
+    if level == k:
+        return _sends(runs)
+    subsets, uppers = len(_subsets(k, level)), len(_subsets(k, level + 1))
+    if m >= k - level + 1:
+        plan, order = ((level, "plan"), k - level + 1), ((level, "order"), level + 1)
+        return ((plan, CHANNEL) * subsets + (order,) * uppers) * runs
+    p = _params(m, k, level)
+    pur = p.q // p.eta  # purified forms per outside receiver; none on one antenna
+    plan, order = ((level, "plan"), p.beta), ((level, "order"), (level + 1) * pur)
+    purify = ((level, "purify"), p.slots_per_subphase)
+    sub = (plan, CHANNEL) * p.slots_per_subphase + (purify,) * (k - level) * bool(pur)
+    return (sub * subsets + (order,) * uppers * bool(pur)) * runs
 
 
 @dataclass
@@ -255,7 +322,8 @@ class SchemeTrace:
         :func:`canonical_json`; the slots, receivers and combination log are
         written from the trace's arrays (:func:`_coeff_maps`,
         :func:`_matrices`), each receiver equation with the unit noise
-        sample of its ``(slot, receiver)`` pair."""
+        sample of its ``(slot, receiver)`` pair, and the symbol table from
+        a template per symbol."""
         n, dof = len(self.table), self.empirical_dof
         channels = _matrices(self.channels, _NL[3])
         plans = iter(_coeff_maps(np.concatenate(self.plans or [np.zeros((0, n))]), _NL[5]))
@@ -275,16 +343,18 @@ class SchemeTrace:
         combos = [_block("{}", [f'"label": {json.dumps(c["label"])}',
                                 f'"weights": {w}'], _NL[2])
                   for c, w in zip(self.combination_log, weights)]
-        arrays = {"slots": slots, "receivers": receivers, "combination_log": combos}
+        owners = {o: _block("[]", [str(r) for r in sorted(o)], _NL[3])
+                  for o in {s.owner for s in self.table.symbols}}
+        symbols = [_SYMBOL % (s.id, json.dumps(s.label), s.order, owners[s.owner])
+                   for s in self.table.symbols]
+        arrays = {"slots": slots, "receivers": receivers, "combination_log": combos,
+                  "symbol_table": symbols}
         doc = {
             "schema": "v1", "scheme": self.name, "m": self.m, "k": self.k,
             "replication": {str(lvl): runs for lvl, runs in self.replication.items()},
             "total_slots": self.total_slots, "symbols": self.symbols_delivered,
             "dof": f"{dof.numerator}/{dof.denominator}",
             "rng": {"seed": self.seed, "index": self.stream_index},
-            "symbol_table": [{"id": s.id, "owner": sorted(s.owner),
-                              "order": s.order, "label": s.label}
-                             for s in self.table.symbols],
             "phases": [{"level": p.level, "runs": p.runs,
                         "inputs": p.inputs_consumed, "slots": p.slots,
                         "outputs": p.outputs_generated} for p in self.phases],
@@ -308,8 +378,10 @@ def _block(brackets: str, items, nl: str) -> str:
     return f'{brackets[0]}{nl}  {("," + nl + "  ").join(items)}{nl}{brackets[1]}'
 
 
-#: A plan form (coefficients only) and a receiver equation (coefficients,
-#: noise sample, receiver, slot), at their depths in the document.
+#: A symbol table entry (id, label, order, owner list), a plan form
+#: (coefficients only) and a receiver equation (coefficients, noise sample,
+#: receiver, slot), at their depths in the document.
+_SYMBOL = _block("{}", ['"id": %d', '"label": %s', '"order": %d', '"owner": %s'], _NL[2])
 _PLAN = _block("{}", ['"coeffs": %s', '"noise": {}'], _NL[4])
 _EQUATION = _block("{}", [
     '"form": ' + _block("{}", [
@@ -491,7 +563,8 @@ def build_square_phase(k: int, j: int, inputs, air: AirLog):
     overheard equations (one per member ``r``, from the slot of
     ``T - {r}``) are compressed into ``j`` fresh random combinations: the
     order-``j+1`` outputs.  Returns the slots used and the outputs keyed
-    by ``T``, run after run.
+    by ``T``, run after run.  The weights are ``air.drawn``'s keys of
+    ``j``, drawn with the trace (:func:`phase_layout`).
     """
     if not 1 <= j < k:
         raise ValueError(f"phase level must satisfy 1 <= j < k, got j={j}, k={k}")
@@ -502,18 +575,16 @@ def build_square_phase(k: int, j: int, inputs, air: AirLog):
     subsets, uppers = _subsets(k, j), _subsets(k, j + 1)
     forms = _runs(inputs, subsets, need, f"square phase {j}")
     runs = len(forms)
-    drawn = air.draw(([("plan", need), CHANNEL] * len(subsets)
-                      + [("order", j + 1)] * len(uppers)) * runs)
-    plan_w = drawn["plan"].reshape(forms.shape[:2] + (need, need))
-    recon = air.broadcast(combine(forms, plan_w).reshape(-1, need, forms.shape[-1]),
-                          drawn)
+    plan_w = air.drawn[j, "plan"].reshape(forms.shape[:2] + (need, need))
+    recon = air.broadcast(combine(forms, plan_w).reshape(-1, need, forms.shape[-1]))
     subset, receiver, pair = _overheard(k, j)
     heard = recon.reshape(runs, len(subsets), k, -1)[:, subset, receiver]
-    order_w = drawn["order"][:, :j].reshape(runs, len(uppers), j, j + 1)
+    order_w = air.drawn[j, "order"][:, :j].reshape(runs, len(uppers), j, j + 1)
     outs = combine(heard[:, pair], order_w).swapaxes(0, 1)
+    plan_labels, order_labels = _square_labels(k, j)
     for plans, orders in zip(plan_w, order_w):
-        air.log_combos([f"phase{j}/slot{_tag(s)}/plan" for s in subsets], plans)
-        air.log_combos([f"phase{j}/order{j + 1}/{_tag(t)}" for t in uppers], orders)
+        air.log_combos(plan_labels, plans)
+        air.log_combos(order_labels, orders)
     return len(recon), dict(zip(uppers, outs.reshape(len(uppers), -1, outs.shape[-1])))
 
 
@@ -530,7 +601,9 @@ def build_nonsquare_phase(m: int, k: int, j: int, params: NonsquarePhaseParams,
     subset ``T`` the ``(j + 1) q / eta`` purified forms are compressed
     into ``j * q / eta`` order-``j+1`` outputs per run (none when
     ``m == 1``).  With ``m >= k - j + 1`` the parameters collapse to one
-    slot per subset, as in :func:`build_square_phase`.
+    slot per subset, as in :func:`build_square_phase`.  The weights are
+    ``air.drawn``'s keys of ``j``, drawn with the trace
+    (:func:`phase_layout`).
     """
     if not 1 <= j < k:
         raise ValueError(f"phase level must satisfy 1 <= j < k, got j={j}, k={k}")
@@ -541,40 +614,52 @@ def build_nonsquare_phase(m: int, k: int, j: int, params: NonsquarePhaseParams,
     forms = _runs(inputs, subsets, params.beta, f"nonsquare phase {j}")
     runs, beta, sub_slots = len(forms), params.beta, params.slots_per_subphase
     pur_each = params.q // params.eta
-    outside = (k - j) if pur_each else 0
-    drawn = air.draw((
-        ([("plan", beta), CHANNEL] * sub_slots
-         + [("purify", sub_slots)] * outside) * len(subsets)
-        + [("order", (j + 1) * pur_each)] * (len(uppers) if pur_each else 0)) * runs)
-    plan_w = drawn["plan"][:, :params.q + 1].reshape(
+    plan_w = air.drawn[j, "plan"][:, :params.q + 1].reshape(
         runs, len(subsets), sub_slots, params.q + 1, beta)
     plans = combine(forms[:, :, np.newaxis], plan_w)
-    recon = air.broadcast(plans.reshape((-1,) + plans.shape[-2:]), drawn)
+    recon = air.broadcast(plans.reshape((-1,) + plans.shape[-2:]))
     outputs = {t: recon[:0, 0] for t in uppers}
     pur_w = np.zeros((runs, 0))  # one antenna: nothing to purify, nothing to log
     if pur_each:
         # receiver r purifies what it heard in the sub-phase of S
         subset, receiver, pair = _overheard(k, j)
         heard = recon.reshape(runs, len(subsets), sub_slots, k, -1).swapaxes(2, 3)
-        pur_w = drawn["purify"][:, :pur_each].reshape(
+        pur_w = air.drawn[j, "purify"][:, :pur_each].reshape(
             runs, len(subset), pur_each, sub_slots)
         purified = combine(heard[:, subset, receiver], pur_w)
         stacked = purified[:, pair].reshape(runs, len(uppers), (j + 1) * pur_each, -1)
-        out_w = drawn["order"][:, :j * pur_each].reshape(
+        out_w = air.drawn[j, "order"][:, :j * pur_each].reshape(
             runs, len(uppers), j * pur_each, (j + 1) * pur_each)
         outs = combine(stacked, out_w).swapaxes(0, 1)
         outputs = dict(zip(uppers, outs.reshape(len(uppers), -1, outs.shape[-1])))
+    sub_labels, order_labels = _nonsquare_labels(k, j, sub_slots)
     for run in range(runs):
         pur = iter(pur_w[run])
-        for s, ws in zip(subsets, plan_w[run]):
-            tag = f"phase{j}/sub{_tag(s)}"
-            air.log_combos([f"{tag}/t{t}/plan" for t in range(sub_slots)], ws)
-            air.log_combos([f"{tag}/purify-r{r}" for r in range(1, k + 1)
-                            if r not in s], pur)
+        for (plan_labels, pur_labels), ws in zip(sub_labels, plan_w[run]):
+            air.log_combos(plan_labels, ws)
+            air.log_combos(pur_labels, pur)
         if pur_each:
-            air.log_combos([f"phase{j}/order{j + 1}/{_tag(t)}" for t in uppers],
-                           out_w[run])
+            air.log_combos(order_labels, out_w[run])
     return len(recon), outputs
+
+
+@lru_cache(maxsize=None)
+def _square_labels(k: int, j: int):
+    """The combination-log labels of a run of square phase ``j``: the
+    plan of each subset's slot, then each order-``j+1`` output."""
+    return (tuple(f"phase{j}/slot{_tag(s)}/plan" for s in _subsets(k, j)),
+            tuple(f"phase{j}/order{j + 1}/{_tag(t)}" for t in _subsets(k, j + 1)))
+
+
+@lru_cache(maxsize=None)
+def _nonsquare_labels(k: int, j: int, sub_slots: int):
+    """The combination-log labels of a run of nonsquare phase ``j``: per
+    subset the plans of its sub-phase's slots and the purification of
+    each receiver outside it, then each order-``j+1`` output."""
+    subs = tuple((tuple(f"phase{j}/sub{_tag(s)}/t{t}/plan" for t in range(sub_slots)),
+                  tuple(f"phase{j}/sub{_tag(s)}/purify-r{r}" for r in range(1, k + 1)
+                        if r not in s)) for s in _subsets(k, j))
+    return subs, _square_labels(k, j)[1]
 
 
 @lru_cache(maxsize=None)
@@ -609,24 +694,42 @@ def _replication_factors(m: int, k: int, start: int) -> dict:
     return {lvl: int(r * scale) for lvl, r in ratios.items()}
 
 
-def _restrict(form, sym_ids) -> np.ndarray:
-    """The part of ``form`` on the columns ``sym_ids`` only."""
-    out = np.zeros_like(form)
-    out[sym_ids] = form[sym_ids]
-    return out
+@lru_cache(maxsize=None)
+def _chain_table(m: int, k: int, start: int) -> SymbolTable:
+    """The symbol table every trace of the chain ``(m, k, start)`` starts
+    from, each receiver's symbols already looked up: the first phase's
+    inputs, an equal block of symbols per subset, subset after subset."""
+    factors = _replication_factors(m, k, start)
+    table = SymbolTable(k)
+    per0 = _per_run_counts(m, k, start)[0] // math.comb(k, start)
+    for s in _subsets(k, start):
+        for i in range(per0 * factors[start]):
+            table.new_symbol(s, f"u{_tag(s)}.{i}")
+    for r in range(1, k + 1):
+        table.owned_by(r)
+    return table
+
+
+def _chain_layout(m: int, k: int, start: int) -> tuple:
+    """The draws of the chain ``(m, k, start)``: its phases' layouts."""
+    layout = ()
+    for level, runs in _replication_factors(m, k, start).items():
+        if not runs:
+            break
+        layout += phase_layout(m, k, level, runs)
+    return layout
 
 
 def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
                channels=None) -> SchemeTrace:
     """Chain phases ``start .. k`` with minimal replication."""
     factors = dict(_replication_factors(m, k, start))  # the cached one stays unshared
-    table = SymbolTable(k)
-    air = AirLog(table, m, rng, channels)
-    per0 = _per_run_counts(m, k, start)[0] // math.comb(k, start)
-    ids = {s: [table.new_symbol(s, f"u{_tag(s)}.{i}")
-               for i in range(per0 * factors[start])]
-           for s in _subsets(k, start)}
-    inputs = {s: table.unit_forms(lst) for s, lst in ids.items()}
+    air = AirLog(_chain_table(m, k, start).copy(), m, rng, channels)
+    air.draw(_chain_layout, m, k, start)
+    # the first phase sends every symbol: its inputs are the unit rows
+    subsets, n = _subsets(k, start), len(air.table)
+    units = np.eye(n, dtype=np.complex128).reshape(len(subsets), -1, n)
+    inputs = dict(zip(subsets, units))
     phases = []
     for level in range(start, k):
         runs = factors.get(level, 0)
@@ -689,6 +792,39 @@ def run_mat23_suboptimal(rng: RngStream, channels=None) -> SchemeTrace:
     return _run_chain("mat23_suboptimal", 2, 3, 1, rng, channels)
 
 
+#: A mixed slot: four-symbol mixing weights (two rows used) and a channel.
+_MIXED = (((1, "plan"), 4), CHANNEL)
+
+
+def _alt22_layout() -> tuple:
+    """One mixed slot, then the order-2 broadcast of two forms."""
+    return _MIXED + _sends(2)
+
+
+def _opt23_layout() -> tuple:
+    """A mixed slot per receiver pair, order-2 phase of three receivers
+    on two antennas, then the broadcast of its two order-3 outputs."""
+    return _MIXED * 3 + phase_layout(2, 3, 2, 1) + _sends(2)
+
+
+@lru_cache(maxsize=None)
+def _alt22_skeleton():
+    """alt22's symbol table, the unit rows of its four symbols and which
+    symbols make each order-2 form: the first user's of receiver 2's
+    equation, then the second user's of receiver 1's."""
+    table = SymbolTable(2)
+    for r in (1, 2):
+        for name in ("u", "v"):
+            table.new_symbol({r}, f"{name}{r}")
+    units = table.unit_forms(table.ids)
+    cross = np.zeros((2, len(table)), dtype=bool)
+    for row, owner in enumerate((1, 2)):
+        cross[row, table.owned_by(owner)] = True
+    for a in (units, cross):
+        a.flags.writeable = False  # shared by every trace
+    return table, units, cross
+
+
 def run_alt22(rng: RngStream, channels=None) -> SchemeTrace:
     """Single-mixed-slot variant of the two-user scheme (4/3 in 3 slots).
 
@@ -696,20 +832,37 @@ def run_alt22(rng: RngStream, channels=None) -> SchemeTrace:
     each receiver's equation that concerns the *other* receiver's
     symbols becomes an order-2 form, and both are broadcast.
     """
-    table = SymbolTable(2)
-    air = AirLog(table, 2, rng, channels)
-    for r in (1, 2):
-        for name in ("u", "v"):
-            table.new_symbol({r}, f"{name}{r}")
-    drawn = air.draw([("plan", 4), CHANNEL])
-    w = drawn["plan"][:, :2]
+    table, units, cross = _alt22_skeleton()
+    air = AirLog(table.copy(), 2, rng, channels)
+    w = air.draw(_alt22_layout)[1, "plan"][:, :2]
     air.log_combos(["phase1/mixed-slot/plan"], w)
-    (recon,) = air.broadcast(combine(table.unit_forms(table.ids), w), drawn)
-    # receiver 2's equation, first user's part; then the reverse
-    air.send_each([_restrict(recon[1], table.owned_by(1)),
-                   _restrict(recon[0], table.owned_by(2))])
+    (recon,) = air.broadcast(combine(units, w))
+    # receiver 2's equation on the first user's symbols; then the reverse
+    air.send_each(np.where(cross, recon[[1, 0]], 0.0))
     phases = [PhaseRecord(1, 1, 4, 1, 2), PhaseRecord(2, 2, 2, 2, 0)]
     return air.trace("alt22", {1: 1, 2: 2}, phases)
+
+
+@lru_cache(maxsize=None)
+def _opt23_skeleton():
+    """opt23's symbol table; per receiver pair ``(x, y)``, the unit rows
+    of its mixed slot (two symbols of ``x``, then two of ``y``), the
+    receivers whose equations give its two order-2 forms (``y``, then
+    ``x``) and which symbols each form keeps (``x``'s, then ``y``'s);
+    and the combination-log labels of the mixed slots."""
+    table, ids = SymbolTable(3), []
+    for x, y in map(sorted, _subsets(3, 2)):
+        ids.append(([table.new_symbol({x}, f"u{x}.{i}") for i in range(2)],
+                    [table.new_symbol({y}, f"u{y}.{i + 2}") for i in range(2)]))
+    units = np.stack([table.unit_forms(a + b) for a, b in ids])
+    heard = np.array([[max(pair) - 1, min(pair) - 1] for pair in _subsets(3, 2)])
+    cross = np.zeros((len(ids), 2, len(table)), dtype=bool)
+    for row, (a, b) in enumerate(ids):
+        cross[row, 0, a] = cross[row, 1, b] = True
+    for a in (units, heard, cross):
+        a.flags.writeable = False  # shared by every trace
+    labels = tuple(f"phase1/mixed{_tag(pair)}/plan" for pair in _subsets(3, 2))
+    return table, units, heard, cross, labels
 
 
 def run_opt23(rng: RngStream, channels=None) -> SchemeTrace:
@@ -720,26 +873,14 @@ def run_opt23(rng: RngStream, channels=None) -> SchemeTrace:
     the cross parts of the two pair members' equations give 2 order-2
     forms (6 total), which the order-2 delivery ships in 5 more slots.
     """
-    table = SymbolTable(3)
-    air = AirLog(table, 2, rng, channels)
-    pairs = _subsets(3, 2)
-    pair_syms = {}
-    for pair in pairs:
-        x, y = sorted(pair)
-        ids_x = [table.new_symbol({x}, f"u{x}.{i}") for i in range(2)]
-        ids_y = [table.new_symbol({y}, f"u{y}.{i + 2}") for i in range(2)]
-        pair_syms[pair] = (ids_x, ids_y)
-    drawn = air.draw([("plan", 4), CHANNEL] * len(pairs))
-    forms = np.stack([table.unit_forms(x + y) for x, y in pair_syms.values()])
-    w = drawn["plan"][:, :2]
-    air.log_combos([f"phase1/mixed{_tag(pair)}/plan" for pair in pairs], w)
-    recon = air.broadcast(combine(forms, w), drawn)
-    pair_forms = {}
-    for (pair, (ids_x, ids_y)), heard in zip(pair_syms.items(), recon):
-        x, y = sorted(pair)
-        # y's equation on x's symbols, and x's equation on y's symbols
-        pair_forms[pair] = [_restrict(heard[y - 1], ids_x), _restrict(heard[x - 1], ids_y)]
-    used, outs = build_square_phase(3, 2, pair_forms, air)
+    table, units, heard, cross, labels = _opt23_skeleton()
+    air = AirLog(table.copy(), 2, rng, channels)
+    w = air.draw(_opt23_layout)[1, "plan"][:, :2]
+    air.log_combos(labels, w)
+    recon = air.broadcast(combine(units, w))
+    # per pair (x, y): y's equation on x's symbols, x's on y's
+    parts = np.where(cross, recon[np.arange(len(recon))[:, np.newaxis], heard], 0.0)
+    used, outs = build_square_phase(3, 2, dict(zip(_subsets(3, 2), parts)), air)
     top = outs[frozenset({1, 2, 3})]
     air.send_each(top)
     phases = [PhaseRecord(1, 1, 12, 3, 6), PhaseRecord(2, 1, 6, used, len(top)),
@@ -754,5 +895,6 @@ def tdma_trace(k: int, rng: RngStream, channels=None) -> SchemeTrace:
     table = SymbolTable(k)
     air = AirLog(table, 1, rng, channels)
     syms = [table.new_symbol({r}, f"s{r}") for r in range(1, k + 1)]
+    air.draw(_sends, k)
     air.send_each(table.unit_forms(syms))
     return air.trace("tdma", {1: k}, [PhaseRecord(1, k, k, k, 0)])

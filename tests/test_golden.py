@@ -17,6 +17,7 @@ from delayedcsit.cli import main
 from delayedcsit.numerics import RngStream
 from delayedcsit.ratesim import simulate_rates, snr_grid
 from delayedcsit.schemes import (
+    _run_chain,
     run_alt22,
     run_mat23_suboptimal,
     run_opt23,
@@ -87,6 +88,62 @@ OVERRIDE_SHA256 = {
     ),
 }
 
+#: Overrides that run past phase one, ``count`` channels of ``k x m``
+#: drawn from stream ``(5, 1)``: the draws skip exactly the overridden
+#: channels across phases.  Traces at stream ``(seed, 3)``; the ``(3, 5)``
+#: chain (37 MB of JSON) at seed 1 alone.
+CROSS_PHASE = {
+    # square-3 has 6 + 3 + 2 slots: 8 end in phase two, 10 in the last one
+    "square-3/phase-2": (lambda s, c: run_square_scheme(3, s, c), (3, 3), 8, (
+        "3292ddecc3efbfd0886e0f0cf8870cb89d49bbc14f9d005fc31572d57e03e640",
+        "d847460e131e14f5639f027f33d957b568b0616789062c771d6d95b41b541a80",
+    )),
+    "square-3/final": (lambda s, c: run_square_scheme(3, s, c), (3, 3), 10, (
+        "59333cd7238317826c68b824e3657099a03c0990cbeda728545e0506a4cb2d7f",
+        "998728079aaa820b48cd513fe02db3e9c7e71e2d56297c351d88713636c8ffca",
+    )),
+    # 12 + 6 + 4 + 3 slots
+    "square-4/phase-2": (lambda s, c: run_square_scheme(4, s, c), (4, 4), 15, (
+        "c0c6497ae9fd7b59f123abb8e822333d5e652d7dd189344626340e5a39c62ede",
+        "4229e1f0040eb3e9f755aa3bab5b9143e2f24ca4ad85cfb20334faae6960d770",
+    )),
+    # 3 + 3 + 2 slots
+    "opt23/phase-2": (run_opt23, (3, 2), 5, (
+        "1bc915add636191f063392855faf9afb62f953037c13787e72fc71d8910999f9",
+        "59e2e722d0da29935195e32ade62e0ce52f7be8a88aec2dde4c0b84efb322c41",
+    )),
+    # 1 + 2 slots
+    "alt22/final": (run_alt22, (2, 2), 2, (
+        "5b5d3edc17dbab60bcb35ad0c5264564d243157b2526f6ef18d9a81a25ad3735",
+        "2be0e98e7b7810251b503b94b46216a7dd89b4101938c773b19ae2291cdc34e6",
+    )),
+    # 48 + 12 + 4 + 3 slots
+    "chain-2-4": (lambda s, c: _run_chain("nonsquare", 2, 4, 1, s, c), (4, 2), 0, (
+        "0f46b92b2672b8d240f8c218a1c069f21ea0e404198c16f9bcf44fc1e372e36b",
+        "127772e688391b0b2767319df94f08e52053b0e5386fecfe26ae5f7ab79372c1",
+    )),
+    "chain-2-4/phase-2": (lambda s, c: _run_chain("nonsquare", 2, 4, 1, s, c), (4, 2), 50, (
+        "4c05731cd2f92becd61c8e37a81872868234996b8f605107b4a5cf85590e0e73",
+        "12fbd62b0593d3d8ad317f859a8f9b9db7723a2d12341b18bbab4ef2768a04a9",
+    )),
+    # 270 + 90 + 40 + 30 + 24 slots
+    "chain-3-5": (lambda s, c: _run_chain("nonsquare", 3, 5, 1, s, c), (5, 3), 0, (
+        "432f726c94997e809e908a2b7543bb699662aef53425f964598cbd476642fd8f",
+    )),
+    "chain-3-5/phase-2": (lambda s, c: _run_chain("nonsquare", 3, 5, 1, s, c), (5, 3), 300, (
+        "3a9400a789aa2fbe4f78b6516e11999c79be56310032172d4d9e78037e04a2cb",
+    )),
+}
+
+#: sha256 of ``delayedcsit scheme-verify --trials 20 --seed 1`` stdout:
+#: its decode margins are maxima and minima of the residual ratios.
+VERIFY_SHA256 = {
+    "opt23": (["--scheme", "opt23"],
+              "c2e274a4e69842d8b00b971502b34431bbc3f252c9a1b1b35c4aa3b6408126f9"),
+    "square-3": (["--scheme", "square", "--k", "3"],
+                 "638b4299c637aeae50800d5bce241ba458b0e716c87df66a2aad21dedbda44fe"),
+}
+
 #: sha256 of ``delayedcsit scheme-run`` stdout at ``--seed`` 1 and 2024
 #: (square-5 at 1 alone): the trace document and the keys the command
 #: adds to it (``command``, ``decode_ok``, ``expected_dof``).  Captured
@@ -155,6 +212,22 @@ def test_trace_json_with_partial_override_is_unchanged(name):
     trace = BUILDERS[name](RngStream(SEEDS[0], 3), channels)
     for got, want in zip(trace.channels, channels):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_PHASE))
+def test_trace_json_with_cross_phase_override_is_unchanged(name):
+    build, shape, count, want = CROSS_PHASE[name]
+    rng = RngStream(5, 1)
+    channels = [rng.complex_normal(shape) for _ in range(count)] or None
+    got = tuple(_sha(build(RngStream(seed, 3), channels)) for seed in SEEDS[:len(want)])
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SHA256))
+def test_scheme_verify_stdout_is_unchanged(name, capsys):
+    argv, want = VERIFY_SHA256[name]
+    main(["scheme-verify", *argv, "--trials", "20", "--seed", "1"])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("name", sorted(CLI_SHA256))

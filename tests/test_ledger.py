@@ -25,7 +25,6 @@ from delayedcsit.numerics import (
 from delayedcsit.schemes import (
     CHANNEL,
     AirLog,
-    _restrict,
     _run_chain,
     run_alt22,
     run_mat23_suboptimal,
@@ -57,12 +56,6 @@ def test_linear_form_algebra():
     assert np.array_equal(combine([f], [[2.0]])[0], [0.0, 4.0, 2.0, 0.0])
     assert form_dict(s) == {"coeffs": {"1": [2.0, 0.0], "3": [4.0, 0.0]},
                             "noise": {}}
-
-
-def test_restrict_is_a_column_mask():
-    f = np.array([1.0, 2.0, 3.0j])
-    assert np.array_equal(_restrict(f, [0, 2]), [1.0, 0.0, 3.0j])
-    assert np.array_equal(f, [1.0, 2.0, 3.0j])  # the input is untouched
 
 
 @given(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
@@ -377,10 +370,10 @@ def test_combine_exact():
 
 
 def test_random_combination_uses_unitary_rows():
-    # mixing weights are rows of Haar unitaries; a phase's draw factors
+    # mixing weights are rows of Haar unitaries; a trace's draw factors
     # every square of one size with one QR, bit for bit as one by one
     layout = [("a", 4), CHANNEL, ("b", 4), ("c", 2)]
-    drawn = AirLog(SymbolTable(2), 2, RngStream(3)).draw(layout)
+    drawn = AirLog(SymbolTable(2), 2, RngStream(3)).draw(lambda: layout)
     z = RngStream(3).complex_normals(
         [("a", (4, 4)), ("channel", (2, 2)), ("b", (4, 4)), ("c", (2, 2))])
     for key in "abc":

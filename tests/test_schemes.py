@@ -26,6 +26,7 @@ from delayedcsit.schemes import (
     build_nonsquare_phase,
     build_square_phase,
     canonical_json,
+    phase_layout,
     run_alt22,
     run_mat23_suboptimal,
     run_opt23,
@@ -114,6 +115,10 @@ def test_alt22_structure():
     own2 = set(tr.table.owned_by(2))
     assert set(np.flatnonzero(tr.plans[1][0])) == own1
     assert set(np.flatnonzero(tr.plans[2][0])) == own2
+    # each is that receiver's slot-1 equation on those symbols alone
+    for plan, (heard, own) in zip(tr.plans[1:], ((2, own1), (1, own2))):
+        part = np.where(np.isin(np.arange(4), list(own)), tr.states[heard - 1].rows[0], 0)
+        assert np.allclose(plan[0], part / np.linalg.norm(part), rtol=0, atol=1e-15)
     assert tr.active_antennas == [2, 1, 1]
 
 
@@ -180,9 +185,9 @@ def test_channel_override_is_used():
 def test_channel_draws_shape_and_law():
     # a channel is a k x m draw of i.i.d. CN(0, 1) entries
     air = AirLog(SymbolTable(3), 2, RngStream(5))
-    (h,) = air.draw([CHANNEL])["channel"]
+    (h,) = air.draw(lambda: [CHANNEL])["channel"]
     assert h.shape == (3, 2)
-    big = AirLog(SymbolTable(200), 200, RngStream(5)).draw([CHANNEL])["channel"]
+    big = AirLog(SymbolTable(200), 200, RngStream(5)).draw(lambda: [CHANNEL])["channel"]
     assert abs(np.mean(np.abs(big) ** 2) - 1.0) < 0.02
     with pytest.raises(ValueError):
         AirLog(SymbolTable(0), 2, RngStream(5))
@@ -193,14 +198,74 @@ def test_draw_skips_channels_an_override_covers():
     # keep their place in the stream
     layout = [("plan", 2), CHANNEL] * 3
     over = [np.eye(3, 2)] * 2
-    drawn = AirLog(SymbolTable(3), 2, RngStream(6), over).draw(layout)
+    drawn = AirLog(SymbolTable(3), 2, RngStream(6), over).draw(lambda: layout)
     want = RngStream(6).complex_normals([("plan", (2, 2))] * 3
                                         + [("channel", (3, 2))])
     assert drawn.keys() == want.keys()
     assert np.array_equal(drawn["plan"], haar_unitaries(want["plan"]))
     assert np.array_equal(drawn["channel"], want["channel"])
-    fully = AirLog(SymbolTable(3), 2, RngStream(6), over * 2).draw(layout)
+    fully = AirLog(SymbolTable(3), 2, RngStream(6), over * 2).draw(lambda: layout)
     assert "channel" not in fully
+
+
+def test_a_trace_is_drawn_once_before_its_slots():
+    air = AirLog(SymbolTable(2), 1, RngStream(6), [np.ones((2, 1))])
+    with pytest.raises(ValueError, match="need channels"):
+        air.send_each(np.eye(2))  # one override, no draw
+    air.draw(lambda: [CHANNEL] * 2)
+    air.send_each(np.eye(2))
+    assert air.slots == 2 and np.array_equal(air.channels[0], np.ones((2, 1)))
+    with pytest.raises(ValueError, match="need channels"):
+        air.send_each(np.eye(2)[:1])
+    with pytest.raises(ValueError, match="drawn once"):
+        air.draw(lambda: [CHANNEL])
+
+
+def test_overrides_of_the_wrong_shape_are_refused():
+    # six 3 x 5 channels would exactly fill square-3's phase one
+    wide = [RngStream(8, i).complex_normal((3, 5)) for i in range(6)]
+    for over in (wide, wide[:2], [np.eye(3)] * 3 + [np.eye(3, 2)]):
+        with pytest.raises(ValueError, match=r"slot \d+ has shape \(3, [25]\)"):
+            run_square_scheme(3, RngStream(1), over)
+    with pytest.raises(ValueError, match="slot 1 has non-finite"):
+        run_opt23(RngStream(1), [np.ones((3, 2)), np.full((3, 2), np.nan)])
+
+
+#: Each builder, and the distinct sizes of the Haar unitaries it draws.
+QR_SIZES = {
+    "square-2": (lambda s: run_square_scheme(2, s), 1),
+    "square-3": (lambda s: run_square_scheme(3, s), 2),
+    "square-4": (lambda s: run_square_scheme(4, s), 3),
+    "alt22": (run_alt22, 1),
+    "mat23": (run_mat23_suboptimal, 3),
+    "opt23": (run_opt23, 3),
+    "tdma-3": (lambda s: tdma_trace(3, s), 0),
+    "order-2-3-2": (lambda s: run_order_j_delivery(2, 3, 2, s), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QR_SIZES))
+def test_a_trace_is_drawn_with_one_call(name, monkeypatch):
+    # one generator call per trace, and one QR per distinct unitary size
+    build, sizes = QR_SIZES[name]
+    calls = {"normals": 0, "qr": []}
+    normals, qr = RngStream.complex_normals, np.linalg.qr
+
+    def count_normals(self, draws):
+        calls["normals"] += 1
+        return normals(self, draws)
+
+    def count_qr(a, *args, **kwargs):
+        calls["qr"].append(np.shape(a)[-1])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "complex_normals", count_normals)
+    monkeypatch.setattr(np.linalg, "qr", count_qr)
+    for seed in range(3):
+        calls["normals"], calls["qr"] = 0, []
+        build(RngStream(seed))
+        assert calls["normals"] == 1
+        assert len(calls["qr"]) == len(set(calls["qr"])) == sizes
 
 
 def test_plans_are_unit_norm():
@@ -219,6 +284,7 @@ def test_build_square_phase_cardinalities():
     syms = {frozenset(s): [table.new_symbol(s, f"u{s[0]}.{i}") for i in range(3)]
             for s in combinations(range(1, 4), 1)}
     inputs = {fs: table.unit_forms(ids) for fs, ids in syms.items()}
+    air.draw(phase_layout, 3, 3, 1, 1)
     slots, outs = build_square_phase(3, 1, inputs, air)
     assert slots == 3
     assert set(outs) == {frozenset(t) for t in combinations(range(1, 4), 2)}
@@ -250,6 +316,7 @@ def test_build_square_phase_validation():
                   for r, n in zip((1, 2, 3), counts)}
         with pytest.raises(ValueError):
             build_square_phase(3, 1, uneven, air3)
+    air3.draw(phase_layout, 3, 3, 1, 2)
     slots, outs = build_square_phase(
         3, 1, {fs: table.unit_forms(syms * 2) for fs in inputs}, air3)
     assert slots == 6 and all(len(v) == 2 for v in outs.values())
@@ -266,6 +333,7 @@ def test_build_nonsquare_phase_cardinalities():
     syms = {frozenset(s): [table.new_symbol(s, "") for _ in range(params.beta)]
             for s in combinations(range(1, 4), 1)}
     inputs = {fs: table.unit_forms(ids) for fs, ids in syms.items()}
+    air.draw(phase_layout, 2, 3, 1, 1)
     slots, outs = build_nonsquare_phase(2, 3, 1, params, inputs, air)
     assert slots == 6
     assert all(len(v) == 1 for v in outs.values())
@@ -403,6 +471,21 @@ def test_to_json_edge_cases():
     assert doc["combination_log"][1]["weights"] == [[], []]
     for spelled in ("-0.0", "1e-05", "1e+16", "5e-324", "-1e+16"):
         assert f" {spelled}," in text or f" {spelled}\n" in text, spelled
+
+
+def test_to_json_symbol_table_matches_stdlib():
+    # labels json must escape, owner sets of several receivers, no symbols
+    table = SymbolTable(3)
+    for owner, label in (({1}, 'a"b'), ({2, 3}, "\\ %d é\n"), ({1, 2, 3}, ""),
+                         ({3, 1}, "x")):
+        table.new_symbol(owner, label)
+    for table in (table, SymbolTable(3)):
+        trace = SchemeTrace(  # one slot with no active antenna
+            name="hand", m=1, k=3, replication={}, table=table,
+            states=[ReceiverState(r, [], [], 1) for r in (1, 2, 3)],
+            channels=[np.ones((3, 1))], plans=[np.zeros((0, len(table)))],
+            active_antennas=[0], phases=[], combination_log=[], seed=0, stream_index=0)
+        assert trace.to_json() == _stdlib_json(trace_doc(trace))
 
 
 _parts = st.sampled_from((0.0, 0.0, 0.0, -0.0, 1e-05, 1e16, 5e-324)) | st.floats()
