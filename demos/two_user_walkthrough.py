@@ -33,14 +33,17 @@ def fmt(row):
 # Slot 1 sends receiver 1's two symbols on two antennas, slot 2 does the
 # same for receiver 2, and slot 3 broadcasts one linear combination that
 # each receiver can subtract its own overheard slot from.
-for slot in range(trace.total_slots):
+# The trace keeps the plans sent as blocks, one per broadcast, and what
+# each receiver heard as one row array: rows[r - 1, slot] is receiver r's
+# equation of that slot (every slot here has an active antenna).
+plans = [plan for block in trace.plans for plan in block]
+for slot, plan in enumerate(plans):
     print()
-    print(f"slot {slot}: {len(trace.plans[slot])} antenna(s) active")
-    for a, form in enumerate(trace.plans[slot]):
+    print(f"slot {slot}: {len(plan)} antenna(s) active")
+    for a, form in enumerate(plan):
         print(f"  antenna {a} sends {fmt(form)}")
-    for state in trace.states:
-        eq = state.equations[slot]
-        print(f"  receiver {state.receiver} hears {fmt(eq.row)} + noise")
+    for r, rows in enumerate(trace.rows, start=1):
+        print(f"  receiver {r} hears {fmt(rows[slot])} + noise")
 
 # After slot 3, receiver 1 has three equations in four unknowns, but the
 # two interference symbols only ever appear in one combined direction:

@@ -23,7 +23,6 @@ from .dof_calc import (
 )
 from .ledger import (
     BaseSymbol,
-    Equation,
     ReceiverState,
     SymbolTable,
     alignment_ranks,
@@ -73,7 +72,6 @@ __all__ = [
     "BaseSymbol",
     "DEFAULT_TOL",
     "DofQuery",
-    "Equation",
     "NonsquarePhaseParams",
     "OutOfRegimeError",
     "PhaseRecord",

@@ -9,20 +9,23 @@ phase mixes all of its blocks with one ``W @ F`` and broadcasts all of
 its slots with one :func:`transmit_slots`.  Forms span the whole table,
 so a scheme registers all of its symbols before it builds any.
 
-Receiver noise is white by rule: every equation heard over the air
-carries one fresh unit-variance noise sample, named by its
-``(slot, receiver)`` pair, and nothing the transmitter rebuilds from
-delayed CSI carries any.  So the ledger stores coefficient rows only,
-and the noise appears in the JSON trace from that rule.  Decodability
-is a row-space question on a receiver's stacked rows.  Every slot is
-heard by every receiver, so a trace's receivers hold matrices of one
-shape: :func:`decode_stacks` groups them, and each group is answered
-with one batched SVD by :func:`.numerics.unit_residuals`.  A group
-holds at most :data:`.numerics.STACK_BYTES` of rows, so a large receiver
-is a group of one.
+What a receiver hears in a slot is that slot's channel row times the
+plan sent: the reconstruction :func:`transmit_slots` returns to the
+transmitter, which rebuilds it from delayed CSI.  So the ledger stores
+nothing per receiver: a trace keeps what was sent and its receivers'
+rows as one ``(receivers, slots, symbols)`` array
+(:attr:`.schemes.SchemeTrace.rows`).  Receiver noise is white by rule:
+every equation heard over the air carries one fresh unit-variance noise
+sample, named by its ``(slot, receiver)`` pair, and nothing the
+transmitter rebuilds carries any, so the noise appears in the JSON trace
+from that rule.  Decodability is a row-space question on a receiver's
+rows.  Every slot is heard by every receiver, so a trace's receivers
+hold matrices of one shape, and a stack of them, at most
+:data:`.numerics.STACK_BYTES` of rows, is answered with one batched SVD
+by :func:`.numerics.unit_residuals`; a large receiver is a stack of one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,20 +33,17 @@ from .numerics import (
     DEFAULT_TOL,
     RankTolerance,
     numerical_rank,
-    stacks,
     unit_residuals,
 )
 
 __all__ = [
     "BaseSymbol",
-    "Equation",
     "ReceiverState",
     "SymbolTable",
     "alignment_ranks",
     "can_decode",
     "combine",
     "decode_residuals",
-    "decode_stacks",
     "transmit_slots",
 ]
 
@@ -126,51 +126,36 @@ class SymbolTable:
         return len(self.symbols)
 
 
-@dataclass(frozen=True, eq=False)
-class Equation:
-    """One stored observation: coefficient ``row`` plus the unit noise
-    sample of ``(slot, receiver)``."""
-
-    receiver: int
-    slot: int
-    row: np.ndarray
-
-
-@dataclass
+@dataclass(frozen=True)
 class ReceiverState:
-    """Everything one receiver has heard so far: one coefficient row per
-    equation, and the slot each row was heard in."""
+    """One receiver's view of a trace's row array: the coefficient ``rows``
+    it heard, ``(equations, symbols)``, one per slot with an active
+    antenna, in slot order."""
 
     receiver: int
-    rows: list = field(default_factory=list)
-    slots: list = field(default_factory=list)
-    slots_observed: int = 0
+    rows: np.ndarray
 
     @property
-    def equations(self) -> tuple:
-        """The stored equations, in the order heard (a read-only view)."""
-        return tuple(Equation(self.receiver, s, row)
-                     for s, row in zip(self.slots, self.rows))
+    def equations(self) -> np.ndarray:
+        """The heard equations' coefficient rows, in the order heard."""
+        return self.rows
 
     def coefficient_matrix(self, symbol_ids) -> np.ndarray:
-        """Stacked coefficient rows over the given symbol ordering."""
-        if not self.rows:
-            return np.zeros((0, len(symbol_ids)), dtype=np.complex128)
-        return np.vstack(self.rows)[:, np.asarray(symbol_ids, dtype=np.intp)]
+        """The rows over the given symbol ordering."""
+        return self.rows[:, np.asarray(symbol_ids, dtype=np.intp)]
 
 
-def transmit_slots(plans, channels, states):
-    """Broadcast a stack of slots and append their equations everywhere.
+def transmit_slots(plans, channels, receivers: int):
+    """Broadcast a stack of slots to ``receivers`` receivers.
 
     ``plans`` is ``(slots, p, symbols)``, one form per active antenna,
     and ``channels`` is ``(slots, receivers, antennas)`` with at least
-    ``p`` antennas.  In slot ``s`` receiver ``r`` (``states``, in receiver
-    order, mutated in place) gains the row ``channels[s, r, :p] @
-    plans[s]``, plus by rule the fresh noise sample of that slot and
-    ``r``; the slots are heard in stack order.  Returns those rows, the
-    noise-free reconstructions the transmitter recovers from delayed
-    CSI, as a read-only ``(slots, receivers, symbols)`` array.  Empty
-    plans (``p = 0``) advance every slot counter and add no equations.
+    ``p`` antennas.  In slot ``s`` receiver ``r`` hears the row
+    ``channels[s, r, :p] @ plans[s]``, plus by rule the fresh noise sample
+    of that slot and ``r``.  Returns those rows, the noise-free
+    reconstructions the transmitter recovers from delayed CSI, as a
+    read-only ``(slots, receivers, symbols)`` array.  Empty plans
+    (``p = 0``) are heard by nobody: no rows.
     """
     h = np.asarray(channels, dtype=np.complex128)
     plans = np.asarray(plans, dtype=np.complex128)
@@ -179,78 +164,46 @@ def transmit_slots(plans, channels, states):
                          f"{h.shape} and plans of shape {plans.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("channel entries must be finite")
-    if h.shape[1] != len(states):
+    if h.shape[1] != receivers:
         raise ValueError(
-            f"channel has {h.shape[1]} rows but there are {len(states)} receivers")
+            f"channel has {h.shape[1]} rows but there are {receivers} receivers")
     p = plans.shape[1]
     if p > h.shape[2]:
         raise ValueError(
             f"plan uses {p} antennas but the channel has only {h.shape[2]}")
-    slots = len(plans)
     if not p:
-        for st in states:
-            st.slots_observed += slots
         return plans
     recon = h[:, :, :p] @ plans
     recon.flags.writeable = False
-    for st, rows in zip(states, recon.transpose(1, 0, 2)):
-        st.rows.extend(rows)
-        st.slots.extend(range(st.slots_observed, st.slots_observed + slots))
-        st.slots_observed += slots
     return recon
 
 
-def decode_stacks(states, targets):
-    """Group receivers into the stacks :func:`decode_residuals` factors
-    together.
-
-    ``targets`` holds one list of symbol ids per receiver.  Receivers share
-    a stack when their stored rows form matrices of one shape and they
-    want as many symbols, up to :data:`.numerics.STACK_BYTES` of rows per
-    stack (:func:`.numerics.stacks`).  Returns ``(states, targets)`` pairs
-    in receiver order within each stack.
-    """
-    targets = [list(t) for t in targets]
-    shapes = [(len(st.rows), len(st.rows[0]) if st.rows else 0) for st in states]
-    keys = [(*shape, len(t)) for shape, t in zip(shapes, targets)]
-    return [([states[i] for i in idx], [targets[i] for i in idx])
-            for idx in stacks(keys, [16 * m * n for m, n in shapes])]
-
-
-def decode_residuals(states, targets, tol: RankTolerance = DEFAULT_TOL):
+def decode_residuals(rows, targets, tol: RankTolerance = DEFAULT_TOL):
     """Distance of each target's unit row from its receiver's row space,
     for a stack of receivers factored together.
 
-    ``states`` are receivers whose stored rows form matrices of one shape,
-    and ``targets`` holds one nonempty list of symbol ids per receiver,
-    all of one length (:func:`decode_stacks` groups receivers so).
-    Returns ``(residuals, thresholds, kept, dropped)`` from
-    :func:`.numerics.unit_residuals`: two ``(receivers, targets)``
-    arrays in the order given, and per receiver the smallest kept and
-    the largest dropped singular value relative to its largest.  The
-    whole stack is factored by one batched SVD.
+    ``rows`` is ``(receivers, equations, symbols)``, one matrix of heard
+    rows per receiver, and ``targets`` holds one nonempty list of symbol
+    ids per receiver, all of one length.  Returns ``(residuals,
+    thresholds, kept, dropped)`` from :func:`.numerics.unit_residuals`:
+    two ``(receivers, targets)`` arrays in the order given, and per
+    receiver the smallest kept and the largest dropped singular value
+    relative to its largest.  The whole stack is factored by one batched
+    SVD.
     """
     units = np.asarray(targets, dtype=np.intp)
-    if units.ndim != 2 or not units.size or len(units) != len(states):
+    if units.ndim != 2 or not units.size or len(units) != len(rows):
         raise ValueError("need one nonempty list of targets per receiver, "
                          "all of one length")
-    heard = {len(st.rows) for st in states}
-    if len(heard) != 1:
-        raise ValueError(f"receivers of one stack heard {sorted(heard)} equations")
-    if states[0].rows:
-        a = np.concatenate([row for st in states for row in st.rows])
-        a = a.reshape(len(states), len(states[0].rows), -1)
-    else:
-        a = np.zeros((len(states), 0, int(units.max()) + 1), dtype=np.complex128)
-    return unit_residuals(a, units, tol)
+    return unit_residuals(rows, units, tol)
 
 
-def can_decode(states, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
+def can_decode(rows, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
     """True iff every receiver of a stack can recover every one of its
     target symbols (arguments as for :func:`decode_residuals`).
 
     A target ``t`` is recoverable when the unit row ``e_t`` lies in the
-    row space of the receiver's stacked coefficient rows ``A``: stacking
+    row space of the receiver's coefficient rows ``A``: stacking
     ``e_t`` under ``A`` must not raise the numerical rank.  ``A`` is
     factored once, ``A = U S V^H``, with rank ``r`` by the
     :class:`.numerics.RankTolerance` rule.  Each target's residual
@@ -258,9 +211,9 @@ def can_decode(states, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
     ``sqrt(1 + ||S_r^-1 V_r e_t||^2)``, is the singular value that
     stacking ``e_t`` would add; it is compared with
     ``tol.relative * sqrt(s_0^2 + 1)``, the rank threshold of the stacked
-    matrix.  The derivation is in :func:`.numerics.rowspace_residuals`.
+    matrix.  The derivation is in :func:`.numerics._residuals`.
     """
-    residuals, thresholds, *_ = decode_residuals(states, targets, tol)
+    residuals, thresholds, *_ = decode_residuals(rows, targets, tol)
     return bool((residuals <= thresholds).all())
 
 
@@ -303,16 +256,14 @@ def alignment_ranks(trace, tol: RankTolerance = DEFAULT_TOL):
     """
     if getattr(trace, "k", None) != 2 or getattr(trace, "m", None) != 2:
         raise ValueError("alignment ranks are defined for the 2x2 scheme only")
-    states = trace.states
     table = trace.table
-    if len(states) != 2 or len(table) != 4 or trace.total_slots != 3:
+    if len(trace.rows) != 2 or len(table) != 4 or trace.total_slots != 3:
         raise ValueError("trace does not look like a completed 2-user scheme "
                          "(need 2 receivers, 4 symbols, 3 slots)")
-    first = states[0]
-    if len(first.rows) != 3:
+    first = trace.rows[0]
+    if len(first) != 3:
         raise ValueError("first receiver must hold exactly 3 equations")
     desired_ids = table.owned_by(1)
     interference_ids = [s for s in table.ids if s not in desired_ids]
-    desired = first.coefficient_matrix(desired_ids)
-    interference = first.coefficient_matrix(interference_ids)
-    return numerical_rank(desired, tol), numerical_rank(interference, tol)
+    return (numerical_rank(first[:, desired_ids], tol),
+            numerical_rank(first[:, interference_ids], tol))

@@ -3,7 +3,7 @@
 Everything downstream (symbol ledgers, scheme runners, rate simulation)
 funnels its numerical work through this module: batched complex
 Gaussian draws, stacked Haar unitaries, SVD-based rank tests and
-row-space membership.  The linear algebra works on stacks of matrices of
+membership of unit rows in a row space.  The linear algebra works on stacks of matrices of
 one shape, so that many small matrices share one numpy call; one matrix
 goes through the same code.
 
@@ -27,7 +27,6 @@ __all__ = [
     "haar_unitaries",
     "normals_layout",
     "numerical_rank",
-    "rowspace_residuals",
     "stacks",
     "unit_residuals",
 ]
@@ -262,15 +261,60 @@ def numerical_rank(a, tol: RankTolerance = DEFAULT_TOL):
     return tol.rank(np.linalg.svd(as_complex_matrix(a), compute_uv=False))
 
 
-def rowspace_residuals(a, vectors, tol: RankTolerance = DEFAULT_TOL):
-    """How far each row of ``vectors`` is from the row space of ``a``, the
-    threshold up to which that row counts as inside it, and the margin of
-    the rank decision.
+def unit_residuals(a, columns, tol: RankTolerance = DEFAULT_TOL):
+    """How far each unit row ``e_t`` is from the row space of its matrix,
+    the threshold up to which it counts as inside, and the margin of the
+    rank decision, without forming the unit rows (:func:`_residuals`).
 
-    ``a`` is factored once, ``a = U S V^H`` (economy SVD).  Its rank ``r``
-    follows the :class:`RankTolerance` rule; ``S_r`` holds the ``r`` kept
-    singular values and ``V_r`` the matching right singular vectors as
-    rows.  For a row ``v`` with coordinates ``c = v V_r^H``, let
+    ``a`` is a matrix, or a stack ``(..., rows, cols)``, and may have no
+    rows; ``columns`` holds, per matrix, the columns ``t`` to test,
+    ``(..., count)``.  The coordinates ``c = e_t V_r^H`` are the conjugate
+    of ``V_r``'s column ``t``, and the residual ``e_t - c V_r`` is
+    ``-(c V_r)`` plus 1 at ``t``: the dense products' only nonzero terms,
+    so the bits are those of the dense rows.  Every ``||e_t||`` is
+    exactly 1.
+
+    Returns
+    -------
+    residuals, thresholds : numpy.ndarray
+        ``g`` and its threshold, ``(..., count)``.
+    kept, dropped : numpy.ndarray
+        ``s_(r-1) / s_0`` and ``s_r / s_0``, the smallest kept and the
+        largest dropped singular value relative to the largest, per matrix
+        (0-d for a single matrix); ``kept`` is ``inf`` where nothing is
+        kept and ``dropped`` is 0 where nothing is dropped.  The rank
+        decision's margin lies between the two.
+    """
+    a = as_complex_matrix(a)
+    t = np.asarray(columns, dtype=np.intp)
+    if t.shape[:-1] != a.shape[:-2]:
+        raise ValueError(f"columns of shape {t.shape} do not fit matrices of "
+                         f"shape {a.shape}")
+    shape = t.shape
+    t = t.reshape(math.prod(a.shape[:-2]), t.shape[-1])
+
+    def residuals(at, vr):
+        picked = t[at]
+        rows = np.arange(len(picked))[:, np.newaxis]
+        # advanced indices around a slice put their axes first: (n, count, r)
+        coords = vr[rows, :, picked].conj()
+        x = -(coords @ vr)
+        x[rows, np.arange(picked.shape[1]), picked] += 1.0
+        return coords, np.linalg.norm(x, axis=-1)
+
+    return _residuals(a, np.ones(t.shape), shape, residuals, tol)
+
+
+def _residuals(a, norms, shape, residuals, tol):
+    """Factor the stack ``a``, then per rank ``r`` ask ``residuals(at,
+    V_r)`` for the coordinates and the residual norms of the tested rows of
+    the matrices ``at``.  ``norms`` holds the tested rows' norms,
+    ``(matrices, count)``, and ``shape`` the batch shape of the results.
+
+    Each matrix is factored once, ``a = U S V^H`` (economy SVD).  Its rank
+    ``r`` follows the :class:`RankTolerance` rule; ``S_r`` holds the ``r``
+    kept singular values and ``V_r`` the matching right singular vectors
+    as rows.  For a tested row ``v`` with coordinates ``c = v V_r^H``, let
     ``d = ||v - c V_r||`` be the norm of the explicit residual (never
     ``sqrt(||v||^2 - ||c||^2)``: that difference of squares cancels below
     ``d`` of about 1e-8, above the 1e-9 default tolerance).  The returned
@@ -297,84 +341,10 @@ def rowspace_residuals(a, vectors, tol: RankTolerance = DEFAULT_TOL):
     ``g <= threshold``, and the two rules can disagree only when the
     added singular value lies within a factor 2 below the threshold.
 
-    A stack of matrices ``(..., rows, cols)`` with a stack of row sets
-    ``(..., count, cols)`` is factored by one batched SVD, each matrix
-    with its own rank, and the matrices of each rank share the products
-    that follow; so each result has the bits of that matrix factored
-    alone.  A single matrix goes through the same code.
-
-    Parameters
-    ----------
-    a : array_like
-        Matrix whose row space is tested, or a stack; may have no rows.
-    vectors : array_like
-        Row vectors to test, one per row, with as many columns as ``a``;
-        a stack for a stack.
-    tol : RankTolerance
-        Rank decision tolerance.
-
-    Returns
-    -------
-    residuals, thresholds : numpy.ndarray
-        ``g`` and its threshold, one float each per row of ``vectors``.
-    kept, dropped : numpy.ndarray
-        ``s_(r-1) / s_0`` and ``s_r / s_0``, the smallest kept and the
-        largest dropped singular value relative to the largest, per matrix
-        (0-d for a single matrix); ``kept`` is ``inf`` where nothing is
-        kept and ``dropped`` is 0 where nothing is dropped.  The rank
-        decision's margin lies between the two.
+    The stack is factored by one batched SVD, each matrix with its own
+    rank, and the matrices of each rank share the products that follow;
+    so each result has the bits of that matrix factored alone.
     """
-    a = as_complex_matrix(a)
-    v = as_complex_matrix(vectors)
-    if v.shape[:-2] != a.shape[:-2] or v.shape[-1] != a.shape[-1]:
-        raise ValueError(f"vectors of shape {v.shape} do not fit matrices of "
-                         f"shape {a.shape}")
-    shape = v.shape[:-1]
-    v = v.reshape(math.prod(a.shape[:-2]), *v.shape[-2:])
-
-    def residuals(at, vr):
-        coords = v[at] @ vr.conj().mT
-        return coords, np.linalg.norm(v[at] - coords @ vr, axis=-1)
-
-    return _residuals(a, np.linalg.norm(v, axis=-1), shape, residuals, tol)
-
-
-def unit_residuals(a, columns, tol: RankTolerance = DEFAULT_TOL):
-    """:func:`rowspace_residuals` of unit rows, bit for bit, without them.
-
-    ``columns`` holds, per matrix of the stack ``a``, the columns ``t`` of
-    the unit rows ``e_t`` to test, ``(..., count)``.  The coordinates
-    ``c = e_t V_r^H`` are the conjugate of ``V_r``'s column ``t``, and the
-    residual ``e_t - c V_r`` is ``-(c V_r)`` plus 1 at ``t``: the dense
-    products' only nonzero terms, so the bits are the same.  Every
-    ``||e_t||`` is exactly 1.
-    """
-    a = as_complex_matrix(a)
-    t = np.asarray(columns, dtype=np.intp)
-    if t.shape[:-1] != a.shape[:-2]:
-        raise ValueError(f"columns of shape {t.shape} do not fit matrices of "
-                         f"shape {a.shape}")
-    shape = t.shape
-    t = t.reshape(math.prod(a.shape[:-2]), t.shape[-1])
-
-    def residuals(at, vr):
-        picked = t[at]
-        rows = np.arange(len(picked))[:, np.newaxis]
-        # advanced indices around a slice put their axes first: (n, count, r)
-        coords = vr[rows, :, picked].conj()
-        x = -(coords @ vr)
-        x[rows, np.arange(picked.shape[1]), picked] += 1.0
-        return coords, np.linalg.norm(x, axis=-1)
-
-    return _residuals(a, np.ones(t.shape), shape, residuals, tol)
-
-
-def _residuals(a, norms, shape, residuals, tol):
-    """The body of :func:`rowspace_residuals`: factor the stack ``a``,
-    then per rank ``r`` ask ``residuals(at, V_r)`` for the coordinates
-    and the residual norms of the tested rows of the matrices ``at``.
-    ``norms`` holds the tested rows' norms, ``(matrices, count)``, and
-    ``shape`` the batch shape of the results."""
     a = a.reshape(len(norms), *a.shape[-2:])
     if a.size == 0:
         return (norms.reshape(shape), tol.relative * norms.reshape(shape),

@@ -11,8 +11,9 @@ stays white.  Rates are normalized per slot; the high-SNR slope of the
 sum rate estimates the scheme's DoF.
 
 Everything but the SNR factor is SNR-independent, so a trace's receivers
-are factored once, together (:func:`receiver_gains`: one batched SVD,
-projection and eigenvalue call for all receivers of one shape), and the
+are factored once, together (:func:`receiver_gains`: one gather from the
+trace's row array, then one batched SVD, projection and eigenvalue call
+for all receivers that want as many symbols), and the
 whole SNR grid is read off each receiver's gains as
 ``sum log2(1 + P * gain) / slots``.
 
@@ -29,6 +30,7 @@ interpreter-bound ledger building.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,9 +96,10 @@ def receiver_gains(trace, receivers=None, tol=DEFAULT_TOL) -> list:
     order): receiver ``r``'s rate at SNR ``P`` is ``sum(log2(1 + P *
     gains)) / trace.total_slots`` bits per slot.
 
-    Scales each stored equation row by ``1/sqrt(active_antennas)`` of its
-    slot, zero-forces the columns of all other receivers' symbols with one
-    SVD of the interference block (its rank by the ``tol`` rule), and
+    Scales each heard row (:attr:`.schemes.SchemeTrace.rows`) by
+    ``1/sqrt(active_antennas)`` of its slot, zero-forces the columns of
+    all other receivers' symbols with one SVD of the interference block
+    (its rank by the ``tol`` rule), and
     returns the eigenvalues of ``G^H G`` for the remaining desired block
     ``G``.  The noise needs no whitening: it is white, and the projection
     onto the interference-free subspace keeps it white.  Eigenvalues that
@@ -104,27 +107,29 @@ def receiver_gains(trace, receivers=None, tol=DEFAULT_TOL) -> list:
     receiver wants nothing, heard nothing, or the interference fills every
     observation.
 
-    Receivers whose blocks have one shape are stacked
-    (:func:`.numerics.stacks`): one batched SVD of their interference
-    blocks, then, for each interference rank among them, one batched
-    projection and one batched ``eigvalsh``.  Each receiver's gains have
-    the bits of that receiver computed alone.
+    Receivers that want as many symbols are stacked
+    (:func:`.numerics.stacks`): one gather of their columns from the row
+    array, one batched SVD of their interference blocks, then, for each
+    interference rank among them, one batched projection and one batched
+    ``eigvalsh``.  Each receiver's gains have the bits of that receiver
+    computed alone.
     """
     receivers = range(1, trace.k + 1) if receivers is None else receivers
-    jobs = [(i, trace.states[r - 1], trace.targets_for(r))
-            for i, r in enumerate(receivers)]
+    jobs = [(i, r - 1, trace.targets_for(r)) for i, r in enumerate(receivers)]
     gains = [np.zeros(0) for _ in jobs]
-    jobs = [job for job in jobs if job[2] and job[1].rows]
-    n = len(trace.table)
-    scale = 1.0 / np.sqrt(np.asarray(trace.active_antennas, dtype=float))
-    shapes = [(len(st.rows), len(own)) for _, st, own in jobs]
-    for idx in stacks(shapes, [16 * m * n for m, _ in shapes]):
+    m, n = trace.rows.shape[1:]
+    jobs = [job for job in jobs if job[2] and m]
+    active = np.asarray(trace.active_antennas, dtype=float)
+    scale = 1.0 / np.sqrt(active[active > 0])[:, np.newaxis]
+    wants = [len(own) for _, _, own in jobs]
+    for idx in stacks(wants, [16 * m * n] * len(jobs)):
         group = [jobs[i] for i in idx]
-        m, mine = shapes[idx[0]]
+        mine = wants[idx[0]]
         # each receiver's columns read in the order (own symbols, others)
-        rows = np.stack([st.coefficient_matrix(_own_first(own, n))
-                         for _, st, own in group])
-        rows *= scale[np.array([st.slots for _, st, _ in group])][..., np.newaxis]
+        who = np.array([r for _, r, _ in group])[:, np.newaxis, np.newaxis]
+        cols = _own_first(tuple(tuple(own) for _, _, own in group), n)
+        rows = trace.rows[who, np.arange(m)[:, np.newaxis], cols]
+        rows *= scale
         g = rows[..., :mine]
         if mine < n:
             u, s, _ = np.linalg.svd(rows[..., mine:], full_matrices=True)
@@ -142,11 +147,18 @@ def receiver_gains(trace, receivers=None, tol=DEFAULT_TOL) -> list:
     return gains
 
 
-def _own_first(own, n: int) -> np.ndarray:
-    """Symbol ids ``0..n-1`` with ``own`` first, each part in id order."""
-    others = np.ones(n, dtype=bool)
-    others[own] = False
-    return np.concatenate([own, np.flatnonzero(others)])
+@lru_cache(maxsize=64)
+def _own_first(owns: tuple, n: int) -> np.ndarray:
+    """Per receiver, the symbol ids ``0..n-1`` with its own (``owns[i]``)
+    first, each part in id order: a read-only ``(receivers, 1, n)`` array,
+    shared by every trace of one shape."""
+    cols = np.empty((len(owns), 1, n), dtype=np.intp)
+    for i, own in enumerate(owns):
+        others = np.ones(n, dtype=bool)
+        others[list(own)] = False
+        cols[i, 0] = np.concatenate([own, np.flatnonzero(others)])
+    cols.flags.writeable = False
+    return cols
 
 
 def _rates(gains, snrs, slots) -> np.ndarray:

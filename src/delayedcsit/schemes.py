@@ -19,7 +19,10 @@ trace either way; it and the symbol table a chain starts from are cached
 per shape.  The phase is the unit of work: its slots do not depend on
 each other, so a phase builder mixes all of its blocks of forms with one
 stacked ``W @ F`` and sends all of its slots with one
-:meth:`AirLog.broadcast`.
+:meth:`AirLog.broadcast`.  A trace records what was sent as arrays, a
+block per broadcast, and what its receivers heard as one row array,
+which every reader (the decode check, the rate gains, the JSON writer)
+slices or gathers from.
 
 Transmitted antenna forms are normalized to unit coefficient norm, so a
 recorded trace doubles as the SNR-independent skeleton used by the rate
@@ -43,10 +46,9 @@ from .ledger import (
     can_decode,
     combine,
     decode_residuals,
-    decode_stacks,
     transmit_slots,
 )
-from .numerics import DEFAULT_TOL, RngStream, haar_unitaries, normals_layout
+from .numerics import DEFAULT_TOL, RngStream, haar_unitaries, normals_layout, stacks
 
 __all__ = [
     "AirLog",
@@ -72,13 +74,14 @@ CHANNEL = ("channel", None)
 
 class AirLog:
     """Shared transmission context of one scheme execution: the symbol
-    ``table``, ``m`` transmit antennas, the stream ``rng``, the receiver
-    states and the trace records.  A scheme draws all of its trace's
-    randomness with one :meth:`draw` before it sends anything; phase
-    builders take their keys from :attr:`drawn` and transmit through
-    :meth:`broadcast`.  ``channels`` optionally overrides the ``k x m``
-    channels of the first slots, in slot order; later slots get fresh
-    i.i.d. CN(0, 1) draws.
+    ``table``, ``m`` transmit antennas, the stream ``rng``, and what was
+    sent, as blocks: the plans of each broadcast, ``(slots, p, symbols)``,
+    the rows its receivers heard and the ``(labels, weights)`` of the
+    combination log.  A scheme draws all of its trace's randomness with
+    one :meth:`draw` before it sends anything; phase builders take their
+    keys from :attr:`drawn` and transmit through :meth:`broadcast`.
+    ``channels`` optionally overrides the ``k x m`` channels of the first
+    slots, in slot order; later slots get fresh i.i.d. CN(0, 1) draws.
     """
 
     def __init__(self, table: SymbolTable, m: int, rng: RngStream, channels=None):
@@ -86,22 +89,22 @@ class AirLog:
         self.k = table.k
         self.m = m
         self.rng = rng
-        self.states = [ReceiverState(r) for r in range(1, table.k + 1)]
-        self.channels = []
+        self.slots = 0
         self.plans = []
-        self.active_antennas = []
         self.combos = []
         self.drawn = {}
+        self._heard = []  # each broadcast's reconstructions, if any antenna sent
         self._override = _overrides(channels, table.k, m)
         self._h = self._override[:0]  # every slot's channel, once drawn
 
     @property
-    def slots(self) -> int:
-        return len(self.channels)
+    def channels(self) -> np.ndarray:
+        """The ``(slots, k, m)`` channels of the slots sent so far."""
+        return self._h[:self.slots]
 
     def log_combos(self, labels, weights) -> None:
-        self.combos.extend({"label": label, "weights": w}
-                           for label, w in zip(labels, weights))
+        """Log one block of combinations: ``weights[i]`` made ``labels[i]``."""
+        self.combos.append((labels, weights))
 
     def draw(self, layout, *shape) -> dict:
         """Draw the whole trace's randomness with one generator call
@@ -145,10 +148,11 @@ class AirLog:
         norms = np.linalg.norm(plans, axis=-1)
         inverse = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0)
         normalized = plans * inverse[..., np.newaxis]
-        recon = transmit_slots(normalized, h, self.states)
-        self.channels.extend(h)
-        self.plans.extend(normalized)
-        self.active_antennas.extend([normalized.shape[1]] * len(normalized))
+        recon = transmit_slots(normalized, h, self.k)
+        self.slots += len(normalized)
+        self.plans.append(normalized)
+        if normalized.shape[1]:
+            self._heard.append(recon.transpose(1, 0, 2))
         return recon
 
     def send_each(self, forms) -> None:
@@ -157,12 +161,14 @@ class AirLog:
 
     def trace(self, name: str, replication: dict, phases: list) -> "SchemeTrace":
         """The record of this execution, under the scheme name ``name``."""
+        rows = (np.concatenate(self._heard, axis=1) if self._heard
+                else np.zeros((self.k, 0, len(self.table)), dtype=np.complex128))
+        rows.flags.writeable = False
         return SchemeTrace(
             name=name, m=self.m, k=self.k, replication=replication,
-            table=self.table, states=self.states, channels=self.channels,
-            plans=self.plans, active_antennas=self.active_antennas,
-            phases=phases, combination_log=self.combos, seed=self.rng.seed,
-            stream_index=self.rng.index)
+            table=self.table, channels=self.channels, plans=self.plans,
+            rows=rows, phases=phases, combination_log=self.combos,
+            seed=self.rng.seed, stream_index=self.rng.index)
 
 
 def _overrides(channels, k: int, m: int) -> np.ndarray:
@@ -243,17 +249,25 @@ class PhaseRecord:
 
 @dataclass
 class SchemeTrace:
-    """Complete record of one scheme execution."""
+    """Complete record of one scheme execution: what was sent and what
+    was heard, as arrays.
+
+    ``channels`` is ``(slots, k, m)``.  ``plans`` lists the blocks of
+    plans sent, ``(slots, p, symbols)`` each, in slot order.  ``rows`` is
+    ``(k, heard, symbols)``: ``rows[r - 1, i]`` is what receiver ``r``
+    heard in the ``i``-th slot with an active antenna, that slot's
+    channel row times its plan (:func:`.ledger.transmit_slots`).  The
+    ``combination_log`` lists ``(labels, weights)`` blocks.
+    """
 
     name: str
     m: int
     k: int
     replication: dict
     table: SymbolTable
-    states: list
-    channels: list
+    channels: np.ndarray
     plans: list
-    active_antennas: list
+    rows: np.ndarray
     phases: list
     combination_log: list
     seed: int
@@ -262,6 +276,16 @@ class SchemeTrace:
     @property
     def total_slots(self) -> int:
         return len(self.channels)
+
+    @property
+    def active_antennas(self) -> list:
+        """The number of forms sent in each slot."""
+        return [p for block in self.plans for p in [block.shape[1]] * len(block)]
+
+    @property
+    def states(self) -> list:
+        """Each receiver's view of :attr:`rows`."""
+        return [ReceiverState(r, rows) for r, rows in enumerate(self.rows, start=1)]
 
     @property
     def symbols_delivered(self) -> int:
@@ -280,15 +304,22 @@ class SchemeTrace:
         return self.table.owned_by(receiver)
 
     def decode_stacks(self):
-        """The receivers grouped as the decode check factors them,
-        ``(states, targets)`` per stack (:func:`.ledger.decode_stacks`)."""
-        return decode_stacks(self.states, [self.targets_for(st.receiver)
-                                           for st in self.states])
+        """The receivers grouped as the decode check factors them: per
+        stack, its slice of :attr:`rows` and its receivers' targets, in
+        receiver order.  Receivers share a stack when they want as many
+        symbols, up to :data:`.numerics.STACK_BYTES` of rows per stack
+        (:func:`.numerics.stacks`)."""
+        targets = [self.targets_for(r) for r in range(1, self.k + 1)]
+        size = 16 * self.rows[0].size
+        # consecutive receivers, as in every scheme here, are a view, not a copy
+        return [(self.rows[idx[0]:idx[-1] + 1] if idx[-1] - idx[0] == len(idx) - 1
+                 else self.rows[idx], [targets[i] for i in idx])
+                for idx in stacks([len(t) for t in targets], [size] * self.k)]
 
     def decode_ok(self, tol=DEFAULT_TOL) -> bool:
         """True iff every receiver can decode all of its symbols."""
-        return all(can_decode(states, targets, tol)
-                   for states, targets in self.decode_stacks())
+        return all(can_decode(rows, targets, tol)
+                   for rows, targets in self.decode_stacks())
 
     def decode_residuals(self, tol=DEFAULT_TOL):
         """What :meth:`decode_ok` decides from, with the same
@@ -297,8 +328,8 @@ class SchemeTrace:
         relative to its largest (:func:`.ledger.decode_residuals`), flat in
         the order of :meth:`decode_stacks`.  The trace decodes iff no
         residual exceeds its threshold."""
-        parts = [decode_residuals(states, targets, tol)
-                 for states, targets in self.decode_stacks()]
+        parts = [decode_residuals(rows, targets, tol)
+                 for rows, targets in self.decode_stacks()]
         return tuple(np.concatenate([np.ravel(p[i]) for p in parts])
                      for i in range(4))
 
@@ -321,28 +352,32 @@ class SchemeTrace:
         indent=2)`` writes it.  The small fields go through
         :func:`canonical_json`; the slots, receivers and combination log are
         written from the trace's arrays (:func:`_coeff_maps`,
-        :func:`_matrices`), each receiver equation with the unit noise
-        sample of its ``(slot, receiver)`` pair, and the symbol table from
-        a template per symbol."""
-        n, dof = len(self.table), self.empirical_dof
+        :func:`_matrices`), each receiver from its rows, every equation
+        with the unit noise sample of its ``(slot, receiver)`` pair, and the
+        symbol table from a template per symbol.  The receivers and the
+        document are pieces joined once (:func:`_pieces`)."""
+        n, dof, active = len(self.table), self.empirical_dof, self.active_antennas
         channels = _matrices(self.channels, _NL[3])
-        plans = iter(_coeff_maps(np.concatenate(self.plans or [np.zeros((0, n))]), _NL[5]))
+        plans = iter(_coeff_maps(np.concatenate(
+            [b.reshape(-1, n) for b in self.plans if b.size] or [np.zeros((0, n))]),
+            _NL[5]))
         slots = [_block("{}", [
-            f'"active_antennas": {self.active_antennas[i]}', f'"channel": {channels[i]}',
-            '"plan": ' + _block("[]", [_PLAN % next(plans) for _ in plan], _NL[3]),
-            f'"slot": {i}'], _NL[2]) for i, plan in enumerate(self.plans)]
+            f'"active_antennas": {p}', f'"channel": {channels[i]}',
+            '"plan": ' + _block("[]", [_PLAN % next(plans) for _ in range(p)], _NL[3]),
+            f'"slot": {i}'], _NL[2]) for i, p in enumerate(active)]
+        heard = [i for i, p in enumerate(active) if p]
         receivers = []
-        for st in self.states:
-            forms = _coeff_maps(np.reshape(st.rows, (len(st.rows), n)), _NL[6])
-            receivers.append(_block("{}", ['"equations": ' + _block("[]", [
-                _EQUATION % (form, slot, st.receiver, st.receiver, slot)
-                for slot, form in zip(st.slots, forms)], _NL[3]),
-                f'"receiver": {st.receiver}',
-                f'"slots_observed": {st.slots_observed}'], _NL[2]))
-        weights = _matrices([c["weights"] for c in self.combination_log], _NL[3])
-        combos = [_block("{}", [f'"label": {json.dumps(c["label"])}',
-                                f'"weights": {w}'], _NL[2])
-                  for c, w in zip(self.combination_log, weights)]
+        for r, rows in enumerate(self.rows, start=1):
+            equations = [_EQUATION % (form, slot, r, r, slot)
+                         for slot, form in zip(heard, _coeff_maps(rows, _NL[6]))]
+            receivers.append(_pieces("{}", [
+                ['"equations": ', *_pieces("[]", equations, _NL[3])],
+                f'"receiver": {r}', f'"slots_observed": {self.total_slots}'], _NL[2]))
+        labels = [label for block, _ in self.combination_log for label in block]
+        weights = _matrices([w for _, block in self.combination_log for w in block],
+                            _NL[3])
+        combos = [_block("{}", [f'"label": {json.dumps(label)}', f'"weights": {w}'],
+                         _NL[2]) for label, w in zip(labels, weights)]
         owners = {o: _block("[]", [str(r) for r in sorted(o)], _NL[3])
                   for o in {s.owner for s in self.table.symbols}}
         symbols = [_SYMBOL % (s.id, json.dumps(s.label), s.order, owners[s.owner])
@@ -359,10 +394,10 @@ class SchemeTrace:
                         "inputs": p.inputs_consumed, "slots": p.slots,
                         "outputs": p.outputs_generated} for p in self.phases],
             **(extra or {})}
-        return _block("{}", [json.dumps(key) + ": " + (
-            canonical_json(doc[key]).replace("\n", _NL[1]) if key in doc
-            else _block("[]", arrays[key], _NL[1]))
-            for key in sorted(doc.keys() | arrays.keys())], _NL[0])
+        return "".join(_pieces("{}", [
+            json.dumps(key) + ": " + canonical_json(doc[key]).replace("\n", _NL[1])
+            if key in doc else [json.dumps(key) + ": ", *_pieces("[]", arrays[key], _NL[1])]
+            for key in sorted(doc.keys() | arrays.keys())], _NL[0]))
 
 
 #: Newline and indentation of each nesting depth of the trace document.
@@ -376,6 +411,23 @@ def _block(brackets: str, items, nl: str) -> str:
     if not items:
         return brackets
     return f'{brackets[0]}{nl}  {("," + nl + "  ").join(items)}{nl}{brackets[1]}'
+
+
+def _pieces(brackets: str, items, nl: str) -> list:
+    """:func:`_block` as a list of string pieces, of items that are strings
+    or such lists: the document is joined once, so a large container is
+    not copied again at every depth that holds it."""
+    if not items:
+        return [brackets]
+    out, sep = [brackets[0] + nl + "  "], "," + nl + "  "
+    for item in items:
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            out += item
+        out.append(sep)
+    out[-1] = nl + brackets[1]
+    return out
 
 
 #: A symbol table entry (id, label, order, owner list), a plan form
@@ -619,7 +671,6 @@ def build_nonsquare_phase(m: int, k: int, j: int, params: NonsquarePhaseParams,
     plans = combine(forms[:, :, np.newaxis], plan_w)
     recon = air.broadcast(plans.reshape((-1,) + plans.shape[-2:]))
     outputs = {t: recon[:0, 0] for t in uppers}
-    pur_w = np.zeros((runs, 0))  # one antenna: nothing to purify, nothing to log
     if pur_each:
         # receiver r purifies what it heard in the sub-phase of S
         subset, receiver, pair = _overheard(k, j)
@@ -633,11 +684,12 @@ def build_nonsquare_phase(m: int, k: int, j: int, params: NonsquarePhaseParams,
         outs = combine(stacked, out_w).swapaxes(0, 1)
         outputs = dict(zip(uppers, outs.reshape(len(uppers), -1, outs.shape[-1])))
     sub_labels, order_labels = _nonsquare_labels(k, j, sub_slots)
+    outside = k - j  # purifying receivers per subset
     for run in range(runs):
-        pur = iter(pur_w[run])
-        for (plan_labels, pur_labels), ws in zip(sub_labels, plan_w[run]):
-            air.log_combos(plan_labels, ws)
-            air.log_combos(pur_labels, pur)
+        for i, (labels, ws) in enumerate(zip(sub_labels, plan_w[run])):
+            air.log_combos(labels[0], ws)
+            if pur_each:
+                air.log_combos(labels[1], pur_w[run, i * outside:(i + 1) * outside])
         if pur_each:
             air.log_combos(order_labels, out_w[run])
     return len(recon), outputs

@@ -1,8 +1,10 @@
 """Reference implementations that the tests compare the package against."""
 
+import math
+
 import numpy as np
 
-from delayedcsit.numerics import as_complex_matrix
+from delayedcsit.numerics import DEFAULT_TOL, _residuals, as_complex_matrix
 
 
 class NumericalDomainError(ArithmeticError):
@@ -55,6 +57,44 @@ def logdet_capacity(g, noise_cov, power_per_symbol: float) -> float:
     return float(logdet / np.log(2.0))
 
 
+def rowspace_residuals(a, vectors, tol=DEFAULT_TOL):
+    """The reference of :func:`delayedcsit.numerics.unit_residuals` for any
+    rows: how far each row of ``vectors`` is from the row space of ``a``,
+    the threshold up to which it counts as inside, and the margin of the
+    rank decision, from the dense products (the derivation is in
+    ``numerics._residuals``).
+
+    ``a`` is a matrix or a stack ``(..., rows, cols)``, and may have no
+    rows; ``vectors`` holds the rows to test, ``(..., count, cols)``.
+    Returns ``(residuals, thresholds, kept, dropped)`` as
+    ``unit_residuals`` does, one residual and threshold per row of
+    ``vectors``.
+    """
+    a = as_complex_matrix(a)
+    v = as_complex_matrix(vectors)
+    if v.shape[:-2] != a.shape[:-2] or v.shape[-1] != a.shape[-1]:
+        raise ValueError(f"vectors of shape {v.shape} do not fit matrices of "
+                         f"shape {a.shape}")
+    shape = v.shape[:-1]
+    v = v.reshape(math.prod(a.shape[:-2]), *v.shape[-2:])
+
+    def residuals(at, vr):
+        coords = v[at] @ vr.conj().mT
+        return coords, np.linalg.norm(v[at] - coords @ vr, axis=-1)
+
+    return _residuals(a, np.linalg.norm(v, axis=-1), shape, residuals, tol)
+
+
+def slot_plans(trace) -> list:
+    """Each slot's plan, ``(p, symbols)``, from the trace's plan blocks."""
+    return [plan for block in trace.plans for plan in block]
+
+
+def heard_slots(trace) -> list:
+    """The slots with an active antenna: those the receivers heard."""
+    return [s for s, plan in enumerate(slot_plans(trace)) if len(plan)]
+
+
 def form_dict(row, noise=None) -> dict:
     """Schema-``v1`` JSON of one form: its nonzero coefficients keyed by
     symbol id, and its noise weights keyed ``"slot:receiver"`` (none for
@@ -68,18 +108,19 @@ def form_dict(row, noise=None) -> dict:
     }
 
 
-def equation_dict(eq) -> dict:
-    """One stored equation with the unit noise sample of its
+def equation_dict(receiver, slot, row) -> dict:
+    """One heard equation with the unit noise sample of its
     ``(slot, receiver)`` pair."""
-    noise = {f"{eq.slot}:{eq.receiver}": [1.0, 0.0]}
-    return {"receiver": eq.receiver, "slot": eq.slot,
-            "form": form_dict(eq.row, noise), "noise_variance": 1.0}
+    noise = {f"{slot}:{receiver}": [1.0, 0.0]}
+    return {"receiver": receiver, "slot": slot,
+            "form": form_dict(row, noise), "noise_variance": 1.0}
 
 
-def receiver_dict(st) -> dict:
-    return {"receiver": st.receiver,
-            "slots_observed": st.slots_observed,
-            "equations": [equation_dict(eq) for eq in st.equations]}
+def receiver_dict(trace, receiver) -> dict:
+    return {"receiver": receiver,
+            "slots_observed": trace.total_slots,
+            "equations": [equation_dict(receiver, slot, row) for slot, row in
+                          zip(heard_slots(trace), trace.rows[receiver - 1])]}
 
 
 def trace_doc(trace) -> dict:
@@ -117,14 +158,15 @@ def trace_doc(trace) -> dict:
         ],
         "slots": [
             {"slot": i,
-             "active_antennas": trace.active_antennas[i],
-             "plan": [form_dict(f) for f in trace.plans[i]],
+             "active_antennas": len(plan),
+             "plan": [form_dict(f) for f in plan],
              "channel": matrix(trace.channels[i])}
-            for i in range(trace.total_slots)
+            for i, plan in enumerate(slot_plans(trace))
         ],
-        "receivers": [receiver_dict(st) for st in trace.states],
+        "receivers": [receiver_dict(trace, r) for r in range(1, trace.k + 1)],
         "combination_log": [
-            {"label": c["label"], "weights": matrix(c["weights"])}
-            for c in trace.combination_log
+            {"label": label, "weights": matrix(w)}
+            for labels, weights in trace.combination_log
+            for label, w in zip(labels, weights)
         ],
     }

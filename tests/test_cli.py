@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, output shapes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import time
@@ -132,9 +133,9 @@ def test_scheme_verify_pass(capsys):
 def test_scheme_verify_failure_exits_one(capsys, monkeypatch):
     def broken(stream):
         trace = run_alt22(stream)
-        trace.states[0].rows.clear()  # first receiver heard nothing
-        trace.states[0].slots.clear()
-        return trace
+        rows = trace.rows.copy()
+        rows[0] = 0.0  # the first receiver is deaf: it heard only zeros
+        return dataclasses.replace(trace, rows=rows)
 
     monkeypatch.setattr(cli, "run_alt22", broken)
     code, out, err = run_cli(capsys, ["scheme-verify", "--scheme", "alt22",

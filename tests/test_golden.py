@@ -186,6 +186,71 @@ RATE_POINTS_REPR = (
 )
 
 
+#: ``repr`` of ``simulate_rates``, 10 trials at master seed 6, for schemes
+#: whose receivers' gain stacks hold more than one interference rank or a
+#: rank-deficient block: square-4 on 60:80:5 dB, the others on 40:60:5 dB.
+RATE_SCHEMES = {
+    "square-4": (lambda s: run_square_scheme(4, s), (60.0, 80.0, 5.0)),
+    "tdma-3": (lambda s: tdma_trace(3, s), (40.0, 60.0, 5.0)),
+    "order-2-3-2": (lambda s: run_order_j_delivery(2, 3, 2, s),
+                    (40.0, 60.0, 5.0)),
+}
+RATE_SCHEMES_REPR = {
+    "square-4": (
+        '[RatePoint(snr_db=60.0, sum_rate=28.538505336722412, '
+        'per_receiver=(7.22145356181789, 7.119259439126584, '
+        '7.096797425763843, 7.100994910014094), trials=10, '
+        'stderr=0.15197126358344684), RatePoint(snr_db=65.0, '
+        'sum_rate=31.672385053752585, per_receiver=(8.007466391031421, '
+        '7.901375830864429, 7.87914282151679, 7.884400010339947), '
+        'trials=10, stderr=0.15772635092285975), RatePoint(snr_db=70.0, '
+        'sum_rate=34.832448933532284, per_receiver=(8.79801294896872, '
+        '8.691111882737104, 8.668539098162935, 8.674785003663525), '
+        'trials=10, stderr=0.16038402990914946), RatePoint(snr_db=75.0, '
+        'sum_rate=38.0090628453152, per_receiver=(9.591996058728252, '
+        '9.485344614413746, 9.46243015948947, 9.469292012683727), '
+        'trials=10, stderr=0.16134965128208628), RatePoint(snr_db=80.0, '
+        'sum_rate=41.19357739068337, per_receiver=(10.387960379462863, '
+        '10.28154871079028, 10.258473028528792, 10.265595271901441), '
+        'trials=10, stderr=0.16166056726353636)]'
+    ),
+    "tdma-3": (
+        '[RatePoint(snr_db=40.0, sum_rate=13.00704757723656, '
+        'per_receiver=(4.458128575866134, 4.2990122156216595, '
+        '4.2499067857487685), trials=10, stderr=0.2515314069610359), '
+        'RatePoint(snr_db=45.0, sum_rate=14.667674053384642, '
+        'per_receiver=(5.011740269799707, 4.852612587244208, '
+        '4.803321196340727), trials=10, stderr=0.25168898733160777), '
+        'RatePoint(snr_db=50.0, sum_rate=16.328531168260096, '
+        'per_receiver=(5.565381356845653, 5.406250093210412, '
+        '5.356899718204031), trials=10, stderr=0.2517389683242316), '
+        'RatePoint(snr_db=55.0, sum_rate=17.989461382269777, '
+        'per_receiver=(6.119031739946442, 5.959899343809274, '
+        '5.910530298514061), trials=10, stderr=0.25175478873409385), '
+        'RatePoint(snr_db=60.0, sum_rate=19.65041472880125, '
+        'per_receiver=(6.672685062831564, 6.513552308559338, '
+        '6.464177357410347), trials=10, stderr=0.25175979309214824)]'
+    ),
+    "order-2-3-2": (
+        '[RatePoint(snr_db=40.0, sum_rate=27.319336132632117, '
+        'per_receiver=(9.372063567626084, 8.720386117223239, '
+        '9.226886447782794), trials=10, stderr=0.3360458212450263), '
+        'RatePoint(snr_db=45.0, sum_rate=31.27551923599453, '
+        'per_receiver=(10.699234029518752, 10.026073556572356, '
+        '10.550211649903423), trials=10, stderr=0.34541690258673075), '
+        'RatePoint(snr_db=50.0, sum_rate=35.250074508835354, '
+        'per_receiver=(12.02749613398255, 11.345418192720555, '
+        '11.877160182132254), trials=10, stderr=0.3492436349805285), '
+        'RatePoint(snr_db=55.0, sum_rate=39.23233739818241, '
+        'per_receiver=(13.35610607424322, 12.670887384937673, '
+        '13.205343939001514), trials=10, stderr=0.350584002945566), '
+        'RatePoint(snr_db=60.0, sum_rate=43.21733125547124, '
+        'per_receiver=(14.684826275731856, 13.998576726735005, '
+        '14.53392825300438), trials=10, stderr=0.3510231615944339)]'
+    ),
+}
+
+
 def _sha(trace):
     return hashlib.sha256(trace.to_json().encode()).hexdigest()
 
@@ -244,3 +309,39 @@ def test_rate_points_are_unchanged():
     points = simulate_rates(lambda s: run_square_scheme(3, s),
                             snr_grid(40.0, 60.0, 5.0), 20, RngStream(6))
     assert repr(points) == RATE_POINTS_REPR
+
+
+@pytest.mark.parametrize("name", sorted(RATE_SCHEMES))
+def test_scheme_rate_points_are_unchanged(name):
+    build, grid = RATE_SCHEMES[name]
+    points = simulate_rates(build, snr_grid(*grid), 10, RngStream(6))
+    assert repr(points) == "".join(RATE_SCHEMES_REPR[name])
+
+
+def _golden_traces():
+    """Every trace the JSON pins above hash, overrides included."""
+    for name, build in sorted(BUILDERS.items()):
+        for seed in SEEDS:
+            yield name, build(RngStream(seed, 3))
+    for name, channels in sorted(_overrides().items()):
+        for seed in SEEDS:
+            yield f"{name}/override", BUILDERS[name](RngStream(seed, 3), channels)
+    for name, (build, shape, count, want) in sorted(CROSS_PHASE.items()):
+        rng = RngStream(5, 1)
+        channels = [rng.complex_normal(shape) for _ in range(count)] or None
+        for seed in SEEDS[:len(want)]:
+            yield name, build(RngStream(seed, 3), channels)
+
+
+def test_row_array_is_channel_times_plan():
+    # what the receivers heard is bit for bit each slot's channel times its
+    # plan, computed here one slot at a time; a slot with no active antenna
+    # would be heard by nobody
+    for name, trace in _golden_traces():
+        plans = [plan for block in trace.plans for plan in block]
+        heard = [s for s, plan in enumerate(plans) if len(plan)]
+        assert len(plans) == len(trace.channels) == trace.total_slots, name
+        assert trace.rows.shape == (trace.k, len(heard), len(trace.table)), name
+        for i, s in enumerate(heard):
+            want = trace.channels[s][:, :len(plans[s])] @ plans[s]
+            assert trace.rows[:, i].tobytes() == want.tobytes(), (name, s)

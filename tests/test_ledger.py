@@ -1,18 +1,18 @@
 """Symbolic transmission ledger: forms, slots, decode checks, alignment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayedcsit.ledger import (
-    ReceiverState,
     SymbolTable,
     alignment_ranks,
     can_decode,
     combine,
     decode_residuals,
-    decode_stacks,
     transmit_slots,
 )
 from delayedcsit.numerics import (
@@ -20,7 +20,7 @@ from delayedcsit.numerics import (
     RngStream,
     haar_unitaries,
     numerical_rank,
-    rowspace_residuals,
+    unit_residuals,
 )
 from delayedcsit.schemes import (
     CHANNEL,
@@ -31,7 +31,14 @@ from delayedcsit.schemes import (
     run_opt23,
     run_square_scheme,
 )
-from oracles import equation_dict, form_dict, trace_doc
+from oracles import (
+    equation_dict,
+    form_dict,
+    heard_slots,
+    rowspace_residuals,
+    slot_plans,
+    trace_doc,
+)
 
 SMALL_SCHEMES = {
     "square-2": lambda s: run_square_scheme(2, s),
@@ -91,39 +98,39 @@ def test_transmit_slot_exact_rows():
     x = t.new_symbol({1}, "x")
     y = t.new_symbol({2}, "y")
     assert np.array_equal(t.unit_forms([y, x]), [[0.0, 1.0], [1.0, 0.0]])
-    states = [ReceiverState(1), ReceiverState(2)]
     h = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    recon = transmit_slots(t.unit_forms([x, y])[np.newaxis], h[np.newaxis], states)
-    # receiver r hears h[r, 0]*x + h[r, 1]*y plus its own fresh noise
-    (eq,) = states[0].equations
-    assert (eq.receiver, eq.slot) == (1, 0)
-    assert np.array_equal(eq.row, [1.0, 2.0])
-    assert equation_dict(eq)["form"]["noise"] == {"0:1": [1.0, 0.0]}
-    assert np.array_equal(states[1].rows[0], [3.0, 4.0])
-    assert states[1].slots == [0]
-    # reconstructions are the noiseless rows, and read-only
+    recon = transmit_slots(t.unit_forms([x, y])[np.newaxis], h[np.newaxis], 2)
+    # receiver r hears h[r, 0]*x + h[r, 1]*y plus its own fresh noise; the
+    # reconstructions are those rows without the noise, and read-only
     assert np.array_equal(recon, [[[1.0, 2.0], [3.0, 4.0]]])
     assert not recon.flags.writeable
-    assert states[0].slots_observed == 1
+    assert equation_dict(1, 0, recon[0, 0])["form"]["noise"] == {"0:1": [1.0, 0.0]}
 
 
 def test_transmit_slot_validation_and_empty_plan():
     t = SymbolTable(2)
     x = t.new_symbol({1}, "x")
-    states = [ReceiverState(1), ReceiverState(2)]
     h = np.eye(2, dtype=complex)[np.newaxis]
     with pytest.raises(ValueError):  # more forms than antennas
-        transmit_slots(t.unit_forms([x] * 3)[np.newaxis], h, states)
-    with pytest.raises(ValueError):
+        transmit_slots(t.unit_forms([x] * 3)[np.newaxis], h, 2)
+    with pytest.raises(ValueError):  # three channel rows, two receivers
         transmit_slots(t.unit_forms([x])[np.newaxis],
-                       np.eye(3, dtype=complex)[np.newaxis], states)
+                       np.eye(3, dtype=complex)[np.newaxis], 2)
     with pytest.raises(ValueError):
-        transmit_slots(t.unit_forms([x])[np.newaxis], [[[np.nan], [1.0]]], states)
+        transmit_slots(t.unit_forms([x])[np.newaxis], [[[np.nan], [1.0]]], 2)
     with pytest.raises(ValueError):  # two plans, one channel
-        transmit_slots(np.stack([t.unit_forms([x])] * 2), h, states)
-    out = transmit_slots(np.zeros((1, 0, 1)), h, states)
-    assert out.size == 0
-    assert all(s.slots_observed == 1 and not s.equations for s in states)
+        transmit_slots(np.stack([t.unit_forms([x])] * 2), h, 2)
+    # an empty plan is heard by nobody: no rows, and no row in a trace
+    out = transmit_slots(np.zeros((1, 0, 1)), h, 2)
+    assert out.shape == (1, 0, 1)
+    air = AirLog(t, 2, RngStream(1))
+    air.draw(lambda: [CHANNEL] * 3)
+    air.broadcast(np.zeros((1, 0, 1)))
+    air.send_each(t.unit_forms([x, x]))
+    trace = air.trace("hand", {}, [])
+    assert trace.total_slots == 3 and trace.active_antennas == [0, 1, 1]
+    assert np.array_equal(trace.rows, air.channels[1:, :, :1].transpose(1, 0, 2))
+    assert heard_slots(trace) == [1, 2]
 
 
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 3),
@@ -131,31 +138,22 @@ def test_transmit_slot_validation_and_empty_plan():
 @settings(max_examples=40, deadline=None)
 def test_transmit_slots_stacked_rows(slots, receivers, p, symbols, seed):
     # slot s puts h_s[r, :p] @ plan_s into receiver r, slots in stack
-    # order, after what the receiver heard before; rows are read-only
+    # order; the rows are read-only
     rng = RngStream(seed)
     antennas = max(p, 1) + 1
     h = rng.complex_normal((slots, receivers, antennas))
     plans = rng.complex_normal((slots, p, symbols))
-    states = [ReceiverState(r) for r in range(1, receivers + 1)]
-    transmit_slots(plans[:1], h[:1], states)
-    recon = transmit_slots(plans, h, states)
+    recon = transmit_slots(plans, h, receivers)
     assert recon.shape == (slots, receivers if p else 0, symbols)
     assert not (p and recon.flags.writeable)
-    for st in states:
-        r = st.receiver - 1
-        assert st.slots_observed == slots + 1
-        rows = st.rows[1:] if p else st.rows
-        assert len(rows) == (slots if p else 0)
-        for s, row in enumerate(rows):
+    for s in range(slots if p else 0):
+        for r in range(receivers):
             # bit for bit the one-slot product; the vector product takes
             # another BLAS path, so it agrees to rounding only
+            row = recon[s, r]
             assert np.array_equal(row, (h[s, :, :p] @ plans[s])[r]), (s, r)
             want = h[s, r, :p] @ plans[s]
             assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
-            assert np.array_equal(recon[s, r], row)
-            assert not row.flags.writeable
-        if p:
-            assert st.slots == list(range(slots + 1))
 
 
 def _noise_weights(receiver_doc):
@@ -203,11 +201,13 @@ def test_equation_rows_are_channel_times_plan():
     for name, build in sorted(LEDGER_SCHEMES.items()):
         trace = build(RngStream(6))
         doc = trace_doc(trace)
-        for st, rec in zip(trace.states, doc["receivers"]):
-            assert st.slots == list(range(trace.total_slots)), name
-            for slot, row, eq in zip(st.slots, st.rows, rec["equations"]):
-                h = trace.channels[slot][st.receiver - 1]
-                plan = trace.plans[slot]
+        plans = slot_plans(trace)
+        assert heard_slots(trace) == list(range(trace.total_slots)), name
+        for r, (rows, rec) in enumerate(zip(trace.rows, doc["receivers"])):
+            assert len(rows) == len(rec["equations"]) == trace.total_slots, name
+            for slot, row, eq in zip(heard_slots(trace), rows, rec["equations"]):
+                h = trace.channels[slot][r]
+                plan = plans[slot]
                 want = sum(h[m] * plan[m] for m in range(len(plan)))
                 assert (np.linalg.norm(row - want)
                         <= 1e-12 * np.linalg.norm(want)), (name, slot)
@@ -221,34 +221,35 @@ def test_can_decode_hand_cases():
     t = SymbolTable(2)
     x = t.new_symbol({1}, "x")
     y = t.new_symbol({2}, "y")
-    st1 = ReceiverState(1, [np.array([1.0, 1.0])], [0])
-    assert not can_decode([st1], [[x]])  # one equation, two unknowns
-    st1.rows.append(np.array([0.0, 1.0]))
-    st1.slots.append(1)
+    one = np.array([[1.0, 1.0]])
+    assert not can_decode([one], [[x]])  # one equation, two unknowns
+    st1 = np.array([[1.0, 1.0], [0.0, 1.0]])
     assert can_decode([st1], [[x]])
     assert can_decode([st1], [[x, y]])
     with pytest.raises(ValueError):
         can_decode([st1], [[]])
-    assert not can_decode([ReceiverState(2)], [[y]])  # heard nothing
+    assert not can_decode(np.zeros((1, 0, 2)), [[y]])  # heard nothing
+    assert not can_decode(np.zeros((1, 2, 2)), [[y]])  # deaf: heard zeros
     # a stack decodes iff each of its receivers does
-    st2 = ReceiverState(2, [np.array([1.0, 1.0]), np.array([1.0, -1.0])], [0, 1])
+    st2 = np.array([[1.0, 1.0], [1.0, -1.0]])
     assert can_decode([st1, st2], [[x], [y]])
-    short = ReceiverState(2, [np.array([1.0, 1.0]), np.array([2.0, 2.0])], [0, 1])
+    short = np.array([[1.0, 1.0], [2.0, 2.0]])
     assert not can_decode([st1, short], [[x], [y]])
+    assert not can_decode([st1, np.zeros((2, 2))], [[x], [y]])
     with pytest.raises(ValueError):
-        can_decode([st1, ReceiverState(2)], [[x], [y]])  # two shapes
+        can_decode([st1, one], [[x], [y]])  # two shapes
     with pytest.raises(ValueError):
         can_decode([st1, st2], [[x], [x, y]])  # two target counts
     with pytest.raises(ValueError):
         can_decode([st1, st2], [[x]])  # one target list short
 
 
-def _stacked_rank_decodes(state, targets):
+def _stacked_rank_decodes(rows, targets):
     """The per-target rule ``can_decode`` replaced: stack each unit row
-    under the coefficient matrix and compare numerical ranks."""
-    used = np.flatnonzero(np.any(np.vstack(state.rows) != 0, axis=0))
+    under the coefficient matrix ``rows`` and compare numerical ranks."""
+    used = np.flatnonzero(np.any(rows != 0, axis=0))
     ids = sorted(set(used.tolist()) | set(targets))
-    a = state.coefficient_matrix(ids)
+    a = rows[:, ids]
     base = numerical_rank(a)
     for t in targets:
         e = np.zeros((1, len(ids)), dtype=complex)
@@ -258,34 +259,31 @@ def _stacked_rank_decodes(state, targets):
     return True
 
 
+def _with_rows(trace, rows):
+    """``trace`` with its receivers' rows replaced by ``rows``."""
+    return dataclasses.replace(trace, rows=rows)
+
+
 def _truncated(trace):
-    """Receiver states of ``trace`` without its last slot's equations."""
-    last = trace.total_slots - 1
-    out = []
-    for st in trace.states:
-        keep = [i for i, slot in enumerate(st.slots) if slot != last]
-        out.append(ReceiverState(st.receiver, [st.rows[i] for i in keep],
-                                 [st.slots[i] for i in keep], last))
-    return out
+    """``trace`` without its last slot's equations (every slot is heard)."""
+    return _with_rows(trace, trace.rows[:, :-1])
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SCHEMES))
 def test_can_decode_matches_stacked_rank_oracle(name):
     for seed in range(50):
         trace = SMALL_SCHEMES[name](RngStream(seed))
-        for states, complete in ((trace.states, True),
-                                 (_truncated(trace), False)):
+        for tr, complete in ((trace, True), (_truncated(trace), False)):
             verdicts = []
-            for st in states:
-                targets = trace.targets_for(st.receiver)
-                got = can_decode([st], [targets])
-                assert got == _stacked_rank_decodes(st, targets), (
-                    name, seed, complete, st.receiver)
+            for r, rows in enumerate(tr.rows, start=1):
+                targets = tr.targets_for(r)
+                got = can_decode(rows[np.newaxis], [targets])
+                assert got == _stacked_rank_decodes(rows, targets), (
+                    name, seed, complete, r)
                 verdicts.append(got)
             assert all(verdicts) == complete, (name, seed, complete)
-            stacks = decode_stacks(states, [trace.targets_for(st.receiver)
-                                            for st in states])
-            assert all(can_decode(*stack) for stack in stacks) == complete
+            assert all(can_decode(*stack) for stack in tr.decode_stacks()) == complete
+            assert tr.decode_ok() == complete
 
 
 def test_decode_residuals_are_decades_from_threshold():
@@ -301,63 +299,74 @@ def test_decode_residuals_are_decades_from_threshold():
     for build, seeds in builders:
         for seed in seeds:
             trace = build(RngStream(seed))
-            for states in (trace.states, _truncated(trace)):
-                targets = [trace.targets_for(st.receiver) for st in states]
-                for stack in decode_stacks(states, targets):
-                    residuals, thresholds, kept, dropped = decode_residuals(*stack)
+            for tr in (trace, _truncated(trace)):
+                for rows, targets in tr.decode_stacks():
+                    residuals, thresholds, kept, dropped = decode_residuals(rows, targets)
                     ratio = residuals / thresholds
                     assert np.all((ratio <= 0.1) | (ratio >= 10.0)), (
                         seed, ratio[(ratio > 0.1) & (ratio < 10)])
-                    for st, margin, drop in zip(stack[0], kept, dropped):
-                        sv = np.linalg.svd(np.vstack(st.rows), compute_uv=False)
+                    for i, (a, margin, drop) in enumerate(zip(rows, kept, dropped)):
+                        sv = np.linalg.svd(a, compute_uv=False)
                         want = sv[DEFAULT_TOL.rank(sv) - 1] / sv[0]
                         assert margin == pytest.approx(want, rel=1e-6)
-                        assert margin >= 1e-7, (seed, st.receiver, margin)
+                        assert margin >= 1e-7, (seed, i, margin)
                         # every receiver has full row rank: nothing dropped
-                        assert drop == 0.0, (seed, st.receiver, drop)
+                        assert drop == 0.0, (seed, i, drop)
 
 
-def _cleared(states, receiver):
-    """``states`` with one receiver's equations removed."""
-    return [ReceiverState(st.receiver, [], [], st.slots_observed)
-            if st.receiver == receiver else st for st in states]
+def _cleared(trace, receiver):
+    """``trace`` with one receiver deaf: its rows all zero."""
+    rows = trace.rows.copy()
+    rows[receiver - 1] = 0.0
+    return _with_rows(trace, rows)
 
 
-def _deficient(states, receiver):
-    """``states`` with one receiver's last row replaced by a copy of its
+def _deficient(trace, receiver):
+    """``trace`` with one receiver's last row replaced by a copy of its
     first: the same shape, one rank less."""
-    return [ReceiverState(st.receiver, st.rows[:-1] + st.rows[:1],
-                          st.slots, st.slots_observed)
-            if st.receiver == receiver else st for st in states]
+    rows = trace.rows.copy()
+    rows[receiver - 1, -1] = rows[receiver - 1, 0]
+    return _with_rows(trace, rows)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SCHEMES))
 def test_stacked_residuals_equal_per_matrix(name):
     # a stack gives each receiver the bits of rowspace_residuals on that
-    # receiver's matrix alone: complete and truncated traces, a receiver
-    # that heard nothing (a group of two shapes) and one of lower rank
+    # receiver's matrix alone: complete and truncated traces, a deaf
+    # receiver (rank 0) and one of lower rank; a receiver that heard
+    # nothing has another shape, so it is factored alone
     for seed in range(20):
         trace = SMALL_SCHEMES[name](RngStream(seed))
-        for states in (trace.states, _truncated(trace),
-                       _cleared(trace.states, 1), _deficient(trace.states, 2)):
-            targets = [trace.targets_for(st.receiver) for st in states]
-            stacks = decode_stacks(states, targets)
-            assert sorted(st.receiver for group, _ in stacks for st in group) == [
-                st.receiver for st in states]
-            for group, wanted in stacks:
-                residuals, thresholds, kept, dropped = decode_residuals(group, wanted)
-                for i, (st, t) in enumerate(zip(group, wanted)):
-                    n = len(trace.table)
-                    a = np.vstack(st.rows) if st.rows else np.zeros((0, n))
-                    units = np.eye(n)[t]
-                    g, thr, margin, drop = rowspace_residuals(a, units)
-                    assert residuals[i].tobytes() == g.tobytes(), (seed, st.receiver)
+        n = len(trace.table)
+        for tr in (trace, _truncated(trace), _cleared(trace, 1), _deficient(trace, 2)):
+            stacks = tr.decode_stacks()
+            assert np.array_equal(np.concatenate([rows for rows, _ in stacks]), tr.rows)
+            for rows, wanted in stacks:
+                residuals, thresholds, kept, dropped = decode_residuals(rows, wanted)
+                for i, (a, t) in enumerate(zip(rows, wanted)):
+                    g, thr, margin, drop = rowspace_residuals(a, np.eye(n)[t])
+                    assert residuals[i].tobytes() == g.tobytes(), (seed, i)
                     assert thresholds[i].tobytes() == thr.tobytes()
                     assert kept[i] == margin and dropped[i] == drop
             verdict = all(can_decode(*stack) for stack in stacks)
-            assert verdict == all(
-                _stacked_rank_decodes(st, t) if st.rows else False
-                for st, t in zip(states, targets))
+            assert verdict == tr.decode_ok() == all(
+                _stacked_rank_decodes(a, tr.targets_for(r))
+                for r, a in enumerate(tr.rows, start=1))
+        t = trace.targets_for(1)
+        got = unit_residuals(np.zeros((1, 0, n)), [t])
+        want = rowspace_residuals(np.zeros((0, n)), np.eye(n)[t])
+        assert [a.tobytes() for a in got] == [
+            np.asarray(a)[np.newaxis].tobytes() for a in want]
+        assert not can_decode(np.zeros((1, 0, n)), [t])
+
+
+def test_receiver_states_are_views_of_the_row_array():
+    trace = run_square_scheme(3, RngStream(2))
+    ids = trace.table.ids[::-1]
+    for r, st in enumerate(trace.states, start=1):
+        assert st.receiver == r and np.shares_memory(st.rows, trace.rows)
+        assert len(st.equations) == trace.total_slots
+        assert np.array_equal(st.coefficient_matrix(ids), trace.rows[r - 1][:, ids])
 
 
 def test_combine_exact():

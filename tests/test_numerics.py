@@ -14,10 +14,9 @@ from delayedcsit.numerics import (
     haar_unitaries,
     STACK_BYTES,
     numerical_rank,
-    rowspace_residuals,
     stacks,
 )
-from oracles import NumericalDomainError, logdet_capacity
+from oracles import NumericalDomainError, logdet_capacity, rowspace_residuals
 
 
 def test_rng_stream_reproducible():

@@ -17,7 +17,6 @@ from delayedcsit.ratesim import (
     snr_grid,
     tdma_baseline,
 )
-from delayedcsit.ledger import ReceiverState
 from delayedcsit.schemes import run_order_j_delivery, run_square_scheme, tdma_trace
 from oracles import logdet_capacity
 
@@ -65,12 +64,11 @@ def test_single_user_rate_matches_hand_formula():
 def _per_snr_rate(trace, receiver, snr):
     """One receiver's rate the long way: scale by the SNR, zero-force the
     other receivers' symbols and take the log det, all at this SNR."""
-    state = trace.states[receiver - 1]
     ids = trace.table.ids
     own = set(trace.targets_for(receiver))
-    rows = state.coefficient_matrix(ids) * np.array(
-        [math.sqrt(snr / trace.active_antennas[eq.slot])
-         for eq in state.equations])[:, None]
+    heard = [slot for slot, p in enumerate(trace.active_antennas) if p]
+    rows = trace.rows[receiver - 1][:, ids] * np.array(
+        [math.sqrt(snr / trace.active_antennas[slot]) for slot in heard])[:, None]
     own_idx = [i for i, s in enumerate(ids) if s in own]
     int_idx = [i for i, s in enumerate(ids) if s not in own]
     interference = rows[:, int_idx]
@@ -107,15 +105,13 @@ GAIN_SCHEMES = {
 
 
 def _altered(trace):
-    """``trace`` with receiver 1's equations removed (a stack of two
-    shapes) and receiver 2's last row replaced by its first (the same
-    shape, one rank less)."""
-    first, second = trace.states[:2]
-    return dataclasses.replace(trace, states=[
-        ReceiverState(1, [], [], first.slots_observed),
-        ReceiverState(2, second.rows[:-1] + second.rows[:1], second.slots,
-                      second.slots_observed),
-        *trace.states[2:]])
+    """``trace`` with receiver 1 deaf (its rows all zero: interference of
+    rank 0) and receiver 2's last row replaced by its first (one rank
+    less)."""
+    rows = trace.rows.copy()
+    rows[0] = 0.0
+    rows[1, -1] = rows[1, 0]
+    return dataclasses.replace(trace, rows=rows)
 
 
 @pytest.mark.parametrize("name", sorted(GAIN_SCHEMES))
@@ -131,7 +127,9 @@ def test_stacked_gains_equal_per_receiver(name):
                 (alone,) = receiver_gains(tr, [r])
                 assert stacked[r - 1].shape == alone.shape, (seed, r)
                 assert stacked[r - 1].tobytes() == alone.tobytes(), (seed, r)
-        assert receiver_gains(_altered(trace))[0].size == 0  # heard nothing
+        assert not receiver_gains(_altered(trace))[0].any()  # deaf: no gain
+        nothing = dataclasses.replace(trace, rows=trace.rows[:, :0])
+        assert [g.size for g in receiver_gains(nothing)] == [0] * trace.k
         # any subset, in the order asked
         every = receiver_gains(trace)
         picked = receiver_gains(trace, [trace.k, 1])

@@ -1,8 +1,10 @@
 """Scheme execution: phase cardinalities, exact accounting, decodability."""
 
+import dataclasses
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,9 +36,9 @@ from delayedcsit.schemes import (
     run_square_scheme,
     tdma_trace,
 )
-from delayedcsit.ledger import ReceiverState, SymbolTable
+from delayedcsit.ledger import SymbolTable
 from delayedcsit.dof_calc import DofQuery, NonsquarePhaseParams
-from oracles import trace_doc
+from oracles import slot_plans, trace_doc
 
 
 def test_square_scheme_exact_accounting():
@@ -113,11 +115,12 @@ def test_alt22_structure():
     # the second receiver; slot 3 the reverse
     own1 = set(tr.table.owned_by(1))
     own2 = set(tr.table.owned_by(2))
-    assert set(np.flatnonzero(tr.plans[1][0])) == own1
-    assert set(np.flatnonzero(tr.plans[2][0])) == own2
+    plans = slot_plans(tr)
+    assert set(np.flatnonzero(plans[1][0])) == own1
+    assert set(np.flatnonzero(plans[2][0])) == own2
     # each is that receiver's slot-1 equation on those symbols alone
-    for plan, (heard, own) in zip(tr.plans[1:], ((2, own1), (1, own2))):
-        part = np.where(np.isin(np.arange(4), list(own)), tr.states[heard - 1].rows[0], 0)
+    for plan, (heard, own) in zip(plans[1:], ((2, own1), (1, own2))):
+        part = np.where(np.isin(np.arange(4), list(own)), tr.rows[heard - 1, 0], 0)
         assert np.allclose(plan[0], part / np.linalg.norm(part), rtol=0, atol=1e-15)
     assert tr.active_antennas == [2, 1, 1]
 
@@ -132,7 +135,7 @@ def test_opt23_structure():
     # first three slots each mix the four fresh symbols of one pair
     for slot, pair in zip(range(3), ((1, 2), (1, 3), (2, 3))):
         wanted = {s for r in pair for s in tr.table.owned_by(r)}
-        got = set(np.flatnonzero(np.any(tr.plans[slot] != 0, axis=0)))
+        got = set(np.flatnonzero(np.any(slot_plans(tr)[slot] != 0, axis=0)))
         assert got <= wanted
         assert len(got) == 4
 
@@ -272,7 +275,7 @@ def test_plans_are_unit_norm():
     for tr in (run_square_scheme(3, RngStream(12)),
                run_mat23_suboptimal(RngStream(13)),
                run_opt23(RngStream(14))):
-        for plan in tr.plans:
+        for plan in slot_plans(tr):
             for f in plan:
                 assert abs(np.linalg.norm(f) - 1.0) < 1e-12
 
@@ -338,7 +341,7 @@ def test_build_nonsquare_phase_cardinalities():
     assert slots == 6
     assert all(len(v) == 1 for v in outs.values())
     assert air.slots == 6
-    assert all(a == 2 for a in air.active_antennas)
+    assert [plans.shape[:2] for plans in air.plans] == [(6, 2)]
 
 
 def test_scheme_trace_decode_across_seeds():
@@ -379,13 +382,24 @@ def test_decode_stacks_follow_the_size_rule():
                   run_mat23_suboptimal, run_opt23):
         for seed in range(3):
             trace = build(RngStream(seed))
-            [(states, targets)] = trace.decode_stacks()
-            assert states == trace.states
+            [(rows, targets)] = trace.decode_stacks()
+            assert np.array_equal(rows, trace.rows)
             assert targets == [trace.targets_for(r) for r in range(1, trace.k + 1)]
     for m, k in ((6, 6), (2, 5)):
         trace = _frontier_trace(m, k, RngStream(1, 0))
         stacks = trace.decode_stacks()
-        assert [states for states, _ in stacks] == [[st] for st in trace.states]
+        assert [len(rows) for rows, _ in stacks] == [1] * k
+        assert np.array_equal(np.concatenate([rows for rows, _ in stacks]), trace.rows)
+    # receivers that want different numbers of symbols stack apart, each
+    # stack in receiver order
+    table = SymbolTable(3)
+    for owner in ({1, 3}, {2}, {2}):
+        table.new_symbol(owner)
+    trace = dataclasses.replace(tdma_trace(3, RngStream(1)), table=table)
+    stacks = trace.decode_stacks()
+    assert [targets for _, targets in stacks] == [[[0], [0]], [[1, 2]]]
+    assert np.array_equal(stacks[0][0], trace.rows[[0, 2]])
+    assert np.array_equal(stacks[1][0], trace.rows[[1]])
 
 
 def _stdlib_json(obj):
@@ -430,19 +444,18 @@ def test_to_json_matches_stdlib_with_extra_keys_and_overrides():
 
 def _hand_trace(n, plans, channels, rows, weights):
     """A trace assembled from given arrays: ``n`` symbols, slot ``s``
-    sending ``plans[s]`` over ``channels[s]``, receiver 1 holding
-    ``rows`` and receiver 2 nothing."""
+    sending ``plans[s]`` over ``channels[s]``, the two receivers holding
+    ``rows``, ``(2, heard, n)``, and a block of one combination per
+    weight matrix."""
     table = SymbolTable(2)
     for i in range(n):
         table.new_symbol({1 + i % 2}, f"x{i}")
-    states = [ReceiverState(1, list(rows), list(range(len(rows))), len(plans)),
-              ReceiverState(2, [], [], len(plans))]
     return SchemeTrace(
-        name="hand", m=2, k=2, replication={1: 1}, table=table, states=states,
-        channels=channels, plans=plans, active_antennas=[len(p) for p in plans],
+        name="hand", m=2, k=2, replication={1: 1}, table=table,
+        channels=np.array(channels), plans=[plan[np.newaxis] for plan in plans],
+        rows=np.asarray(rows, dtype=np.complex128),
         phases=[PhaseRecord(1, 1, n, len(plans), 0)],
-        combination_log=[{"label": f"w{i}", "weights": w}
-                         for i, w in enumerate(weights)],
+        combination_log=[((f"w{i}",), [w]) for i, w in enumerate(weights)],
         seed=0, stream_index=0)
 
 
@@ -455,22 +468,43 @@ def _complex(re, im):
 def test_to_json_edge_cases():
     # 12 symbols, so key "10" sorts before "2"; a form with no nonzero
     # coefficient; nonzero coefficients with a -0.0 or 0.0 part; floats
-    # json spells in exponent form; a slot with no active antenna
+    # json spells in exponent form; a slot with no active antenna, which
+    # nobody hears
     plan = _complex([[0.0] * 12, [-0.0, 0, 1e-05, 0, 0, 0, 0, 0, 0, 0, 1e16, 0]],
                     [[-0.0] * 12, [0, 0, -0.0, 0, 0, 0, 0, 0, 0, 0, 5e-324, -2.0]])
     channel = _complex([[1.0, -0.0], [5e-324, 2.0]], [[-0.0, 0.0], [1e-05, -1e16]])
     trace = _hand_trace(12, [plan, np.zeros((0, 12))], [channel, channel],
-                        [plan[1], plan[0]], [channel[:1], np.zeros((2, 0))])
+                        [plan[1:], plan[:1]], [channel[:1], np.zeros((2, 0))])
     text = trace.to_json()
     assert text == _stdlib_json(trace_doc(trace))
     doc = json.loads(text)
     first, second = doc["slots"]
     assert first["plan"][0]["coeffs"] == {} and second["plan"] == []
     assert list(first["plan"][1]["coeffs"]) == ["10", "11", "2"]
-    assert doc["receivers"][1]["equations"] == []
+    assert [eq["slot"] for rec in doc["receivers"] for eq in rec["equations"]] == [0, 0]
+    assert doc["receivers"][1]["equations"][0]["form"]["coeffs"] == {}
     assert doc["combination_log"][1]["weights"] == [[], []]
     for spelled in ("-0.0", "1e-05", "1e+16", "5e-324", "-1e+16"):
         assert f" {spelled}," in text or f" {spelled}\n" in text, spelled
+
+
+#: tracemalloc peak of ``to_json()`` on square-5 at stream ``(1, 0)``, the
+#: first call in a fresh process: 38,801,596 bytes with the writer that
+#: stacked each receiver's list of row views (Python 3.11.7, numpy 2.4.6,
+#: x86-64).  Writing each receiver from its view of the row array may not
+#: need more than 5% above that.
+TO_JSON_PEAK_BYTES = 38_801_596
+
+
+def test_to_json_peak_memory_is_bounded():
+    trace = run_square_scheme(5, RngStream(1))
+    tracemalloc.start()
+    try:
+        trace.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TO_JSON_PEAK_BYTES * 1.05, peak
 
 
 def test_to_json_symbol_table_matches_stdlib():
@@ -480,11 +514,11 @@ def test_to_json_symbol_table_matches_stdlib():
                          ({3, 1}, "x")):
         table.new_symbol(owner, label)
     for table in (table, SymbolTable(3)):
-        trace = SchemeTrace(  # one slot with no active antenna
+        trace = SchemeTrace(  # one slot with no active antenna: no equations
             name="hand", m=1, k=3, replication={}, table=table,
-            states=[ReceiverState(r, [], [], 1) for r in (1, 2, 3)],
-            channels=[np.ones((3, 1))], plans=[np.zeros((0, len(table)))],
-            active_antennas=[0], phases=[], combination_log=[], seed=0, stream_index=0)
+            channels=np.ones((1, 3, 1)), plans=[np.zeros((1, 0, len(table)))],
+            rows=np.zeros((3, 0, len(table))), phases=[], combination_log=[],
+            seed=0, stream_index=0)
         assert trace.to_json() == _stdlib_json(trace_doc(trace))
 
 
@@ -505,7 +539,8 @@ def test_to_json_matches_stdlib_on_any_arrays(n, antennas, data):
     channels = [draw(2, 2) for _ in antennas]
     weights = [draw(*data.draw(st.tuples(st.integers(0, 2), st.integers(0, 3))))
                for _ in range(data.draw(st.integers(0, 2)))]
-    trace = _hand_trace(n, plans, channels, draw(len(antennas), n), weights)
+    heard = sum(p > 0 for p in antennas)
+    trace = _hand_trace(n, plans, channels, draw(2, heard, n), weights)
     assert trace.to_json() == _stdlib_json(trace_doc(trace))
 
 
