@@ -135,6 +135,34 @@ CROSS_PHASE = {
     )),
 }
 
+#: sha256 of ``_run_chain("chain", m, k, j, RngStream(1, 3)).to_json()``
+#: for every ``1 <= j < k <= 4`` and ``1 <= m <= k``, keyed ``(m, k, j)``:
+#: full-antenna phases (``m >= k - j + 1``), antenna-limited ones, chains
+#: that mix both, such as ``(3, 4, 1)``, and one-antenna phases, which
+#: produce no outputs.
+CHAIN_SHA256 = {
+    (1, 2, 1): "fb8f9dee8e87a65570fcf025bb8a5803a688449bf7ca663f6db489d86e4ce734",
+    (2, 2, 1): "78de55698a0702f835bc74da947756f760f7c21144a396caa9da7cc4d80603c1",
+    (1, 3, 1): "85108d1365afd292e8dfc3ac105bfcdd89da0396a55a082a95c40d41a31dbe8e",
+    (2, 3, 1): "04e11ae8d4f424d53b97738f34ed703b164907c833d9f406058e5698ce103a2e",
+    (3, 3, 1): "5077716516b8c2d6fdb30de7579b7b80186b89625e79c1ee6e7cde492c98acd9",
+    (1, 3, 2): "a9ae64bfc34f7fef0ebf7b26f1f29b4e18aab642549aecd5dfac156e0e31d2ac",
+    (2, 3, 2): "715de29d03033e75cd4fe1fa527cfeb2baa09af9c41ca462f8ec6ce8dc979ef3",
+    (3, 3, 2): "4f80d20a3382b03e5447b429d9e77eb16e8c0cea19def86d0dd0a682f052e668",
+    (1, 4, 1): "6fe5d334a9cbd081e98ff060d893f31f23aea9d7bd6cb0a42d2b69318216f8c9",
+    (2, 4, 1): "08ecc862ba77121b653966e13e73c05a407ab3cfa4305e7d49b27ec50cd465e8",
+    (3, 4, 1): "432704ed52d5c7acdb755b95869bb09231b7f2982c5d41d6a598c7435b9cce27",
+    (4, 4, 1): "f42538ce2259a0fbf4ff02646f9a97116ab1febc6a06fd1794a14dbab641b500",
+    (1, 4, 2): "80280fc1bf7f4db06033835a080dc66fed08820eac68ae393de232b5fef39807",
+    (2, 4, 2): "05e6db191df9cc2185d440aa46e6f4eaecda1f14dbb49fb83b57ed330ef05018",
+    (3, 4, 2): "48b2a8b141c0d4d5cbd5b2f956942009ffaabcd607712dd966cccd780087bb0a",
+    (4, 4, 2): "1daf507a793cba7e89d6cca61c6e25ef68112844fe275f0aee5165d5ecb316f9",
+    (1, 4, 3): "3ea748cabeee0cae5e58280d4c1375b72ac0b6902794f0826f93269d25e95da8",
+    (2, 4, 3): "511ede268683f2e3d67eec1c20eb1270fad9f09f9475217156c5600b8488848b",
+    (3, 4, 3): "c6a29b240edb879dcd8bb652a0d427c23231e00a64235bef17d8be4e98db9d5f",
+    (4, 4, 3): "f91515520dde794b1d368af0b1cb966ea0b1b9a533863a8d3136e657a493102d",
+}
+
 #: sha256 of ``delayedcsit scheme-verify --trials 20 --seed 1`` stdout:
 #: its decode margins are maxima and minima of the residual ratios.
 VERIFY_SHA256 = {
@@ -288,6 +316,11 @@ def test_trace_json_with_cross_phase_override_is_unchanged(name):
     assert got == want
 
 
+def test_chain_json_is_unchanged():
+    got = {key: _sha(_run_chain("chain", *key, RngStream(1, 3))) for key in CHAIN_SHA256}
+    assert got == CHAIN_SHA256
+
+
 @pytest.mark.parametrize("name", sorted(VERIFY_SHA256))
 def test_scheme_verify_stdout_is_unchanged(name, capsys):
     argv, want = VERIFY_SHA256[name]
@@ -331,6 +364,8 @@ def _golden_traces():
         channels = [rng.complex_normal(shape) for _ in range(count)] or None
         for seed in SEEDS[:len(want)]:
             yield name, build(RngStream(seed, 3), channels)
+    for key in sorted(CHAIN_SHA256):
+        yield f"chain-{key}", _run_chain("chain", *key, RngStream(1, 3))
 
 
 def test_row_array_is_channel_times_plan():
