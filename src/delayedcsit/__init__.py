@@ -56,8 +56,7 @@ from .region import (
 from .schemes import (
     PhaseRecord,
     SchemeTrace,
-    build_nonsquare_phase,
-    build_square_phase,
+    build_phase,
     run_alt22,
     run_mat23_suboptimal,
     run_opt23,
@@ -84,8 +83,7 @@ __all__ = [
     "SymbolTable",
     "alignment_ranks",
     "as_point",
-    "build_nonsquare_phase",
-    "build_square_phase",
+    "build_phase",
     "can_decode",
     "coherence_dof",
     "combination_value",

@@ -6,9 +6,14 @@ accounting.  A scheme is a chain of *phases*: phase ``j`` consumes
 order-``j`` forms grouped by their target subset, spends slots
 broadcasting random mixtures of them, and turns the overheard equations
 into order-``j+1`` forms for the next phase, until order-``k`` forms are
-delivered by plain broadcast.  When consecutive phases' output/input
-cardinalities do not match, earlier phases are replicated the minimal
-integral number of times.
+delivered by plain broadcast.  One builder, :func:`build_phase`, runs a
+phase for any antenna count ``m``: each subset gets a sub-phase of slots
+on ``q + 1 <= m`` antennas, and each receiver outside it purifies what
+it overheard there.  The full-antenna phase (``m >= k - j + 1``) is its
+``q = k - j`` case: one slot per subset, whose one overheard equation
+per outside receiver needs no purification.  When consecutive phases'
+output/input cardinalities do not match, earlier phases are replicated
+the minimal integral number of times.
 
 No random draw depends on what was sent, so a scheme draws its whole
 trace's channels and mixing weights up front, with one generator call and
@@ -55,8 +60,7 @@ __all__ = [
     "CHANNEL",
     "PhaseRecord",
     "SchemeTrace",
-    "build_nonsquare_phase",
-    "build_square_phase",
+    "build_phase",
     "canonical_json",
     "phase_layout",
     "run_alt22",
@@ -217,22 +221,24 @@ def phase_layout(m: int, k: int, level: int, runs: int) -> tuple:
     """The draws of phase ``level`` of the ``m``-antenna, ``k``-receiver
     chain, run ``runs`` times, in :meth:`AirLog.draw`'s layout.
 
-    :func:`build_square_phase` (``m >= k - level + 1``) and
-    :func:`build_nonsquare_phase` take the keys ``(level, name)``; phase
-    ``k``, the broadcast of the order-``k`` forms, draws one channel per
-    form.  A trace's layout is its phases' layouts in order.
+    :func:`build_phase` takes the keys ``(level, name)``: per subset, a
+    plan and a channel per slot of its sub-phase and, when the sub-phase
+    has more than one slot, a purification per receiver outside it; then
+    the order weights per size-``level+1`` subset, unless one antenna
+    leaves nothing to purify.  A full-antenna phase (``q = k - level``)
+    is one slot and no purification per subset.  Phase ``k``, the
+    broadcast of the order-``k`` forms, draws one channel per form.  A
+    trace's layout is its phases' layouts in order.
     """
     if level == k:
         return _sends(runs)
     subsets, uppers = len(_subsets(k, level)), len(_subsets(k, level + 1))
-    if m >= k - level + 1:
-        plan, order = ((level, "plan"), k - level + 1), ((level, "order"), level + 1)
-        return ((plan, CHANNEL) * subsets + (order,) * uppers) * runs
     p = _params(m, k, level)
     pur = p.q // p.eta  # purified forms per outside receiver; none on one antenna
     plan, order = ((level, "plan"), p.beta), ((level, "order"), (level + 1) * pur)
     purify = ((level, "purify"), p.slots_per_subphase)
-    sub = (plan, CHANNEL) * p.slots_per_subphase + (purify,) * (k - level) * bool(pur)
+    sub = ((plan, CHANNEL) * p.slots_per_subphase
+           + (purify,) * (k - level) * (p.slots_per_subphase > 1))
     return (sub * subsets + (order,) * uppers * bool(pur)) * runs
 
 
@@ -332,19 +338,6 @@ class SchemeTrace:
                  for rows, targets in self.decode_stacks()]
         return tuple(np.concatenate([np.ravel(p[i]) for p in parts])
                      for i in range(4))
-
-    def summary_row(self, decode_rate=None) -> dict:
-        dof = self.empirical_dof
-        return {
-            "scheme": self.name,
-            "m": self.m,
-            "k": self.k,
-            "symbols": self.symbols_delivered,
-            "slots": self.total_slots,
-            "dof_num": dof.numerator,
-            "dof_den": dof.denominator,
-            "decode_rate": decode_rate,
-        }
 
     def to_json(self, extra=None) -> str:
         """This trace's schema-``v1`` document with the entries of ``extra``
@@ -572,21 +565,23 @@ def _tag(subset: frozenset) -> str:
 
 
 @lru_cache(maxsize=None)
-def _overheard(k: int, j: int):
-    """Who overheard what in phase ``j``: each size-``j`` subset ``S``
-    paired with each receiver ``r`` outside it, by subset, then receiver.
-
-    Returns the pairs' subset positions and receiver indices (``r - 1``),
-    and per size-``j+1`` subset ``T`` the positions of the pairs
-    ``(T - {r}, r)`` for ``r`` in ``T`` in order.
+def _overheard(k: int, j: int, sub_slots: int, runs: int):
+    """Who overheard what in ``runs`` runs of phase ``j``, whose subsets
+    get ``sub_slots`` slots each: per run, size-``j+1`` subset ``T`` and
+    member ``r`` in order, the rows that ``r`` heard in the slots of
+    ``T - {r}``, as indices into the phase's flat ``(slots * k)``
+    reconstructions; and the position of the pair ``(T - {r}, r)`` among
+    the phase's pairs, run by run, then by subset and receiver.
     """
     subsets = _subsets(k, j)
     pairs = [(s, r) for s in subsets for r in range(1, k + 1) if r not in s]
-    position = {p: n for n, p in enumerate(pairs)}
-    out = (np.array([subsets.index(s) for s, _ in pairs]),
-           np.array([r - 1 for _, r in pairs]),
-           np.array([[position[(t - {r}, r)] for r in sorted(t)]
-                     for t in _subsets(k, j + 1)]))
+    members = [[(t - {r}, r) for r in sorted(t)] for t in _subsets(k, j + 1)]
+    rows = np.array([[[(subsets.index(s) * sub_slots + t) * k + r - 1
+                       for t in range(sub_slots)] for s, r in row] for row in members])
+    pair = np.array([[pairs.index(p) for p in row] for row in members])
+    run = np.arange(runs).reshape(-1, 1, 1)
+    out = (rows + (run * len(subsets) * sub_slots * k)[..., np.newaxis],
+           pair + run * len(pairs))
     for a in out:
         a.flags.writeable = False  # shared by every caller
     return out
@@ -605,113 +600,79 @@ def _runs(inputs, subsets, block: int, what: str):
     return forms.reshape(len(subsets), -1, block, forms.shape[-1]).swapaxes(0, 1)
 
 
-def build_square_phase(k: int, j: int, inputs, air: AirLog):
-    """Run phase ``j`` (``1 <= j < k``) of the full-antenna scheme on ``air``.
+def build_phase(k: int, j: int, inputs, air: AirLog):
+    """Run phase ``j`` (``1 <= j < k``) of the chain on ``air``, with the
+    parameters of ``air.m`` antennas (:class:`.dof_calc.NonsquarePhaseParams`).
 
     ``inputs`` maps each size-``j`` subset ``S`` (a ``frozenset``) to
-    ``k - j + 1`` forms per run of the phase, run after run.  In a run,
-    one slot per ``S`` sends ``k - j + 1`` random mixtures of them on as
-    many antennas.  For every size-``j+1`` subset ``T``, the ``j + 1``
-    overheard equations (one per member ``r``, from the slot of
-    ``T - {r}``) are compressed into ``j`` fresh random combinations: the
-    order-``j+1`` outputs.  Returns the slots used and the outputs keyed
-    by ``T``, run after run.  The weights are ``air.drawn``'s keys of
-    ``j``, drawn with the trace (:func:`phase_layout`).
-    """
-    if not 1 <= j < k:
-        raise ValueError(f"phase level must satisfy 1 <= j < k, got j={j}, k={k}")
-    need = k - j + 1
-    if air.m < need:
-        raise OutOfRegimeError(
-            f"square phase {j} needs {need} antennas, air has {air.m}")
-    subsets, uppers = _subsets(k, j), _subsets(k, j + 1)
-    forms = _runs(inputs, subsets, need, f"square phase {j}")
-    runs = len(forms)
-    plan_w = air.drawn[j, "plan"].reshape(forms.shape[:2] + (need, need))
-    recon = air.broadcast(combine(forms, plan_w).reshape(-1, need, forms.shape[-1]))
-    subset, receiver, pair = _overheard(k, j)
-    heard = recon.reshape(runs, len(subsets), k, -1)[:, subset, receiver]
-    order_w = air.drawn[j, "order"][:, :j].reshape(runs, len(uppers), j, j + 1)
-    outs = combine(heard[:, pair], order_w).swapaxes(0, 1)
-    plan_labels, order_labels = _square_labels(k, j)
-    for plans, orders in zip(plan_w, order_w):
-        air.log_combos(plan_labels, plans)
-        air.log_combos(order_labels, orders)
-    return len(recon), dict(zip(uppers, outs.reshape(len(uppers), -1, outs.shape[-1])))
-
-
-def build_nonsquare_phase(m: int, k: int, j: int, params: NonsquarePhaseParams,
-                          inputs, air: AirLog):
-    """Run phase ``j`` with fewer antennas than receivers outside ``S``.
-
-    ``inputs`` maps each size-``j`` subset ``S`` to ``beta`` forms per
-    run, run after run.  In a run, each ``S`` gets a sub-phase of
-    ``(k - j) / eta`` slots, every slot sending ``q + 1`` random mixtures
-    of the ``beta`` forms on ``q + 1`` antennas.  Each receiver outside
-    ``S`` then *purifies* its overheard equations into ``q / eta`` random
-    combinations (preshared coefficients), and for every size-``j+1``
-    subset ``T`` the ``(j + 1) q / eta`` purified forms are compressed
-    into ``j * q / eta`` order-``j+1`` outputs per run (none when
-    ``m == 1``).  With ``m >= k - j + 1`` the parameters collapse to one
-    slot per subset, as in :func:`build_square_phase`.  The weights are
-    ``air.drawn``'s keys of ``j``, drawn with the trace
+    ``beta`` forms per run of the phase, run after run.  In a run, each
+    ``S`` gets a sub-phase of ``(k - j) / eta`` slots, every slot sending
+    ``q + 1`` random mixtures of the ``beta`` forms on ``q + 1`` antennas.
+    Each receiver outside ``S`` then *purifies* its overheard equations
+    into ``q / eta`` random combinations (preshared coefficients), and for
+    every size-``j+1`` subset ``T`` the ``(j + 1) q / eta`` purified forms
+    are compressed into ``j * q / eta`` order-``j+1`` outputs per run
+    (none when ``m == 1``).  With ``m >= k - j + 1`` antennas,
+    ``q = eta = k - j``: one slot per subset on ``k - j + 1`` antennas,
+    and each outside receiver's one overheard equation is already pure,
+    so the ``j + 1`` equations of ``T`` are compressed into ``j`` outputs.
+    Returns the slots used and the outputs keyed by ``T``, run after run.
+    The weights are ``air.drawn``'s keys of ``j``, drawn with the trace
     (:func:`phase_layout`).
     """
     if not 1 <= j < k:
         raise ValueError(f"phase level must satisfy 1 <= j < k, got j={j}, k={k}")
-    if air.m < params.q + 1:
-        raise OutOfRegimeError(
-            f"nonsquare phase {j} needs {params.q + 1} antennas, air has {air.m}")
+    p = _params(air.m, k, j)
     subsets, uppers = _subsets(k, j), _subsets(k, j + 1)
-    forms = _runs(inputs, subsets, params.beta, f"nonsquare phase {j}")
-    runs, beta, sub_slots = len(forms), params.beta, params.slots_per_subphase
-    pur_each = params.q // params.eta
-    plan_w = air.drawn[j, "plan"][:, :params.q + 1].reshape(
-        runs, len(subsets), sub_slots, params.q + 1, beta)
-    plans = combine(forms[:, :, np.newaxis], plan_w)
-    recon = air.broadcast(plans.reshape((-1,) + plans.shape[-2:]))
+    forms = _runs(inputs, subsets, p.beta, f"phase {j}")
+    runs, n = forms.shape[0], forms.shape[-1]
+    sub_slots, pur = p.slots_per_subphase, p.q // p.eta  # pur: forms per outside receiver
+    plan_w = air.drawn[j, "plan"][:, :p.q + 1].reshape(
+        runs, len(subsets), sub_slots, p.q + 1, p.beta)
+    plans = combine(forms, plan_w.reshape(runs, len(subsets), -1, p.beta))
+    recon = air.broadcast(plans.reshape(-1, p.q + 1, n))
+    logged = plan_w.reshape(runs, 1, -1, p.q + 1, p.beta)  # each run's blocks of weights
     outputs = {t: recon[:0, 0] for t in uppers}
-    if pur_each:
-        # receiver r purifies what it heard in the sub-phase of S
-        subset, receiver, pair = _overheard(k, j)
-        heard = recon.reshape(runs, len(subsets), sub_slots, k, -1).swapaxes(2, 3)
-        pur_w = air.drawn[j, "purify"][:, :pur_each].reshape(
-            runs, len(subset), pur_each, sub_slots)
-        purified = combine(heard[:, subset, receiver], pur_w)
-        stacked = purified[:, pair].reshape(runs, len(uppers), (j + 1) * pur_each, -1)
-        out_w = air.drawn[j, "order"][:, :j * pur_each].reshape(
-            runs, len(uppers), j * pur_each, (j + 1) * pur_each)
-        outs = combine(stacked, out_w).swapaxes(0, 1)
-        outputs = dict(zip(uppers, outs.reshape(len(uppers), -1, outs.shape[-1])))
-    sub_labels, order_labels = _nonsquare_labels(k, j, sub_slots)
-    outside = k - j  # purifying receivers per subset
+    if pur:
+        rows, pair = _overheard(k, j, sub_slots, runs)
+        heard = recon.reshape(-1, n)[rows]
+        if sub_slots > 1:  # receiver r purifies what it heard in the sub-phase of S
+            pur_w = air.drawn[j, "purify"][:, :pur].reshape(
+                runs, len(subsets), k - j, pur, sub_slots)
+            heard = combine(heard, pur_w.reshape(-1, pur, sub_slots)[pair])
+            logged = [[w for both in zip(ws, pw) for w in both]
+                      for ws, pw in zip(plan_w, pur_w)]
+        out_w = air.drawn[j, "order"][:, :j * pur].reshape(
+            runs, len(uppers), j * pur, (j + 1) * pur)
+        outs = combine(heard.reshape(runs, len(uppers), -1, n), out_w).swapaxes(0, 1)
+        outputs = dict(zip(uppers, outs.reshape(len(uppers), -1, n)))
+    labels, order_labels = _phase_labels(k, j, p.q, sub_slots)
     for run in range(runs):
-        for i, (labels, ws) in enumerate(zip(sub_labels, plan_w[run])):
-            air.log_combos(labels[0], ws)
-            if pur_each:
-                air.log_combos(labels[1], pur_w[run, i * outside:(i + 1) * outside])
-        if pur_each:
+        for names, weights in zip(labels, logged[run]):
+            air.log_combos(names, weights)
+        if pur:
             air.log_combos(order_labels, out_w[run])
     return len(recon), outputs
 
 
 @lru_cache(maxsize=None)
-def _square_labels(k: int, j: int):
-    """The combination-log labels of a run of square phase ``j``: the
-    plan of each subset's slot, then each order-``j+1`` output."""
-    return (tuple(f"phase{j}/slot{_tag(s)}/plan" for s in _subsets(k, j)),
-            tuple(f"phase{j}/order{j + 1}/{_tag(t)}" for t in _subsets(k, j + 1)))
-
-
-@lru_cache(maxsize=None)
-def _nonsquare_labels(k: int, j: int, sub_slots: int):
-    """The combination-log labels of a run of nonsquare phase ``j``: per
-    subset the plans of its sub-phase's slots and the purification of
-    each receiver outside it, then each order-``j+1`` output."""
-    subs = tuple((tuple(f"phase{j}/sub{_tag(s)}/t{t}/plan" for t in range(sub_slots)),
-                  tuple(f"phase{j}/sub{_tag(s)}/purify-r{r}" for r in range(1, k + 1)
-                        if r not in s)) for s in _subsets(k, j))
-    return subs, _square_labels(k, j)[1]
+def _phase_labels(k: int, j: int, q: int, sub_slots: int):
+    """The combination-log labels of a run of phase ``j`` in the blocks
+    :func:`build_phase` logs: every subset's plans, or, when a sub-phase
+    has more than one slot, each subset's plans and then the
+    purification of each receiver outside it; then each order-``j+1``
+    output.  A full-antenna phase (``q = k - j``) names the one slot of
+    each subset."""
+    subsets = _subsets(k, j)
+    orders = tuple(f"phase{j}/order{j + 1}/{_tag(t)}" for t in _subsets(k, j + 1))
+    plans = [(f"phase{j}/slot{_tag(s)}/plan",) if q == k - j else
+             tuple(f"phase{j}/sub{_tag(s)}/t{t}/plan" for t in range(sub_slots))
+             for s in subsets]
+    if sub_slots == 1:
+        return (sum(plans, ()),), orders
+    return tuple(block for s, own in zip(subsets, plans) for block in (
+        own, tuple(f"phase{j}/sub{_tag(s)}/purify-r{r}"
+                   for r in range(1, k + 1) if r not in s))), orders
 
 
 @lru_cache(maxsize=None)
@@ -788,11 +749,7 @@ def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
         if runs == 0:
             break
         per_in, _, _ = _per_run_counts(m, k, level)
-        if m >= k - level + 1:
-            slots, inputs = build_square_phase(k, level, inputs, air)
-        else:
-            slots, inputs = build_nonsquare_phase(m, k, level, _params(m, k, level),
-                                                  inputs, air)
+        slots, inputs = build_phase(k, level, inputs, air)
         produced = sum(map(len, inputs.values()))
         phases.append(PhaseRecord(level, runs, per_in * runs, slots, produced))
         if produced == 0:
@@ -932,7 +889,7 @@ def run_opt23(rng: RngStream, channels=None) -> SchemeTrace:
     recon = air.broadcast(combine(units, w))
     # per pair (x, y): y's equation on x's symbols, x's on y's
     parts = np.where(cross, recon[np.arange(len(recon))[:, np.newaxis], heard], 0.0)
-    used, outs = build_square_phase(3, 2, dict(zip(_subsets(3, 2), parts)), air)
+    used, outs = build_phase(3, 2, dict(zip(_subsets(3, 2), parts)), air)
     top = outs[frozenset({1, 2, 3})]
     air.send_each(top)
     phases = [PhaseRecord(1, 1, 12, 3, 6), PhaseRecord(2, 1, 6, used, len(top)),

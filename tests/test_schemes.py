@@ -25,8 +25,7 @@ from delayedcsit.schemes import (
     PhaseRecord,
     SchemeTrace,
     _run_chain,
-    build_nonsquare_phase,
-    build_square_phase,
+    build_phase,
     canonical_json,
     phase_layout,
     run_alt22,
@@ -162,7 +161,7 @@ def test_trace_determinism_and_serialization():
     assert len(doc["symbol_table"]) == 4
 
 
-def test_trace_decode_residuals_and_summary():
+def test_trace_decode_residuals():
     tr = run_square_scheme(2, RngStream(9))
     # both receivers share one factorization; two targets each
     assert [len(states) for states, _ in tr.decode_stacks()] == [2]
@@ -171,10 +170,6 @@ def test_trace_decode_residuals_and_summary():
     assert kept.shape == dropped.shape == (2,)
     assert bool(np.all(residuals <= thresholds)) == tr.decode_ok() is True
     assert np.all((kept > 0.0) & (kept <= 1.0)) and np.all(dropped == 0.0)
-    row = tr.summary_row(decode_rate=1.0)
-    assert row["scheme"] == "square"
-    assert (row["dof_num"], row["dof_den"]) == (4, 3)
-    assert row["decode_rate"] == 1.0
 
 
 def test_channel_override_is_used():
@@ -280,7 +275,12 @@ def test_plans_are_unit_norm():
                 assert abs(np.linalg.norm(f) - 1.0) < 1e-12
 
 
+def _logged_labels(air):
+    return [label for labels, _ in air.combos for label in labels]
+
+
 def test_build_square_phase_cardinalities():
+    # three antennas, three receivers, order 1: one slot per subset
     table = SymbolTable(3)
     air = AirLog(table, 3, RngStream(15))
     from itertools import combinations
@@ -288,7 +288,7 @@ def test_build_square_phase_cardinalities():
             for s in combinations(range(1, 4), 1)}
     inputs = {fs: table.unit_forms(ids) for fs, ids in syms.items()}
     air.draw(phase_layout, 3, 3, 1, 1)
-    slots, outs = build_square_phase(3, 1, inputs, air)
+    slots, outs = build_phase(3, 1, inputs, air)
     assert slots == 3
     assert set(outs) == {frozenset(t) for t in combinations(range(1, 4), 2)}
     assert all(len(v) == 1 for v in outs.values())
@@ -296,31 +296,43 @@ def test_build_square_phase_cardinalities():
     for t, forms in outs.items():
         wanted = {s for r in t for s in table.owned_by(r)}
         assert set(np.flatnonzero(forms[0])) <= wanted
+    # a full-antenna phase draws and logs no purification
+    keys = {key for key, _ in phase_layout(3, 3, 1, 1)}
+    assert keys == {(1, "plan"), (1, "order"), CHANNEL[0]}
+    assert _logged_labels(air) == [
+        "phase1/slot1/plan", "phase1/slot2/plan", "phase1/slot3/plan",
+        "phase1/order2/12", "phase1/order2/13", "phase1/order2/23"]
 
 
 def test_build_square_phase_validation():
     table = SymbolTable(3)
-    air = AirLog(table, 2, RngStream(17))  # too few antennas for phase 1
     fs = frozenset({1})
     syms = [table.new_symbol(fs, "") for _ in range(3)]
     inputs = {frozenset(s): table.unit_forms(syms)
               for s in [(1,), (2,), (3,)]}
-    with pytest.raises(OutOfRegimeError):
-        build_square_phase(3, 1, inputs, air)
+    # on two antennas phase 1 of k = 3 is antenna-limited: beta = 4 forms
+    # per subset, so three are refused and four give 6 slots
+    air = AirLog(table, 2, RngStream(17))
+    with pytest.raises(ValueError):
+        build_phase(3, 1, inputs, air)
+    air.draw(phase_layout, 2, 3, 1, 1)
+    slots, _ = build_phase(3, 1, {s: table.unit_forms(syms + syms[:1]) for s in inputs},
+                           air)
+    assert slots == 6 and air.slots == 6
     air3 = AirLog(SymbolTable(3), 3, RngStream(19))
     with pytest.raises(ValueError):
-        build_square_phase(3, 1, {frozenset({1}): []}, air3)
+        build_phase(3, 1, {frozenset({1}): []}, air3)
     with pytest.raises(ValueError):
-        build_square_phase(3, 3, inputs, air3)
+        build_phase(3, 3, inputs, air3)
     # each subset needs the same positive multiple of k - j + 1 forms:
     # one block per run of the phase
     for counts in ((3, 3, 4), (3, 3, 6), (0, 0, 0)):
         uneven = {frozenset({r}): table.unit_forms(syms * 2)[:n]
                   for r, n in zip((1, 2, 3), counts)}
         with pytest.raises(ValueError):
-            build_square_phase(3, 1, uneven, air3)
+            build_phase(3, 1, uneven, air3)
     air3.draw(phase_layout, 3, 3, 1, 2)
-    slots, outs = build_square_phase(
+    slots, outs = build_phase(
         3, 1, {fs: table.unit_forms(syms * 2) for fs in inputs}, air3)
     assert slots == 6 and all(len(v) == 2 for v in outs.values())
     assert air3.slots == 6
@@ -337,11 +349,19 @@ def test_build_nonsquare_phase_cardinalities():
             for s in combinations(range(1, 4), 1)}
     inputs = {fs: table.unit_forms(ids) for fs, ids in syms.items()}
     air.draw(phase_layout, 2, 3, 1, 1)
-    slots, outs = build_nonsquare_phase(2, 3, 1, params, inputs, air)
+    slots, outs = build_phase(3, 1, inputs, air)
     assert slots == 6
     assert all(len(v) == 1 for v in outs.values())
     assert air.slots == 6
     assert [plans.shape[:2] for plans in air.plans] == [(6, 2)]
+    # an antenna-limited phase draws and logs a purification per
+    # receiver outside each subset
+    assert ((1, "purify"), 2) in phase_layout(2, 3, 1, 1)
+    labels = _logged_labels(air)
+    assert labels[:4] == ["phase1/sub1/t0/plan", "phase1/sub1/t1/plan",
+                          "phase1/sub1/purify-r2", "phase1/sub1/purify-r3"]
+    assert labels[-3:] == ["phase1/order2/12", "phase1/order2/13", "phase1/order2/23"]
+    assert len(labels) == 3 * 4 + 3
 
 
 def test_scheme_trace_decode_across_seeds():
