@@ -31,6 +31,8 @@ from .numerics import RngStream
 from .ratesim import fit_dof_slope, simulate_rates, snr_grid
 from .region import decompose_time_sharing, in_region, tight_permutations
 from .schemes import (
+    _NL,
+    _block,
     canonical_json,
     run_alt22,
     run_mat23_suboptimal,
@@ -81,8 +83,8 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(obj: dict, out_path) -> None:
-    _emit(canonical_json(obj) + "\n", out_path)
+def _emit_json(obj: dict, out_path, arrays=None) -> None:
+    _emit(canonical_json(obj, arrays) + "\n", out_path)
 
 
 def _emit_csv(header, rows, out_path) -> None:
@@ -100,31 +102,39 @@ def _require(flag_value, flag: str, command: str):
 
 
 def _scheme_builder(args):
-    """Resolve --scheme into (canonical name, builder, expected DoF)."""
+    """Resolve --scheme into (canonical name, builder, expected DoF),
+    refusing any --m, --k or --j that differs from the scheme's own."""
     name = args.scheme
+
+    def need(dim):
+        return _require(getattr(args, dim), f"--{dim}", f"--scheme {name}")
+
     if name == "square":
-        k = _require(args.k, "--k", f"--scheme {name}")
-        return ("square", lambda s: run_square_scheme(k, s),
-                k / harmonic(k))
-    if name == "alt22":
-        if args.k not in (None, 2):
-            raise ValueError("alt22 is a two-receiver scheme; drop --k or use 2")
-        return ("alt22", run_alt22, Fraction(4, 3))
-    if name in ("mat23", "mat23_suboptimal"):
-        return ("mat23_suboptimal", run_mat23_suboptimal, Fraction(24, 17))
-    if name == "opt23":
-        return ("opt23", run_opt23, Fraction(3, 2))
-    if name in ("order", "order_delivery"):
-        m = _require(args.m, "--m", f"--scheme {name}")
-        k = _require(args.k, "--k", f"--scheme {name}")
-        j = _require(args.j, "--j", f"--scheme {name}")
-        return ("order_delivery",
-                lambda s: run_order_j_delivery(m, k, j, s),
-                dof_square(k, j))
-    if name == "tdma":
-        k = _require(args.k, "--k", f"--scheme {name}")
-        return ("tdma", lambda s: tdma_trace(k, s), Fraction(1))
-    raise ValueError(f"unknown scheme {name!r}")
+        k = need("k")
+        dims, resolved = (k, k, 1), (
+            "square", lambda s: run_square_scheme(k, s), k / harmonic(k))
+    elif name == "alt22":
+        dims, resolved = (2, 2, 1), ("alt22", run_alt22, Fraction(4, 3))
+    elif name in ("mat23", "mat23_suboptimal"):
+        dims, resolved = (2, 3, 1), (
+            "mat23_suboptimal", run_mat23_suboptimal, Fraction(24, 17))
+    elif name == "opt23":
+        dims, resolved = (2, 3, 1), ("opt23", run_opt23, Fraction(3, 2))
+    elif name == "order":
+        m, k, j = need("m"), need("k"), need("j")
+        dims, resolved = (m, k, j), (
+            "order_delivery", lambda s: run_order_j_delivery(m, k, j, s),
+            dof_square(k, j))
+    elif name == "tdma":
+        k = need("k")
+        dims, resolved = (1, k, 1), ("tdma", lambda s: tdma_trace(k, s), Fraction(1))
+    else:
+        raise ValueError(f"unknown scheme {name!r}")
+    for dim, own in zip("mkj", dims):
+        given = getattr(args, dim)
+        if given not in (None, own):
+            raise ValueError(f"--scheme {name} runs --{dim} {own}, not {given}")
+    return resolved
 
 
 def cmd_dof_table(args) -> int:
@@ -249,8 +259,7 @@ def cmd_rate_sim(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     master = RngStream(seed)
-    points = simulate_rates(builder, grid, args.trials, master,
-                            threads=args.threads)
+    points = simulate_rates(builder, grid, args.trials, master)
     window = (grid[0], grid[-1])
     slope_doc = None
     if len(grid) >= 3:
@@ -294,7 +303,8 @@ def cmd_region_check(args) -> int:
     parts = decompose_time_sharing(point)
     # an interior point (weights summing below 1) has no tight ordering;
     # on or outside the boundary each comes with all reorderings of ties.
-    # 9! of them take 0.6 s and 77 MB, and each further tie multiplies both
+    # 9! of them take about 1.6 s and 201 MB to list and write (2-core
+    # x86-64), and each further tie multiplies both
     interior = parts is not None and sum(w for _, w in parts) < 1
     orderings = math.prod(map(math.factorial, Counter(point).values()))
     if not interior and orderings > math.factorial(9):
@@ -311,7 +321,6 @@ def cmd_region_check(args) -> int:
         "schema": SCHEMA, "command": "region-check", "seed": seed,
         "k": len(point), "point": [_rat(x) for x in point],
         "in_region": member,
-        "tight_permutations": [list(p) for p in tight],
         "decomposition": decomposition,
     }
     if args.format == "csv":
@@ -321,7 +330,8 @@ def cmd_region_check(args) -> int:
               len(tight), str(parts is not None).lower(), seed]],
             args.out)
     else:
-        _emit_json(doc, args.out)
+        row = _block("[]", ["%d"] * len(point), _NL[2])
+        _emit_json(doc, args.out, {"tight_permutations": [row % p for p in tight]})
     return 0
 
 
@@ -388,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     dims.add_argument("--m", type=int, default=None, help="transmit antennas")
     dims.add_argument("--k", type=int, default=None, help="receivers")
     dims.add_argument("--j", type=int, default=None, help="symbol order")
+    receivers = argparse.ArgumentParser(add_help=False)
+    receivers.add_argument("--k", type=int, default=None, help="receivers")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -417,17 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--snr", default="40:60:5", metavar="LO:HI:STEP",
                    help="SNR grid in dB (default 40:60:5)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored: trials run serially")
     p.set_defaults(func=cmd_rate_sim)
 
-    p = sub.add_parser("region-check", parents=[common, dims],
+    p = sub.add_parser("region-check", parents=[common, receivers],
                        help="region membership, tight constraints, witness")
     p.add_argument("--point", required=True,
                    help="comma-separated coordinates, e.g. 2/3,2/3")
     p.set_defaults(func=cmd_region_check)
 
-    p = sub.add_parser("identity-check", parents=[common, dims],
+    p = sub.add_parser("identity-check", parents=[common, receivers],
                        help="combinatorial identity sweeps")
     p.set_defaults(func=cmd_identity_check)
     return parser

@@ -205,12 +205,9 @@ def simulate_rates(builder, snr_grid_db, trials: int, rng: RngStream,
     return points
 
 
-def tdma_baseline(k: int, snr_grid_db, trials: int, rng: RngStream,
-                  threads=None) -> list:
-    """Round-robin single-user rates; the sum-rate slope is 1.
-    ``threads`` is ignored, as in :func:`simulate_rates`."""
-    return simulate_rates(lambda s: tdma_trace(k, s), snr_grid_db, trials,
-                          rng, threads=threads)
+def tdma_baseline(k: int, snr_grid_db, trials: int, rng: RngStream) -> list:
+    """Round-robin single-user rates; the sum-rate slope is 1."""
+    return simulate_rates(lambda s: tdma_trace(k, s), snr_grid_db, trials, rng)
 
 
 def fit_dof_slope(points, window_db=(40.0, 60.0)) -> SlopeFit:

@@ -342,13 +342,13 @@ class SchemeTrace:
     def to_json(self, extra=None) -> str:
         """This trace's schema-``v1`` document with the entries of ``extra``
         added, byte for byte as ``json.dumps(doc, sort_keys=True,
-        indent=2)`` writes it.  The small fields go through
-        :func:`canonical_json`; the slots, receivers and combination log are
-        written from the trace's arrays (:func:`_coeff_maps`,
+        indent=2)`` writes it.  The slots, receivers and combination log
+        are written from the trace's arrays (:func:`_coeff_maps`,
         :func:`_matrices`), each receiver from its rows, every equation
         with the unit noise sample of its ``(slot, receiver)`` pair, and the
-        symbol table from a template per symbol.  The receivers and the
-        document are pieces joined once (:func:`_pieces`)."""
+        symbol table from a template per symbol; :func:`canonical_json`
+        writes the small fields and splices those arrays in.  The receivers
+        and the document are pieces joined once (:func:`_pieces`)."""
         n, dof, active = len(self.table), self.empirical_dof, self.active_antennas
         channels = _matrices(self.channels, _NL[3])
         plans = iter(_coeff_maps(np.concatenate(
@@ -387,10 +387,7 @@ class SchemeTrace:
                         "inputs": p.inputs_consumed, "slots": p.slots,
                         "outputs": p.outputs_generated} for p in self.phases],
             **(extra or {})}
-        return "".join(_pieces("{}", [
-            json.dumps(key) + ": " + canonical_json(doc[key]).replace("\n", _NL[1])
-            if key in doc else [json.dumps(key) + ": ", *_pieces("[]", arrays[key], _NL[1])]
-            for key in sorted(doc.keys() | arrays.keys())], _NL[0]))
+        return canonical_json(doc, arrays)
 
 
 #: Newline and indentation of each nesting depth of the trace document.
@@ -480,78 +477,20 @@ def _matrices(mats, nl: str) -> list:
     return out
 
 
-def canonical_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
-
-    Any ``indent`` makes json encode in pure Python.  Here the C encoder
-    takes each container of scalars, with the newline and indentation as
-    item separator, and each container of flat number lists (such as
-    ``region-check``'s tight orderings), in compact form indented by
-    :func:`_rows_json`.  Only the rest is walked here.
-    """
-    out = []
-
-    def write(node, nl):
-        inner = nl + "  "
-        keyed = isinstance(node, dict)
-        nested = keyed or isinstance(node, (list, tuple))
-        kinds = set(map(type, node.values() if keyed else node)) if nested else ()
-        if kinds and all(issubclass(kind, (list, tuple)) for kind in kinds):
-            text = _rows_json(node, nl)
-            if text is not None:
-                out.append(text)
-                return
-        if not any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
-            text = json.dumps(node, sort_keys=True, separators=("," + inner, ": "))
-            if text[0] in "[{" and len(text) > 2:
-                text = text[0] + inner + text[1:-1] + nl + text[-1]
-            out.append(text)
-        elif keyed and not all(isinstance(key, str) for key in node):
-            # json turns such keys into strings only after sorting them
-            out.append(json.dumps(node, sort_keys=True, indent=2).replace("\n", nl))
-        else:
-            sep = ("{" if keyed else "[") + inner
-            for key in sorted(node) if keyed else range(len(node)):
-                out.append(sep + (json.dumps(key) + ": " if keyed else ""))
-                write(node[key], inner)
-                sep = "," + inner
-            out.append(nl + ("}" if keyed else "]"))
-
-    try:
-        write(obj, "\n")
-    except RecursionError:  # a cycle, or nesting too deep: fail as json does
-        return json.dumps(obj, sort_keys=True, indent=2)
-    return "".join(out)
-
-
-def _rows_json(node, nl: str):
-    """Indented JSON of a dict or list of lists from its compact text, or
-    None unless its ``n`` items are nonempty lists of bare tokens such as
-    numbers, under keys free of brackets, commas and quotes.  The text
-    shows it: ``2n`` quotes in a dict (the keys) and none in a list, a
-    bracket pair per item (and a list's own), one comma fewer than the
-    items' entries.  Then each ``],`` separates two items, each ``[`` or
-    ``:[`` opens one, and fixed substitutions indent the text."""
-    items = node.values() if isinstance(node, dict) else node
-    if any(isinstance(v, (dict, list, tuple)) for v in next(iter(items))):
-        return None  # refused before encoding, as matrices are
-    text = json.dumps(node, sort_keys=True, separators=(",", ":"))
-    keyed = text[0] == "{"
-    brackets = len(node) + (not keyed)
-    if (text.count('"') != 2 * len(node) * keyed
-            or text.count("[") != brackets or text.count("]") != brackets
-            or text.count(",") != sum(map(len, items)) - 1):
-        return None
-    one, two = nl + "  ", nl + "    "
-    # each comma ends a line; one between items also closes the item before
-    body = text[1:-2].replace(",", "," + two)
-    if keyed:
-        body = (body.replace('],' + two + '"', one + '],' + one + '"')
-                .replace(":[", ": [" + two))
-    else:
-        body = "[" + two + body[1:].replace(
-            "]," + two + "[", one + "]," + one + "[" + two)
-    return text[0] + one + body + one + "]" + nl + text[-1]
+def canonical_json(doc, arrays=None) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``.  Each entry of
+    ``arrays`` is one more top-level key of the dict ``doc``: its list of
+    items, already rendered at depth 2 (strings, or lists of pieces, as
+    :func:`_block` and :func:`_pieces` render them at ``_NL[2]``), is
+    spliced in at the key's sorted place.  So a large array whose shape
+    the caller knows is written from templates, not walked."""
+    if not arrays:
+        return json.dumps(doc, sort_keys=True, indent=2)
+    return "".join(_pieces("{}", [
+        json.dumps(key) + ": "
+        + json.dumps(doc[key], sort_keys=True, indent=2).replace("\n", _NL[1])
+        if key in doc else [json.dumps(key) + ": ", *_pieces("[]", arrays[key], _NL[1])]
+        for key in sorted(doc.keys() | arrays.keys())], _NL[0]))
 
 
 @lru_cache(maxsize=None)

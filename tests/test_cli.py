@@ -1,15 +1,22 @@
 """End-to-end CLI behavior: exit codes, output shapes, determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import math
 import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delayedcsit import cli
 from delayedcsit.cli import main
+from delayedcsit.region import tight_permutations
 from delayedcsit.schemes import run_alt22
 
 
@@ -108,10 +115,48 @@ def test_scheme_argument_validation(capsys):
     assert code == 2 and "--k" in err
     code, _, err = run_cli(capsys, ["scheme-run", "--scheme", "alt22",
                                     "--k", "3"])
-    assert code == 2 and "two-receiver" in err
+    assert code == 2 and "alt22 runs --k 2, not 3" in err
     code, _, err = run_cli(capsys, ["scheme-run", "--scheme", "order",
                                     "--m", "2", "--k", "3"])
     assert code == 2 and "--j" in err
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["scheme-run", "--scheme", "mat23", "--k", "5", "--m", "4"], "--m 2, not 4"),
+    (["scheme-run", "--scheme", "square", "--k", "3", "--m", "2"], "--m 3, not 2"),
+    (["scheme-verify", "--scheme", "opt23", "--k", "4"], "--k 3, not 4"),
+    (["scheme-run", "--scheme", "square", "--k", "3", "--j", "2"], "--j 1, not 2"),
+    (["scheme-run", "--scheme", "alt22", "--m", "3"], "--m 2, not 3"),
+    (["rate-sim", "--scheme", "tdma", "--k", "3", "--m", "3"], "--m 1, not 3"),
+])
+def test_scheme_dimension_flags_must_match_the_scheme(capsys, argv, refused):
+    # a flag the scheme cannot honor is refused, not ignored
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and refused in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme-run", "--scheme", "alt22", "--k", "2"],
+    ["scheme-run", "--scheme", "alt22", "--m", "2", "--k", "2", "--j", "1"],
+    ["scheme-run", "--scheme", "mat23", "--m", "2", "--k", "3"],
+    ["scheme-run", "--scheme", "square", "--m", "2", "--k", "2", "--j", "1"],
+    ["scheme-run", "--scheme", "tdma", "--m", "1", "--k", "2"],
+])
+def test_scheme_dimension_flags_that_match_are_accepted(capsys, argv):
+    doc = run_json(capsys, argv)
+    assert doc["decode_ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["region-check", "--point", "1/2,1/2", "--m", "2"],
+    ["region-check", "--point", "1/2,1/2", "--j", "1"],
+    ["identity-check", "--k", "3", "--m", "2"],
+    ["identity-check", "--k", "3", "--j", "1"],
+])
+def test_region_and_identity_checks_take_only_k(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_scheme_verify_pass(capsys):
@@ -260,6 +305,78 @@ def test_region_check_negative_coordinate(capsys):
     # the '=' form keeps argparse from eating the leading dash
     code, out, err = run_cli(capsys, ["region-check", "--point=-1/2,1/2"])
     assert code == 2 and "error:" in err
+
+
+#: tracemalloc peak of ``region-check`` at the symmetric corner of 8
+#: receivers (8! tight orderings) written to a file, after a warm-up call:
+#: 20,656,435 bytes when ``canonical_json`` re-indented the orderings'
+#: compact text (Python 3.11.7, x86-64).  Writing each ordering from a row
+#: template may not need more than 5% above that.
+REGION_CHECK_PEAK_BYTES = 20_656_435
+
+
+def test_region_check_peak_memory_is_bounded(tmp_path):
+    path = str(tmp_path / "region.json")
+    corner = ",".join(["280/761"] * 8)  # 1 / H_8
+    assert main(["region-check", "--point", "2/3,2/3", "--out", path]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["region-check", "--point", corner, "--out", path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= REGION_CHECK_PEAK_BYTES * 1.05, peak
+
+
+def _boundary(values):
+    """``values`` scaled onto the region's boundary: the ordering that
+    weights the largest coordinate most is saturated."""
+    ranked = sorted(map(Fraction, values), reverse=True)
+    scale = 1 / sum(d / i for i, d in enumerate(ranked, start=1))
+    return [Fraction(v) * scale for v in values]
+
+
+@st.composite
+def _region_points(draw):
+    # tie groups of up to 10 receivers in all, with at most 7! tight
+    # orderings, on the boundary, scaled inside or outside it, or with one
+    # coordinate raised off it
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5).filter(
+        lambda g: sum(g) <= 10 and math.prod(map(math.factorial, g)) <= 5040))
+    values = draw(st.lists(st.integers(1, 40), min_size=len(sizes),
+                           max_size=len(sizes), unique=True))
+    point = _boundary(draw(st.permutations(
+        [v for v, size in zip(values, sizes) for _ in range(size)])))
+    how = draw(st.sampled_from(("boundary", "inside", "outside", "raised")))
+    if how == "inside":
+        return [d * Fraction(9, 10) for d in point]
+    if how == "outside":
+        return [d * Fraction(11, 10) for d in point]
+    if how == "raised":
+        point[draw(st.integers(0, len(point) - 1))] += Fraction(1, 7)
+    return point
+
+
+@given(_region_points())
+@example([Fraction(1)])  # k = 1: on the boundary, inside, outside
+@example([Fraction(1, 2)])
+@example([Fraction(2)])
+@example(_boundary([3, 3, 3, 2, 2, 2, 1, 1, 1, 1]))  # two-digit receiver ids
+@example([Fraction(1, 100)] * 10)  # interior: no tight ordering
+@example([Fraction(1), Fraction(1, 2)])  # outside, one saturated ordering
+@settings(max_examples=60, deadline=None)
+def test_region_check_json_matches_stdlib(point):
+    # the orderings, written from a row template and spliced into the
+    # document, are json.dumps(doc, sort_keys=True, indent=2) byte for byte
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["region-check", "--point", ",".join(map(str, point))])
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    assert doc["tight_permutations"] == [list(p) for p in tight_permutations(point)]
+    same = out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert same  # not ==: pytest's diff of two long documents takes minutes
 
 
 def test_identity_check(capsys):

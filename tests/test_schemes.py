@@ -18,12 +18,13 @@ from delayedcsit.dof_calc import (
     harmonic,
     nonsquare_recursion,
 )
-from delayedcsit.numerics import RngStream, haar_unitaries
+from delayedcsit.numerics import RankTolerance, RngStream, haar_unitaries
 from delayedcsit.schemes import (
     CHANNEL,
     AirLog,
     PhaseRecord,
     SchemeTrace,
+    _NL,
     _run_chain,
     build_phase,
     canonical_json,
@@ -394,6 +395,24 @@ def test_executed_frontier_matches_the_recursion():
     assert elapsed < FRONTIER_BUDGET_S, f"frontier took {elapsed:.1f}s"
 
 
+@pytest.fixture(scope="module")
+def chain_4_5():
+    # the smallest known trace that the default rank rule misjudges
+    # (ROADMAP item 1): 320 symbols, 157 slots
+    return _run_chain("chain", 4, 5, 1, RngStream(1, 3))
+
+
+def test_chain_4_5_decodes_at_a_tighter_tolerance(chain_4_5):
+    assert chain_4_5.decode_ok(RankTolerance(1e-12))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the default rank rule drops a singular value at 9.8e-10 of s_0, a "
+    "generic direction (ROADMAP item 1)"))
+def test_chain_4_5_decodes_at_the_default_tolerance(chain_4_5):
+    assert chain_4_5.decode_ok()
+
+
 def test_decode_stacks_follow_the_size_rule():
     # a small trace's receivers share one factorization; a receiver of
     # square-6 or (2, 5) is too large to share (numerics.STACK_BYTES)
@@ -586,31 +605,27 @@ _json_trees = st.recursive(
     max_leaves=40)
 
 
-@given(_json_trees)
-@settings(max_examples=400, deadline=None)
-def test_canonical_json_matches_stdlib_on_any_tree(tree):
-    # empty dicts and lists; [re, im] pairs and other number lists among
-    # other values; keys and strings that need escaping, non-ASCII ones
-    # and ones holding brackets, commas and quotes; ints, bools, None,
-    # -0.0, the least subnormal, 1e16, NaN and infinities; tuples and
-    # dicts with integer keys
-    assert canonical_json(tree) == _stdlib_json(tree)
-
-
-@given(st.dictionaries(_keys, _rows, min_size=1, max_size=4)
-       | st.lists(_rows, min_size=1, max_size=4))
-@example({"a,b": [], "c": [1.0, 2.0]})  # a comma in a key, an empty row
-@example({"x]": [1.0]})
-@example({'"q"': [1.0]})
-@example({"k": [1.0, [2.0]]})
-@example({"a": [1.0], "b": [{"c": 2.0}]})
-@example([[1.0], []])
-@example([[1.0], [{"c": 2.0}]])
-@example([[1.0, "],[\n"]])
-@settings(max_examples=400, deadline=None)
-def test_canonical_json_matches_stdlib_on_containers_of_lists(node):
-    # the containers whose compact text the writer re-indents, when it can
-    assert canonical_json(node) == _stdlib_json(node)
+@given(st.dictionaries(_keys, _json_trees, max_size=4),
+       st.dictionaries(_keys, st.lists(_json_trees, max_size=3), max_size=2))
+@example({}, {})
+@example({"a": 1.0, "c": []}, {"b": [[1.0, 2.0], {"x": None}], "c": []})
+@example({}, {"only": []})
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_matches_stdlib_on_any_tree(tree, lists):
+    # the keys of one dict split between the document and arrays of items
+    # pre-rendered at depth 2, as strings or as lists of pieces: empty
+    # dicts and lists; [re, im] pairs and other number lists among other
+    # values; keys and strings that need escaping, non-ASCII ones and ones
+    # holding brackets, commas and quotes; ints, bools, None, -0.0, the
+    # least subnormal, 1e16, NaN and infinities; tuples and dicts with
+    # integer keys
+    doc = {key: value for key, value in tree.items() if key not in lists}
+    arrays = {}
+    for key, items in lists.items():
+        texts = [_stdlib_json(item).replace("\n", _NL[2]) for item in items]
+        arrays[key] = [text if i % 2 else [text[:len(text) // 2], text[len(text) // 2:]]
+                       for i, text in enumerate(texts)]
+    assert canonical_json(doc, arrays) == _stdlib_json(doc | lists)
 
 
 def test_canonical_json_fails_on_a_cycle_as_json_does():
