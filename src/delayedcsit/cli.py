@@ -1,10 +1,13 @@
 """Command-line front end: calculators, scheme runners, verifiers, sims.
 
 Every command echoes the seed it used, renders rationals exactly as
-``p/q``, and emits canonical JSON (``"schema": "v1"``, sorted keys) or a
-CSV projection.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  The default seed can be overridden with the ``DELAYEDCSIT_SEED``
-environment variable.
+``p/q``, and emits canonical JSON (sorted keys) or a CSV projection.
+The ``scheme-run`` trace document is ``"schema": "v2"``: it lists the
+slots each receiver heard, not the equations themselves
+(:meth:`.schemes.SchemeTrace.to_json`).  Every other document is
+``"schema": "v1"`` (:data:`SCHEMA`).  Exit codes: 0 success, 1
+verification failure, 2 usage error.  The default seed can be overridden
+with the ``DELAYEDCSIT_SEED`` environment variable.
 """
 
 import argparse

@@ -17,12 +17,14 @@ rows as one ``(receivers, slots, symbols)`` array
 (:attr:`.schemes.SchemeTrace.rows`).  Receiver noise is white by rule:
 every equation heard over the air carries one fresh unit-variance noise
 sample, named by its ``(slot, receiver)`` pair, and nothing the
-transmitter rebuilds carries any, so the noise appears in the JSON trace
-from that rule.  Decodability is a row-space question on a receiver's
-rows.  Every slot is heard by every receiver, so a trace's receivers
-hold matrices of one shape, and a stack of them, at most
-:data:`.numerics.STACK_BYTES` of rows, is answered with one batched SVD
-by :func:`.numerics.unit_residuals`; a large receiver is a stack of one.
+transmitter rebuilds carries any, so the JSON trace writes no noise: a
+receiver's entry lists the slots it heard, and each equation is rebuilt
+as that slot's channel row times its plan plus the sample of its pair.
+Decodability is a row-space question on a receiver's rows.  Every slot
+is heard by every receiver, so a trace's receivers hold matrices of one
+shape, and a stack of them, at most :data:`.numerics.STACK_BYTES` of
+rows, is answered with one batched SVD by
+:func:`.numerics.unit_residuals`; a large receiver is a stack of one.
 """
 
 from dataclasses import dataclass

@@ -26,8 +26,9 @@ each other, so a phase builder mixes all of its blocks of forms with one
 stacked ``W @ F`` and sends all of its slots with one
 :meth:`AirLog.broadcast`.  A trace records what was sent as arrays, a
 block per broadcast, and what its receivers heard as one row array,
-which every reader (the decode check, the rate gains, the JSON writer)
-slices or gathers from.
+which the decode check and the rate gains slice or gather from.  The
+JSON trace writes only what was sent: a heard equation is its slot's
+channel row times the plan, so a receiver's entry lists its slots.
 
 Transmitted antenna forms are normalized to unit coefficient norm, so a
 recorded trace doubles as the SNR-independent skeleton used by the rate
@@ -340,15 +341,18 @@ class SchemeTrace:
                      for i in range(4))
 
     def to_json(self, extra=None) -> str:
-        """This trace's schema-``v1`` document with the entries of ``extra``
+        """This trace's schema-``v2`` document with the entries of ``extra``
         added, byte for byte as ``json.dumps(doc, sort_keys=True,
-        indent=2)`` writes it.  The slots, receivers and combination log
-        are written from the trace's arrays (:func:`_coeff_maps`,
-        :func:`_matrices`), each receiver from its rows, every equation
-        with the unit noise sample of its ``(slot, receiver)`` pair, and the
-        symbol table from a template per symbol; :func:`canonical_json`
-        writes the small fields and splices those arrays in.  The receivers
-        and the document are pieces joined once (:func:`_pieces`)."""
+        indent=2)`` writes it.  It holds what was sent: the slots, each
+        with its plan and channel, and the combination log, written from
+        the trace's arrays (:func:`_coeff_maps`, :func:`_matrices`), and
+        the symbol table, from a template per symbol.  A receiver's
+        ``equations`` is the list of slots it heard, every slot with an
+        active antenna: its equation ``i`` is row ``r - 1`` of ``channel
+        @ plan`` of slot ``equations[i]``, plus the unit noise sample
+        ``"{slot}:{r}"``, so one slot list serves every receiver.
+        :func:`canonical_json` writes the small fields and splices those
+        arrays in."""
         n, dof, active = len(self.table), self.empirical_dof, self.active_antennas
         channels = _matrices(self.channels, _NL[3])
         plans = iter(_coeff_maps(np.concatenate(
@@ -358,14 +362,10 @@ class SchemeTrace:
             f'"active_antennas": {p}', f'"channel": {channels[i]}',
             '"plan": ' + _block("[]", [_PLAN % next(plans) for _ in range(p)], _NL[3]),
             f'"slot": {i}'], _NL[2]) for i, p in enumerate(active)]
-        heard = [i for i, p in enumerate(active) if p]
-        receivers = []
-        for r, rows in enumerate(self.rows, start=1):
-            equations = [_EQUATION % (form, slot, r, r, slot)
-                         for slot, form in zip(heard, _coeff_maps(rows, _NL[6]))]
-            receivers.append(_pieces("{}", [
-                ['"equations": ', *_pieces("[]", equations, _NL[3])],
-                f'"receiver": {r}', f'"slots_observed": {self.total_slots}'], _NL[2]))
+        heard = _block("[]", [str(i) for i, p in enumerate(active) if p], _NL[3])
+        receivers = [_block("{}", [f'"equations": {heard}', f'"receiver": {r}',
+                                   f'"slots_observed": {self.total_slots}'], _NL[2])
+                     for r in range(1, self.k + 1)]
         labels = [label for block, _ in self.combination_log for label in block]
         weights = _matrices([w for _, block in self.combination_log for w in block],
                             _NL[3])
@@ -378,7 +378,7 @@ class SchemeTrace:
         arrays = {"slots": slots, "receivers": receivers, "combination_log": combos,
                   "symbol_table": symbols}
         doc = {
-            "schema": "v1", "scheme": self.name, "m": self.m, "k": self.k,
+            "schema": "v2", "scheme": self.name, "m": self.m, "k": self.k,
             "replication": {str(lvl): runs for lvl, runs in self.replication.items()},
             "total_slots": self.total_slots, "symbols": self.symbols_delivered,
             "dof": f"{dof.numerator}/{dof.denominator}",
@@ -391,7 +391,7 @@ class SchemeTrace:
 
 
 #: Newline and indentation of each nesting depth of the trace document.
-_NL = tuple("\n" + "  " * depth for depth in range(8))
+_NL = tuple("\n" + "  " * depth for depth in range(6))
 
 
 def _block(brackets: str, items, nl: str) -> str:
@@ -420,17 +420,10 @@ def _pieces(brackets: str, items, nl: str) -> list:
     return out
 
 
-#: A symbol table entry (id, label, order, owner list), a plan form
-#: (coefficients only) and a receiver equation (coefficients, noise sample,
-#: receiver, slot), at their depths in the document.
+#: A symbol table entry (id, label, order, owner list) and a plan form
+#: (coefficients only), at their depths in the document.
 _SYMBOL = _block("{}", ['"id": %d', '"label": %s', '"order": %d', '"owner": %s'], _NL[2])
 _PLAN = _block("{}", ['"coeffs": %s', '"noise": {}'], _NL[4])
-_EQUATION = _block("{}", [
-    '"form": ' + _block("{}", [
-        '"coeffs": %s',
-        '"noise": ' + _block("{}", ['"%d:%d": ' + _block("[]", ["1.0", "0.0"], _NL[7])],
-                             _NL[6])], _NL[5]),
-    '"noise_variance": 1.0', '"receiver": %d', '"slot": %d'], _NL[4])
 
 
 def _floats(z) -> list:

@@ -1,5 +1,6 @@
 """Reference implementations that the tests compare the package against."""
 
+import json
 import math
 
 import numpy as np
@@ -125,8 +126,9 @@ def receiver_dict(trace, receiver) -> dict:
 
 def trace_doc(trace) -> dict:
     """The schema-``v1`` document of a scheme trace as nested dicts and
-    lists: ``SchemeTrace.to_json()`` is its ``json.dumps(doc,
-    sort_keys=True, indent=2)``."""
+    lists, every heard equation written out: :func:`v1_from_v2` of
+    ``SchemeTrace.to_json()`` is its ``json.dumps(doc, sort_keys=True,
+    indent=2)``."""
     def cplx(z):
         z = complex(z)
         return [z.real, z.imag]
@@ -170,3 +172,48 @@ def trace_doc(trace) -> dict:
             for label, w in zip(labels, weights)
         ],
     }
+
+
+def trace_doc_v2(trace) -> dict:
+    """The schema-``v2`` document of a scheme trace: ``SchemeTrace.to_json()``
+    is its ``json.dumps(doc, sort_keys=True, indent=2)``.  It is the ``v1``
+    document with each receiver's equations replaced by the slots it heard
+    them in."""
+    heard = heard_slots(trace)
+    return trace_doc(trace) | {"schema": "v2", "receivers": [
+        {"receiver": r, "slots_observed": trace.total_slots, "equations": heard}
+        for r in range(1, trace.k + 1)]}
+
+
+def v1_from_v2(text: str) -> str:
+    """The schema-``v1`` text of the schema-``v2`` trace document ``text``.
+
+    Each slot's dense plan is rebuilt from its coefficient map, and
+    equation ``i`` of receiver ``r`` is ``(channel[:, :p] @ plan)[r - 1]``
+    of slot ``equations[i]``, with the unit noise sample of its ``(slot,
+    r)`` pair.  It is the full 2-D product, as the package computes it: the
+    row-vector product takes another BLAS path and agrees only to rounding.
+    A plan's zero coefficients are not in the document and are rebuilt as
+    ``+0``, so a heard coefficient's part that is an exact sum of zeros may
+    differ in the sign of that zero.
+    """
+    doc = json.loads(text)
+    if doc["schema"] != "v2":
+        raise ValueError(f"not a v2 trace document: schema {doc['schema']!r}")
+    heard = {}
+    for slot in doc["slots"]:
+        p = slot["active_antennas"]
+        if p:
+            plan = np.zeros((p, len(doc["symbol_table"])), dtype=np.complex128)
+            for a, form in enumerate(slot["plan"]):
+                for s, (re, im) in form["coeffs"].items():
+                    plan[a, int(s)] = complex(re, im)
+            h = np.array([[complex(re, im) for re, im in row]
+                          for row in slot["channel"]], dtype=np.complex128)
+            heard[slot["slot"]] = h[:, :p] @ plan
+    doc["schema"] = "v1"
+    for rec in doc["receivers"]:
+        r = rec["receiver"]
+        rec["equations"] = [equation_dict(r, s, heard[s][r - 1])
+                            for s in rec["equations"]]
+    return json.dumps(doc, sort_keys=True, indent=2)

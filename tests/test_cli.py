@@ -71,7 +71,7 @@ def test_dof_table_requires_k(capsys):
 def test_scheme_run_json(capsys):
     doc = run_json(capsys, ["scheme-run", "--scheme", "square", "--k", "2"])
     assert doc["command"] == "scheme-run"
-    assert doc["schema"] == "v1"
+    assert doc["schema"] == "v2"
     assert doc["dof"] == "4/3"
     assert doc["expected_dof"] == "4/3"
     assert doc["decode_ok"] is True

@@ -25,6 +25,7 @@ from delayedcsit.schemes import (
     run_square_scheme,
     tdma_trace,
 )
+from oracles import v1_from_v2
 
 SEEDS = (1, 2024)
 
@@ -39,7 +40,9 @@ BUILDERS = {
     "order-2-3-2": lambda s, c=None: run_order_j_delivery(2, 3, 2, s, c),
 }
 
-#: sha256 of ``to_json()`` at stream ``(seed, 3)``, one per seed.
+#: sha256 of the schema-``v1`` trace document at stream ``(seed, 3)``, one
+#: per seed: every JSON pin of a trace below hashes ``v1_from_v2`` of what
+#: ``to_json()`` writes, each heard equation rebuilt from its slot.
 TRACE_SHA256 = {
     "square-2": (
         "c381f3abcda851099f7f8245b505d286eb18fd8213eb2eb4e201d8f109b36070",
@@ -72,6 +75,43 @@ TRACE_SHA256 = {
     "order-2-3-2": (
         "c68b8d118f704d54057a849833f5faecf1724ce96763b2c708465b3cf016ebc9",
         "143063ee754950a2471a6f356c0ff94908cd61a48789bc92a9d6d1fb506da2e8",
+    ),
+}
+
+#: sha256 of ``to_json()`` itself, the schema-``v2`` document, for the
+#: traces of ``TRACE_SHA256``.
+TRACE_V2_SHA256 = {
+    "alt22": (
+        "a01e8436535fcc9d8d7df689ec0a72e9ea75178c0ee6b7cb3d22af4e684aa134",
+        "9a73b4aef801643f03edd577bd14269a6aa95b49de608529b41859e58096d757",
+    ),
+    "mat23": (
+        "c81af22f9f932d72b712251adc2a3ad2254e73ca2b6b0c7900b2ad36344c7e8a",
+        "391aeda76abe0c6968dd590d004a2ceebc66fd361b2d091d6560afa9caf17970",
+    ),
+    "opt23": (
+        "05ba8fb805c7d0788e707ee78ff63cf5d8c78011d5ae2c6ad5139cb31872d64e",
+        "df515ddd9ac5ecf2d28dc40330a8ee0eb7c2a2f2a5296f9d7b6ec76ea5ceede5",
+    ),
+    "order-2-3-2": (
+        "e3efe1f1f03e1237784d10e27e6d8253d6aa602aaf0c4bd51a3dca9727c4198c",
+        "ebadaee8b8add77ebddb17eac016f9401ac100586bc0ae36a6e0d5d5bce45990",
+    ),
+    "square-2": (
+        "58664001e9188fb65b21285b4dcd987f09354efabadbb8486043880c5bd2fec3",
+        "21fe86376a849f1cf1b8d5629d9e40e8ebc90eb1fa735ca314d354d880253648",
+    ),
+    "square-3": (
+        "cece00697f7a3e7be84a64309a844bfb87c74ca0daebfa4ab97abe11c329669e",
+        "b3c93e787e9b4ab1f2fe45332d3147bce1af59b7763e5c6b344b207de4e3d8dc",
+    ),
+    "square-5": (
+        "85d6a9fbc26423bfefdfa1e45d80454f73db16dd0c278f5369565a0d52eb61a1",
+        "6683c33913d5c5649a2ad9ccc286b5b7ca3139b0b79c8554ea25b8f9d34e19d5",
+    ),
+    "tdma-3": (
+        "bafc3400338301de0380d56692cdcf2a68b61652f0a08acaf18a96ae9cf9f0fe",
+        "ccba67d828b54e0e3d4d90ed68a533128f34f1b91f3b6b10d8644ec4ca50bc7f",
     ),
 }
 
@@ -173,9 +213,10 @@ VERIFY_SHA256 = {
 }
 
 #: sha256 of ``delayedcsit scheme-run`` stdout at ``--seed`` 1 and 2024
-#: (square-5 at 1 alone): the trace document and the keys the command
-#: adds to it (``command``, ``decode_ok``, ``expected_dof``).  Captured
-#: from the writer that rendered the whole document with json.
+#: (square-5 at 1 alone), in schema ``v1``: ``v1_from_v2`` of the trace
+#: document and the keys the command adds to it (``command``,
+#: ``decode_ok``, ``expected_dof``).  Captured from the writer that
+#: rendered the whole ``v1`` document with json.
 CLI_SHA256 = {
     "square-3": (["--scheme", "square", "--k", "3"], (
         "81199582e0430b15ffbb10c4f6a47de60f95229ed5c84184f25fb835c5ca24e7",
@@ -192,6 +233,25 @@ CLI_SHA256 = {
     "square-5": (["--scheme", "square", "--k", "5"], (
         "37a2675367217b0283904d2dca32569e765ed98d8f3aa13c787e72824ffba71a",
     )),
+}
+
+#: sha256 of the same stdout as the command writes it, in schema ``v2``.
+CLI_V2_SHA256 = {
+    "square-3": (
+        "42fdcdc8af07f83940eaf7223ceb769f6d904c93fa462c14240f8518f397d0f5",
+        "757654c6a1b4d022a3938f8150a339b6359bff293d7fd87bbfd5668c8eebc476",
+    ),
+    "opt23": (
+        "4d80864bacbdefca77c14f78a038e6cbab113762d6ad60d732685ef3dca361a7",
+        "09d9bd45196e5fa40b700d293d51dda2e0a60d5a15614d8b4fa5534981563908",
+    ),
+    "order-2-3-2": (
+        "6e18776007c80feb797bb03e46bcafcf913775ea5c4bd4c4153118b9d3401e3e",
+        "f63c17dc9b72e532141da742e61817736b9b929c87080108eb59ecd409bbfdf4",
+    ),
+    "square-5": (
+        "a910f6f995763def5e2c871f41d8b0247c4e3dccc47e48ae92ed5f7bcfd043e3",
+    ),
 }
 
 #: ``repr`` of ``simulate_rates`` for square-3, 20 trials, 40:60:5 dB.
@@ -279,8 +339,13 @@ RATE_SCHEMES_REPR = {
 }
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _sha(trace):
-    return hashlib.sha256(trace.to_json().encode()).hexdigest()
+    """sha256 of the ``v1`` document rebuilt from the ``v2`` one written."""
+    return _digest(v1_from_v2(trace.to_json()))
 
 
 def _overrides():
@@ -292,8 +357,9 @@ def _overrides():
 
 @pytest.mark.parametrize("name", sorted(TRACE_SHA256))
 def test_trace_json_is_unchanged(name):
-    got = tuple(_sha(BUILDERS[name](RngStream(seed, 3))) for seed in SEEDS)
-    assert got == TRACE_SHA256[name]
+    texts = [BUILDERS[name](RngStream(seed, 3)).to_json() for seed in SEEDS]
+    assert tuple(map(_digest, texts)) == TRACE_V2_SHA256[name]
+    assert tuple(_digest(v1_from_v2(text)) for text in texts) == TRACE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(OVERRIDE_SHA256))
@@ -325,17 +391,20 @@ def test_chain_json_is_unchanged():
 def test_scheme_verify_stdout_is_unchanged(name, capsys):
     argv, want = VERIFY_SHA256[name]
     main(["scheme-verify", *argv, "--trials", "20", "--seed", "1"])
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+    assert _digest(capsys.readouterr().out) == want
 
 
 @pytest.mark.parametrize("name", sorted(CLI_SHA256))
 def test_scheme_run_stdout_is_unchanged(name, capsys):
     argv, want = CLI_SHA256[name]
-    got = []
+    v2, v1 = [], []
     for seed in SEEDS[:len(want)]:
         assert main(["scheme-run", *argv, "--seed", str(seed)]) == 0
-        got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert tuple(got) == want
+        out = capsys.readouterr().out
+        v2.append(_digest(out))
+        v1.append(_digest(v1_from_v2(out) + "\n"))
+    assert tuple(v2) == CLI_V2_SHA256[name]
+    assert tuple(v1) == want
 
 
 def test_rate_points_are_unchanged():

@@ -1,6 +1,7 @@
 """Symbolic transmission ledger: forms, slots, decode checks, alignment."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from oracles import (
     heard_slots,
     rowspace_residuals,
     slot_plans,
-    trace_doc,
+    v1_from_v2,
 )
 
 SMALL_SCHEMES = {
@@ -168,11 +169,20 @@ def _noise_weights(receiver_doc):
     return w
 
 
+def _written_v1(trace):
+    """The ``v1`` document rebuilt from the ``v2`` one the trace writes,
+    whose receivers each list the slots they heard."""
+    text = trace.to_json()
+    for rec in json.loads(text)["receivers"]:
+        assert rec["equations"] == heard_slots(trace), rec["receiver"]
+    return json.loads(v1_from_v2(text))
+
+
 def test_noise_ids_are_unique_per_slot_and_receiver():
     # every emitted equation carries exactly the unit noise sample of its
     # (slot, receiver) pair; no transmitted plan form carries any noise
     for name, build in sorted(LEDGER_SCHEMES.items()):
-        doc = trace_doc(build(RngStream(4)))
+        doc = _written_v1(build(RngStream(4)))
         ids = []
         for rec in doc["receivers"]:
             for eq in rec["equations"]:
@@ -190,17 +200,18 @@ def test_noise_covariance_identity_for_raw_equations():
     # the emitted noise weights of each receiver are orthonormal: its
     # observation noise is white, which is all the rate path assumes
     for name, build in sorted(LEDGER_SCHEMES.items()):
-        for rec in trace_doc(build(RngStream(5)))["receivers"]:
+        for rec in _written_v1(build(RngStream(5)))["receivers"]:
             w = _noise_weights(rec)
             assert np.array_equal(w @ w.conj().T, np.eye(len(w))), name
 
 
 def test_equation_rows_are_channel_times_plan():
     # each stored row is its slot's channel row times the slot's plan,
-    # summed antenna by antenna here, and the JSON holds its nonzeros
+    # summed antenna by antenna here, and the v1 document rebuilt from the
+    # written JSON holds its nonzeros
     for name, build in sorted(LEDGER_SCHEMES.items()):
         trace = build(RngStream(6))
-        doc = trace_doc(trace)
+        doc = _written_v1(trace)
         plans = slot_plans(trace)
         assert heard_slots(trace) == list(range(trace.total_slots)), name
         for r, (rows, rec) in enumerate(zip(trace.rows, doc["receivers"])):
@@ -378,7 +389,7 @@ def test_combine_exact():
         combine([f, g], [[1.0]])
 
 
-def test_random_combination_uses_unitary_rows():
+def test_mixing_weights_are_unitary_rows():
     # mixing weights are rows of Haar unitaries; a trace's draw factors
     # every square of one size with one QR, bit for bit as one by one
     layout = [("a", 4), CHANNEL, ("b", 4), ("c", 2)]
