@@ -21,11 +21,7 @@ from fractions import Fraction
 
 from .dof_calc import (
     DofQuery,
-    OutOfRegimeError,
-    dof_lower,
-    dof_square,
     dof_upper,
-    harmonic,
     hockey_stick,
     identity_check,
     nonsquare_recursion,
@@ -50,15 +46,25 @@ __all__ = ["main"]
 DEFAULT_SEED = 12345
 SCHEMA = "v1"
 
-# Antenna/receiver points where a hand-crafted scheme beats the generic
-# chain; surfaced as dof-table footnotes.
-BETTER_KNOWN = {
-    (2, 3, 1): ("3/2", "opt23"),
+# One row per --scheme: the trace's name, its (m, k, j) with a flag name
+# where the user gives the value, a builder of (m, k, j, rng) that looks its
+# runner up when called, and the dof_calc function of its expected DoF.
+_MAT23 = ("mat23_suboptimal", (2, 3, 1),
+          lambda m, k, j, s: run_mat23_suboptimal(s), nonsquare_recursion)
+SCHEMES = {
+    "square": ("square", ("k", "k", 1),
+               lambda m, k, j, s: run_square_scheme(k, s), nonsquare_recursion),
+    "alt22": ("alt22", (2, 2, 1),
+              lambda m, k, j, s: run_alt22(s), nonsquare_recursion),
+    "mat23": _MAT23,
+    "mat23_suboptimal": _MAT23,
+    "opt23": ("opt23", (2, 3, 1), lambda m, k, j, s: run_opt23(s), dof_upper),
+    "order": ("order_delivery", ("m", "k", "j"),
+              lambda m, k, j, s: run_order_j_delivery(m, k, j, s),
+              nonsquare_recursion),
+    "tdma": ("tdma", (1, "k", 1),
+             lambda m, k, j, s: tdma_trace(k, s), nonsquare_recursion),
 }
-
-SCHEME_CHOICES = (
-    "square", "alt22", "mat23", "mat23_suboptimal", "opt23", "order", "tdma",
-)
 
 
 def _rat(f: Fraction) -> str:
@@ -78,24 +84,13 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(obj: dict, out_path, arrays=None) -> None:
-    _emit(canonical_json(obj, arrays) + "\n", out_path)
-
-
-def _emit_csv(header, rows, out_path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), out_path)
+def _cell(value):
+    """One CSV cell: lists joined by ``;``, booleans lower case, None empty."""
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "" if value is None else value
 
 
 def _require(flag_value, flag: str, command: str):
@@ -105,93 +100,57 @@ def _require(flag_value, flag: str, command: str):
 
 
 def _scheme_builder(args):
-    """Resolve --scheme into (canonical name, builder, expected DoF),
+    """Resolve --scheme into (trace name, builder, expected DoF),
     refusing any --m, --k or --j that differs from the scheme's own."""
-    name = args.scheme
-
-    def need(dim):
-        return _require(getattr(args, dim), f"--{dim}", f"--scheme {name}")
-
-    if name == "square":
-        k = need("k")
-        dims, resolved = (k, k, 1), (
-            "square", lambda s: run_square_scheme(k, s), k / harmonic(k))
-    elif name == "alt22":
-        dims, resolved = (2, 2, 1), ("alt22", run_alt22, Fraction(4, 3))
-    elif name in ("mat23", "mat23_suboptimal"):
-        dims, resolved = (2, 3, 1), (
-            "mat23_suboptimal", run_mat23_suboptimal, Fraction(24, 17))
-    elif name == "opt23":
-        dims, resolved = (2, 3, 1), ("opt23", run_opt23, Fraction(3, 2))
-    elif name == "order":
-        m, k, j = need("m"), need("k"), need("j")
-        dims, resolved = (m, k, j), (
-            "order_delivery", lambda s: run_order_j_delivery(m, k, j, s),
-            dof_square(k, j))
-    elif name == "tdma":
-        k = need("k")
-        dims, resolved = (1, k, 1), ("tdma", lambda s: tdma_trace(k, s), Fraction(1))
-    else:
-        raise ValueError(f"unknown scheme {name!r}")
-    for dim, own in zip("mkj", dims):
+    name, dims, build, dof = SCHEMES[args.scheme]
+    m, k, j = (_require(getattr(args, d), f"--{d}", f"--scheme {args.scheme}")
+               if isinstance(d, str) else d for d in dims)
+    for dim, own in zip("mkj", (m, k, j)):
         given = getattr(args, dim)
         if given not in (None, own):
-            raise ValueError(f"--scheme {name} runs --{dim} {own}, not {given}")
-    return resolved
+            raise ValueError(
+                f"--scheme {args.scheme} runs --{dim} {own}, not {given}")
+    return name, lambda s: build(m, k, j, s), dof(DofQuery(m, k, j))
 
 
-def cmd_dof_table(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_dof_table(args, seed):
     k = _require(args.k, "--k", "dof-table")
+    if k < 1:
+        raise ValueError(f"--k must be positive, got {k}")
     ms = [args.m] if args.m is not None else list(range(1, k + 1))
     js = [args.j] if args.j is not None else list(range(1, k + 1))
     rows = []
     for m in ms:
         for j in js:
             q = DofQuery(m, k, j)
-            lower = dof_lower(q) if q.square_regime else nonsquare_recursion(q)
+            lower = nonsquare_recursion(q)
             upper = dof_upper(q)
-            note = ""
-            better = BETTER_KNOWN.get((m, k, j))
-            if better:
-                note = f"a better scheme is known: {better[1]} achieves {better[0]}"
+            note = next((f"a better scheme is known: {key} achieves {_rat(dof(q))}"
+                         for key, (_, dims, _, dof) in SCHEMES.items()
+                         if dims == (m, k, j) and dof(q) > lower), "")
             rows.append({
                 "m": m, "k": k, "j": j,
                 "lower": _rat(lower), "upper": _rat(upper),
                 "tight": lower == upper, "note": note,
             })
-    if args.format == "csv":
-        _emit_csv(
-            ["m", "k", "j", "lower", "upper", "tight", "note"],
-            [[r["m"], r["k"], r["j"], r["lower"], r["upper"],
-              str(r["tight"]).lower(), r["note"]] for r in rows],
-            args.out)
-    else:
-        _emit_json({"schema": SCHEMA, "command": "dof-table", "seed": seed,
-                    "rows": rows}, args.out)
-    return 0
+    return (0, {"rows": rows}, ["m", "k", "j", "lower", "upper", "tight", "note"],
+            [list(r.values()) for r in rows])
 
 
-def cmd_scheme_run(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_scheme_run(args, seed):
     name, builder, expected = _scheme_builder(args)
     trace = builder(RngStream(seed).split(0))
     ok = trace.decode_ok()
-    if args.format == "csv":
-        _emit_csv(
+    extra = {"command": "scheme-run", "decode_ok": ok, "expected_dof": _rat(expected)}
+    # the trace's text is most of a JSON run: a CSV run does not write it
+    text = trace.to_json(extra) if args.format == "json" else None
+    return (0, text,
             ["scheme", "m", "k", "symbols", "slots", "dof", "decode_ok", "seed"],
             [[name, trace.m, trace.k, trace.symbols_delivered,
-              trace.total_slots, _rat(trace.empirical_dof),
-              str(ok).lower(), seed]],
-            args.out)
-    else:
-        _emit(trace.to_json({"command": "scheme-run", "decode_ok": ok,
-                             "expected_dof": _rat(expected)}) + "\n", args.out)
-    return 0
+              trace.total_slots, _rat(trace.empirical_dof), ok, seed]])
 
 
-def cmd_scheme_verify(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_scheme_verify(args, seed):
     name, builder, expected = _scheme_builder(args)
     trials = args.trials
     if trials < 1:
@@ -220,26 +179,18 @@ def cmd_scheme_verify(args) -> int:
     dof_ok = dof_values == {expected}
     passed = rate >= 0.999 and dof_ok
     report = {
-        "schema": SCHEMA, "command": "scheme-verify", "scheme": name,
-        "seed": seed, "trials": trials, "decode_successes": successes,
+        "scheme": name, "trials": trials, "decode_successes": successes,
         "success_rate": rate,
         "empirical_dof": sorted(_rat(d) for d in dof_values),
         "expected_dof": _rat(expected), "dof_matches": dof_ok,
         **margins,
         "pass": passed,
     }
-    if args.format == "csv":
-        _emit_csv(
+    return (0 if passed else 1, report,
             ["scheme", "trials", "decode_successes", "success_rate",
              "empirical_dof", "expected_dof", *margins, "pass", "seed"],
-            [[name, trials, successes, rate,
-              ";".join(report["empirical_dof"]), _rat(expected),
-              *("" if x is None else x for x in margins.values()),
-              str(passed).lower(), seed]],
-            args.out)
-    else:
-        _emit_json(report, args.out)
-    return 0 if passed else 1
+            [[name, trials, successes, rate, report["empirical_dof"],
+              _rat(expected), *margins.values(), passed, seed]])
 
 
 def _parse_grid(text: str) -> list:
@@ -255,8 +206,7 @@ def _parse_grid(text: str) -> list:
     return snr_grid(lo, hi, step)
 
 
-def cmd_rate_sim(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_rate_sim(args, seed):
     name, builder, expected = _scheme_builder(args)
     grid = _parse_grid(args.snr)
     if args.trials < 1:
@@ -273,30 +223,26 @@ def cmd_rate_sim(args) -> int:
             "ci_low": fit.slope - half, "ci_high": fit.slope + half,
             "window_db": list(fit.window_db), "residual": fit.residual,
         }
-    if args.format == "csv":
-        _emit_csv(
-            ["snr_db", "scheme", "sum_rate", "stderr", "trials", "seed"],
-            [[p.snr_db, name, repr(p.sum_rate), repr(p.stderr), p.trials, seed]
-             for p in points],
-            args.out)
-    else:
-        _emit_json({
-            "schema": SCHEMA, "command": "rate-sim", "scheme": name,
-            "seed": seed, "trials": args.trials,
-            "expected_dof": _rat(expected),
-            "points": [
-                {"snr_db": p.snr_db, "sum_rate": p.sum_rate,
-                 "per_receiver": list(p.per_receiver),
-                 "stderr": p.stderr, "trials": p.trials}
-                for p in points],
-            "slope": slope_doc,
-        }, args.out)
-    return 0
+    doc = {
+        "scheme": name, "trials": args.trials,
+        "expected_dof": _rat(expected),
+        "points": [
+            {"snr_db": p.snr_db, "sum_rate": p.sum_rate,
+             "per_receiver": list(p.per_receiver),
+             "stderr": p.stderr, "trials": p.trials}
+            for p in points],
+        "slope": slope_doc,
+    }
+    return (0, doc, ["snr_db", "scheme", "sum_rate", "stderr", "trials", "seed"],
+            [[p.snr_db, name, p.sum_rate, p.stderr, p.trials, seed]
+             for p in points])
 
 
-def cmd_region_check(args) -> int:
-    seed = _resolve_seed(args)
-    point = [Fraction(tok) for tok in args.point.split(",") if tok.strip()]
+def cmd_region_check(args, seed):
+    try:
+        point = [Fraction(tok) for tok in args.point.split(",") if tok.strip()]
+    except ZeroDivisionError:
+        raise ValueError(f"--point has a zero denominator: {args.point!r}") from None
     if not point:
         raise ValueError("--point needs at least one coordinate")
     if args.k is not None and args.k != len(point):
@@ -321,25 +267,19 @@ def cmd_region_check(args) -> int:
             {"support": sorted(s), "weight": _rat(w)} for s, w in parts
         ]
     doc = {
-        "schema": SCHEMA, "command": "region-check", "seed": seed,
         "k": len(point), "point": [_rat(x) for x in point],
         "in_region": member,
         "decomposition": decomposition,
     }
-    if args.format == "csv":
-        _emit_csv(
-            ["point", "in_region", "tight_count", "decomposable", "seed"],
-            [[";".join(_rat(x) for x in point), str(member).lower(),
-              len(tight), str(parts is not None).lower(), seed]],
-            args.out)
-    else:
-        row = _block("[]", ["%d"] * len(point), _NL[2])
-        _emit_json(doc, args.out, {"tight_permutations": [row % p for p in tight]})
-    return 0
+    row = _block("[]", ["%d"] * len(point), _NL[2])
+    # a CSV run counts the orderings and does not render them
+    rendered = [row % p for p in tight] if args.format == "json" else None
+    return (0, doc, ["point", "in_region", "tight_count", "decomposable", "seed"],
+            [[doc["point"], member, len(tight), parts is not None, seed]],
+            {"tight_permutations": rendered})
 
 
-def cmd_identity_check(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_identity_check(args, seed):
     k_max = args.k if args.k is not None else 30
     if k_max < 1:
         raise ValueError(f"--k must be positive, got {k_max}")
@@ -364,23 +304,17 @@ def cmd_identity_check(args) -> int:
                                         "lhs": _rat(lhs), "rhs": _rat(rhs)})
     passed = not identity_failures and not hockey_failures
     doc = {
-        "schema": SCHEMA, "command": "identity-check", "seed": seed,
         "identity_max_k": k_max, "identity_cases": identity_cases,
         "identity_failures": identity_failures,
         "hockey_max_q": q_max, "hockey_cases": hockey_cases,
         "hockey_failures": hockey_failures,
         "pass": passed,
     }
-    if args.format == "csv":
-        _emit_csv(
+    return (0 if passed else 1, doc,
             ["identity_cases", "identity_failures", "hockey_cases",
              "hockey_failures", "pass", "seed"],
             [[identity_cases, len(identity_failures), hockey_cases,
-              len(hockey_failures), str(passed).lower(), seed]],
-            args.out)
-    else:
-        _emit_json(doc, args.out)
-    return 0 if passed else 1
+              len(hockey_failures), passed, seed]])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     dims.add_argument("--j", type=int, default=None, help="symbol order")
     receivers = argparse.ArgumentParser(add_help=False)
     receivers.add_argument("--k", type=int, default=None, help="receivers")
+    scheme = argparse.ArgumentParser(add_help=False)
+    scheme.add_argument("--scheme", required=True, choices=SCHEMES)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -410,25 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lower/upper DoF bounds as exact rationals")
     p.set_defaults(func=cmd_dof_table)
 
-    p = sub.add_parser("scheme-run", parents=[common, dims],
+    p = sub.add_parser("scheme-run", parents=[common, dims, scheme],
                        help="execute one seeded scheme trace")
-    p.add_argument("--scheme", required=True, choices=SCHEME_CHOICES)
     p.set_defaults(func=cmd_scheme_run)
 
-    p = sub.add_parser("scheme-verify", parents=[common, dims],
+    p = sub.add_parser("scheme-verify", parents=[common, dims, scheme],
                        help="decode/accounting verification over many trials")
-    p.add_argument("--scheme", required=True, choices=SCHEME_CHOICES)
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_scheme_verify)
 
     p = sub.add_parser(
-        "rate-sim", parents=[common, dims],
+        "rate-sim", parents=[common, dims, scheme],
         help="Monte Carlo rate curve and DoF slope",
         description=("Monte Carlo sum-rate curve and its fitted DoF slope.  The sum "
                      "rate adds up every receiver's rate, so under --scheme order a "
                      "common symbol counts once per receiver that wants it, and the "
                      "fitted slope is j times expected_dof."))
-    p.add_argument("--scheme", required=True, choices=SCHEME_CHOICES)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--snr", default="40:60:5", metavar="LO:HI:STEP",
                    help="SNR grid in dB (default 40:60:5)")
@@ -447,16 +380,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OutOfRegimeError as exc:
+        seed = _resolve_seed(args)
+        code, doc, header, rows, *arrays = args.func(args, seed)
+        if args.format == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerows(map(_cell, row) for row in [header, *rows])
+            text = buf.getvalue()
+        else:
+            text = (doc if isinstance(doc, str) else canonical_json(
+                {"schema": SCHEMA, "command": args.command, "seed": seed, **doc},
+                *arrays)) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

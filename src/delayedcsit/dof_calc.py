@@ -20,7 +20,6 @@ __all__ = [
     "DofQuery",
     "NonsquarePhaseParams",
     "OutOfRegimeError",
-    "Rational",
     "coherence_dof",
     "dof_lower",
     "dof_square",
@@ -32,10 +31,6 @@ __all__ = [
     "nonsquare_recursion",
     "outer_bound_lhs",
 ]
-
-# Exact rational carrier for every DoF value.  fractions.Fraction already
-# guarantees lowest terms, a positive denominator, and exact arithmetic.
-Rational = Fraction
 
 
 class OutOfRegimeError(ValueError):

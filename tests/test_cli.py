@@ -68,6 +68,14 @@ def test_dof_table_requires_k(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_dof_table_refuses_a_k_below_one(capsys, k):
+    # no receivers is a usage error, not an empty table
+    code, out, err = run_cli(capsys, ["dof-table", f"--k={k}"])
+    assert code == 2 and out == ""
+    assert "error: --k must be positive" in err
+
+
 def test_scheme_run_json(capsys):
     doc = run_json(capsys, ["scheme-run", "--scheme", "square", "--k", "2"])
     assert doc["command"] == "scheme-run"
@@ -307,6 +315,13 @@ def test_region_check_negative_coordinate(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_region_check_zero_denominator(capsys):
+    # a usage error with exit 2, not a traceback
+    code, out, err = run_cli(capsys, ["region-check", "--point", "1/0,1/2"])
+    assert code == 2 and out == ""
+    assert "error:" in err and "zero denominator" in err
+
+
 #: tracemalloc peak of ``region-check`` at the symmetric corner of 8
 #: receivers (8! tight orderings) written to a file, after a warm-up call:
 #: 20,656,435 bytes when ``canonical_json`` re-indented the orderings'
@@ -427,6 +442,19 @@ def test_scheme_run_out_file_holds_the_stdout_bytes(capsys, tmp_path):
     code, empty, _ = run_cli(capsys, argv + ["--out", str(path)])
     assert code == 0 and empty == ""
     assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dof-table", "--k", "2"],
+    ["scheme-run", "--scheme", "alt22"],
+    ["identity-check", "--k", "2", "--format", "csv"],
+])
+def test_out_into_a_missing_directory_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, argv + ["--out", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not path.parent.exists()
 
 
 def test_unknown_scheme_is_an_argparse_error(capsys):

@@ -254,6 +254,86 @@ CLI_V2_SHA256 = {
     ),
 }
 
+#: sha256 of the stdout of every other command and format at ``--seed 1``,
+#: each exiting 0: the documents the commands build and the way the one
+#: output path renders them as JSON or CSV.
+STDOUT_SHA256 = {
+    "dof-table-k6/json": (
+        ["dof-table", "--k", "6"],
+        "53d541f61672f712e39d3f9b70ee5c7a363f493da2f3f1c7021c7e9d4f83aa31"),
+    "dof-table-k6/csv": (
+        ["dof-table", "--k", "6"],
+        "78a237c4faf46cb5de0dedf3707c166bb64eed9d31b91c2cbc7604a09774ccd9"),
+    "dof-table-2-3-1/json": (
+        ["dof-table", "--m", "2", "--k", "3", "--j", "1"],
+        "40b1b5dfecf7010bcc5aaa587218db33ff3f74f6e5693209fcd16e05e2bb9eb0"),
+    "dof-table-2-3-1/csv": (
+        ["dof-table", "--m", "2", "--k", "3", "--j", "1"],
+        "06a461dee87f0000f08550da25a485465ed3a7c096b23448fd239988e0286ee9"),
+    "scheme-run-mat23/csv": (
+        ["scheme-run", "--scheme", "mat23"],
+        "b55f9efdd3007640a30ea8499d754c05d7ef806dd7bcb6e33a2117edb013e345"),
+    "scheme-run-tdma-3/csv": (
+        ["scheme-run", "--scheme", "tdma", "--k", "3"],
+        "72f0bc16da19e9406f8e8d844b84238d7af14b174d863425ab047a5bb9f6d924"),
+    "scheme-verify-square-3/csv": (
+        ["scheme-verify", "--scheme", "square", "--k", "3", "--trials", "20"],
+        "c6672c4d8e948c1d6af131e20eb7a1df85738e99d42ed4dfbb4447e8cad12116"),
+    "scheme-verify-order-2-3-2/json": (
+        ["scheme-verify", "--scheme", "order", "--m", "2", "--k", "3", "--j", "2",
+         "--trials", "20"],
+        "a12de8e761a66a76a7465ebfeb987a0f6d80573fe6078ce33ef416493534c6d6"),
+    "scheme-verify-order-2-3-2/csv": (
+        ["scheme-verify", "--scheme", "order", "--m", "2", "--k", "3", "--j", "2",
+         "--trials", "20"],
+        "85df259c46edb7a2b315169977e457c6611fd86efef29cb88ab8c106d49ffcc2"),
+    "rate-sim-square-3/json": (
+        ["rate-sim", "--scheme", "square", "--k", "3", "--trials", "20"],
+        "3ef1f70cf6f6d5423a7796d67795bac1bc2f493729359aca467192d32928b3fc"),
+    "rate-sim-square-3/csv": (
+        ["rate-sim", "--scheme", "square", "--k", "3", "--trials", "20"],
+        "6f2564171759bfcce49505ea3a47b6a1c7280d9f9550db91c913a140834e789f"),
+    "rate-sim-opt23/json": (
+        ["rate-sim", "--scheme", "opt23", "--trials", "10"],
+        "9ff50dadb13e5c1c377d1601030256c2f30cb4bb0062fca26beac07f780ca2b6"),
+    "rate-sim-opt23/csv": (
+        ["rate-sim", "--scheme", "opt23", "--trials", "10"],
+        "d21eddcc67827840f3a10f5043277865a1459be284d3c902947ea3775af6a156"),
+    # two SNR points: too few for a slope, which is null
+    "rate-sim-tdma-short/json": (
+        ["rate-sim", "--scheme", "tdma", "--k", "2", "--trials", "10",
+         "--snr", "30:40:10"],
+        "a1caa037f87aa14bbf97573c40d9f744faaace4f274c62c822c64ef2551c2761"),
+    "rate-sim-tdma-short/csv": (
+        ["rate-sim", "--scheme", "tdma", "--k", "2", "--trials", "10",
+         "--snr", "30:40:10"],
+        "086088e3491b87603dfbf89e88e9346c9f578638f3884de9151f4de3d6e843c8"),
+    "region-check-corner/json": (
+        ["region-check", "--point", "6/11,6/11,6/11"],
+        "c975f7fbc58c87079191e78d129d516071a3515842de14493718f3cd2e1fa3ce"),
+    "region-check-corner/csv": (
+        ["region-check", "--point", "6/11,6/11,6/11"],
+        "9e512263a3ee26df490133bc4228fc565db02dbfdafb26ca5ca6079cc07a4303"),
+    "region-check-outside/json": (
+        ["region-check", "--point", "1,1/2"],
+        "fa311ece8fc4b8036a74815f2bc5aeac472468521326f936b4b72c45f6432032"),
+    "region-check-outside/csv": (
+        ["region-check", "--point", "1,1/2"],
+        "36ec894fcbd1d46c0b6a1282f1f7ac1b3e50b4cfbb4ff4b32150d4765b970ac0"),
+    "region-check-interior/json": (
+        ["region-check", "--point", "1/3,1/4"],
+        "4257e279b26a873776763a08e83e678ff24248018240535e647fbcf9cb41c353"),
+    "region-check-interior/csv": (
+        ["region-check", "--point", "1/3,1/4"],
+        "7325d60489aea4fe2847b1fa83088a6d640c6a7031b365a8e303ac35b1cdab93"),
+    "identity-check-12/json": (
+        ["identity-check", "--k", "12"],
+        "f97e2a86aa6a1149581f4c287ce108d7fd677248bd8e4250f356dae91dc032c3"),
+    "identity-check-12/csv": (
+        ["identity-check", "--k", "12"],
+        "99e4a6b51a771b2c6eac641637e745189792c2244154104a6a920888130d9ec0"),
+}
+
 #: ``repr`` of ``simulate_rates`` for square-3, 20 trials, 40:60:5 dB.
 RATE_POINTS_REPR = (
     '[RatePoint(snr_db=40.0, sum_rate=15.429954070025982, '
@@ -405,6 +485,14 @@ def test_scheme_run_stdout_is_unchanged(name, capsys):
         v1.append(_digest(v1_from_v2(out) + "\n"))
     assert tuple(v2) == CLI_V2_SHA256[name]
     assert tuple(v1) == want
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
+def test_command_stdout_is_unchanged(name, capsys):
+    argv, want = STDOUT_SHA256[name]
+    fmt = name.rsplit("/", 1)[1]
+    assert main([*argv, "--format", fmt, "--seed", "1"]) == 0
+    assert _digest(capsys.readouterr().out) == want
 
 
 def test_rate_points_are_unchanged():
