@@ -36,7 +36,7 @@ print("M antennas, K receivers, order-1 symbols: lower (achieved) vs upper")
 print(f"{'M':>3} {'K':>3} {'lower':>10} {'upper':>8} {'tight':>6}")
 for m, k in [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5)]:
     q = DofQuery(m, k, 1)
-    lower = dof_square(k, 1) if q.square_regime else nonsquare_recursion(q)
+    lower = nonsquare_recursion(q)
     upper = dof_upper(q)
     print(f"{m:>3} {k:>3} {str(lower):>10} {str(upper):>8} "
           f"{str(lower == upper):>6}")

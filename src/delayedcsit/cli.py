@@ -101,12 +101,14 @@ def _require(flag_value, flag: str, command: str):
 
 def _scheme_builder(args):
     """Resolve --scheme into (trace name, builder, expected DoF),
-    refusing any --m, --k or --j that differs from the scheme's own."""
+    refusing any --m, --k or --j below 1 or differing from the scheme's own."""
     name, dims, build, dof = SCHEMES[args.scheme]
     m, k, j = (_require(getattr(args, d), f"--{d}", f"--scheme {args.scheme}")
                if isinstance(d, str) else d for d in dims)
     for dim, own in zip("mkj", (m, k, j)):
         given = getattr(args, dim)
+        if given is not None and given < 1:
+            raise ValueError(f"--{dim} must be positive, got {given}")
         if given not in (None, own):
             raise ValueError(
                 f"--scheme {args.scheme} runs --{dim} {own}, not {given}")
@@ -388,16 +390,16 @@ def main(argv=None) -> int:
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerows(map(_cell, row) for row in [header, *rows])
-            text = buf.getvalue()
-        else:
+            text = (buf.getvalue(),)
+        else:  # the document, then its newline: a large text is not copied
             text = (doc if isinstance(doc, str) else canonical_json(
                 {"schema": SCHEMA, "command": args.command, "seed": seed, **doc},
-                *arrays)) + "\n"
+                *arrays), "\n")
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(text)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

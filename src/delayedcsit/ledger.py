@@ -11,9 +11,9 @@ so a scheme registers all of its symbols before it builds any.
 
 What a receiver hears in a slot is that slot's channel row times the
 plan sent: the reconstruction :func:`transmit_slots` returns to the
-transmitter, which rebuilds it from delayed CSI.  So the ledger stores
-nothing per receiver: a trace keeps what was sent and its receivers'
-rows as one ``(receivers, slots, symbols)`` array
+transmitter, which rebuilds it from delayed CSI.  So nothing stores it:
+a trace keeps what was sent and derives its receivers' rows, one
+``(receivers, slots, symbols)`` array, on each read
 (:attr:`.schemes.SchemeTrace.rows`).  Receiver noise is white by rule:
 every equation heard over the air carries one fresh unit-variance noise
 sample, named by its ``(slot, receiver)`` pair, and nothing the
@@ -232,34 +232,19 @@ def combine(forms, weights) -> np.ndarray:
 
 
 def alignment_ranks(trace, tol: RankTolerance = DEFAULT_TOL):
-    """Desired/interference stack ranks of the two-user scheme.
-
-    For the first receiver of a completed two-user, two-antenna,
-    three-slot execution, stacks the coefficients of its three received
-    equations on its own two symbols (the desired stack) and on the
-    other receiver's two symbols (the interference stack), and returns
-    both numerical ranks.  For generic channels the contract is
-    ``(2, 1)``: the scheme aligns both interference streams into a
-    single dimension while keeping the desired streams full rank.
-    Degenerate (hand-set) channels simply yield the degenerate ranks.
-
-    Parameters
-    ----------
-    trace : SchemeTrace
-        A completed two-user scheme execution.
-    tol : RankTolerance
-        Rank decision tolerance.
-
-    Raises
-    ------
-    ValueError
-        If the trace is not a completed two-user scheme of the expected
-        shape.
+    """Desired/interference stack ranks of the two-user scheme: for the
+    first receiver of a completed two-user, two-antenna, three-slot
+    ``trace``, the numerical ranks (by ``tol``) of its three heard rows on
+    its own two symbols (desired) and on the other receiver's two symbols
+    (interference).  For generic channels they are ``(2, 1)``: both
+    interference streams align in one dimension while the desired streams
+    keep full rank; degenerate (hand-set) channels yield degenerate ranks.
+    Raises ``ValueError`` for a trace of any other shape.
     """
     if getattr(trace, "k", None) != 2 or getattr(trace, "m", None) != 2:
         raise ValueError("alignment ranks are defined for the 2x2 scheme only")
     table = trace.table
-    if len(trace.rows) != 2 or len(table) != 4 or trace.total_slots != 3:
+    if len(table) != 4 or trace.total_slots != 3:
         raise ValueError("trace does not look like a completed 2-user scheme "
                          "(need 2 receivers, 4 symbols, 3 slots)")
     first = trace.rows[0]

@@ -96,28 +96,22 @@ def receiver_gains(trace, receivers=None, tol=DEFAULT_TOL) -> list:
     order): receiver ``r``'s rate at SNR ``P`` is ``sum(log2(1 + P *
     gains)) / trace.total_slots`` bits per slot.
 
-    Scales each heard row (:attr:`.schemes.SchemeTrace.rows`) by
-    ``1/sqrt(active_antennas)`` of its slot, zero-forces the columns of
+    Scales each heard row (:attr:`.schemes.SchemeTrace.rows`, read once)
+    by ``1/sqrt(active_antennas)`` of its slot, zero-forces the columns of
     all other receivers' symbols with one SVD of the interference block
-    (its rank by the ``tol`` rule), and
-    returns the eigenvalues of ``G^H G`` for the remaining desired block
-    ``G``.  The noise needs no whitening: it is white, and the projection
-    onto the interference-free subspace keeps it white.  Eigenvalues that
-    roundoff pushes below zero are clipped to zero.  Empty when the
+    (its rank by the ``tol`` rule), and returns the eigenvalues, clipped
+    at zero, of ``G^H G`` for the remaining desired block ``G``.  The
+    noise is white, and the projection keeps it white.  Empty when the
     receiver wants nothing, heard nothing, or the interference fills every
-    observation.
-
-    Receivers that want as many symbols are stacked
-    (:func:`.numerics.stacks`): one gather of their columns from the row
-    array, one batched SVD of their interference blocks, then, for each
-    interference rank among them, one batched projection and one batched
-    ``eigvalsh``.  Each receiver's gains have the bits of that receiver
-    computed alone.
+    observation.  Receivers that want as many symbols are stacked
+    (:func:`.numerics.stacks`): one gather of their columns, one batched
+    SVD, then per interference rank one batched projection and
+    ``eigvalsh``, with the bits of each receiver computed alone.
     """
     receivers = range(1, trace.k + 1) if receivers is None else receivers
     jobs = [(i, r - 1, trace.targets_for(r)) for i, r in enumerate(receivers)]
-    gains = [np.zeros(0) for _ in jobs]
-    m, n = trace.rows.shape[1:]
+    gains, heard = [np.zeros(0) for _ in jobs], trace.rows
+    m, n = heard.shape[1:]
     jobs = [job for job in jobs if job[2] and m]
     active = np.asarray(trace.active_antennas, dtype=float)
     scale = 1.0 / np.sqrt(active[active > 0])[:, np.newaxis]
@@ -128,7 +122,7 @@ def receiver_gains(trace, receivers=None, tol=DEFAULT_TOL) -> list:
         # each receiver's columns read in the order (own symbols, others)
         who = np.array([r for _, r, _ in group])[:, np.newaxis, np.newaxis]
         cols = _own_first(tuple(tuple(own) for _, _, own in group), n)
-        rows = trace.rows[who, np.arange(m)[:, np.newaxis], cols]
+        rows = heard[who, np.arange(m)[:, np.newaxis], cols]
         rows *= scale
         g = rows[..., :mine]
         if mine < n:

@@ -25,10 +25,9 @@ per shape.  The phase is the unit of work: its slots do not depend on
 each other, so a phase builder mixes all of its blocks of forms with one
 stacked ``W @ F`` and sends all of its slots with one
 :meth:`AirLog.broadcast`.  A trace records what was sent as arrays, a
-block per broadcast, and what its receivers heard as one row array,
-which the decode check and the rate gains slice or gather from.  The
-JSON trace writes only what was sent: a heard equation is its slot's
-channel row times the plan, so a receiver's entry lists its slots.
+block per broadcast, and derives what its receivers heard, each slot's
+channel times its plan, as the transmitter does from delayed CSI
+(:attr:`SchemeTrace.rows`).  The JSON trace writes only what was sent.
 
 Transmitted antenna forms are normalized to unit coefficient norm, so a
 recorded trace doubles as the SNR-independent skeleton used by the rate
@@ -81,10 +80,10 @@ class AirLog:
     """Shared transmission context of one scheme execution: the symbol
     ``table``, ``m`` transmit antennas, the stream ``rng``, and what was
     sent, as blocks: the plans of each broadcast, ``(slots, p, symbols)``,
-    the rows its receivers heard and the ``(labels, weights)`` of the
-    combination log.  A scheme draws all of its trace's randomness with
-    one :meth:`draw` before it sends anything; phase builders take their
-    keys from :attr:`drawn` and transmit through :meth:`broadcast`.
+    and the ``(labels, weights)`` of the combination log.  A scheme draws
+    all of its trace's randomness with one :meth:`draw` before it sends
+    anything; phase builders take their keys from :attr:`drawn` and
+    transmit through :meth:`broadcast`.
     ``channels`` optionally overrides the ``k x m`` channels of the first
     slots, in slot order; later slots get fresh i.i.d. CN(0, 1) draws.
     """
@@ -98,7 +97,6 @@ class AirLog:
         self.plans = []
         self.combos = []
         self.drawn = {}
-        self._heard = []  # each broadcast's reconstructions, if any antenna sent
         self._override = _overrides(channels, table.k, m)
         self._h = self._override[:0]  # every slot's channel, once drawn
 
@@ -141,38 +139,34 @@ class AirLog:
         return drawn
 
     def broadcast(self, plans) -> np.ndarray:
-        """Transmit a stack of plans, each form (row) normalized to unit
-        coefficient norm (equal power per active antenna), on the next
-        slots' channels; return the ``(slots, k, symbols)``
-        reconstructions."""
-        plans = np.asarray(plans, dtype=np.complex128)
+        """Send a stack of plans (:meth:`_send`); return the ``(slots, k,
+        symbols)`` reconstructions."""
         h = self._h[self.slots:self.slots + len(plans)]
-        if len(h) < len(plans):
+        return transmit_slots(self._send(plans), h, self.k)
+
+    def send_each(self, forms) -> None:
+        """Send each form alone, one slot per form, rebuilding nothing."""
+        self._send(np.asarray(forms)[:, np.newaxis])
+
+    def _send(self, plans) -> np.ndarray:
+        """Log plans sent on the next slots, each form (row) at unit norm."""
+        plans = np.asarray(plans, dtype=np.complex128)
+        if self.slots + len(plans) > len(self._h):
             raise ValueError(f"slots {self.slots} to {self.slots + len(plans) - 1} "
                              f"need channels, but {len(self._h)} were drawn")
         norms = np.linalg.norm(plans, axis=-1)
         inverse = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0)
         normalized = plans * inverse[..., np.newaxis]
-        recon = transmit_slots(normalized, h, self.k)
         self.slots += len(normalized)
         self.plans.append(normalized)
-        if normalized.shape[1]:
-            self._heard.append(recon.transpose(1, 0, 2))
-        return recon
-
-    def send_each(self, forms) -> None:
-        """Broadcast each form alone, one slot per form."""
-        self.broadcast(np.asarray(forms)[:, np.newaxis])
+        return normalized
 
     def trace(self, name: str, replication: dict, phases: list) -> "SchemeTrace":
         """The record of this execution, under the scheme name ``name``."""
-        rows = (np.concatenate(self._heard, axis=1) if self._heard
-                else np.zeros((self.k, 0, len(self.table)), dtype=np.complex128))
-        rows.flags.writeable = False
         return SchemeTrace(
             name=name, m=self.m, k=self.k, replication=replication,
             table=self.table, channels=self.channels, plans=self.plans,
-            rows=rows, phases=phases, combination_log=self.combos,
+            phases=phases, combination_log=self.combos,
             seed=self.rng.seed, stream_index=self.rng.index)
 
 
@@ -256,15 +250,12 @@ class PhaseRecord:
 
 @dataclass
 class SchemeTrace:
-    """Complete record of one scheme execution: what was sent and what
-    was heard, as arrays.
+    """Complete record of one scheme execution: what was sent, as arrays.
 
     ``channels`` is ``(slots, k, m)``.  ``plans`` lists the blocks of
-    plans sent, ``(slots, p, symbols)`` each, in slot order.  ``rows`` is
-    ``(k, heard, symbols)``: ``rows[r - 1, i]`` is what receiver ``r``
-    heard in the ``i``-th slot with an active antenna, that slot's
-    channel row times its plan (:func:`.ledger.transmit_slots`).  The
-    ``combination_log`` lists ``(labels, weights)`` blocks.
+    plans sent, ``(slots, p, symbols)`` each, in slot order.  The
+    ``combination_log`` lists ``(labels, weights)`` blocks.  What was
+    heard is not kept: :attr:`rows` derives it on each read.
     """
 
     name: str
@@ -274,7 +265,6 @@ class SchemeTrace:
     table: SymbolTable
     channels: np.ndarray
     plans: list
-    rows: np.ndarray
     phases: list
     combination_log: list
     seed: int
@@ -288,6 +278,24 @@ class SchemeTrace:
     def active_antennas(self) -> list:
         """The number of forms sent in each slot."""
         return [p for block in self.plans for p in [block.shape[1]] * len(block)]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """What was heard, derived anew on each read: ``rows[r - 1, i]`` of
+        the read-only ``(k, heard, symbols)`` array is receiver ``r``'s row
+        in the ``i``-th slot with an active antenna.  One product per plan
+        block, as :func:`.ledger.transmit_slots` made it: the same bits."""
+        heard = sum(len(b) for b in self.plans if b.shape[1])
+        rows = np.empty((self.k, heard, len(self.table)), dtype=np.complex128)
+        at = slot = 0
+        for b in self.plans:
+            if b.shape[1]:
+                h = self.channels[slot:slot + len(b), :, :b.shape[1]]
+                rows[:, at:at + len(b)] = (h @ b).transpose(1, 0, 2)
+                at += len(b)
+            slot += len(b)
+        rows.flags.writeable = False
+        return rows
 
     @property
     def states(self) -> list:
@@ -316,11 +324,11 @@ class SchemeTrace:
         receiver order.  Receivers share a stack when they want as many
         symbols, up to :data:`.numerics.STACK_BYTES` of rows per stack
         (:func:`.numerics.stacks`)."""
-        targets = [self.targets_for(r) for r in range(1, self.k + 1)]
-        size = 16 * self.rows[0].size
+        rows, targets = self.rows, [self.targets_for(r) for r in range(1, self.k + 1)]
+        size = 16 * rows[0].size
         # consecutive receivers, as in every scheme here, are a view, not a copy
-        return [(self.rows[idx[0]:idx[-1] + 1] if idx[-1] - idx[0] == len(idx) - 1
-                 else self.rows[idx], [targets[i] for i in idx])
+        return [(rows[idx[0]:idx[-1] + 1] if idx[-1] - idx[0] == len(idx) - 1
+                 else rows[idx], [targets[i] for i in idx])
                 for idx in stacks([len(t) for t in targets], [size] * self.k)]
 
     def decode_ok(self, tol=DEFAULT_TOL) -> bool:
@@ -345,19 +353,18 @@ class SchemeTrace:
         added, byte for byte as ``json.dumps(doc, sort_keys=True,
         indent=2)`` writes it.  It holds what was sent: the slots, each
         with its plan and channel, and the combination log, written from
-        the trace's arrays (:func:`_coeff_maps`, :func:`_matrices`), and
-        the symbol table, from a template per symbol.  A receiver's
-        ``equations`` is the list of slots it heard, every slot with an
-        active antenna: its equation ``i`` is row ``r - 1`` of ``channel
-        @ plan`` of slot ``equations[i]``, plus the unit noise sample
-        ``"{slot}:{r}"``, so one slot list serves every receiver.
-        :func:`canonical_json` writes the small fields and splices those
-        arrays in."""
+        the trace's arrays (:func:`_coeff_maps`, a stack of plan rows at a
+        time, and :func:`_matrices`), and the symbol table, from a template
+        per symbol.  A receiver's ``equations`` lists the slots it heard,
+        every slot with an active antenna: its equation ``i`` is row ``r -
+        1`` of ``channel @ plan`` of slot ``equations[i]``, plus the unit
+        noise sample ``"{slot}:{r}"``.  :func:`canonical_json` writes the
+        small fields and splices those arrays in."""
         n, dof, active = len(self.table), self.empirical_dof, self.active_antennas
         channels = _matrices(self.channels, _NL[3])
-        plans = iter(_coeff_maps(np.concatenate(
-            [b.reshape(-1, n) for b in self.plans if b.size] or [np.zeros((0, n))]),
-            _NL[5]))
+        plans = (form for b in self.plans if b.size for rows in [b.reshape(-1, n)]
+                 for at in stacks([0] * len(rows), [16 * n] * len(rows))
+                 for form in _coeff_maps(rows[at], _NL[5]))
         slots = [_block("{}", [
             f'"active_antennas": {p}', f'"channel": {channels[i]}',
             '"plan": ' + _block("[]", [_PLAN % next(plans) for _ in range(p)], _NL[3]),
@@ -537,14 +544,16 @@ def build_phase(k: int, j: int, inputs, air: AirLog):
     parameters of ``air.m`` antennas (:class:`.dof_calc.NonsquarePhaseParams`).
 
     ``inputs`` maps each size-``j`` subset ``S`` (a ``frozenset``) to
-    ``beta`` forms per run of the phase, run after run.  In a run, each
-    ``S`` gets a sub-phase of ``(k - j) / eta`` slots, every slot sending
-    ``q + 1`` random mixtures of the ``beta`` forms on ``q + 1`` antennas.
-    Each receiver outside ``S`` then *purifies* its overheard equations
-    into ``q / eta`` random combinations (preshared coefficients), and for
-    every size-``j+1`` subset ``T`` the ``(j + 1) q / eta`` purified forms
-    are compressed into ``j * q / eta`` order-``j+1`` outputs per run
-    (none when ``m == 1``).  With ``m >= k - j + 1`` antennas,
+    ``beta`` forms per run of the phase, run after run, or is ``None``:
+    the unit rows of ``air.table``, an equal block per subset, mixed a
+    stack of runs at a time.  In a run, each ``S`` gets a sub-phase of
+    ``(k - j) / eta`` slots, every slot sending ``q + 1`` random mixtures
+    of the ``beta`` forms on ``q + 1`` antennas.  Each receiver outside
+    ``S`` then *purifies* its overheard equations into ``q / eta`` random
+    combinations (preshared coefficients), and for every size-``j+1``
+    subset ``T`` the ``(j + 1) q / eta`` purified forms are compressed
+    into ``j * q / eta`` order-``j+1`` outputs per run (none when
+    ``m == 1``).  With ``m >= k - j + 1`` antennas,
     ``q = eta = k - j``: one slot per subset on ``k - j + 1`` antennas,
     and each outside receiver's one overheard equation is already pure,
     so the ``j + 1`` equations of ``T`` are compressed into ``j`` outputs.
@@ -556,13 +565,26 @@ def build_phase(k: int, j: int, inputs, air: AirLog):
         raise ValueError(f"phase level must satisfy 1 <= j < k, got j={j}, k={k}")
     p = _params(air.m, k, j)
     subsets, uppers = _subsets(k, j), _subsets(k, j + 1)
-    forms = _runs(inputs, subsets, p.beta, f"phase {j}")
-    runs, n = forms.shape[0], forms.shape[-1]
+    if inputs is None:  # per run, per subset, the ids of its unit rows
+        ids = np.arange(len(air.table)).reshape(len(subsets), -1, p.beta).swapaxes(0, 1)
+        runs, n = len(ids), len(air.table)
+    else:
+        forms = _runs(inputs, subsets, p.beta, f"phase {j}")
+        runs, n = forms.shape[0], forms.shape[-1]
     sub_slots, pur = p.slots_per_subphase, p.q // p.eta  # pur: forms per outside receiver
     plan_w = air.drawn[j, "plan"][:, :p.q + 1].reshape(
         runs, len(subsets), sub_slots, p.q + 1, p.beta)
-    plans = combine(forms, plan_w.reshape(runs, len(subsets), -1, p.beta))
+    w = plan_w.reshape(runs, len(subsets), -1, p.beta)
+    if inputs is None:  # a stack of runs' unit rows at a time: no n x n identity
+        plans = np.empty(w.shape[:3] + (n,), dtype=np.complex128)
+        for at in stacks([0] * runs, [16 * n * ids[:1].size] * runs):
+            units = air.table.unit_forms(ids[at].ravel()).reshape(*ids[at].shape, n)
+            plans[at] = combine(units, w[at])
+    else:
+        plans = combine(forms, w)
+        del forms  # the stacked inputs, not held while the phase sends
     recon = air.broadcast(plans.reshape(-1, p.q + 1, n))
+    del plans  # air holds them normalized: not held twice
     logged = plan_w.reshape(runs, 1, -1, p.q + 1, p.beta)  # each run's blocks of weights
     outputs = {t: recon[:0, 0] for t in uppers}
     if pur:
@@ -671,11 +693,7 @@ def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
     factors = dict(_replication_factors(m, k, start))  # the cached one stays unshared
     air = AirLog(_chain_table(m, k, start).copy(), m, rng, channels)
     air.draw(_chain_layout, m, k, start)
-    # the first phase sends every symbol: its inputs are the unit rows
-    subsets, n = _subsets(k, start), len(air.table)
-    units = np.eye(n, dtype=np.complex128).reshape(len(subsets), -1, n)
-    inputs = dict(zip(subsets, units))
-    phases = []
+    inputs, phases = None, []  # the first phase sends every symbol: the unit rows
     for level in range(start, k):
         runs = factors.get(level, 0)
         if runs == 0:
@@ -688,7 +706,8 @@ def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
             break
     top = factors.get(k, 0)
     if top > 0:
-        forms = inputs.get(frozenset(range(1, k + 1)), [])
+        forms = (air.table.unit_forms(air.table.ids) if inputs is None  # start = k
+                 else inputs.get(frozenset(range(1, k + 1)), []))
         if len(forms) != top:
             raise AssertionError(
                 f"chain accounting is off: expected {top} order-{k} forms, "

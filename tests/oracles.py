@@ -185,18 +185,12 @@ def trace_doc_v2(trace) -> dict:
         for r in range(1, trace.k + 1)]}
 
 
-def v1_from_v2(text: str) -> str:
-    """The schema-``v1`` text of the schema-``v2`` trace document ``text``.
-
-    Each slot's dense plan is rebuilt from its coefficient map, and
-    equation ``i`` of receiver ``r`` is ``(channel[:, :p] @ plan)[r - 1]``
-    of slot ``equations[i]``, with the unit noise sample of its ``(slot,
-    r)`` pair.  It is the full 2-D product, as the package computes it: the
-    row-vector product takes another BLAS path and agrees only to rounding.
-    A plan's zero coefficients are not in the document and are rebuilt as
-    ``+0``, so a heard coefficient's part that is an exact sum of zeros may
-    differ in the sign of that zero.
-    """
+def _parse_v2(text: str):
+    """The schema-``v2`` document ``text`` as parsed, and what was heard in
+    each slot with an active antenna, keyed by slot: ``channel[:, :p] @
+    plan``, each plan rebuilt dense from its coefficient maps.  It is the
+    full 2-D product, as the package computes it: the row-vector product
+    takes another BLAS path and agrees only to rounding."""
     doc = json.loads(text)
     if doc["schema"] != "v2":
         raise ValueError(f"not a v2 trace document: schema {doc['schema']!r}")
@@ -212,8 +206,83 @@ def v1_from_v2(text: str) -> str:
                           for row in slot["channel"]], dtype=np.complex128)
             heard[slot["slot"]] = h[:, :p] @ plan
     doc["schema"] = "v1"
+    return doc, heard
+
+
+def v1_doc_from_v2(text: str) -> dict:
+    """The schema-``v1`` document of the schema-``v2`` trace document
+    ``text``, as nested dicts and lists: equation ``i`` of receiver ``r``
+    is row ``r - 1`` of what was heard in slot ``equations[i]``, with the
+    unit noise sample of its ``(slot, r)`` pair.  A plan's zero
+    coefficients are not in the document and are rebuilt as ``+0``, so a
+    heard coefficient's part that is an exact sum of zeros may differ in
+    the sign of that zero."""
+    doc, heard = _parse_v2(text)
     for rec in doc["receivers"]:
         r = rec["receiver"]
         rec["equations"] = [equation_dict(r, s, heard[s][r - 1])
                             for s in rec["equations"]]
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return doc
+
+
+def _container(brackets: str, items, depth: int) -> str:
+    """A JSON container of rendered ``items`` whose closing bracket is at
+    nesting ``depth``, as ``json.dumps(..., indent=2)`` writes it."""
+    if not items:
+        return brackets
+    nl = "\n" + "  " * depth
+    return f'{brackets[0]}{nl}  {("," + nl + "  ").join(items)}{nl}{brackets[1]}'
+
+
+#: Placeholder of each receiver's equations in the rest of the document.
+_EQUATIONS = "equations rendered from templates"
+
+
+def _equations(receiver: int, slots: list, rows) -> str:
+    """Receiver ``receiver``'s ``v1`` equations, ``rows`` heard in
+    ``slots``, rendered at their depth in the document from templates, as
+    :func:`equation_dict` and ``json.dumps(doc, sort_keys=True, indent=2)``
+    write them: nonzero coefficients keyed by symbol id in string order,
+    parts spelled by json's float encoder."""
+    n = rows.shape[1]
+    order = sorted(range(n), key=str)
+    rows = rows[:, order]
+    at, col = np.nonzero(rows)
+    vals = rows[at, col]
+    parts = json.dumps(np.column_stack([vals.real, vals.imag]).ravel().tolist())
+    parts = parts[1:-1].split(", ") if len(vals) else []
+    keys = np.array([str(i) for i in order])
+    args = [None] * (3 * len(col))
+    args[0::3], args[1::3], args[2::3] = keys[col].tolist(), parts[0::2], parts[1::2]
+    entry = '"%s": ' + _container("[]", ["%s", "%s"], 7)
+    ends = np.cumsum(np.bincount(at, minlength=len(rows))).tolist()
+    out = []
+    for slot, a, b in zip(slots, [0] + ends, ends):
+        noise = _container("{}", [f'"{slot}:{receiver}": '
+                                  + _container("[]", ["1.0", "0.0"], 7)], 6)
+        form = _container("{}", ['"coeffs": '
+                                 + _container("{}", [entry] * (b - a), 6)
+                                 % tuple(args[3 * a:3 * b]),
+                                 '"noise": ' + noise], 5)
+        out.append(_container("{}", ['"form": ' + form, '"noise_variance": 1.0',
+                                     f'"receiver": {receiver}', f'"slot": {slot}'], 4))
+    return _container("[]", out, 3)
+
+
+def v1_from_v2(text: str) -> str:
+    """``json.dumps(v1_doc_from_v2(text), sort_keys=True, indent=2)``: the
+    schema-``v1`` text of the schema-``v2`` trace document ``text``.  The
+    stdlib writes all but the equations, which are most of the text;
+    they are rendered from templates (:func:`_equations`), a receiver at
+    a time, and spliced in."""
+    doc, heard = _parse_v2(text)
+    lists, n = [], len(doc["symbol_table"])
+    for rec in doc["receivers"]:
+        r, slots = rec["receiver"], rec["equations"]
+        rows = np.array([heard[s][r - 1] for s in slots]).reshape(len(slots), n)
+        lists.append(_equations(r, slots, rows))
+        rec["equations"] = _EQUATIONS
+    head, *rest = json.dumps(doc, sort_keys=True, indent=2).split(json.dumps(_EQUATIONS))
+    if len(rest) != len(lists):
+        raise ValueError("the placeholder of the equations is in the document")
+    return head + "".join(a + b for a, b in zip(lists, rest))

@@ -76,6 +76,23 @@ def test_dof_table_refuses_a_k_below_one(capsys, k):
     assert "error: --k must be positive" in err
 
 
+@pytest.mark.parametrize("command", ["scheme-run", "scheme-verify", "rate-sim"])
+@pytest.mark.parametrize("flags, refused", [
+    (["--scheme", "square", "--k", "-1"], "--k must be positive, got -1"),
+    (["--scheme", "tdma", "--k", "0"], "--k must be positive, got 0"),
+    (["--scheme", "order", "--m", "0", "--k", "3", "--j", "1"],
+     "--m must be positive, got 0"),
+    (["--scheme", "order", "--m", "2", "--k", "3", "--j", "-2"],
+     "--j must be positive, got -2"),
+    (["--scheme", "alt22", "--k", "-1"], "--k must be positive, got -1"),
+], ids=["square", "tdma", "order-m", "order-j", "alt22"])
+def test_scheme_flags_below_one_are_refused(capsys, command, flags, refused):
+    # the message names the flag the user gave, not one they never passed
+    code, out, err = run_cli(capsys, [command, *flags])
+    assert code == 2 and out == ""
+    assert err == f"error: {refused}\n"
+
+
 def test_scheme_run_json(capsys):
     doc = run_json(capsys, ["scheme-run", "--scheme", "square", "--k", "2"])
     assert doc["command"] == "scheme-run"
@@ -186,9 +203,9 @@ def test_scheme_verify_pass(capsys):
 def test_scheme_verify_failure_exits_one(capsys, monkeypatch):
     def broken(stream):
         trace = run_alt22(stream)
-        rows = trace.rows.copy()
-        rows[0] = 0.0  # the first receiver is deaf: it heard only zeros
-        return dataclasses.replace(trace, rows=rows)
+        channels = trace.channels.copy()
+        channels[:, 0] = 0.0  # the first receiver is deaf: it heard only zeros
+        return dataclasses.replace(trace, channels=channels)
 
     monkeypatch.setattr(cli, "run_alt22", broken)
     code, out, err = run_cli(capsys, ["scheme-verify", "--scheme", "alt22",

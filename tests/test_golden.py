@@ -9,6 +9,7 @@ rational and decode verdict stays the same.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from delayedcsit.cli import main
 from delayedcsit.numerics import RngStream
 from delayedcsit.ratesim import simulate_rates, snr_grid
 from delayedcsit.schemes import (
+    AirLog,
+    _chain_layout,
+    _chain_table,
     _run_chain,
+    _subsets,
+    build_phase,
     run_alt22,
     run_mat23_suboptimal,
     run_opt23,
@@ -25,7 +31,7 @@ from delayedcsit.schemes import (
     run_square_scheme,
     tdma_trace,
 )
-from oracles import v1_from_v2
+from oracles import v1_doc_from_v2, v1_from_v2
 
 SEEDS = (1, 2024)
 
@@ -442,6 +448,17 @@ def test_trace_json_is_unchanged(name):
     assert tuple(_digest(v1_from_v2(text)) for text in texts) == TRACE_SHA256[name]
 
 
+@pytest.mark.parametrize("name", sorted(set(BUILDERS) - {"square-5"}))
+def test_v1_renderer_matches_the_stdlib(name):
+    # the v1 pins hash v1_from_v2, which renders the equations from
+    # templates: on the small golden traces it is byte for byte the
+    # stdlib's rendering of the v1 document
+    for seed in SEEDS:
+        text = BUILDERS[name](RngStream(seed, 3)).to_json()
+        want = json.dumps(v1_doc_from_v2(text), sort_keys=True, indent=2)
+        assert v1_from_v2(text) == want, seed
+
+
 @pytest.mark.parametrize("name", sorted(OVERRIDE_SHA256))
 def test_trace_json_with_partial_override_is_unchanged(name):
     channels = _overrides()[name]
@@ -525,15 +542,40 @@ def _golden_traces():
         yield f"chain-{key}", _run_chain("chain", *key, RngStream(1, 3))
 
 
+def _first_phase_by_identity(m, k, start, rng):
+    """The first plan block of the chain ``(m, k, start)`` as the build
+    made it before it stopped holding an ``n x n`` identity: the phase's
+    drawn weights times the identity's rows, all runs in one stacked
+    product."""
+    air = AirLog(_chain_table(m, k, start).copy(), m, rng)
+    air.draw(_chain_layout, m, k, start)
+    subsets, n = _subsets(k, start), len(air.table)
+    units = np.eye(n, dtype=np.complex128).reshape(len(subsets), -1, n)
+    build_phase(k, start, dict(zip(subsets, units)), air)
+    return air.plans[0]
+
+
 def test_row_array_is_channel_times_plan():
-    # what the receivers heard is bit for bit each slot's channel times its
-    # plan, computed here one slot at a time; a slot with no active antenna
-    # would be heard by nobody
+    # what the receivers heard, derived from the trace on each read, is bit
+    # for bit each slot's channel times its plan, computed here one slot at
+    # a time; a slot with no active antenna would be heard by nobody
     for name, trace in _golden_traces():
         plans = [plan for block in trace.plans for plan in block]
         heard = [s for s, plan in enumerate(plans) if len(plan)]
+        rows = trace.rows
         assert len(plans) == len(trace.channels) == trace.total_slots, name
-        assert trace.rows.shape == (trace.k, len(heard), len(trace.table)), name
+        assert rows.shape == (trace.k, len(heard), len(trace.table)), name
+        assert not rows.flags.writeable, name
         for i, s in enumerate(heard):
             want = trace.channels[s][:, :len(plans[s])] @ plans[s]
-            assert trace.rows[:, i].tobytes() == want.tobytes(), (name, s)
+            assert rows[:, i].tobytes() == want.tobytes(), (name, s)
+    # a chain's first phase mixes its unit rows a stack of runs at a time:
+    # its plans, signed zeros included, and so its rows are those of the
+    # product with the whole identity
+    for key in sorted(CHAIN_SHA256):
+        trace = _run_chain("chain", *key, RngStream(1, 3))
+        first = _first_phase_by_identity(*key, RngStream(1, 3))
+        assert trace.plans[0].tobytes() == first.tobytes(), key
+        want = trace.channels[:len(first), :, :first.shape[1]] @ first
+        got = trace.rows[:, :len(first)].transpose(1, 0, 2)
+        assert got.tobytes() == want.tobytes(), key

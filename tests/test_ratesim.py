@@ -105,13 +105,13 @@ GAIN_SCHEMES = {
 
 
 def _altered(trace):
-    """``trace`` with receiver 1 deaf (its rows all zero: interference of
-    rank 0) and receiver 2's last row replaced by its first (one rank
-    less)."""
-    rows = trace.rows.copy()
-    rows[0] = 0.0
-    rows[1, -1] = rows[1, 0]
-    return dataclasses.replace(trace, rows=rows)
+    """``trace`` with receiver 1 deaf (its channel zero in every slot, so
+    its rows are all zero: interference of rank 0) and receiver 2's
+    channel zero in the last slot (its last row zero: one rank less)."""
+    channels = trace.channels.copy()
+    channels[:, 0] = 0.0
+    channels[-1, 1] = 0.0
+    return dataclasses.replace(trace, channels=channels)
 
 
 @pytest.mark.parametrize("name", sorted(GAIN_SCHEMES))
@@ -128,7 +128,8 @@ def test_stacked_gains_equal_per_receiver(name):
                 assert stacked[r - 1].shape == alone.shape, (seed, r)
                 assert stacked[r - 1].tobytes() == alone.tobytes(), (seed, r)
         assert not receiver_gains(_altered(trace))[0].any()  # deaf: no gain
-        nothing = dataclasses.replace(trace, rows=trace.rows[:, :0])
+        # no slot with an active antenna: nothing heard
+        nothing = dataclasses.replace(trace, plans=[b[:, :0] for b in trace.plans])
         assert [g.size for g in receiver_gains(nothing)] == [0] * trace.k
         # any subset, in the order asked
         every = receiver_gains(trace)

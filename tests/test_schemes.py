@@ -316,6 +316,8 @@ def test_build_phase_validation():
     air = AirLog(table, 2, RngStream(17))
     with pytest.raises(ValueError):
         build_phase(3, 1, inputs, air)
+    with pytest.raises(ValueError):  # nor are the table's 3 unit rows
+        build_phase(3, 1, None, air)
     air.draw(phase_layout, 2, 3, 1, 1)
     slots, _ = build_phase(3, 1, {s: table.unit_forms(syms + syms[:1]) for s in inputs},
                            air)
@@ -413,6 +415,29 @@ def test_chain_4_5_decodes_at_the_default_tolerance(chain_4_5):
     assert chain_4_5.decode_ok()
 
 
+#: The frontier benchmark's known misses: square-6 through the CLI at seed
+#: 602, rounds 6 and 27, whose ``scheme-run`` seeds the stream ``(seed, 0)``.
+FRONTIER_MISSES = (6020006, 6020027)
+
+
+@pytest.fixture(scope="module")
+def frontier_misses():
+    return {seed: run_square_scheme(6, RngStream(seed, 0)) for seed in FRONTIER_MISSES}
+
+
+@pytest.mark.parametrize("seed", FRONTIER_MISSES)
+def test_frontier_misses_decode_at_a_tighter_tolerance(frontier_misses, seed):
+    assert frontier_misses[seed].decode_ok(RankTolerance(1e-12))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the default rank rule misjudges these square-6 traces, so a frontier "
+    "run at seed 602 can end with a failed op (ROADMAP item 1)"))
+@pytest.mark.parametrize("seed", FRONTIER_MISSES)
+def test_frontier_misses_decode_at_the_default_tolerance(frontier_misses, seed):
+    assert frontier_misses[seed].decode_ok()
+
+
 def test_decode_stacks_follow_the_size_rule():
     # a small trace's receivers share one factorization; a receiver of
     # square-6 or (2, 5) is too large to share (numerics.STACK_BYTES)
@@ -500,11 +525,9 @@ def _hand_trace(n, plans, channels, weights):
     table = SymbolTable(2)
     for i in range(n):
         table.new_symbol({1 + i % 2}, f"x{i}")
-    heard = [h[:, :len(plan)] @ plan for plan, h in zip(plans, channels) if len(plan)]
     return SchemeTrace(
         name="hand", m=2, k=2, replication={1: 1}, table=table,
         channels=np.array(channels), plans=[plan[np.newaxis] for plan in plans],
-        rows=np.stack(heard, axis=1) if heard else np.zeros((2, 0, n), dtype=np.complex128),
         phases=[PhaseRecord(1, 1, n, len(plans), 0)],
         combination_log=[((f"w{i}",), [w]) for i, w in enumerate(weights)],
         seed=0, stream_index=0)
@@ -548,22 +571,38 @@ def test_v2_document_is_smaller_than_its_v1_rebuild():
     assert len(text) <= 0.4 * len(v1_from_v2(text))
 
 
-#: tracemalloc peak of ``to_json()`` on square-5 at stream ``(1, 0)``, the
-#: first call in a fresh process: 38,801,596 bytes with the writer that
-#: stacked each receiver's list of row views (Python 3.11.7, numpy 2.4.6,
-#: x86-64).  Writing each receiver from its view of the row array may not
-#: need more than 5% above that.
-TO_JSON_PEAK_BYTES = 38_801_596
+#: tracemalloc peaks on square-5 at stream ``(1, 0)``, each in a fresh
+#: window, the first calls in a fresh process (Python 3.11.7, numpy 2.4.6,
+#: x86-64).  The build: 5,991,130 bytes, against 11,736,419 when a trace
+#: kept its rows, the first phase multiplied an ``n x n`` identity and a
+#: phase held its plans and stacked inputs while it sent.
+#: ``to_json()``: 7,085,702 bytes, against 10,603,593 when it rendered every
+#: plan at once and 38,801,596 with the writer that stacked each receiver's
+#: list of row views.  Neither may need more than 5% above its value; the
+#: values may be lowered, never raised.
+BUILD_PEAK_BYTES = 5_991_130
+TO_JSON_PEAK_BYTES = 7_085_702
 
 
-def test_to_json_peak_memory_is_bounded():
-    trace = run_square_scheme(5, RngStream(1))
+def _traced_peak(call):
+    """The tracemalloc peak of ``call()``, in a fresh window."""
     tracemalloc.start()
     try:
-        trace.to_json()
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_build_peak_memory_is_bounded():
+    peak = _traced_peak(lambda: run_square_scheme(5, RngStream(1, 0)))
+    assert peak <= BUILD_PEAK_BYTES * 1.05, peak
+
+
+def test_to_json_peak_memory_is_bounded():
+    trace = run_square_scheme(5, RngStream(1, 0))
+    peak = _traced_peak(trace.to_json)
     assert peak <= TO_JSON_PEAK_BYTES * 1.05, peak
 
 
@@ -577,7 +616,7 @@ def test_to_json_symbol_table_matches_stdlib():
         trace = SchemeTrace(  # one slot with no active antenna: no equations
             name="hand", m=1, k=3, replication={}, table=table,
             channels=np.ones((1, 3, 1)), plans=[np.zeros((1, 0, len(table)))],
-            rows=np.zeros((3, 0, len(table))), phases=[], combination_log=[],
+            phases=[], combination_log=[],
             seed=0, stream_index=0)
         text, _ = _check_documents(trace)
         assert all(rec["equations"] == [] for rec in json.loads(text)["receivers"])
