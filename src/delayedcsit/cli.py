@@ -1,10 +1,11 @@
 """Command-line front end: calculators, scheme runners, verifiers, sims.
 
 Every command echoes the seed it used, renders rationals exactly as
-``p/q``, and emits canonical JSON (sorted keys) or a CSV projection.
+``p/q``, and emits canonical JSON (sorted keys), written a piece at a
+time as it is rendered (:func:`.schemes.json_pieces`), or a CSV projection.
 The ``scheme-run`` trace document is ``"schema": "v2"``: it lists the
 slots each receiver heard, not the equations themselves
-(:meth:`.schemes.SchemeTrace.to_json`).  Every other document is
+(:meth:`.schemes.SchemeTrace.json_pieces`).  Every other document is
 ``"schema": "v1"`` (:data:`SCHEMA`).  Exit codes: 0 success, 1
 verification failure, 2 usage error.  The default seed can be overridden
 with the ``DELAYEDCSIT_SEED`` environment variable.
@@ -18,6 +19,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from .dof_calc import (
     DofQuery,
@@ -28,11 +30,11 @@ from .dof_calc import (
 )
 from .numerics import RngStream
 from .ratesim import fit_dof_slope, simulate_rates, snr_grid
-from .region import decompose_time_sharing, in_region, tight_permutations
+from .region import decompose_time_sharing, in_region, iter_tight_permutations
 from .schemes import (
     _NL,
     _block,
-    canonical_json,
+    json_pieces,
     run_alt22,
     run_mat23_suboptimal,
     run_opt23,
@@ -93,6 +95,19 @@ def _cell(value):
     return "" if value is None else value
 
 
+def _runs(pieces):
+    """``pieces`` joined into runs of 65,536 characters or more, the last
+    one shorter: a write per run, not per piece."""
+    run, length = [], 0
+    for piece in pieces:
+        run.append(piece)
+        length += len(piece)
+        if length >= 1 << 16:
+            yield "".join(run)
+            run, length = [], 0
+    yield "".join(run)
+
+
 def _require(flag_value, flag: str, command: str):
     if flag_value is None:
         raise ValueError(f"{command} requires {flag}")
@@ -144,9 +159,9 @@ def cmd_scheme_run(args, seed):
     trace = builder(RngStream(seed).split(0))
     ok = trace.decode_ok()
     extra = {"command": "scheme-run", "decode_ok": ok, "expected_dof": _rat(expected)}
-    # the trace's text is most of a JSON run: a CSV run does not write it
-    text = trace.to_json(extra) if args.format == "json" else None
-    return (0, text,
+    # the trace's text is most of a JSON run: a CSV run does not render it
+    pieces = trace.json_pieces(extra) if args.format == "json" else None
+    return (0, pieces,
             ["scheme", "m", "k", "symbols", "slots", "dof", "decode_ok", "seed"],
             [[name, trace.m, trace.k, trace.symbols_delivered,
               trace.total_slots, _rat(trace.empirical_dof), ok, seed]])
@@ -254,15 +269,15 @@ def cmd_region_check(args, seed):
     parts = decompose_time_sharing(point)
     # an interior point (weights summing below 1) has no tight ordering;
     # on or outside the boundary each comes with all reorderings of ties.
-    # 9! of them take about 1.6 s and 201 MB to list and write (2-core
-    # x86-64), and each further tie multiplies both
+    # 9! of them take about 1 s to find and write as a 34 MB document
+    # (2-core x86-64), and each further tie multiplies both
     interior = parts is not None and sum(w for _, w in parts) < 1
     orderings = math.prod(map(math.factorial, Counter(point).values()))
     if not interior and orderings > math.factorial(9):
         raise ValueError(
             f"the point's equal coordinates allow {orderings} tight orderings; "
             "region-check lists at most 9! = 362880")
-    tight = tight_permutations(point)
+    tight = iter_tight_permutations(point)
     decomposition = None
     if parts is not None:
         decomposition = [
@@ -273,12 +288,13 @@ def cmd_region_check(args, seed):
         "in_region": member,
         "decomposition": decomposition,
     }
+    header = ["point", "in_region", "tight_count", "decomposable", "seed"]
+    if args.format == "csv":  # counts the orderings and renders none
+        return 0, doc, header, [[doc["point"], member, sum(1 for _ in tight),
+                                 parts is not None, seed]]
     row = _block("[]", ["%d"] * len(point), _NL[2])
-    # a CSV run counts the orderings and does not render them
-    rendered = [row % p for p in tight] if args.format == "json" else None
-    return (0, doc, ["point", "in_region", "tight_count", "decomposable", "seed"],
-            [[doc["point"], member, len(tight), parts is not None, seed]],
-            {"tight_permutations": rendered})
+    # each ordering is written as the search finds it
+    return 0, doc, header, None, {"tight_permutations": (row % p for p in tight)}
 
 
 def cmd_identity_check(args, seed):
@@ -391,10 +407,10 @@ def main(argv=None) -> int:
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerows(map(_cell, row) for row in [header, *rows])
             text = (buf.getvalue(),)
-        else:  # the document, then its newline: a large text is not copied
-            text = (doc if isinstance(doc, str) else canonical_json(
+        else:  # the document's pieces as they are rendered, then its newline
+            text = _runs(chain(json_pieces(
                 {"schema": SCHEMA, "command": args.command, "seed": seed, **doc},
-                *arrays), "\n")
+                *arrays) if isinstance(doc, dict) else doc, ["\n"]))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(text)

@@ -14,7 +14,7 @@ plan sent: the reconstruction :func:`transmit_slots` returns to the
 transmitter, which rebuilds it from delayed CSI.  So nothing stores it:
 a trace keeps what was sent and derives its receivers' rows, one
 ``(receivers, slots, symbols)`` array, on each read
-(:attr:`.schemes.SchemeTrace.rows`).  Receiver noise is white by rule:
+(:attr:`.schemes.SchemeTrace.rows`), or a decode stack's at a time.  Receiver noise is white by rule:
 every equation heard over the air carries one fresh unit-variance noise
 sample, named by its ``(slot, receiver)`` pair, and nothing the
 transmitter rebuilds carries any, so the JSON trace writes no noise: a

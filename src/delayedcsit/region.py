@@ -31,6 +31,7 @@ __all__ = [
     "corner_candidates",
     "decompose_time_sharing",
     "in_region",
+    "iter_tight_permutations",
     "symmetric_corner",
     "tight_permutations",
 ]
@@ -109,8 +110,14 @@ def in_region(d, mode: str = "sorted", m=None) -> bool:
 
 
 def tight_permutations(d, m=None) -> list:
+    """The list of :func:`iter_tight_permutations`."""
+    return list(iter_tight_permutations(d, m))
+
+
+def iter_tight_permutations(d, m=None):
     """Permutations ``pi`` (as 1-based receiver tuples) whose constraint
-    holds with equality, in ``itertools.permutations`` order.  Exact.
+    holds with equality, in ``itertools.permutations`` order, each yielded
+    as the search finds it.  Exact.
 
     A depth-first search over positions.  The weights ``1/i`` strictly
     decrease, so by the rearrangement inequality the receivers not yet
@@ -126,31 +133,29 @@ def tight_permutations(d, m=None) -> list:
     k = len(pt)
     _require_square(m, k)
     nums, den, weights, els = _integerize(pt)
-    out = []
     bounds = {}  # receivers left -> (most, least) they can add
-
-    def extend(prefix, rest, need):
+    # prefixes to extend, next on top: placed receivers 1-based, the rest 0-based
+    todo = [((), tuple(range(k)), den * els)]
+    while todo:
+        prefix, rest, need = todo.pop()
         if len(rest) == 2:  # the last two positions: test both orders
-            for tail in (rest, rest[::-1]):
-                if nums[tail[0]] * weights[-2] + nums[tail[1]] * weights[-1] == need:
-                    out.append(tuple(r + 1 for r in prefix + tail))
-            return
+            for a, b in (rest, rest[::-1]):
+                if nums[a] * weights[-2] + nums[b] * weights[-1] == need:
+                    yield prefix + (a + 1, b + 1)
+            continue
         if rest not in bounds:
             w = weights[len(prefix):]
             vals = sorted([nums[r] for r in rest], reverse=True)
             bounds[rest] = (sum(map(mul, vals, w)), sum(map(mul, vals, w[::-1])))
         most, least = bounds[rest]
         if not most >= need >= least:
-            return
+            continue
         if len(rest) == 1:
-            out.append(tuple(r + 1 for r in prefix + rest))
-            return
+            yield prefix + (rest[0] + 1,)
+            continue
         w0 = weights[len(prefix)]
-        for i, r in enumerate(rest):
-            extend(prefix + (r,), rest[:i] + rest[i + 1:], need - nums[r] * w0)
-
-    extend((), tuple(range(k)), den * els)
-    return out
+        todo += [(prefix + (r + 1,), rest[:i] + rest[i + 1:], need - nums[r] * w0)
+                 for i, r in enumerate(rest)][::-1]
 
 
 def symmetric_corner(k: int) -> tuple:

@@ -27,7 +27,8 @@ stacked ``W @ F`` and sends all of its slots with one
 :meth:`AirLog.broadcast`.  A trace records what was sent as arrays, a
 block per broadcast, and derives what its receivers heard, each slot's
 channel times its plan, as the transmitter does from delayed CSI
-(:attr:`SchemeTrace.rows`).  The JSON trace writes only what was sent.
+(:attr:`SchemeTrace.rows`), for the decode check a stack of receivers at
+a time.  The JSON trace writes only what was sent, a piece at a time.
 
 Transmitted antenna forms are normalized to unit coefficient norm, so a
 recorded trace doubles as the SNR-independent skeleton used by the rate
@@ -38,9 +39,9 @@ plan scaled by ``sqrt(P / active_antennas)``.
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 
 import numpy as np
 
@@ -62,6 +63,7 @@ __all__ = [
     "SchemeTrace",
     "build_phase",
     "canonical_json",
+    "json_pieces",
     "phase_layout",
     "run_alt22",
     "run_mat23_suboptimal",
@@ -283,16 +285,32 @@ class SchemeTrace:
     def rows(self) -> np.ndarray:
         """What was heard, derived anew on each read: ``rows[r - 1, i]`` of
         the read-only ``(k, heard, symbols)`` array is receiver ``r``'s row
-        in the ``i``-th slot with an active antenna.  One product per plan
-        block, as :func:`.ledger.transmit_slots` made it: the same bits."""
-        heard = sum(len(b) for b in self.plans if b.shape[1])
-        rows = np.empty((self.k, heard, len(self.table)), dtype=np.complex128)
+        in the ``i``-th slot with an active antenna."""
+        return self._heard(range(self.k))
+
+    def _heard(self, idx) -> np.ndarray:
+        """:attr:`rows` of the receivers ``idx`` (0-based, in order): each
+        chunk of slots is every receiver's product, the bits
+        :func:`.ledger.transmit_slots` made (one receiver's channel row
+        alone would round differently), made in place or, for fewer
+        receivers, in a buffer no larger than the rows it fills."""
+        heard, n, whole = (sum(len(b) for b in self.plans if b.shape[1]),
+                           len(self.table), len(idx) == self.k)
+        rows = np.empty((len(idx), heard, n), dtype=np.complex128)
+        step = max(1, heard * len(idx) // self.k)
+        buf = rows if whole else np.empty((self.k, min(step, heard), n), dtype=np.complex128)
+        # consecutive receivers, as in every scheme here, are a view, not a copy
+        pick = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else list(idx)
         at = slot = 0
         for b in self.plans:
-            if b.shape[1]:
-                h = self.channels[slot:slot + len(b), :, :b.shape[1]]
-                rows[:, at:at + len(b)] = (h @ b).transpose(1, 0, 2)
-                at += len(b)
+            h = self.channels[slot:slot + len(b), :, :b.shape[1]]
+            for i in range(0, len(b) if b.shape[1] else 0, step):
+                c = min(step, len(b) - i)
+                out = buf[:, at:at + c] if whole else buf[:, :c]
+                np.matmul(h[i:i + c], b[i:i + c], out=out.transpose(1, 0, 2))
+                if not whole:
+                    rows[:, at:at + c] = out[pick]
+                at += c
             slot += len(b)
         rows.flags.writeable = False
         return rows
@@ -319,22 +337,20 @@ class SchemeTrace:
         return self.table.owned_by(receiver)
 
     def decode_stacks(self):
-        """The receivers grouped as the decode check factors them: per
-        stack, its slice of :attr:`rows` and its receivers' targets, in
-        receiver order.  Receivers share a stack when they want as many
-        symbols, up to :data:`.numerics.STACK_BYTES` of rows per stack
-        (:func:`.numerics.stacks`)."""
-        rows, targets = self.rows, [self.targets_for(r) for r in range(1, self.k + 1)]
-        size = 16 * rows[0].size
-        # consecutive receivers, as in every scheme here, are a view, not a copy
-        return [(rows[idx[0]:idx[-1] + 1] if idx[-1] - idx[0] == len(idx) - 1
-                 else rows[idx], [targets[i] for i in idx])
-                for idx in stacks([len(t) for t in targets], [size] * self.k)]
+        """The receivers grouped as the decode check factors them, a stack
+        at a time: its rows (:meth:`_heard`), derived when the check reaches
+        it, and its receivers' targets, in receiver order.  Receivers share
+        a stack when they want as many symbols, up to
+        :data:`.numerics.STACK_BYTES` of rows (:func:`.numerics.stacks`)."""
+        targets = [self.targets_for(r) for r in range(1, self.k + 1)]
+        size = 16 * len(self.table) * sum(len(b) for b in self.plans if b.shape[1])
+        for idx in stacks([len(t) for t in targets], [size] * self.k):
+            yield self._heard(idx), [targets[i] for i in idx]
 
     def decode_ok(self, tol=DEFAULT_TOL) -> bool:
         """True iff every receiver can decode all of its symbols."""
-        return all(can_decode(rows, targets, tol)
-                   for rows, targets in self.decode_stacks())
+        # starmap drops each stack before it derives the next
+        return all(starmap(partial(can_decode, tol=tol), self.decode_stacks()))
 
     def decode_residuals(self, tol=DEFAULT_TOL):
         """What :meth:`decode_ok` decides from, with the same
@@ -343,32 +359,36 @@ class SchemeTrace:
         relative to its largest (:func:`.ledger.decode_residuals`), flat in
         the order of :meth:`decode_stacks`.  The trace decodes iff no
         residual exceeds its threshold."""
-        parts = [decode_residuals(rows, targets, tol)
-                 for rows, targets in self.decode_stacks()]
+        parts = list(starmap(partial(decode_residuals, tol=tol), self.decode_stacks()))
         return tuple(np.concatenate([np.ravel(p[i]) for p in parts])
                      for i in range(4))
 
     def to_json(self, extra=None) -> str:
+        """The join of :meth:`json_pieces`."""
+        return "".join(self.json_pieces(extra))
+
+    def json_pieces(self, extra=None):
         """This trace's schema-``v2`` document with the entries of ``extra``
         added, byte for byte as ``json.dumps(doc, sort_keys=True,
-        indent=2)`` writes it.  It holds what was sent: the slots, each
-        with its plan and channel, and the combination log, written from
-        the trace's arrays (:func:`_coeff_maps`, a stack of plan rows at a
-        time, and :func:`_matrices`), and the symbol table, from a template
-        per symbol.  A receiver's ``equations`` lists the slots it heard,
-        every slot with an active antenna: its equation ``i`` is row ``r -
-        1`` of ``channel @ plan`` of slot ``equations[i]``, plus the unit
-        noise sample ``"{slot}:{r}"``.  :func:`canonical_json` writes the
-        small fields and splices those arrays in."""
+        indent=2)`` writes it, in pieces rendered as they are read.  It
+        holds what was sent: the slots, each with its plan and channel, and
+        the combination log, written from the trace's arrays
+        (:func:`_coeff_maps`, a stack of plan rows at a time, and
+        :func:`_matrices`), and the symbol table, from a template per
+        symbol.  A receiver's ``equations`` lists the slots it heard, every
+        slot with an active antenna: its equation ``i`` is row ``r - 1`` of
+        ``channel @ plan`` of slot ``equations[i]``, plus the unit noise
+        sample ``"{slot}:{r}"``.  :func:`json_pieces` writes the small
+        fields and splices those arrays in."""
         n, dof, active = len(self.table), self.empirical_dof, self.active_antennas
         channels = _matrices(self.channels, _NL[3])
         plans = (form for b in self.plans if b.size for rows in [b.reshape(-1, n)]
                  for at in stacks([0] * len(rows), [16 * n] * len(rows))
                  for form in _coeff_maps(rows[at], _NL[5]))
-        slots = [_block("{}", [
+        slots = (_block("{}", [
             f'"active_antennas": {p}', f'"channel": {channels[i]}',
             '"plan": ' + _block("[]", [_PLAN % next(plans) for _ in range(p)], _NL[3]),
-            f'"slot": {i}'], _NL[2]) for i, p in enumerate(active)]
+            f'"slot": {i}'], _NL[2]) for i, p in enumerate(active))
         heard = _block("[]", [str(i) for i, p in enumerate(active) if p], _NL[3])
         receivers = [_block("{}", [f'"equations": {heard}', f'"receiver": {r}',
                                    f'"slots_observed": {self.total_slots}'], _NL[2])
@@ -394,7 +414,7 @@ class SchemeTrace:
                         "inputs": p.inputs_consumed, "slots": p.slots,
                         "outputs": p.outputs_generated} for p in self.phases],
             **(extra or {})}
-        return canonical_json(doc, arrays)
+        return json_pieces(doc, arrays)
 
 
 #: Newline and indentation of each nesting depth of the trace document.
@@ -408,23 +428,6 @@ def _block(brackets: str, items, nl: str) -> str:
     if not items:
         return brackets
     return f'{brackets[0]}{nl}  {("," + nl + "  ").join(items)}{nl}{brackets[1]}'
-
-
-def _pieces(brackets: str, items, nl: str) -> list:
-    """:func:`_block` as a list of string pieces, of items that are strings
-    or such lists: the document is joined once, so a large container is
-    not copied again at every depth that holds it."""
-    if not items:
-        return [brackets]
-    out, sep = [brackets[0] + nl + "  "], "," + nl + "  "
-    for item in items:
-        if isinstance(item, str):
-            out.append(item)
-        else:
-            out += item
-        out.append(sep)
-    out[-1] = nl + brackets[1]
-    return out
 
 
 #: A symbol table entry (id, label, order, owner list) and a plan form
@@ -477,20 +480,37 @@ def _matrices(mats, nl: str) -> list:
     return out
 
 
-def canonical_json(doc, arrays=None) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``.  Each entry of
-    ``arrays`` is one more top-level key of the dict ``doc``: its list of
-    items, already rendered at depth 2 (strings, or lists of pieces, as
-    :func:`_block` and :func:`_pieces` render them at ``_NL[2]``), is
-    spliced in at the key's sorted place.  So a large array whose shape
-    the caller knows is written from templates, not walked."""
+def json_pieces(doc, arrays=None):
+    """The pieces of ``json.dumps(doc, sort_keys=True, indent=2)``, in
+    order.  Each entry of ``arrays`` is one more top-level key of the dict
+    ``doc``: its items, already rendered at depth 2 (strings, as
+    :func:`_block` renders them at ``_NL[2]``, or iterables of such
+    pieces), are spliced in at the key's sorted place as they come.  So a
+    large array whose shape the caller knows is written from templates,
+    not walked, and never held whole."""
     if not arrays:
-        return json.dumps(doc, sort_keys=True, indent=2)
-    return "".join(_pieces("{}", [
-        json.dumps(key) + ": "
-        + json.dumps(doc[key], sort_keys=True, indent=2).replace("\n", _NL[1])
-        if key in doc else [json.dumps(key) + ": ", *_pieces("[]", arrays[key], _NL[1])]
-        for key in sorted(doc.keys() | arrays.keys())], _NL[0]))
+        yield json.dumps(doc, sort_keys=True, indent=2)
+        return
+    for i, key in enumerate(sorted(doc.keys() | arrays.keys())):
+        yield ("," if i else "{") + _NL[1] + json.dumps(key) + ": "
+        if key in doc:
+            yield json.dumps(doc[key], sort_keys=True, indent=2).replace("\n", _NL[1])
+            continue
+        sep = "[" + _NL[2]
+        for item in arrays[key]:
+            yield sep
+            if isinstance(item, str):
+                yield item
+            else:
+                yield from item
+            sep = "," + _NL[2]
+        yield "[]" if sep[0] == "[" else _NL[1] + "]"
+    yield _NL[0] + "}"
+
+
+def canonical_json(doc, arrays=None) -> str:
+    """The join of :func:`json_pieces`."""
+    return "".join(json_pieces(doc, arrays))
 
 
 @lru_cache(maxsize=None)

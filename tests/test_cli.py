@@ -295,14 +295,19 @@ def test_region_check_outside(capsys):
     assert doc["tight_permutations"] == [[2, 1]]
 
 
-def test_region_check_refuses_too_many_tight_orderings(capsys):
+def test_region_check_refuses_too_many_tight_orderings(capsys, tmp_path):
     # the symmetric corner of 12 receivers has 12! tight orderings; the
-    # refusal comes before the search, so the call returns at once
+    # refusal comes before the search, so the call returns at once, and
+    # before the first byte is written, so no output file is made
     corner = ",".join(["27720/86021"] * 12)  # 1 / H_12
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["region-check", "--point", corner])
     assert code == 2 and "362880" in err and out == ""
     assert time.perf_counter() - start < 1.0
+    path = tmp_path / "region.json"
+    code, out, err = run_cli(capsys, ["region-check", "--point", corner,
+                                      "--out", str(path)])
+    assert code == 2 and "362880" in err and not path.exists()
     # an interior point has no tight ordering, however many ties it has
     doc = run_json(capsys, ["region-check", "--point",
                             ",".join(["1/100"] * 12)])
@@ -341,10 +346,12 @@ def test_region_check_zero_denominator(capsys):
 
 #: tracemalloc peak of ``region-check`` at the symmetric corner of 8
 #: receivers (8! tight orderings) written to a file, after a warm-up call:
-#: 20,656,435 bytes when ``canonical_json`` re-indented the orderings'
-#: compact text (Python 3.11.7, x86-64).  Writing each ordering from a row
-#: template may not need more than 5% above that.
-REGION_CHECK_PEAK_BYTES = 20_656_435
+#: 389,404 bytes when each ordering is written as the search yields it,
+#: against 16,853,127 when the orderings and their rendered rows were
+#: listed first and 20,656,435 when ``canonical_json`` re-indented the
+#: orderings' compact text (Python 3.11.7, x86-64).  It may not need more
+#: than 5% above its value, which may be lowered, never raised.
+REGION_CHECK_PEAK_BYTES = 389_404
 
 
 def test_region_check_peak_memory_is_bounded(tmp_path):
@@ -359,6 +366,31 @@ def test_region_check_peak_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak <= REGION_CHECK_PEAK_BYTES * 1.05, peak
+
+
+#: tracemalloc peak of ``scheme-run`` of square-5 at seed 1 written to a
+#: file (a 3,039,073-byte document), after a warm-up call: 5,891,966 bytes
+#: when the decode check holds one receiver's rows at a time and the
+#: document is written a piece at a time, against 9,796,813 when the check
+#: derived every receiver's rows at once and the document was rendered
+#: whole (Python 3.11.7, numpy 2.4.6, x86-64).  It may not need more than
+#: 5% above its value, which may be lowered, never raised.
+SCHEME_RUN_PEAK_BYTES = 5_891_966
+
+
+def test_scheme_run_peak_memory_is_bounded(tmp_path):
+    path = str(tmp_path / "square5.json")
+    argv = ["scheme-run", "--scheme", "square", "--k", "5", "--seed", "1",
+            "--out", path]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= SCHEME_RUN_PEAK_BYTES * 1.05, peak
 
 
 def _boundary(values):

@@ -10,12 +10,13 @@ rational and decode verdict stays the same.
 
 import hashlib
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from delayedcsit.cli import main
-from delayedcsit.numerics import RngStream
+from delayedcsit.numerics import RngStream, stacks
 from delayedcsit.ratesim import simulate_rates, snr_grid
 from delayedcsit.schemes import (
     AirLog,
@@ -445,6 +446,10 @@ def _overrides():
 def test_trace_json_is_unchanged(name):
     texts = [BUILDERS[name](RngStream(seed, 3)).to_json() for seed in SEEDS]
     assert tuple(map(_digest, texts)) == TRACE_V2_SHA256[name]
+    # what the CLI writes, the document a piece at a time, joins to the pins
+    pieces = [list(BUILDERS[name](RngStream(seed, 3)).json_pieces()) for seed in SEEDS]
+    assert tuple(_digest("".join(p)) for p in pieces) == TRACE_V2_SHA256[name]
+    assert all(len(p) > 1 and all(isinstance(x, str) for x in p) for p in pieces)
     assert tuple(_digest(v1_from_v2(text)) for text in texts) == TRACE_SHA256[name]
 
 
@@ -579,3 +584,27 @@ def test_row_array_is_channel_times_plan():
         want = trace.channels[:len(first), :, :first.shape[1]] @ first
         got = trace.rows[:, :len(first)].transpose(1, 0, 2)
         assert got.tobytes() == want.tobytes(), key
+
+
+def test_stack_rows_are_slices_of_the_row_array():
+    # the decode check derives a stack's rows when it reaches it, every
+    # receiver's product a chunk of slots at a time, and keeps the
+    # stack's receivers: bit for bit their slice of rows, on every golden
+    # trace, on square-6 and (2, 4), whose receivers are stacks of one,
+    # and for each receiver alone and the first and last receivers
+    # together; a product with one receiver's channel row alone would
+    # not give these bits
+    extra = [("square-6", run_square_scheme(6, RngStream(1, 0))),
+             ("chain-2-4", _run_chain("nonsquare", 2, 4, 1, RngStream(1, 0)))]
+    for name, trace in chain(_golden_traces(), extra):
+        rows, k = trace.rows, trace.k
+        for idx in [[r] for r in range(k)] + [[0, k - 1]] * (k > 2):
+            assert trace._heard(idx).tobytes() == rows[idx].tobytes(), (name, idx)
+        targets = [trace.targets_for(r) for r in range(1, k + 1)]
+        got = list(trace.decode_stacks())
+        want = stacks([len(t) for t in targets], [16 * rows[0].size] * k)
+        assert len(got) == len(want), name
+        for (stack, wanted), idx in zip(got, want):
+            assert stack.tobytes() == rows[idx].tobytes(), (name, idx)
+            assert not stack.flags.writeable
+            assert wanted == [targets[i] for i in idx]

@@ -352,7 +352,7 @@ def test_stacked_residuals_equal_per_matrix(name):
         trace = SMALL_SCHEMES[name](RngStream(seed))
         n = len(trace.table)
         for tr in (trace, _truncated(trace), _cleared(trace, 1), _deficient(trace, 2)):
-            stacks, heard = tr.decode_stacks(), tr.rows
+            stacks, heard = list(tr.decode_stacks()), tr.rows
             assert np.array_equal(np.concatenate([rows for rows, _ in stacks]), heard)
             for rows, wanted in stacks:
                 residuals, thresholds, kept, dropped = decode_residuals(rows, wanted)

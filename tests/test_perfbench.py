@@ -3,10 +3,10 @@
 ``perfbench/`` calls into ``delayedcsit`` by name and by position, for
 example ``schemes._run_chain("nonsquare", 2, 4, 1, rng)`` and
 ``simulate_rates(builder, grid, trials, master, None)``, and its tracer
-probes package functions by name.  One round of ``verify`` and of
-``ratesim`` is played here with a stub clock, and one ``verify`` round
-under the tracer, so a change to the package that breaks the benchmark
-fails tier-1.
+probes package functions by name.  One round of ``verify``, of
+``ratesim`` and of ``frontier`` is played here with a stub clock, and one
+``verify`` round under the tracer, so a change to the package that breaks
+the benchmark fails tier-1.
 """
 
 import importlib.util
@@ -59,6 +59,19 @@ def test_workload_round_has_no_failed_ops(workloads, name, tmp_path):
     workload.run_round(rd, 0)
     assert rd.attempted > 0 and len(rd.op_ms) > 0
     assert (rd.failed, rd.failures) == (0, [])
+
+
+def test_frontier_round_has_no_failed_ops(workloads, tmp_path):
+    # square-6 through the CLI into the workload's directory, read back in
+    # a child process, then the (2, 4) chain: seed 1, round 0 (CLI seed
+    # 10000); a writer that streams a broken document fails the read
+    workload = workloads.WORKLOADS["frontier"](1, str(tmp_path))
+    workload.warm_up()
+    rd = workloads.Round(StubSampler())
+    workload.run_round(rd, 0)
+    assert rd.attempted == 2 and len(rd.op_ms) == 1
+    assert (rd.failed, rd.failures) == (0, [])
+    assert rd.detail["square-6"]["bytes"] > 0
 
 
 def test_frontier_chain_entry_point(workloads):

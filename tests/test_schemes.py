@@ -416,8 +416,11 @@ def test_chain_4_5_decodes_at_the_default_tolerance(chain_4_5):
 
 
 #: The frontier benchmark's known misses: square-6 through the CLI at seed
-#: 602, rounds 6 and 27, whose ``scheme-run`` seeds the stream ``(seed, 0)``.
-FRONTIER_MISSES = (6020006, 6020027)
+#: 602, rounds 6 and 27, and at seed 11, round 44, whose ``scheme-run``
+#: seeds the stream ``(seed, 0)``.  The last one's worst residual is 4.6e3
+#: times its threshold and its largest dropped singular value 5.3e-10 of
+#: ``s_0``.
+FRONTIER_MISSES = (6020006, 6020027, 110044)
 
 
 @pytest.fixture(scope="module")
@@ -432,7 +435,7 @@ def test_frontier_misses_decode_at_a_tighter_tolerance(frontier_misses, seed):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the default rank rule misjudges these square-6 traces, so a frontier "
-    "run at seed 602 can end with a failed op (ROADMAP item 1)"))
+    "run at seed 602 or 11 can end with a failed op (ROADMAP item 1)"))
 @pytest.mark.parametrize("seed", FRONTIER_MISSES)
 def test_frontier_misses_decode_at_the_default_tolerance(frontier_misses, seed):
     assert frontier_misses[seed].decode_ok()
@@ -451,7 +454,7 @@ def test_decode_stacks_follow_the_size_rule():
             assert targets == [trace.targets_for(r) for r in range(1, trace.k + 1)]
     for m, k in ((6, 6), (2, 5)):
         trace = _frontier_trace(m, k, RngStream(1, 0))
-        stacks = trace.decode_stacks()
+        stacks = list(trace.decode_stacks())
         assert [len(rows) for rows, _ in stacks] == [1] * k
         assert np.array_equal(np.concatenate([rows for rows, _ in stacks]), trace.rows)
     # receivers that want different numbers of symbols stack apart, each
@@ -460,10 +463,10 @@ def test_decode_stacks_follow_the_size_rule():
     for owner in ({1, 3}, {2}, {2}):
         table.new_symbol(owner)
     trace = dataclasses.replace(tdma_trace(3, RngStream(1)), table=table)
-    stacks = trace.decode_stacks()
+    stacks = list(trace.decode_stacks())
     assert [targets for _, targets in stacks] == [[[0], [0]], [[1, 2]]]
-    assert np.array_equal(stacks[0][0], trace.rows[[0, 2]])
-    assert np.array_equal(stacks[1][0], trace.rows[[1]])
+    assert stacks[0][0].tobytes() == trace.rows[[0, 2]].tobytes()
+    assert stacks[1][0].tobytes() == trace.rows[[1]].tobytes()
 
 
 def _stdlib_json(obj):
@@ -583,6 +586,12 @@ def test_v2_document_is_smaller_than_its_v1_rebuild():
 BUILD_PEAK_BYTES = 5_991_130
 TO_JSON_PEAK_BYTES = 7_085_702
 
+#: ``decode_ok()`` of the same trace: 2,339,210 bytes, one receiver's rows
+#: at a time, against 4,969,254 when the check derived every receiver's
+#: rows at once; it must stay below the trace's ``rows.nbytes``.  The
+#: same rules hold.
+DECODE_PEAK_BYTES = 2_339_210
+
 
 def _traced_peak(call):
     """The tracemalloc peak of ``call()``, in a fresh window."""
@@ -598,6 +607,12 @@ def _traced_peak(call):
 def test_build_peak_memory_is_bounded():
     peak = _traced_peak(lambda: run_square_scheme(5, RngStream(1, 0)))
     assert peak <= BUILD_PEAK_BYTES * 1.05, peak
+
+
+def test_decode_peak_memory_is_bounded():
+    trace = run_square_scheme(5, RngStream(1, 0))
+    peak = _traced_peak(trace.decode_ok)
+    assert peak <= DECODE_PEAK_BYTES * 1.05 < trace.rows.nbytes, peak
 
 
 def test_to_json_peak_memory_is_bounded():
