@@ -36,12 +36,14 @@ class RankTolerance:
 
     A singular value counts toward the rank when it exceeds
     ``relative * max_singular_value``.  The default of ``1e-9`` is far
-    above double-precision noise, which sits near ``1e-16``.  It is not
-    far below every generic singular value: the smallest one that should
-    be kept shrinks with the scheme's size, to as little as ``2e-9`` of
-    the largest at square ``k = 6`` and ``9.7e-11`` at ``k = 7``.  So the
-    margin at ``k = 6`` can be only a factor of 2, and at ``k = 7`` the
-    rule can drop a generic, nonzero direction.
+    above double-precision noise (near ``1e-16``), but generic singular
+    values shrink with the scheme's size, and the rule already drops
+    generic, nonzero directions, so ``decode_ok()`` fails: at 5.3e-10 and
+    8.6e-10 of ``s_0`` in square-6 at streams ``(110044, 0)`` and
+    ``(6020006, 0)``, and at 9.8e-10 in the ``(4, 5)`` chain at ``(1, 3)``
+    (strict xfails in the tests: ``FRONTIER_MISSES`` and
+    ``test_chain_4_5_decodes_at_the_default_tolerance``).  At ``k = 7`` a
+    value to keep can be as small as ``9.7e-11``.
 
     Parameters
     ----------

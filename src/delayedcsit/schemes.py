@@ -20,10 +20,11 @@ trace's channels and mixing weights up front, with one generator call and
 one QR per size of unitary (:meth:`AirLog.draw`).  The draw list is every
 phase's layout in order (:func:`phase_layout`), laid out in the order a
 slot-at-a-time execution would make the draws, so a seed gives the same
-trace either way; it and the symbol table a chain starts from are cached
-per shape.  The phase is the unit of work: its slots do not depend on
-each other, so a phase builder mixes all of its blocks of forms with one
-stacked ``W @ F`` and sends all of its slots with one
+trace either way.  A chain's replication, phase records and starting
+symbol table are one draw-free plan, cached per shape, that the build
+checks itself against.  The phase is the unit of work: its slots do not
+depend on each other, so a phase builder mixes all of its blocks of
+forms with one stacked ``W @ F`` and sends all of its slots with one
 :meth:`AirLog.broadcast`.  A trace records what was sent as arrays, a
 block per broadcast, and derives what its receivers heard, each slot's
 channel times its plan, as the transmitter does from delayed CSI
@@ -239,9 +240,10 @@ def phase_layout(m: int, k: int, level: int, runs: int) -> tuple:
     return (sub * subsets + (order,) * uppers * bool(pur)) * runs
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseRecord:
-    """Accounting of one phase: level, replication, and cardinalities."""
+    """Accounting of one phase: level, replication, and cardinalities.
+    Frozen: a chain's cached plan shares its records with every trace."""
 
     level: int
     runs: int
@@ -655,86 +657,70 @@ def _params(m: int, k: int, level: int) -> NonsquarePhaseParams:
 
 
 @lru_cache(maxsize=None)
-def _per_run_counts(m: int, k: int, level: int):
-    """Per-run (inputs, slots, outputs) of one phase at ``level``."""
-    if level == k:
-        return 1, 1, 0
-    p = _params(m, k, level)
-    n_sub = math.comb(k, level)
-    inputs = p.beta * n_sub
-    slots = p.slots_per_subphase * n_sub
-    outputs = level * (p.q // p.eta) * math.comb(k, level + 1)
-    return inputs, slots, outputs
-
-
-@lru_cache(maxsize=None)
-def _replication_factors(m: int, k: int, start: int) -> dict:
-    """Minimal integer replication per level making the chain integral."""
-    ratios = {start: Fraction(1)}
+def _chain_plan(m: int, k: int, start: int):
+    """The shape of the chain ``(m, k, start)``, fixed before anything is
+    drawn: the minimal integral replication of each level, the record of
+    each phase that runs, and the starting symbol table (the first phase's
+    inputs, a block per subset, with each receiver's symbols looked up).
+    Phase ``j < k`` turns order-``j`` inputs into order-``j+1`` outputs
+    (none on one antenna, which ends the chain); phase ``k`` sends one
+    form a slot."""
+    per_run = []  # (level, inputs, slots, outputs) of one run
     for level in range(start, k):
-        _, _, out = _per_run_counts(m, k, level)
-        nxt_in, _, _ = _per_run_counts(m, k, level + 1)
-        ratios[level + 1] = ratios[level] * Fraction(out, nxt_in)
+        p, n = _params(m, k, level), math.comb(k, level)
+        per_run.append((level, p.beta * n, p.slots_per_subphase * n,
+                        level * (p.q // p.eta) * math.comb(k, level + 1)))
+    per_run.append((k, 1, 1, 0))
+    ratios = {start: Fraction(1)}
+    for (level, _, _, out), (_, nxt, _, _) in zip(per_run, per_run[1:]):
+        ratios[level + 1] = ratios[level] * Fraction(out, nxt)
         if out == 0:
             break
     scale = math.lcm(*(r.denominator for r in ratios.values()))
-    return {lvl: int(r * scale) for lvl, r in ratios.items()}
-
-
-@lru_cache(maxsize=None)
-def _chain_table(m: int, k: int, start: int) -> SymbolTable:
-    """The symbol table every trace of the chain ``(m, k, start)`` starts
-    from, each receiver's symbols already looked up: the first phase's
-    inputs, an equal block of symbols per subset, subset after subset."""
-    factors = _replication_factors(m, k, start)
+    replication = {lvl: int(r * scale) for lvl, r in ratios.items()}
+    records = tuple(PhaseRecord(level, runs, i * runs, s * runs, o * runs)
+                    for level, i, s, o in per_run
+                    for runs in [replication.get(level, 0)] if runs)
     table = SymbolTable(k)
-    per0 = _per_run_counts(m, k, start)[0] // math.comb(k, start)
     for s in _subsets(k, start):
-        for i in range(per0 * factors[start]):
+        for i in range(per_run[0][1] // math.comb(k, start) * replication[start]):
             table.new_symbol(s, f"u{_tag(s)}.{i}")
     for r in range(1, k + 1):
         table.owned_by(r)
-    return table
+    return replication, records, table
 
 
 def _chain_layout(m: int, k: int, start: int) -> tuple:
     """The draws of the chain ``(m, k, start)``: its phases' layouts."""
-    layout = ()
-    for level, runs in _replication_factors(m, k, start).items():
-        if not runs:
-            break
-        layout += phase_layout(m, k, level, runs)
-    return layout
+    return sum((phase_layout(m, k, p.level, p.runs)
+                for p in _chain_plan(m, k, start)[1]), ())
+
+
+def _send_chain(k: int, records, inputs, air: AirLog) -> None:
+    """Send the phases ``records`` on ``air`` from ``inputs``, the first
+    phase's forms by subset, or from its unit rows if ``None``; raise
+    ``AssertionError`` when a phase sends other than its record's slots."""
+    for p in records:
+        if p.level < k:
+            slots, inputs = build_phase(k, p.level, inputs, air)
+        else:
+            forms = (air.table.unit_forms(air.table.ids) if inputs is None  # start = k
+                     else inputs[frozenset(range(1, k + 1))])
+            air.send_each(forms)
+            slots = len(forms)
+        if slots != p.slots:
+            raise AssertionError(f"chain accounting is off: phase {p.level} sent "
+                                 f"{slots} slots, its record says {p.slots}")
 
 
 def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
                channels=None) -> SchemeTrace:
-    """Chain phases ``start .. k`` with minimal replication."""
-    factors = dict(_replication_factors(m, k, start))  # the cached one stays unshared
-    air = AirLog(_chain_table(m, k, start).copy(), m, rng, channels)
+    """Chain phases ``start .. k`` as :func:`_chain_plan` lays them out."""
+    replication, records, table = _chain_plan(m, k, start)
+    air = AirLog(table.copy(), m, rng, channels)
     air.draw(_chain_layout, m, k, start)
-    inputs, phases = None, []  # the first phase sends every symbol: the unit rows
-    for level in range(start, k):
-        runs = factors.get(level, 0)
-        if runs == 0:
-            break
-        per_in, _, _ = _per_run_counts(m, k, level)
-        slots, inputs = build_phase(k, level, inputs, air)
-        produced = sum(map(len, inputs.values()))
-        phases.append(PhaseRecord(level, runs, per_in * runs, slots, produced))
-        if produced == 0:
-            break
-    top = factors.get(k, 0)
-    if top > 0:
-        forms = (air.table.unit_forms(air.table.ids) if inputs is None  # start = k
-                 else inputs.get(frozenset(range(1, k + 1)), []))
-        if len(forms) != top:
-            raise AssertionError(
-                f"chain accounting is off: expected {top} order-{k} forms, "
-                f"got {len(forms)}")
-        air.send_each(forms)
-        phases.append(PhaseRecord(k, top, top, top, 0))
-    return air.trace(name, factors, phases)
+    _send_chain(k, records, None, air)
+    return air.trace(name, dict(replication), list(records))  # the cached dict stays unshared
 
 
 def run_square_scheme(k: int, rng: RngStream, channels=None) -> SchemeTrace:
@@ -782,9 +768,8 @@ def _alt22_layout() -> tuple:
 
 
 def _opt23_layout() -> tuple:
-    """A mixed slot per receiver pair, order-2 phase of three receivers
-    on two antennas, then the broadcast of its two order-3 outputs."""
-    return _MIXED * 3 + phase_layout(2, 3, 2, 1) + _sends(2)
+    """A mixed slot per receiver pair, then the chain ``(2, 3, 2)``."""
+    return _MIXED * 3 + _chain_layout(2, 3, 2)
 
 
 @lru_cache(maxsize=None)
@@ -860,12 +845,10 @@ def run_opt23(rng: RngStream, channels=None) -> SchemeTrace:
     recon = air.broadcast(combine(units, w))
     # per pair (x, y): y's equation on x's symbols, x's on y's
     parts = np.where(cross, recon[np.arange(len(recon))[:, np.newaxis], heard], 0.0)
-    used, outs = build_phase(3, 2, dict(zip(_subsets(3, 2), parts)), air)
-    top = outs[frozenset({1, 2, 3})]
-    air.send_each(top)
-    phases = [PhaseRecord(1, 1, 12, 3, 6), PhaseRecord(2, 1, 6, used, len(top)),
-              PhaseRecord(3, len(top), len(top), len(top), 0)]
-    return air.trace("opt23", {1: 1, 2: 1, 3: 2}, phases)
+    replication, records, _ = _chain_plan(2, 3, 2)
+    _send_chain(3, records, dict(zip(_subsets(3, 2), parts)), air)
+    return air.trace("opt23", {1: 1, **replication},
+                     [PhaseRecord(1, 1, 12, 3, 6), *records])
 
 
 def tdma_trace(k: int, rng: RngStream, channels=None) -> SchemeTrace:

@@ -91,6 +91,14 @@ def slot_plans(trace) -> list:
     return [plan for block in trace.plans for plan in block]
 
 
+def plan_counts(plan, trace) -> tuple:
+    """A chain plan's replication, phase records, symbols and slots, and
+    the same counts measured on a trace that was built."""
+    replication, records, table = plan
+    return ((replication, list(records), len(table), sum(p.slots for p in records)),
+            (trace.replication, trace.phases, trace.symbols_delivered, trace.total_slots))
+
+
 def heard_slots(trace) -> list:
     """The slots with an active antenna: those the receivers heard."""
     return [s for s, plan in enumerate(slot_plans(trace)) if len(plan)]

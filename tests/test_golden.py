@@ -21,7 +21,7 @@ from delayedcsit.ratesim import simulate_rates, snr_grid
 from delayedcsit.schemes import (
     AirLog,
     _chain_layout,
-    _chain_table,
+    _chain_plan,
     _run_chain,
     _subsets,
     build_phase,
@@ -32,7 +32,7 @@ from delayedcsit.schemes import (
     run_square_scheme,
     tdma_trace,
 )
-from oracles import v1_doc_from_v2, v1_from_v2
+from oracles import plan_counts, v1_doc_from_v2, v1_from_v2
 
 SEEDS = (1, 2024)
 
@@ -485,7 +485,13 @@ def test_trace_json_with_cross_phase_override_is_unchanged(name):
 
 
 def test_chain_json_is_unchanged():
-    got = {key: _sha(_run_chain("chain", *key, RngStream(1, 3))) for key in CHAIN_SHA256}
+    # each trace also has the counts of the chain's draw-free plan
+    got = {}
+    for key in CHAIN_SHA256:
+        trace = _run_chain("chain", *key, RngStream(1, 3))
+        got[key] = _sha(trace)
+        want, measured = plan_counts(_chain_plan(*key), trace)
+        assert measured == want, key
     assert got == CHAIN_SHA256
 
 
@@ -552,7 +558,7 @@ def _first_phase_by_identity(m, k, start, rng):
     made it before it stopped holding an ``n x n`` identity: the phase's
     drawn weights times the identity's rows, all runs in one stacked
     product."""
-    air = AirLog(_chain_table(m, k, start).copy(), m, rng)
+    air = AirLog(_chain_plan(m, k, start)[2].copy(), m, rng)
     air.draw(_chain_layout, m, k, start)
     subsets, n = _subsets(k, start), len(air.table)
     units = np.eye(n, dtype=np.complex128).reshape(len(subsets), -1, n)

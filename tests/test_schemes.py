@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from delayedcsit import schemes
 from delayedcsit.dof_calc import (
     OutOfRegimeError,
     dof_square,
@@ -25,6 +26,7 @@ from delayedcsit.schemes import (
     PhaseRecord,
     SchemeTrace,
     _NL,
+    _chain_plan,
     _run_chain,
     build_phase,
     canonical_json,
@@ -38,7 +40,7 @@ from delayedcsit.schemes import (
 )
 from delayedcsit.ledger import SymbolTable
 from delayedcsit.dof_calc import DofQuery, NonsquarePhaseParams
-from oracles import slot_plans, trace_doc, trace_doc_v2, v1_from_v2
+from oracles import plan_counts, slot_plans, trace_doc, trace_doc_v2, v1_from_v2
 
 
 def test_square_scheme_exact_accounting():
@@ -392,9 +394,47 @@ def test_executed_frontier_matches_the_recursion():
     for m, k in FRONTIER:
         trace = _frontier_trace(m, k, RngStream(1, 0))
         assert trace.empirical_dof == nonsquare_recursion(DofQuery(m, k, 1)), (m, k)
+        want, measured = plan_counts(_chain_plan(m, k, 1), trace)
+        assert measured == want, (m, k)
         assert trace.decode_ok(), (m, k)
     elapsed = time.perf_counter() - start
     assert elapsed < FRONTIER_BUDGET_S, f"frontier took {elapsed:.1f}s"
+
+
+#: Symbols and slots of chains too large for tier-1 to build, keyed
+#: ``(m, k)``, from the plan alone (ROADMAP item 6's table).
+PLAN_SIZES = {(7, 7): (2940, 1089), (8, 8): (6720, 2283), (2, 6): (5760, 3996),
+              (3, 6): (2430, 1348), (4, 6): (3840, 1833), (5, 6): (750, 324)}
+
+
+def test_chain_plan_counts_without_building():
+    for (m, k), want in PLAN_SIZES.items():
+        _, records, table = _chain_plan(m, k, 1)
+        assert (len(table), sum(p.slots for p in records)) == want, (m, k)
+        assert Fraction(*want) == nonsquare_recursion(DofQuery(m, k, 1)), (m, k)
+    # one antenna leaves nothing for phase 2: its zero run is kept, and
+    # the trace's JSON writes it
+    replication, records, _ = _chain_plan(1, 3, 1)
+    assert replication == {1: 1, 2: 0}
+    assert [p.level for p in records] == [1]
+
+
+@pytest.mark.parametrize("phase", [0, -1])
+def test_chain_accounting_is_checked(monkeypatch, phase):
+    # a phase that sends other than its record's slots fails the build,
+    # whether it is a phase of mixtures (1) or the order-k broadcast (3)
+    plan = schemes._chain_plan
+
+    def off_by_one(m, k, start):
+        replication, records, table = plan(m, k, start)
+        records = list(records)
+        records[phase] = dataclasses.replace(records[phase], slots=records[phase].slots + 1)
+        return replication, tuple(records), table
+
+    monkeypatch.setattr(schemes, "_chain_plan", off_by_one)
+    level = plan(2, 3, 1)[1][phase].level
+    with pytest.raises(AssertionError, match=f"phase {level} sent"):
+        _run_chain("chain", 2, 3, 1, RngStream(1))
 
 
 @pytest.fixture(scope="module")
