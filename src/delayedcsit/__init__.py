@@ -11,7 +11,6 @@ from .dof_calc import (
     NonsquarePhaseParams,
     OutOfRegimeError,
     coherence_dof,
-    dof_lower,
     dof_square,
     dof_upper,
     harmonic,
@@ -90,7 +89,6 @@ __all__ = [
     "combine",
     "corner_candidates",
     "decompose_time_sharing",
-    "dof_lower",
     "dof_square",
     "dof_upper",
     "fit_dof_slope",

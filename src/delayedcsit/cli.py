@@ -297,41 +297,37 @@ def cmd_region_check(args, seed):
     return 0, doc, header, None, {"tight_permutations": (row % p for p in tight)}
 
 
+def _failures(check, names, cases):
+    """The cases whose two sides differ, with the sides as ``p/q``."""
+    failures = []
+    for case in cases:
+        lhs, rhs = check(*case)
+        if lhs != rhs:
+            failures.append(dict(zip(names, case), lhs=_rat(lhs), rhs=_rat(rhs)))
+    return failures
+
+
 def cmd_identity_check(args, seed):
     k_max = args.k if args.k is not None else 30
     if k_max < 1:
         raise ValueError(f"--k must be positive, got {k_max}")
     q_max = 40
-    identity_failures = []
-    identity_cases = 0
-    for k in range(1, k_max + 1):
-        for j in range(1, k + 1):
-            identity_cases += 1
-            lhs, rhs = identity_check(k, j)
-            if lhs != rhs:
-                identity_failures.append({"k": k, "j": j,
-                                          "lhs": _rat(lhs), "rhs": _rat(rhs)})
-    hockey_failures = []
-    hockey_cases = 0
-    for q in range(0, q_max + 1):
-        for p in range(0, q + 1):
-            hockey_cases += 1
-            lhs, rhs = hockey_stick(p, q)
-            if lhs != rhs:
-                hockey_failures.append({"p": p, "q": q,
-                                        "lhs": _rat(lhs), "rhs": _rat(rhs)})
+    identity = [(k, j) for k in range(1, k_max + 1) for j in range(1, k + 1)]
+    hockey = [(p, q) for q in range(q_max + 1) for p in range(q + 1)]
+    identity_failures = _failures(identity_check, ("k", "j"), identity)
+    hockey_failures = _failures(hockey_stick, ("p", "q"), hockey)
     passed = not identity_failures and not hockey_failures
     doc = {
-        "identity_max_k": k_max, "identity_cases": identity_cases,
+        "identity_max_k": k_max, "identity_cases": len(identity),
         "identity_failures": identity_failures,
-        "hockey_max_q": q_max, "hockey_cases": hockey_cases,
+        "hockey_max_q": q_max, "hockey_cases": len(hockey),
         "hockey_failures": hockey_failures,
         "pass": passed,
     }
     return (0 if passed else 1, doc,
             ["identity_cases", "identity_failures", "hockey_cases",
              "hockey_failures", "pass", "seed"],
-            [[identity_cases, len(identity_failures), hockey_cases,
+            [[len(identity), len(identity_failures), len(hockey),
               len(hockey_failures), passed, seed]])
 
 

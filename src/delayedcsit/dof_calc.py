@@ -21,7 +21,6 @@ __all__ = [
     "NonsquarePhaseParams",
     "OutOfRegimeError",
     "coherence_dof",
-    "dof_lower",
     "dof_square",
     "dof_upper",
     "harmonic",
@@ -113,19 +112,6 @@ def dof_square(k: int, j: int) -> Fraction:
     return Fraction(k - j + 1, j) / tail
 
 
-def dof_lower(q: DofQuery) -> Fraction:
-    """Achievable DoF when the antenna count covers the square scheme.
-
-    Requires ``m >= k - j + 1``; the scheme never uses more than
-    ``k - j + 1`` antennas, so extra antennas do not change the value.
-    """
-    if not q.square_regime:
-        raise OutOfRegimeError(
-            f"dof_lower needs m >= k - j + 1 (got m={q.m}, k={q.k}, j={q.j}); "
-            "use nonsquare_recursion for antenna-limited queries")
-    return dof_square(q.k, q.j)
-
-
 def dof_upper(q: DofQuery) -> Fraction:
     """Converse upper bound on the order-``j`` DoF for any ``(m, k)``.
 
@@ -139,13 +125,15 @@ def dof_upper(q: DofQuery) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _recursion_level(m: int, k: int, j: int) -> Fraction:
-    if j == k:
-        return Fraction(1)
-    nxt = _recursion_level(m, k, j + 1)
-    qj = min(m - 1, k - j)
-    # (q_j + 1) / (j DoF_j) = 1/j + (q_j / (j+1)) / DoF_{j+1}
-    return Fraction(qj + 1) / (1 + Fraction(j * qj, j + 1) / nxt)
+def _recursion_level(m: int, k: int) -> tuple:
+    """Every level's DoF for ``(m, k)``, order ``j`` at index ``j - 1``,
+    unrolled downward from order ``k`` (one symbol per slot)."""
+    levels = [Fraction(1)]
+    for j in range(k - 1, 0, -1):
+        qj = min(m - 1, k - j)
+        # (q_j + 1) / (j DoF_j) = 1/j + (q_j / (j+1)) / DoF_{j+1}
+        levels.append(Fraction(qj + 1) / (1 + Fraction(j * qj, j + 1) / levels[-1]))
+    return tuple(reversed(levels))
 
 
 def nonsquare_recursion(q: DofQuery) -> Fraction:
@@ -156,7 +144,7 @@ def nonsquare_recursion(q: DofQuery) -> Fraction:
     :func:`dof_square` whenever ``m >= k - j' + 1`` holds at every level
     ``j' >= j``.
     """
-    return _recursion_level(q.m, q.k, q.j)
+    return _recursion_level(q.m, q.k)[q.j - 1]
 
 
 def nonsquare_closed_form(q: DofQuery, ratio_mode: str = "corrected") -> Fraction:
@@ -181,7 +169,7 @@ def nonsquare_closed_form(q: DofQuery, ratio_mode: str = "corrected") -> Fractio
     Raises
     ------
     OutOfRegimeError
-        If ``m >= k - j + 1`` (use :func:`dof_lower` there).
+        If ``m >= k - j + 1`` (use :func:`dof_square` there).
     """
     if q.square_regime:
         raise OutOfRegimeError(

@@ -142,10 +142,6 @@ class ReceiverState:
         """The heard equations' coefficient rows, in the order heard."""
         return self.rows
 
-    def coefficient_matrix(self, symbol_ids) -> np.ndarray:
-        """The rows over the given symbol ordering."""
-        return self.rows[:, np.asarray(symbol_ids, dtype=np.intp)]
-
 
 def transmit_slots(plans, channels, receivers: int):
     """Broadcast a stack of slots to ``receivers`` receivers.

@@ -23,7 +23,7 @@ from operator import mul
 
 import numpy as np
 
-from .dof_calc import OutOfRegimeError, harmonic
+from .dof_calc import harmonic
 
 __all__ = [
     "as_point",
@@ -54,12 +54,6 @@ def as_point(d) -> tuple:
     return pt
 
 
-def _require_square(m, k: int) -> None:
-    if m is not None and m != k:
-        raise OutOfRegimeError(
-            f"the region is characterized for m == k only (got m={m}, k={k})")
-
-
 @lru_cache(maxsize=None)
 def _perm_matrix(k: int) -> np.ndarray:
     """All permutations of ``0..k-1`` as an index matrix, in
@@ -80,7 +74,7 @@ def _integerize(pt):
     return nums, den, weights, els
 
 
-def in_region(d, mode: str = "sorted", m=None) -> bool:
+def in_region(d, mode: str = "sorted") -> bool:
     """Exact membership test.
 
     ``sorted`` evaluates only the descending-sorted assignment;
@@ -89,7 +83,6 @@ def in_region(d, mode: str = "sorted", m=None) -> bool:
     """
     pt = as_point(d)
     k = len(pt)
-    _require_square(m, k)
     if mode == "sorted":
         ordered = sorted(pt, reverse=True)
         return sum(x / i for i, x in enumerate(ordered, start=1)) <= 1
@@ -109,12 +102,12 @@ def in_region(d, mode: str = "sorted", m=None) -> bool:
     )
 
 
-def tight_permutations(d, m=None) -> list:
+def tight_permutations(d) -> list:
     """The list of :func:`iter_tight_permutations`."""
-    return list(iter_tight_permutations(d, m))
+    return list(iter_tight_permutations(d))
 
 
-def iter_tight_permutations(d, m=None):
+def iter_tight_permutations(d):
     """Permutations ``pi`` (as 1-based receiver tuples) whose constraint
     holds with equality, in ``itertools.permutations`` order, each yielded
     as the search finds it.  Exact.
@@ -131,7 +124,6 @@ def iter_tight_permutations(d, m=None):
     """
     pt = as_point(d)
     k = len(pt)
-    _require_square(m, k)
     nums, den, weights, els = _integerize(pt)
     bounds = {}  # receivers left -> (most, least) they can add
     # prefixes to extend, next on top: placed receivers 1-based, the rest 0-based
@@ -183,7 +175,7 @@ def corner_candidates(k: int) -> list:
     return pts
 
 
-def decompose_time_sharing(d, m=None):
+def decompose_time_sharing(d):
     """Write a member point as a sub-convex combination of corners.
 
     Sorting the coordinates descending as ``p_(1) >= ... >= p_(k)`` and
@@ -199,7 +191,6 @@ def decompose_time_sharing(d, m=None):
     """
     pt = as_point(d)
     k = len(pt)
-    _require_square(m, k)
     order = sorted(range(k), key=lambda i: pt[i], reverse=True)
     ranked = [pt[i] for i in order]
     if sum(x / i for i, x in enumerate(ranked, start=1)) > 1:

@@ -327,10 +327,6 @@ class SchemeTrace:
         return len(self.table)
 
     @property
-    def symbols_per_receiver(self) -> int:
-        return len(self.table.owned_by(1))
-
-    @property
     def empirical_dof(self) -> Fraction:
         """Delivered symbols per slot, as an exact rational."""
         return Fraction(self.symbols_delivered, self.total_slots)

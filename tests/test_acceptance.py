@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from delayedcsit.dof_calc import (
     DofQuery,
-    dof_lower,
     dof_square,
     dof_upper,
     harmonic,
@@ -88,7 +87,7 @@ def test_acceptance_2_tightness_sweep(capsys):
         for k in range(1, 21):
             for j in range(1, k + 1):
                 q = DofQuery(k - j + 1, k, j)
-                assert dof_lower(q) == dof_upper(q), (k, j)
+                assert dof_square(k, j) == dof_upper(q), (k, j)
 
     _criterion(2, "bound-tightness", 1.0, body, capsys)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from delayedcsit import cli
 from delayedcsit.cli import main
+from delayedcsit.dof_calc import DofQuery, nonsquare_closed_form
 from delayedcsit.region import tight_permutations
 from delayedcsit.schemes import run_alt22
 
@@ -40,6 +41,14 @@ def test_dof_table_single_cell(capsys):
     assert row["upper"] == "3/2"
     assert row["tight"] is False
     assert "opt23" in row["note"]
+
+
+def test_dof_table_deep_antenna_limited_cell(capsys):
+    # the recursion runs 1,500 levels down without a stack overflow
+    q = DofQuery(2, 1500, 1)
+    (row,) = run_json(capsys, ["dof-table", "--m", "2", "--k", "1500",
+                               "--j", "1"])["rows"]
+    assert row["lower"] == cli._rat(nonsquare_closed_form(q))
 
 
 def test_dof_table_sweep_and_tightness(capsys):
@@ -458,6 +467,37 @@ def test_identity_check_csv(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][:5] == ["15", "0", "861", "0", "true"]
+
+
+def test_identity_check_reports_each_failure(capsys, monkeypatch):
+    # one case of each identity made unequal: the command exits 1 and lists
+    # both, with their sides as p/q strings
+    real_identity, real_hockey = cli.identity_check, cli.hockey_stick
+
+    def identity(k, j):
+        lhs, rhs = real_identity(k, j)
+        return (lhs, rhs + Fraction(1, 2)) if (k, j) == (3, 2) else (lhs, rhs)
+
+    def hockey(p, q):
+        lhs, rhs = real_hockey(p, q)
+        return (lhs + 1, rhs) if (p, q) == (1, 4) else (lhs, rhs)
+
+    monkeypatch.setattr(cli, "identity_check", identity)
+    monkeypatch.setattr(cli, "hockey_stick", hockey)
+    code, out, err = run_cli(capsys, ["identity-check", "--k", "4"])
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert (doc["identity_cases"], doc["hockey_cases"]) == (10, 861)
+    assert doc["identity_failures"] == [
+        {"k": 3, "j": 2, "lhs": "5/6", "rhs": "4/3"}]
+    assert doc["hockey_failures"] == [
+        {"p": 1, "q": 4, "lhs": "11/1", "rhs": "10/1"}]
+    code, out, err = run_cli(capsys, ["identity-check", "--k", "4",
+                                      "--format", "csv"])
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][:5] == ["10", "1", "861", "1", "false"]
 
 
 def test_seed_resolution(capsys, monkeypatch):

@@ -11,7 +11,6 @@ from delayedcsit.dof_calc import (
     NonsquarePhaseParams,
     OutOfRegimeError,
     coherence_dof,
-    dof_lower,
     dof_square,
     dof_upper,
     harmonic,
@@ -66,13 +65,6 @@ def test_dof_square_decreases_with_order():
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_dof_lower_requires_square_regime():
-    assert dof_lower(DofQuery(3, 3, 1)) == Fraction(18, 11)
-    assert dof_lower(DofQuery(2, 3, 2)) == Fraction(6, 5)
-    with pytest.raises(OutOfRegimeError):
-        dof_lower(DofQuery(2, 3, 1))
-
-
 def test_dof_upper_known_values():
     assert dof_upper(DofQuery(2, 3, 1)) == Fraction(3, 2)
     assert dof_upper(DofQuery(2, 2, 1)) == Fraction(4, 3)
@@ -86,7 +78,7 @@ def test_tightness_at_minimal_square_antennas():
     for k in range(1, 12):
         for j in range(1, k + 1):
             q = DofQuery(k - j + 1, k, j)
-            assert dof_lower(q) == dof_upper(q)
+            assert dof_square(k, j) == dof_upper(q)
 
 
 def test_upper_bound_nondecreasing_in_antennas():
@@ -121,6 +113,13 @@ def test_nonsquare_recursion_between_bounds():
         for k in range(m + 1, 10):
             q = DofQuery(m, k, 1)
             assert 1 <= nonsquare_recursion(q) <= dof_upper(q)
+
+
+def test_nonsquare_recursion_has_no_depth_limit():
+    # 1,500 levels, far past the interpreter's recursion limit
+    q = DofQuery(2, 1500, 1)
+    assert nonsquare_recursion(q) == nonsquare_closed_form(q)
+    assert nonsquare_recursion(q) <= dof_upper(q)
 
 
 def test_closed_form_printed_disagrees_with_recursion():

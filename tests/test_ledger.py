@@ -376,11 +376,10 @@ def test_stacked_residuals_equal_per_matrix(name):
 def test_receiver_states_are_views_of_the_row_array():
     # one derived row array per read of states, each receiver a view of it
     trace = run_square_scheme(3, RngStream(2))
-    ids, states, rows = trace.table.ids[::-1], trace.states, trace.rows
+    states = trace.states
     for r, st in enumerate(states, start=1):
         assert st.receiver == r and st.rows.base is states[0].rows.base is not None
         assert len(st.equations) == trace.total_slots
-        assert np.array_equal(st.coefficient_matrix(ids), rows[r - 1][:, ids])
 
 
 def test_combine_exact():

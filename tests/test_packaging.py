@@ -1,18 +1,18 @@
 """The distribution metadata names the package and reads its version;
-every exported name resolves."""
+every exported name resolves; no test shadows another."""
 
+import ast
 import importlib
 import pathlib
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "delayedcsit"
 
 
 def test_project_name_and_single_version_source():
+    tomllib = pytest.importorskip("tomllib")  # the stdlib's from Python 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
         meta = tomllib.load(fh)
     assert meta["project"]["name"] == "delayedcsit"
@@ -34,3 +34,18 @@ def test_exported_names_resolve():
         assert len(set(exported)) == len(exported), name
         missing = [attr for attr in exported if not hasattr(module, attr)]
         assert not missing, (name, missing)
+
+
+def test_no_test_name_is_defined_twice():
+    # a second def of a name replaces the first, so the suite would run one
+    # test fewer and say nothing
+    shadowed = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+            names = [n.name for n in scope.body
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and n.name.startswith("test")]
+            shadowed += [(path.name, getattr(scope, "name", None), name)
+                         for name in sorted(set(names)) if names.count(name) > 1]
+    assert not shadowed

@@ -23,9 +23,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: and every other probe must still find its function.
 DELETED_PROBES = [
     "schemes:SchemeTrace.to_dict", "ledger.transmit_slot", "ledger.random_combination",
-    "ledger.noise_covariance", "numerics.logdet_capacity",
-    "numerics.haar_unitary", "numerics.sample_channel",
-    "ratesim.receiver_rate",
+    "ledger.noise_covariance", "ledger:ReceiverState.coefficient_matrix",
+    "numerics.logdet_capacity", "numerics.haar_unitary", "numerics.sample_channel",
+    "ratesim.receiver_rate", "dof_calc.dof_lower",
 ]
 
 

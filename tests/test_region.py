@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayedcsit.dof_calc import OutOfRegimeError, harmonic
+from delayedcsit.dof_calc import harmonic
 from delayedcsit.region import (
     as_point,
     combination_value,
@@ -47,10 +47,6 @@ def test_mode_and_argument_validation():
         in_region(["1/2", "1/2"], mode="fast")
     with pytest.raises(ValueError):
         in_region([0] * 9, mode="exhaustive")
-    with pytest.raises(OutOfRegimeError):
-        in_region(["1/2", "1/2"], m=1)
-    with pytest.raises(OutOfRegimeError):
-        tight_permutations(["1/2", "1/2"], m=3)
 
 
 def test_tight_permutations_symmetric_corner():

@@ -49,7 +49,7 @@ def test_square_scheme_exact_accounting():
         tr = run_square_scheme(k, rng.split(k))
         assert tr.empirical_dof == Fraction(k) / harmonic(k)
         assert tr.symbols_delivered == len(tr.table)
-        assert tr.symbols_per_receiver * k == tr.symbols_delivered
+        assert len(tr.targets_for(1)) * k == tr.symbols_delivered
         assert tr.decode_ok()
 
 
@@ -132,7 +132,7 @@ def test_opt23_structure():
     assert tr.empirical_dof == Fraction(3, 2)
     assert tr.total_slots == 8
     assert tr.symbols_delivered == 12
-    assert tr.symbols_per_receiver == 4
+    assert len(tr.targets_for(1)) == 4
     assert tr.decode_ok()
     # first three slots each mix the four fresh symbols of one pair
     for slot, pair in zip(range(3), ((1, 2), (1, 3), (2, 3))):
