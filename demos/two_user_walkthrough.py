@@ -59,8 +59,8 @@ print(f"symbols delivered / slots used     : "
       f" = {trace.empirical_dof} DoF")
 
 # The decode check's margins: a target decodes when its residual is at
-# most its threshold, and the rank rule keeps singular values above 1e-9
-# of the largest (each receiver here has full row rank: nothing dropped).
+# most its threshold, and a receiver must have full row rank, every
+# singular value above NumPy's floor (here none is at or below it).
 residuals, thresholds, kept, dropped = trace.decode_residuals()
 print(f"worst residual / threshold         : {max(residuals / thresholds):.1e}")
 print(f"smallest kept singular value / s_0 : {min(kept):.2e}")

@@ -20,11 +20,13 @@ sample, named by its ``(slot, receiver)`` pair, and nothing the
 transmitter rebuilds carries any, so the JSON trace writes no noise: a
 receiver's entry lists the slots it heard, and each equation is rebuilt
 as that slot's channel row times its plan plus the sample of its pair.
-Decodability is a row-space question on a receiver's rows.  Every slot
-is heard by every receiver, so a trace's receivers hold matrices of one
-shape, and a stack of them, at most :data:`.numerics.STACK_BYTES` of
-rows, is answered with one batched SVD by
-:func:`.numerics.unit_residuals`; a large receiver is a stack of one.
+Decodability is a row-space question on a receiver's rows, which have
+full row rank by the scheme's plan: a receiver whose rows fall below
+NumPy's rank floor decodes nothing.  Every slot is heard by every
+receiver, so a trace's receivers hold matrices of one shape, and a stack
+of them, at most :data:`.numerics.STACK_BYTES` of rows, is answered with
+one batched QR by :func:`.numerics.unit_residuals`; a large receiver is
+a stack of one.
 """
 
 from dataclasses import dataclass
@@ -185,9 +187,9 @@ def decode_residuals(rows, targets, tol: RankTolerance = DEFAULT_TOL):
     ids per receiver, all of one length.  Returns ``(residuals,
     thresholds, kept, dropped)`` from :func:`.numerics.unit_residuals`:
     two ``(receivers, targets)`` arrays in the order given, and per
-    receiver the smallest kept and the largest dropped singular value
-    relative to its largest.  The whole stack is factored by one batched
-    SVD.
+    receiver the smallest singular value above NumPy's rank floor and the
+    largest at or below it (0 at full row rank), relative to its largest.
+    The whole stack is factored by one batched QR.
     """
     units = np.asarray(targets, dtype=np.intp)
     if units.ndim != 2 or not units.size or len(units) != len(rows):
@@ -202,14 +204,15 @@ def can_decode(rows, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
 
     A target ``t`` is recoverable when the unit row ``e_t`` lies in the
     row space of the receiver's coefficient rows ``A``: stacking
-    ``e_t`` under ``A`` must not raise the numerical rank.  ``A`` is
-    factored once, ``A = U S V^H``, with rank ``r`` by the
-    :class:`.numerics.RankTolerance` rule.  Each target's residual
-    ``d_t = ||e_t - V_r^H V_r e_t||``, divided by
-    ``sqrt(1 + ||S_r^-1 V_r e_t||^2)``, is the singular value that
-    stacking ``e_t`` would add; it is compared with
-    ``tol.relative * sqrt(s_0^2 + 1)``, the rank threshold of the stacked
-    matrix.  The derivation is in :func:`.numerics._residuals`.
+    ``e_t`` under ``A`` must not raise the numerical rank.  ``A`` must
+    have full row rank, every singular value above NumPy's floor ``s_0 *
+    max(rows, cols) * eps``, or the receiver decodes nothing; the rank is
+    the plan's, and ``tol`` only scales the threshold.  ``A`` is factored
+    once, ``A^T = QR``.  Each target's residual ``d_t = ||e_t - Q
+    Q[t]^H||``, divided by ``sqrt(1 + ||z||^2)`` with ``R z = Q[t]^H``,
+    is the singular value that stacking ``e_t`` would add; it is compared
+    with ``tol.relative * sqrt(s_0^2 + 1)``, the rank threshold of the
+    stacked matrix (:func:`.numerics.unit_residuals`).
     """
     residuals, thresholds, *_ = decode_residuals(rows, targets, tol)
     return bool((residuals <= thresholds).all())

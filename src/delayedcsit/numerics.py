@@ -2,10 +2,11 @@
 
 Everything downstream (symbol ledgers, scheme runners, rate simulation)
 funnels its numerical work through this module: batched complex
-Gaussian draws, stacked Haar unitaries, SVD-based rank tests and
-membership of unit rows in a row space.  The linear algebra works on stacks of matrices of
-one shape, so that many small matrices share one numpy call; one matrix
-goes through the same code.
+Gaussian draws, stacked Haar unitaries, SVD-based rank tests and, by one
+QR per matrix of full row rank, membership of unit rows in a row space.
+The linear algebra works on stacks of matrices of one shape, so that
+many small matrices share one numpy call; one matrix goes through the
+same code.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` dtype;
 :func:`as_complex_matrix` is the validating constructor used at module
@@ -32,18 +33,17 @@ __all__ = [
 ]
 
 class RankTolerance:
-    """Relative singular-value threshold used by every rank decision.
+    """Relative singular-value threshold of the rank rule.
 
     A singular value counts toward the rank when it exceeds
-    ``relative * max_singular_value``.  The default of ``1e-9`` is far
-    above double-precision noise (near ``1e-16``), but generic singular
-    values shrink with the scheme's size, and the rule already drops
-    generic, nonzero directions, so ``decode_ok()`` fails: at 5.3e-10 and
-    8.6e-10 of ``s_0`` in square-6 at streams ``(110044, 0)`` and
-    ``(6020006, 0)``, and at 9.8e-10 in the ``(4, 5)`` chain at ``(1, 3)``
-    (strict xfails in the tests: ``FRONTIER_MISSES`` and
-    ``test_chain_4_5_decodes_at_the_default_tolerance``).  At ``k = 7`` a
-    value to keep can be as small as ``9.7e-11``.
+    ``relative * max_singular_value``: :func:`numerical_rank`, and with it
+    the alignment ranks and the rate path's interference ranks, whose
+    kept values lie decades above the default of ``1e-9``.  The decode
+    check does not decide rank by it: a decode matrix has full row rank,
+    and its generic singular values shrink with the scheme's size, to
+    5.3e-10 of ``s_0`` in square-6 and about 1e-10 in square-7, below
+    the default.  There :func:`unit_residuals` takes the rank from NumPy's
+    floor, and ``relative`` only scales the threshold of the residuals.
 
     Parameters
     ----------
@@ -66,18 +66,13 @@ class RankTolerance:
     def __eq__(self, other):
         return isinstance(other, RankTolerance) and self.relative == other.relative
 
-    def kept(self, singular_values) -> np.ndarray:
-        """Which singular values count toward the rank: ``s > relative *
-        s_0``, matrix by matrix for a stack ``(..., n)``, each sorted
-        largest first.  None count when the largest is exactly zero."""
-        s = np.asarray(singular_values)
-        return s > self.relative * s[..., :1]
-
     def rank(self, singular_values):
-        """Rank of a matrix with these singular values, largest first: the
-        number :meth:`kept`, 0 when there are none.  A stack ``(..., n)``
-        gets an array of ranks."""
-        ranks = self.kept(singular_values).sum(axis=-1)
+        """Rank of a matrix with these singular values, largest first: how
+        many exceed ``relative * s_0``, 0 when there are none or the
+        largest is exactly zero.  A stack ``(..., n)`` gets an array of
+        ranks, matrix by matrix."""
+        s = np.asarray(singular_values)
+        ranks = (s > self.relative * s[..., :1]).sum(axis=-1)
         return int(ranks) if np.ndim(ranks) == 0 else ranks
 
 
@@ -202,6 +197,10 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+#: Machine epsilon of float64, the unit of NumPy's rank floor.
+_EPS = float(np.finfo(np.float64).eps)
+
+
 #: Most bytes of complex128 input that one stacked factorization takes.
 #: A stack pays numpy's fixed cost per call (4-7 us per SVD, 1-5 us per
 #: other call, on a 2-core x86-64 host with numpy 2.4.6 and OpenBLAS) once
@@ -266,106 +265,79 @@ def numerical_rank(a, tol: RankTolerance = DEFAULT_TOL):
 def unit_residuals(a, columns, tol: RankTolerance = DEFAULT_TOL):
     """How far each unit row ``e_t`` is from the row space of its matrix,
     the threshold up to which it counts as inside, and the margin of the
-    rank decision, without forming the unit rows (:func:`_residuals`).
+    rank decision, without forming the unit rows.
 
     ``a`` is a matrix, or a stack ``(..., rows, cols)``, and may have no
     rows; ``columns`` holds, per matrix, the columns ``t`` to test,
-    ``(..., count)``.  The coordinates ``c = e_t V_r^H`` are the conjugate
-    of ``V_r``'s column ``t``, and the residual ``e_t - c V_r`` is
-    ``-(c V_r)`` plus 1 at ``t``: the dense products' only nonzero terms,
-    so the bits are those of the dense rows.  Every ``||e_t||`` is
-    exactly 1.
+    ``(..., count)``.  The rank is not decided by ``tol``: a matrix must
+    have full row rank, every singular value above NumPy's floor ``s_0 *
+    max(rows, cols) * eps``, or it certifies nothing, and each of its
+    residuals is ``||e_t|| = 1``.  ``tol`` only scales the threshold.
+
+    The stack is factored by one batched QR of the transposed view, ``A^T
+    = QR`` (no conjugated copy: this is the conjugate of the QR of
+    ``A^H``, and no norm below sees the conjugation).  The rows of ``Q^T``
+    are an orthonormal basis of the row space, so the explicit residual
+    of ``e_t`` is ``d = ||e_t - Q Q[t]^H||``, formed from the products'
+    only nonzero terms (never ``sqrt(1 - ||Q[t]||^2)``: that difference
+    of squares cancels below ``d`` of about 1e-8).  The row ``y`` with
+    ``y A = e_t - residual`` solves ``R z = Q[t]^H``, ``z = y^T``, and the
+    returned residual is ``g = d / sqrt(1 + ||z||^2)``: the singular value
+    that stacking ``e_t`` under the matrix adds, within a factor 2 (the
+    derivation, in the SVD basis, is the test suite's dense reference
+    ``rowspace_residuals``).  The threshold is ``tol.relative *
+    sqrt(s_0^2 + 1)``, the rank threshold of the stacked matrix, and
+    ``e_t`` is inside iff ``g`` does not exceed it.  Singular values come
+    from ``svd(R)``.  Each result has the bits of that matrix factored
+    alone.
 
     Returns
     -------
     residuals, thresholds : numpy.ndarray
         ``g`` and its threshold, ``(..., count)``.
     kept, dropped : numpy.ndarray
-        ``s_(r-1) / s_0`` and ``s_r / s_0``, the smallest kept and the
-        largest dropped singular value relative to the largest, per matrix
-        (0-d for a single matrix); ``kept`` is ``inf`` where nothing is
-        kept and ``dropped`` is 0 where nothing is dropped.  The rank
-        decision's margin lies between the two.
+        The smallest singular value above the floor and the largest at or
+        below it, relative to the largest, per matrix (0-d for a single
+        matrix); ``kept`` is ``inf`` where none is above and ``dropped``
+        is 0 where none is at or below (full row rank).
     """
     a = as_complex_matrix(a)
     t = np.asarray(columns, dtype=np.intp)
     if t.shape[:-1] != a.shape[:-2]:
         raise ValueError(f"columns of shape {t.shape} do not fit matrices of "
                          f"shape {a.shape}")
-    shape = t.shape
-    t = t.reshape(math.prod(a.shape[:-2]), t.shape[-1])
-
-    def residuals(at, vr):
-        picked = t[at]
-        rows = np.arange(len(picked))[:, np.newaxis]
-        # advanced indices around a slice put their axes first: (n, count, r)
-        coords = vr[rows, :, picked].conj()
-        x = -(coords @ vr)
-        x[rows, np.arange(picked.shape[1]), picked] += 1.0
-        return coords, np.linalg.norm(x, axis=-1)
-
-    return _residuals(a, np.ones(t.shape), shape, residuals, tol)
-
-
-def _residuals(a, norms, shape, residuals, tol):
-    """Factor the stack ``a``, then per rank ``r`` ask ``residuals(at,
-    V_r)`` for the coordinates and the residual norms of the tested rows of
-    the matrices ``at``.  ``norms`` holds the tested rows' norms,
-    ``(matrices, count)``, and ``shape`` the batch shape of the results.
-
-    Each matrix is factored once, ``a = U S V^H`` (economy SVD).  Its rank
-    ``r`` follows the :class:`RankTolerance` rule; ``S_r`` holds the ``r``
-    kept singular values and ``V_r`` the matching right singular vectors
-    as rows.  For a tested row ``v`` with coordinates ``c = v V_r^H``, let
-    ``d = ||v - c V_r||`` be the norm of the explicit residual (never
-    ``sqrt(||v||^2 - ||c||^2)``: that difference of squares cancels below
-    ``d`` of about 1e-8, above the 1e-9 default tolerance).  The returned
-    residual is ``g = d / sqrt(1 + ||c S_r^-1||^2)``.
-
-    ``g`` is the singular value that stacking ``v`` under ``a`` adds, and
-    the threshold is what the stacked-rank rule ("``v`` is in the row
-    space iff stacking it does not raise the numerical rank") compares
-    that value with.  In the basis ``(V_r, residual direction)``, the rank
-    ``r`` part of ``a`` stacked with ``v`` is the arrowhead matrix
-    ``M = [[S_r, 0], [c, d]]``.  The last row of ``M^-1`` has norm
-    ``sqrt(1 + ||c S_r^-1||^2) / d = 1 / g``, so the added singular value
-    ``sigma_min(M)`` is at most ``g``, and since ``||M^-1|| <= 1/s_(r-1) +
-    1/g`` it is at least ``min(g, s_(r-1)) / 2``.  Plain ``d`` is only
-    Weyl's upper bound on it: ``M`` differs from a rank-``r`` matrix by one
-    row of norm ``d``.  On ill-conditioned ``a`` (square ``k = 6``, kept
-    singular values down to 2e-9 of ``s_0``), rounding in ``V_r`` alone
-    inflates ``d`` past the tolerance; the weight removes exactly that,
-    because a rotation of ``V_r`` by ``eps * s_0 / s_i`` is divided by
-    ``1 / s_i`` again.  The stacked-rank rule counts the added value when
-    it exceeds ``tol.relative * s_max([a; v])``, and
-    ``s_max([a; v]) <= sqrt(s_0^2 + ||v||^2)``.  So the threshold is
-    ``tol.relative * sqrt(s_0^2 + ||v||^2)``, ``v`` is in the row space iff
-    ``g <= threshold``, and the two rules can disagree only when the
-    added singular value lies within a factor 2 below the threshold.
-
-    The stack is factored by one batched SVD, each matrix with its own
-    rank, and the matrices of each rank share the products that follow;
-    so each result has the bits of that matrix factored alone.
-    """
-    a = a.reshape(len(norms), *a.shape[-2:])
+    shape, (m, n) = t.shape, a.shape[-2:]
+    a = a.reshape(math.prod(a.shape[:-2]), m, n)
+    t = t.reshape(len(a), shape[-1])
     if a.size == 0:
-        return (norms.reshape(shape), tol.relative * norms.reshape(shape),
+        ones = np.ones(shape)
+        return (ones, tol.relative * ones,
                 np.full(shape[:-1], np.inf), np.zeros(shape[:-1]))
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    ranks = tol.kept(s).sum(axis=-1).tolist()
-    # s is sorted, so s_(r-1) is the smallest kept value and s_r the
-    # largest dropped one; r = 0 only where s_0 = 0
+    q, r = np.linalg.qr(a.mT)
+    s = np.linalg.svd(r, compute_uv=False)
+    values, floor = s.tolist(), max(m, n) * _EPS
+    # s is sorted, so with r values above the floor, s_(r-1) is the
+    # smallest of them and s_r the largest at or below it; r = 0 only
+    # where s_0 = 0
+    ranks = [sum(x > v[0] * floor for x in v) for v in values]
     kept, dropped = np.array([
         (v[r - 1] / v[0], v[r] / v[0] if r < len(v) else 0.0) if r else (math.inf, 0.0)
-        for v, r in zip(s.tolist(), ranks)]).T
-    thresholds = tol.relative * np.sqrt(s[:, :1] ** 2 + norms ** 2)
-    out = np.empty_like(norms)
-    for r in sorted(set(ranks)):
-        at = [i for i, rank in enumerate(ranks) if rank == r]
-        at = slice(None) if len(at) == len(ranks) else at
-        coords, d = residuals(at, vh[at, :r])
-        weight = np.sqrt(1.0 + np.sum(np.abs(coords / s[at, np.newaxis, :r]) ** 2,
-                                      axis=-1))
-        out[at] = d / weight
+        for v, r in zip(values, ranks)]).T
+    full = [r == m for r in ranks]
+    # Q[t] of each matrix, (matrices, count, m); x is e_t - Q Q[t]^H
+    # negated, which leaves its norm
+    rows = np.arange(len(a))[:, np.newaxis]
+    coords = q[rows, t]
+    x = coords.conj() @ q.mT
+    x[rows, np.arange(t.shape[1]), t] -= 1.0
+    d = np.sqrt(np.vecdot(x, x).real)
+    del x, q
+    out = np.ones(t.shape)
+    if any(full):
+        at = slice(None) if all(full) else np.array(full)
+        z = np.linalg.solve(r[at], coords[at].conj().mT)
+        out[at] = d[at] / np.sqrt(1.0 + np.vecdot(z, z, axis=-2).real)
+    thresholds = np.array([[tol.relative * math.sqrt(v[0] * v[0] + 1.0)] * t.shape[1]
+                           for v in values])
     return (out.reshape(shape), thresholds.reshape(shape),
             kept.reshape(shape[:-1]), dropped.reshape(shape[:-1]))

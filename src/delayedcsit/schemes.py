@@ -353,8 +353,9 @@ class SchemeTrace:
     def decode_residuals(self, tol=DEFAULT_TOL):
         """What :meth:`decode_ok` decides from, with the same
         factorizations: every target's residual and threshold, and every
-        receiver's smallest kept and largest dropped singular value
-        relative to its largest (:func:`.ledger.decode_residuals`), flat in
+        receiver's smallest singular value above the rank floor and largest
+        at or below it, relative to its largest
+        (:func:`.ledger.decode_residuals`), flat in
         the order of :meth:`decode_stacks`.  The trace decodes iff no
         residual exceeds its threshold."""
         parts = list(starmap(partial(decode_residuals, tol=tol), self.decode_stacks()))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from delayedcsit.numerics import DEFAULT_TOL, _residuals, as_complex_matrix
+from delayedcsit.numerics import DEFAULT_TOL, as_complex_matrix
 
 
 class NumericalDomainError(ArithmeticError):
@@ -59,17 +59,51 @@ def logdet_capacity(g, noise_cov, power_per_symbol: float) -> float:
 
 
 def rowspace_residuals(a, vectors, tol=DEFAULT_TOL):
-    """The reference of :func:`delayedcsit.numerics.unit_residuals` for any
-    rows: how far each row of ``vectors`` is from the row space of ``a``,
-    the threshold up to which it counts as inside, and the margin of the
-    rank decision, from the dense products (the derivation is in
-    ``numerics._residuals``).
+    """The dense SVD reference of :func:`delayedcsit.numerics.unit_residuals`
+    for any rows: how far each row of ``vectors`` is from the row space of
+    ``a``, the threshold up to which it counts as inside, and the margin of
+    the rank decision, from the dense products.
 
     ``a`` is a matrix or a stack ``(..., rows, cols)``, and may have no
     rows; ``vectors`` holds the rows to test, ``(..., count, cols)``.
     Returns ``(residuals, thresholds, kept, dropped)`` as
     ``unit_residuals`` does, one residual and threshold per row of
-    ``vectors``.
+    ``vectors``, but with the rank by the ``tol`` rule: ``kept`` and
+    ``dropped`` are ``s_(r-1) / s_0`` and ``s_r / s_0``.
+
+    Each matrix is factored once, ``a = U S V^H`` (economy SVD).  Its rank
+    ``r`` follows the :class:`RankTolerance` rule; ``S_r`` holds the ``r``
+    kept singular values and ``V_r`` the matching right singular vectors
+    as rows.  For a tested row ``v`` with coordinates ``c = v V_r^H``, let
+    ``d = ||v - c V_r||`` be the norm of the explicit residual (never
+    ``sqrt(||v||^2 - ||c||^2)``: that difference of squares cancels below
+    ``d`` of about 1e-8, above the 1e-9 default tolerance).  The returned
+    residual is ``g = d / sqrt(1 + ||c S_r^-1||^2)``.
+
+    ``g`` is the singular value that stacking ``v`` under ``a`` adds, and
+    the threshold is what the stacked-rank rule ("``v`` is in the row
+    space iff stacking it does not raise the numerical rank") compares
+    that value with.  In the basis ``(V_r, residual direction)``, the rank
+    ``r`` part of ``a`` stacked with ``v`` is the arrowhead matrix
+    ``M = [[S_r, 0], [c, d]]``.  The last row of ``M^-1`` has norm
+    ``sqrt(1 + ||c S_r^-1||^2) / d = 1 / g``, so the added singular value
+    ``sigma_min(M)`` is at most ``g``, and since ``||M^-1|| <= 1/s_(r-1) +
+    1/g`` it is at least ``min(g, s_(r-1)) / 2``.  Plain ``d`` is only
+    Weyl's upper bound on it: ``M`` differs from a rank-``r`` matrix by one
+    row of norm ``d``.  On ill-conditioned ``a`` (square ``k = 6``, kept
+    singular values down to 2e-9 of ``s_0``), rounding in ``V_r`` alone
+    inflates ``d`` past the tolerance; the weight removes exactly that,
+    because a rotation of ``V_r`` by ``eps * s_0 / s_i`` is divided by
+    ``1 / s_i`` again.  The stacked-rank rule counts the added value when
+    it exceeds ``tol.relative * s_max([a; v])``, and
+    ``s_max([a; v]) <= sqrt(s_0^2 + ||v||^2)``.  So the threshold is
+    ``tol.relative * sqrt(s_0^2 + ||v||^2)``, ``v`` is in the row space iff
+    ``g <= threshold``, and the two rules can disagree only when the
+    added singular value lies within a factor 2 below the threshold.
+
+    The stack is factored by one batched SVD, each matrix with its own
+    rank, and the matrices of each rank share the products that follow;
+    so each result has the bits of that matrix factored alone.
     """
     a = as_complex_matrix(a)
     v = as_complex_matrix(vectors)
@@ -78,12 +112,31 @@ def rowspace_residuals(a, vectors, tol=DEFAULT_TOL):
                          f"shape {a.shape}")
     shape = v.shape[:-1]
     v = v.reshape(math.prod(a.shape[:-2]), *v.shape[-2:])
-
-    def residuals(at, vr):
+    a = a.reshape(len(v), *a.shape[-2:])
+    norms = np.linalg.norm(v, axis=-1)
+    if a.size == 0:
+        return (norms.reshape(shape), tol.relative * norms.reshape(shape),
+                np.full(shape[:-1], np.inf), np.zeros(shape[:-1]))
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    ranks = tol.rank(s).tolist()
+    # s is sorted, so s_(r-1) is the smallest kept value and s_r the
+    # largest dropped one; r = 0 only where s_0 = 0
+    kept, dropped = np.array([
+        (sv[r - 1] / sv[0], sv[r] / sv[0] if r < len(sv) else 0.0) if r else (math.inf, 0.0)
+        for sv, r in zip(s.tolist(), ranks)]).T
+    thresholds = tol.relative * np.sqrt(s[:, :1] ** 2 + norms ** 2)
+    out = np.empty_like(norms)
+    for r in sorted(set(ranks)):
+        at = [i for i, rank in enumerate(ranks) if rank == r]
+        at = slice(None) if len(at) == len(ranks) else at
+        vr = vh[at, :r]
         coords = v[at] @ vr.conj().mT
-        return coords, np.linalg.norm(v[at] - coords @ vr, axis=-1)
-
-    return _residuals(a, np.linalg.norm(v, axis=-1), shape, residuals, tol)
+        d = np.linalg.norm(v[at] - coords @ vr, axis=-1)
+        weight = np.sqrt(1.0 + np.sum(np.abs(coords / s[at, np.newaxis, :r]) ** 2,
+                                      axis=-1))
+        out[at] = d / weight
+    return (out.reshape(shape), thresholds.reshape(shape),
+            kept.reshape(shape[:-1]), dropped.reshape(shape[:-1]))
 
 
 def slot_plans(trace) -> list:

@@ -200,8 +200,8 @@ def test_scheme_verify_pass(capsys):
     assert doc["decode_successes"] == 10
     assert doc["empirical_dof"] == ["4/3"]
     # decode margins from the decode check's own factorizations: every
-    # residual decades below its threshold, none failing, every kept
-    # singular value far above the 1e-9 rank tolerance
+    # residual decades below its threshold, none failing, every singular
+    # value far above the 1e-9 tolerance and NumPy's rank floor
     assert 0.0 <= doc["max_pass_ratio"] <= 0.1
     assert doc["min_fail_ratio"] is None
     assert 1e-7 <= doc["min_kept_ratio"] <= 1.0

@@ -211,12 +211,26 @@ CHAIN_SHA256 = {
 }
 
 #: sha256 of ``delayedcsit scheme-verify --trials 20 --seed 1`` stdout:
-#: its decode margins are maxima and minima of the residual ratios.
+#: its decode margins are maxima and minima of the residual ratios.  These
+#: and the ``scheme-verify`` entries of :data:`STDOUT_SHA256` were captured
+#: again when the decode check moved from an SVD per receiver to a QR
+#: with the rank from the plan: only the margins' bits moved, and the
+#: verdicts are pinned apart in :data:`VERIFY_VERDICTS`.
 VERIFY_SHA256 = {
     "opt23": (["--scheme", "opt23"],
-              "c2e274a4e69842d8b00b971502b34431bbc3f252c9a1b1b35c4aa3b6408126f9"),
+              "771b8c030291902f39623ce8c3c9aca2db59ee644064a0579e01cfeb45e4256d"),
     "square-3": (["--scheme", "square", "--k", "3"],
-                 "638b4299c637aeae50800d5bce241ba458b0e716c87df66a2aad21dedbda44fe"),
+                 "92d1b6de0b4d83859401fc8d91478e406cd9bef70a7ee9309f44172015bc234a"),
+}
+
+#: The verdicts of ``delayedcsit scheme-verify --trials 20 --seed 1`` for
+#: the runs pinned above, from the SVD decode check:
+#: ``(decode_successes, success_rate, empirical_dof, pass)``.
+VERIFY_VERDICTS = {
+    "opt23": (["--scheme", "opt23"], (20, 1.0, ["3/2"], True)),
+    "square-3": (["--scheme", "square", "--k", "3"], (20, 1.0, ["18/11"], True)),
+    "order-2-3-2": (["--scheme", "order", "--m", "2", "--k", "3", "--j", "2"],
+                    (20, 1.0, ["6/5"], True)),
 }
 
 #: sha256 of ``delayedcsit scheme-run`` stdout at ``--seed`` 1 and 2024
@@ -285,15 +299,15 @@ STDOUT_SHA256 = {
         "72f0bc16da19e9406f8e8d844b84238d7af14b174d863425ab047a5bb9f6d924"),
     "scheme-verify-square-3/csv": (
         ["scheme-verify", "--scheme", "square", "--k", "3", "--trials", "20"],
-        "c6672c4d8e948c1d6af131e20eb7a1df85738e99d42ed4dfbb4447e8cad12116"),
+        "b6ca91ea8379cf1cd0fe8b677c8b238ed9666195098aabc015b138fa6bde9fa9"),
     "scheme-verify-order-2-3-2/json": (
         ["scheme-verify", "--scheme", "order", "--m", "2", "--k", "3", "--j", "2",
          "--trials", "20"],
-        "a12de8e761a66a76a7465ebfeb987a0f6d80573fe6078ce33ef416493534c6d6"),
+        "10cb9cd1d05ad187403bc34b80d2f3651a8cd3407700077fd01f6ec767116d61"),
     "scheme-verify-order-2-3-2/csv": (
         ["scheme-verify", "--scheme", "order", "--m", "2", "--k", "3", "--j", "2",
          "--trials", "20"],
-        "85df259c46edb7a2b315169977e457c6611fd86efef29cb88ab8c106d49ffcc2"),
+        "3cc7604a80ea3c5ae5f808412095bef3f4fa0bf1d01565aae32c2c2d4f28b249"),
     "rate-sim-square-3/json": (
         ["rate-sim", "--scheme", "square", "--k", "3", "--trials", "20"],
         "3ef1f70cf6f6d5423a7796d67795bac1bc2f493729359aca467192d32928b3fc"),
@@ -500,6 +514,15 @@ def test_scheme_verify_stdout_is_unchanged(name, capsys):
     argv, want = VERIFY_SHA256[name]
     main(["scheme-verify", *argv, "--trials", "20", "--seed", "1"])
     assert _digest(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_VERDICTS))
+def test_scheme_verify_verdicts_are_unchanged(name, capsys):
+    argv, want = VERIFY_VERDICTS[name]
+    main(["scheme-verify", *argv, "--trials", "20", "--seed", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert tuple(doc[key] for key in ("decode_successes", "success_rate",
+                                      "empirical_dof", "pass")) == want
 
 
 @pytest.mark.parametrize("name", sorted(CLI_SHA256))

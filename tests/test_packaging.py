@@ -1,5 +1,6 @@
 """The distribution metadata names the package and reads its version;
-every exported name resolves; no test shadows another."""
+every exported name resolves; no test shadows another; every xfail is
+strict and gives its reason."""
 
 import ast
 import importlib
@@ -49,3 +50,41 @@ def test_no_test_name_is_defined_twice():
             shadowed += [(path.name, getattr(scope, "name", None), name)
                          for name in sorted(set(names)) if names.count(name) > 1]
     assert not shadowed
+
+
+def _loose_xfails(source: str) -> list:
+    """Line numbers of the ``pytest.mark.xfail`` marks in ``source`` that
+    lack ``strict=True`` or a nonempty ``reason``."""
+    tree = ast.parse(source)
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    loose = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "xfail"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "mark"):
+            continue
+        call = calls.get(id(node))
+        given = {k.arg: k.value for k in call.keywords} if call else {}
+        strict, reason = given.get("strict"), given.get("reason")
+        if not (isinstance(strict, ast.Constant) and strict.value is True
+                and reason is not None
+                and not (isinstance(reason, ast.Constant) and not reason.value)):
+            loose.append(node.lineno)
+    return loose
+
+
+def test_every_xfail_is_strict_with_a_reason():
+    # a test that starts to pass under a loose xfail is reported as XPASS
+    # and the run still passes, so a fix would go unseen
+    assert _loose_xfails(
+        "import pytest\n"
+        "@pytest.mark.xfail\ndef test_a(): pass\n"
+        "@pytest.mark.xfail(reason='r')\ndef test_b(): pass\n"
+        "@pytest.mark.xfail(strict=True)\ndef test_c(): pass\n"
+        "@pytest.mark.xfail(strict=True, reason='')\ndef test_d(): pass\n"
+        "@pytest.mark.xfail(strict=True, reason='r')\ndef test_e(): pass\n"
+        "P = pytest.param(1, marks=pytest.mark.xfail(strict=False, reason='r'))\n"
+    ) == [2, 4, 6, 8, 12]
+    loose = [(path.name, line)
+             for path in sorted((ROOT / "tests").glob("test_*.py"))
+             for line in _loose_xfails(path.read_text(encoding="utf-8"))]
+    assert not loose

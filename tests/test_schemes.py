@@ -439,8 +439,9 @@ def test_chain_accounting_is_checked(monkeypatch, phase):
 
 @pytest.fixture(scope="module")
 def chain_4_5():
-    # the smallest known trace that the default rank rule misjudges
-    # (ROADMAP item 1): 320 symbols, 157 slots
+    # the smallest known trace with a singular value below the default
+    # tolerance, 9.8e-10 of s_0, which a rank rule at that tolerance
+    # drops: 320 symbols, 157 slots
     return _run_chain("chain", 4, 5, 1, RngStream(1, 3))
 
 
@@ -448,18 +449,16 @@ def test_chain_4_5_decodes_at_a_tighter_tolerance(chain_4_5):
     assert chain_4_5.decode_ok(RankTolerance(1e-12))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the default rank rule drops a singular value at 9.8e-10 of s_0, a "
-    "generic direction (ROADMAP item 1)"))
 def test_chain_4_5_decodes_at_the_default_tolerance(chain_4_5):
     assert chain_4_5.decode_ok()
 
 
-#: The frontier benchmark's known misses: square-6 through the CLI at seed
-#: 602, rounds 6 and 27, and at seed 11, round 44, whose ``scheme-run``
-#: seeds the stream ``(seed, 0)``.  The last one's worst residual is 4.6e3
-#: times its threshold and its largest dropped singular value 5.3e-10 of
-#: ``s_0``.
+#: The frontier benchmark's square-6 runs through the CLI at seed 602,
+#: rounds 6 and 27, and at seed 11, round 44, whose ``scheme-run`` seeds
+#: the stream ``(seed, 0)``: their smallest singular values, 8.6e-10,
+#: 6.5e-10 and 5.3e-10 of ``s_0``, lie below the default tolerance, so a
+#: rank rule at that tolerance misjudged them and the runs counted failed
+#: ops.
 FRONTIER_MISSES = (6020006, 6020027, 110044)
 
 
@@ -473,9 +472,6 @@ def test_frontier_misses_decode_at_a_tighter_tolerance(frontier_misses, seed):
     assert frontier_misses[seed].decode_ok(RankTolerance(1e-12))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the default rank rule misjudges these square-6 traces, so a frontier "
-    "run at seed 602 or 11 can end with a failed op (ROADMAP item 1)"))
 @pytest.mark.parametrize("seed", FRONTIER_MISSES)
 def test_frontier_misses_decode_at_the_default_tolerance(frontier_misses, seed):
     assert frontier_misses[seed].decode_ok()
