@@ -373,12 +373,12 @@ class SchemeTrace:
         holds what was sent: the slots, each with its plan and channel, and
         the combination log, written from the trace's arrays
         (:func:`_coeff_maps`, a stack of plan rows at a time, and
-        :func:`_matrices`), and the symbol table, from a template per
-        symbol.  A receiver's ``equations`` lists the slots it heard, every
-        slot with an active antenna: its equation ``i`` is row ``r - 1`` of
-        ``channel @ plan`` of slot ``equations[i]``, plus the unit noise
-        sample ``"{slot}:{r}"``.  :func:`json_pieces` writes the small
-        fields and splices those arrays in."""
+        :func:`_matrices`, each block's floats spelled by :func:`_floats`),
+        and the symbol table, from a template per symbol.  A receiver's
+        ``equations`` lists the slots it heard, every slot with an active
+        antenna: its equation ``i`` is row ``r - 1`` of ``channel @ plan``
+        of slot ``equations[i]``, plus the unit noise sample ``"{slot}:{r}"``.
+        :func:`json_pieces` writes the small fields and splices those arrays in."""
         n, dof, active = len(self.table), self.empirical_dof, self.active_antennas
         channels = _matrices(self.channels, _NL[3])
         plans = (form for b in self.plans if b.size for rows in [b.reshape(-1, n)]
@@ -438,8 +438,17 @@ _PLAN = _block("{}", ['"coeffs": %s', '"noise": {}'], _NL[4])
 def _floats(z) -> list:
     """The real and imaginary parts of the flat complex array ``z``, in
     turn, spelled as json spells them (``-0.0``, ``1e-05``, ``5e-324``):
-    the C encoder writes them all as one list."""
-    return json.dumps(z.view(np.float64).tolist())[1:-1].split(", ") if z.size else []
+    orjson writes the shortest round-trip digits, as ``repr``, in one call,
+    and json respells the few it lays out otherwise (nonzero ``|x| < 1e-4``
+    or ``|x| >= 1e16``, NaN, infinities)."""
+    import orjson  # on first use: a run that writes no trace does not pay for the import
+    x = np.ascontiguousarray(z).view(np.float64)
+    out = (orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+           if x.size else [])
+    odd = np.flatnonzero(~((abs(x) >= 1e-4) & (abs(x) < 1e16)) & (x != 0))
+    for i, v in zip(odd.tolist(), x[odd].tolist()):
+        out[i] = json.dumps(v)
+    return out
 
 
 @lru_cache(maxsize=16)

@@ -1,10 +1,15 @@
 """The distribution metadata names the package and reads its version;
-every exported name resolves; no test shadows another; every xfail is
-strict and gives its reason."""
+every exported name resolves; every runtime import is a declared
+dependency, and importing the package loads no writer it does not use; no
+test shadows another; every xfail is strict and gives its reason."""
 
 import ast
 import importlib
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -35,6 +40,48 @@ def test_exported_names_resolve():
         assert len(set(exported)) == len(exported), name
         missing = [attr for attr in exported if not hasattr(module, attr)]
         assert not missing, (name, missing)
+
+
+def _third_party_imports(source: str) -> set:
+    """The top-level names of the modules ``source`` imports, at any depth
+    of it, that are neither the standard library's nor relative."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"delayedcsit"}
+
+
+def test_runtime_imports_are_declared():
+    # an import inside a function is found too: a missing dependency would
+    # fail only when that function first runs
+    assert _third_party_imports(
+        "import json, numpy.linalg as la\nfrom . import schemes\n"
+        "from scipy import linalg\ndef f():\n    import orjson\n"
+    ) == {"numpy", "scipy", "orjson"}
+    tomllib = pytest.importorskip("tomllib")  # the stdlib's from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        meta = tomllib.load(fh)
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in meta["project"]["dependencies"]}
+    used = set().union(*(_third_party_imports(path.read_text(encoding="utf-8"))
+                         for path in PACKAGE.glob("*.py")))
+    assert used - declared == set()
+
+
+def test_importing_the_package_leaves_orjson_unloaded():
+    # only the trace writer uses orjson, so a process that imports the
+    # package and writes no JSON does not pay for loading it
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    code = ("import sys, delayedcsit.cli\n"
+            "print(sorted({'delayedcsit', 'orjson'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "['delayedcsit']"
 
 
 def test_no_test_name_is_defined_twice():

@@ -603,6 +603,34 @@ def test_to_json_edge_cases():
         assert f" {spelled}," in text or f" {spelled}\n" in text, spelled
 
 
+def _stdlib_floats(x):
+    return json.dumps(np.asarray(x, dtype=np.float64).tolist())[1:-1].split(", ")
+
+
+def test_floats_spell_every_double_as_json_does():
+    # every power of two and every 1eN that parses, each one ulp either
+    # side, and both signs; zeros, the least subnormal, NaN, infinities and
+    # random bit patterns (NaN payloads among them): orjson writes the
+    # digits, json's layout is kept on both sides of 1e-4 and 1e16
+    bases = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                            [float(f"1e{e}") for e in range(-330, 309)]])
+    near = np.concatenate([bases, np.nextafter(bases, 0), np.nextafter(bases, np.inf)])
+    bits = np.random.default_rng(2018).integers(0, 2**64, 10**5, dtype=np.uint64)
+    x = np.concatenate([near, -near, [0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf,
+                                      -np.inf], bits.view(np.float64)])
+    x = x[:len(x) // 2 * 2]
+    assert schemes._floats(x.view(np.complex128)) == _stdlib_floats(x)
+    assert schemes._floats(np.zeros(0, dtype=np.complex128)) == []
+
+
+def test_floats_copy_a_strided_array_first():
+    # orjson refuses a non-contiguous array, and the view as float64 needs
+    # a contiguous one too
+    z = _complex(np.arange(8.0) - 3.5, 1e-05 * np.arange(8.0))[::3]
+    assert not z.flags.c_contiguous
+    assert schemes._floats(z) == _stdlib_floats(np.ascontiguousarray(z).view(np.float64))
+
+
 def test_v2_document_is_smaller_than_its_v1_rebuild():
     # the heard equations were most of the v1 document: 35% is left of
     # square-5's bytes
@@ -673,7 +701,12 @@ def test_to_json_symbol_table_matches_stdlib():
         assert all(rec["equations"] == [] for rec in json.loads(text)["receivers"])
 
 
-_parts = st.sampled_from((0.0, 0.0, 0.0, -0.0, 1e-05, 1e16, 5e-324)) | st.floats()
+#: Floats whose spelling is special: signed zero, the least subnormal, NaN
+#: and infinities, and the points where json's layout turns to exponent form
+#: on either side, ``1e-4`` and ``1e16``, each with its neighbour.
+_EDGE_FLOATS = (-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 1e-4,
+                float(np.nextafter(1e-4, 0)), float(np.nextafter(1e16, 0)), -1e-05)
+_parts = st.sampled_from((0.0, 0.0, 0.0, 1e-05) + _EDGE_FLOATS) | st.floats()
 
 
 @given(st.integers(1, 13), st.lists(st.integers(0, 2), min_size=1, max_size=3),
@@ -699,7 +732,6 @@ def test_to_json_matches_stdlib_on_any_arrays(n, antennas, data):
         _check_documents(_hand_trace(n, plans, channels, weights))
 
 
-_EDGE_FLOATS = (-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf)
 _TRICKY_TEXT = ("", "0", "3:2", "a,b", "x]", "[", "[]", ":[", '"q"', "\\",
                 "],\n", "\u00e9\u6f22", "\U0001f600", "\x00\t")
 _floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
