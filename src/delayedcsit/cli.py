@@ -219,7 +219,11 @@ def _parse_grid(text: str) -> list:
     except ValueError:
         raise ValueError(f"--snr must be numeric lo:hi:step, got {text!r}") from None
     if not (0 <= lo <= hi <= 80):
-        raise ValueError(f"SNR grid must lie within 0-80 dB, got {text!r}")
+        raise ValueError(f"--snr grid must lie within 0-80 dB, got {text!r}")
+    # at most 0.01 dB steps across 0-80 dB, refused before any list is built
+    if not 0 < step < math.inf or (hi - lo) / step > 8000:
+        raise ValueError(f"--snr step must be positive, finite and give at most "
+                         f"8001 points, got {text!r}")
     return snr_grid(lo, hi, step)
 
 

@@ -80,8 +80,8 @@ class SlopeFit:
 
 def snr_grid(lo_db: float, hi_db: float, step_db: float) -> list:
     """Inclusive dB grid ``lo, lo+step, ..., hi``."""
-    if step_db <= 0:
-        raise ValueError(f"step must be positive, got {step_db}")
+    if not 0 < step_db < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step_db}")
     if hi_db < lo_db:
         raise ValueError(f"grid must be nondecreasing, got {lo_db}..{hi_db}")
     n = int(round((hi_db - lo_db) / step_db))

@@ -22,14 +22,16 @@ phase's layout in order (:func:`phase_layout`), laid out in the order a
 slot-at-a-time execution would make the draws, so a seed gives the same
 trace either way.  A chain's replication, phase records and starting
 symbol table are one draw-free plan, cached per shape, that the build
-checks itself against.  The phase is the unit of work: its slots do not
-depend on each other, so a phase builder mixes all of its blocks of
-forms with one stacked ``W @ F`` and sends all of its slots with one
-:meth:`AirLog.broadcast`.  A trace records what was sent as arrays, a
-block per broadcast, and derives what its receivers heard, each slot's
-channel times its plan, as the transmitter does from delayed CSI
-(:attr:`SchemeTrace.rows`), for the decode check a stack of receivers at
-a time.  The JSON trace writes only what was sent, a piece at a time.
+checks itself against.  alt22 and opt23 share one such plan: a mixed slot
+per receiver pair, then the chain ``(2, k, 2)``.  The phase is the unit
+of work: its slots do not depend on each other, so a phase builder mixes
+all of its blocks of forms with one stacked ``W @ F`` and sends all of
+its slots with one :meth:`AirLog.broadcast`.  A trace records what was
+sent as arrays, a block per broadcast, and derives what its receivers
+heard, each slot's channel times its plan, as the transmitter does from
+delayed CSI (:attr:`SchemeTrace.rows`), for the decode check a stack of
+receivers at a time.  The JSON trace writes only what was sent, a piece
+at a time.
 
 Transmitted antenna forms are normalized to unit coefficient norm, so a
 recorded trace doubles as the SNR-independent skeleton used by the rate
@@ -764,97 +766,75 @@ def run_mat23_suboptimal(rng: RngStream, channels=None) -> SchemeTrace:
     return _run_chain("mat23_suboptimal", 2, 3, 1, rng, channels)
 
 
-#: A mixed slot: four-symbol mixing weights (two rows used) and a channel.
-_MIXED = (((1, "plan"), 4), CHANNEL)
-
-
-def _alt22_layout() -> tuple:
-    """One mixed slot, then the order-2 broadcast of two forms."""
-    return _MIXED + _sends(2)
-
-
-def _opt23_layout() -> tuple:
-    """A mixed slot per receiver pair, then the chain ``(2, 3, 2)``."""
-    return _MIXED * 3 + _chain_layout(2, 3, 2)
-
-
 @lru_cache(maxsize=None)
-def _alt22_skeleton():
-    """alt22's symbol table, the unit rows of its four symbols and which
-    symbols make each order-2 form: the first user's of receiver 2's
-    equation, then the second user's of receiver 1's."""
-    table = SymbolTable(2)
-    for r in (1, 2):
-        for name in ("u", "v"):
-            table.new_symbol({r}, f"{name}{r}")
-    units = table.unit_forms(table.ids)
-    cross = np.zeros((2, len(table)), dtype=bool)
-    for row, owner in enumerate((1, 2)):
-        cross[row, table.owned_by(owner)] = True
-    for a in (units, cross):
+def _pairs_plan(k: int):
+    """The shape of the pair scheme on two antennas and ``k`` receivers,
+    fixed before anything is drawn: its symbol table; per receiver pair
+    ``(x, y)``, the unit rows of its mixed slot (two symbols of ``x``,
+    then two of ``y``), the receivers whose equations give its two order-2
+    forms (``y``, then ``x``) and which symbols each keeps (``x``'s, then
+    ``y``'s); the mixed slots' log labels; and the replication and records
+    of the mixed phase and of the chain ``(2, k, 2)``, run as often as its
+    ``2 C(k, 2)`` forms fill.  Beyond the counts only the labels depend on
+    ``k``: alt22's (``k = 2``) are ``u1, v1, u2, v2`` and
+    ``phase1/mixed-slot/plan``."""
+    table, pairs = SymbolTable(k), [tuple(sorted(s)) for s in _subsets(k, 2)]
+    ids = [[table.new_symbol({r}, f"{'uv'[i]}{r}" if k == 2 else f"u{r}.{2 * at + i}")
+            for at, r in enumerate(pair) for i in range(2)] for pair in pairs]
+    units = np.stack([table.unit_forms(row) for row in ids])
+    heard = np.array([[y - 1, x - 1] for x, y in pairs])
+    cross = np.zeros((len(ids), 2, len(table)), dtype=bool)
+    for row, sym in enumerate(ids):
+        cross[row, 0, sym[:2]] = cross[row, 1, sym[2:]] = True
+    for a in (units, heard, cross):
         a.flags.writeable = False  # shared by every trace
-    return table, units, cross
+    labels = tuple(f"phase1/mixed{'-slot' if k == 2 else _tag(s)}/plan" for s in _subsets(k, 2))
+    replication, records, _ = _chain_plan(2, k, 2)
+    scale = 2 * len(pairs) // records[0].inputs_consumed
+    records = (PhaseRecord(1, 1, 4 * len(pairs), len(pairs), 2 * len(pairs)),
+               *(PhaseRecord(p.level, p.runs * scale, p.inputs_consumed * scale,
+                             p.slots * scale, p.outputs_generated * scale)
+                 for p in records))
+    replication = {1: 1, **{lvl: runs * scale for lvl, runs in replication.items()}}
+    return table, units, heard, cross, labels, replication, records
+
+
+def _pairs_layout(k: int) -> tuple:
+    """A mixed slot per receiver pair, then the order-2 chain's phases."""
+    return (((1, "plan"), 4), CHANNEL) * math.comb(k, 2) + sum(
+        (phase_layout(2, k, p.level, p.runs) for p in _pairs_plan(k)[-1][1:]), ())
+
+
+def _run_pairs(name: str, k: int, rng: RngStream, channels=None) -> SchemeTrace:
+    """The pair scheme of :func:`_pairs_plan`: a mixed slot per receiver
+    pair, of two fresh symbols per member; the cross part of each member's
+    equation, on the other's symbols, is an order-2 form for the chain."""
+    table, units, heard, cross, labels, replication, records = _pairs_plan(k)
+    air = AirLog(table.copy(), 2, rng, channels)
+    w = air.draw(_pairs_layout, k)[1, "plan"][:, :2]
+    air.log_combos(labels, w)
+    recon = air.broadcast(combine(units, w))
+    if len(recon) != records[0].slots:
+        raise AssertionError(f"pair accounting is off: phase 1 sent {len(recon)} "
+                             f"slots, its record says {records[0].slots}")
+    # per pair (x, y): y's equation on x's symbols, x's on y's
+    parts = np.where(cross, recon[np.arange(len(recon))[:, np.newaxis], heard], 0.0)
+    _send_chain(k, records[1:], dict(zip(_subsets(k, 2), parts)), air)
+    return air.trace(name, dict(replication), list(records))  # the cached dict stays unshared
 
 
 def run_alt22(rng: RngStream, channels=None) -> SchemeTrace:
-    """Single-mixed-slot variant of the two-user scheme (4/3 in 3 slots).
-
-    One slot carries random mixtures of all four symbols; the part of
-    each receiver's equation that concerns the *other* receiver's
-    symbols becomes an order-2 form, and both are broadcast.
-    """
-    table, units, cross = _alt22_skeleton()
-    air = AirLog(table.copy(), 2, rng, channels)
-    w = air.draw(_alt22_layout)[1, "plan"][:, :2]
-    air.log_combos(["phase1/mixed-slot/plan"], w)
-    (recon,) = air.broadcast(combine(units, w))
-    # receiver 2's equation on the first user's symbols; then the reverse
-    air.send_each(np.where(cross, recon[[1, 0]], 0.0))
-    phases = [PhaseRecord(1, 1, 4, 1, 2), PhaseRecord(2, 2, 2, 2, 0)]
-    return air.trace("alt22", {1: 1, 2: 2}, phases)
-
-
-@lru_cache(maxsize=None)
-def _opt23_skeleton():
-    """opt23's symbol table; per receiver pair ``(x, y)``, the unit rows
-    of its mixed slot (two symbols of ``x``, then two of ``y``), the
-    receivers whose equations give its two order-2 forms (``y``, then
-    ``x``) and which symbols each form keeps (``x``'s, then ``y``'s);
-    and the combination-log labels of the mixed slots."""
-    table, ids = SymbolTable(3), []
-    for x, y in map(sorted, _subsets(3, 2)):
-        ids.append(([table.new_symbol({x}, f"u{x}.{i}") for i in range(2)],
-                    [table.new_symbol({y}, f"u{y}.{i + 2}") for i in range(2)]))
-    units = np.stack([table.unit_forms(a + b) for a, b in ids])
-    heard = np.array([[max(pair) - 1, min(pair) - 1] for pair in _subsets(3, 2)])
-    cross = np.zeros((len(ids), 2, len(table)), dtype=bool)
-    for row, (a, b) in enumerate(ids):
-        cross[row, 0, a] = cross[row, 1, b] = True
-    for a in (units, heard, cross):
-        a.flags.writeable = False  # shared by every trace
-    labels = tuple(f"phase1/mixed{_tag(pair)}/plan" for pair in _subsets(3, 2))
-    return table, units, heard, cross, labels
+    """Single-mixed-slot variant of the two-user scheme (4/3 in 3 slots):
+    the pair scheme at ``k = 2``, whose one pair's two order-2 forms are
+    broadcast in two slots."""
+    return _run_pairs("alt22", 2, rng, channels)
 
 
 def run_opt23(rng: RngStream, channels=None) -> SchemeTrace:
-    """Optimal two-antenna, three-receiver scheme (3/2 in 8 slots).
-
-    Three mixed slots, one per receiver pair, each carrying random
-    mixtures of two fresh symbols per pair member.  Out of every slot,
-    the cross parts of the two pair members' equations give 2 order-2
-    forms (6 total), which the order-2 delivery ships in 5 more slots.
-    """
-    table, units, heard, cross, labels = _opt23_skeleton()
-    air = AirLog(table.copy(), 2, rng, channels)
-    w = air.draw(_opt23_layout)[1, "plan"][:, :2]
-    air.log_combos(labels, w)
-    recon = air.broadcast(combine(units, w))
-    # per pair (x, y): y's equation on x's symbols, x's on y's
-    parts = np.where(cross, recon[np.arange(len(recon))[:, np.newaxis], heard], 0.0)
-    replication, records, _ = _chain_plan(2, 3, 2)
-    _send_chain(3, records, dict(zip(_subsets(3, 2), parts)), air)
-    return air.trace("opt23", {1: 1, **replication},
-                     [PhaseRecord(1, 1, 12, 3, 6), *records])
+    """Optimal two-antenna, three-receiver scheme (3/2 in 8 slots): the
+    pair scheme at ``k = 3``, whose three mixed slots leave 6 order-2
+    forms for the order-2 delivery's 5 slots."""
+    return _run_pairs("opt23", 3, rng, channels)
 
 
 def tdma_trace(k: int, rng: RngStream, channels=None) -> SchemeTrace:

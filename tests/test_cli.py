@@ -288,6 +288,22 @@ def test_rate_sim_grid_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("step", ["1e-320", "nan", "inf", "1e-6"])
+def test_rate_sim_refuses_a_bad_step_up_front(capsys, monkeypatch, step):
+    # a step that overflows the point count, is not finite, or asks for
+    # 80,000,001 points is a usage error, refused before any grid list or
+    # trace is built
+    def unreachable(*args):
+        raise AssertionError("built past the refusal")
+
+    monkeypatch.setattr(cli, "snr_grid", unreachable)
+    monkeypatch.setattr(cli, "tdma_trace", unreachable)
+    code, out, err = run_cli(capsys, ["rate-sim", "--scheme", "tdma", "--k", "1",
+                                      "--snr", f"0:80:{step}"])
+    assert code == 2 and out == ""
+    assert "--snr" in err and "8001 points" in err
+
+
 def test_region_check_corner(capsys):
     doc = run_json(capsys, ["region-check", "--point", "2/3,2/3"])
     assert doc["in_region"] is True

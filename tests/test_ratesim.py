@@ -32,6 +32,9 @@ def test_snr_grid():
         snr_grid(0, 10, 0)
     with pytest.raises(ValueError):
         snr_grid(20, 10, 5)
+    for step in (math.nan, math.inf):  # not a count to round
+        with pytest.raises(ValueError, match="finite"):
+            snr_grid(0, 10, step)
 
 
 def test_rate_point_validation():

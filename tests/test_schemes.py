@@ -419,22 +419,62 @@ def test_chain_plan_counts_without_building():
     assert [p.level for p in records] == [1]
 
 
-@pytest.mark.parametrize("phase", [0, -1])
-def test_chain_accounting_is_checked(monkeypatch, phase):
+def _chain_2_3_1(stream):
+    return _run_chain("chain", 2, 3, 1, stream)
+
+
+@pytest.mark.parametrize("plan, levels, phase", [
+    pytest.param("_chain_plan", {_chain_2_3_1: 1}, 0, id="0"),
+    pytest.param("_chain_plan", {_chain_2_3_1: 3}, -1, id="-1"),
+    pytest.param("_pairs_plan", {run_alt22: 1, run_opt23: 1}, 0, id="pairs-mixed"),
+    pytest.param("_pairs_plan", {run_alt22: 2, run_opt23: 2}, 1, id="pairs-order2"),
+    pytest.param("_pairs_plan", {run_alt22: 2, run_opt23: 3}, -1, id="pairs-last"),
+])
+def test_chain_accounting_is_checked(monkeypatch, plan, levels, phase):
     # a phase that sends other than its record's slots fails the build,
-    # whether it is a phase of mixtures (1) or the order-k broadcast (3)
-    plan = schemes._chain_plan
+    # whether it is a phase of mixtures (1), the order-k broadcast (3) or
+    # a pair scheme's mixed slots; the pair schemes' plan caches the
+    # records it took from _chain_plan, so it is patched itself
+    real = getattr(schemes, plan)
+    at = 1 if plan == "_chain_plan" else -1  # where the plan keeps its records
 
-    def off_by_one(m, k, start):
-        replication, records, table = plan(m, k, start)
-        records = list(records)
+    def off_by_one(*shape):
+        out = list(real(*shape))
+        records = list(out[at])
         records[phase] = dataclasses.replace(records[phase], slots=records[phase].slots + 1)
-        return replication, tuple(records), table
+        out[at] = tuple(records)
+        return tuple(out)
 
-    monkeypatch.setattr(schemes, "_chain_plan", off_by_one)
-    level = plan(2, 3, 1)[1][phase].level
-    with pytest.raises(AssertionError, match=f"phase {level} sent"):
-        _run_chain("chain", 2, 3, 1, RngStream(1))
+    monkeypatch.setattr(schemes, plan, off_by_one)
+    for build, level in levels.items():
+        with pytest.raises(AssertionError, match=f"phase {level} sent"):
+            build(RngStream(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: run_square_scheme(3, s), run_mat23_suboptimal,
+    lambda s: run_order_j_delivery(2, 3, 2, s), run_alt22, run_opt23,
+], ids=["square-3", "mat23", "order-2-3-2", "alt22", "opt23"])
+def test_cached_plans_are_not_shared_through_traces(build):
+    # every builder starts from a cached plan: what one trace's caller
+    # changes in its table, replication or phases never reaches the next
+    first = build(RngStream(1))
+    want = (list(first.table.symbols), dict(first.replication), list(first.phases),
+            [first.table.owned_by(r) for r in range(1, first.k + 1)])
+    first.table.new_symbol({1}, "extra")
+    first.replication[first.k + 1] = 1
+    first.phases.clear()
+    second = build(RngStream(1))
+    assert (list(second.table.symbols), second.replication, second.phases,
+            [second.table.owned_by(r) for r in range(1, second.k + 1)]) == want
+
+
+def test_pairs_plan_arrays_are_read_only():
+    # alt22 and opt23 share their plan's unit rows and selectors
+    for k in (2, 3):
+        for a in schemes._pairs_plan(k)[1:4]:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
 
 
 @pytest.fixture(scope="module")
