@@ -59,9 +59,10 @@ print(f"symbols delivered / slots used     : "
       f" = {trace.empirical_dof} DoF")
 
 # The decode check's margins: a target decodes when its residual is at
-# most its threshold, and a receiver must have full row rank, every
-# singular value above NumPy's floor (here none is at or below it).
-residuals, thresholds, kept, dropped = trace.decode_residuals()
-print(f"worst residual / threshold         : {max(residuals / thresholds):.1e}")
+# most its threshold (a ratio of at most 1), and a receiver must have full
+# row rank, every singular value above NumPy's floor (here none is at or
+# below it).
+ratios, kept, dropped = trace.decode_residuals()
+print(f"worst residual / threshold         : {max(ratios):.1e}")
 print(f"smallest kept singular value / s_0 : {min(kept):.2e}")
 print(f"largest dropped singular value/s_0 : {max(dropped):.2e}")

@@ -29,12 +29,7 @@ from .ledger import (
     combine,
     transmit_slots,
 )
-from .numerics import (
-    DEFAULT_TOL,
-    RankTolerance,
-    RngStream,
-    numerical_rank,
-)
+from .numerics import RngStream, numerical_rank
 from .ratesim import (
     RatePoint,
     SlopeFit,
@@ -68,12 +63,10 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BaseSymbol",
-    "DEFAULT_TOL",
     "DofQuery",
     "NonsquarePhaseParams",
     "OutOfRegimeError",
     "PhaseRecord",
-    "RankTolerance",
     "RatePoint",
     "ReceiverState",
     "RngStream",

@@ -176,16 +176,16 @@ def cmd_scheme_verify(args, seed):
     successes = 0
     dof_values = set()
     # decode margins, read off the decode check's own factorizations
+    # (ratio: residual over the RANK_RTOL threshold)
     max_pass, min_fail, min_kept, max_dropped = -math.inf, math.inf, math.inf, 0.0
     for t in range(trials):
         trace = builder(master.split(t))
-        residuals, thresholds, kept, dropped = trace.decode_residuals()
-        inside = residuals <= thresholds
+        ratios, kept, dropped = trace.decode_residuals()
+        inside = ratios <= 1
         if inside.all():
             successes += 1
-        ratio = residuals / thresholds
-        max_pass = max(max_pass, ratio[inside].max(initial=-math.inf))
-        min_fail = min(min_fail, ratio[~inside].min(initial=math.inf))
+        max_pass = max(max_pass, ratios[inside].max(initial=-math.inf))
+        min_fail = min(min_fail, ratios[~inside].min(initial=math.inf))
         min_kept = min(min_kept, kept.min())
         max_dropped = max(max_dropped, dropped.max())
         dof_values.add(trace.empirical_dof)

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_TOL,
-    RankTolerance,
-    numerical_rank,
-    unit_residuals,
-)
+from .numerics import numerical_rank, unit_residuals
 
 __all__ = [
     "BaseSymbol",
@@ -47,7 +42,6 @@ __all__ = [
     "alignment_ranks",
     "can_decode",
     "combine",
-    "decode_residuals",
     "transmit_slots",
 ]
 
@@ -178,44 +172,26 @@ def transmit_slots(plans, channels, receivers: int):
     return recon
 
 
-def decode_residuals(rows, targets, tol: RankTolerance = DEFAULT_TOL):
-    """Distance of each target's unit row from its receiver's row space,
-    for a stack of receivers factored together.
+def can_decode(rows, targets) -> bool:
+    """True iff every receiver of a stack can recover every one of its
+    target symbols.
 
     ``rows`` is ``(receivers, equations, symbols)``, one matrix of heard
     rows per receiver, and ``targets`` holds one nonempty list of symbol
-    ids per receiver, all of one length.  Returns ``(residuals,
-    thresholds, kept, dropped)`` from :func:`.numerics.unit_residuals`:
-    two ``(receivers, targets)`` arrays in the order given, and per
-    receiver the smallest singular value above NumPy's rank floor and the
-    largest at or below it (0 at full row rank), relative to its largest.
-    The whole stack is factored by one batched QR.
-    """
-    units = np.asarray(targets, dtype=np.intp)
-    if units.ndim != 2 or not units.size or len(units) != len(rows):
-        raise ValueError("need one nonempty list of targets per receiver, "
-                         "all of one length")
-    return unit_residuals(rows, units, tol)
-
-
-def can_decode(rows, targets, tol: RankTolerance = DEFAULT_TOL) -> bool:
-    """True iff every receiver of a stack can recover every one of its
-    target symbols (arguments as for :func:`decode_residuals`).
-
-    A target ``t`` is recoverable when the unit row ``e_t`` lies in the
-    row space of the receiver's coefficient rows ``A``: stacking
-    ``e_t`` under ``A`` must not raise the numerical rank.  ``A`` must
-    have full row rank, every singular value above NumPy's floor ``s_0 *
-    max(rows, cols) * eps``, or the receiver decodes nothing; the rank is
-    the plan's, and ``tol`` only scales the threshold.  ``A`` is factored
+    ids per receiver, all of one length.  A target ``t`` is recoverable
+    when the unit row ``e_t`` lies in the row space of the receiver's
+    coefficient rows ``A``: stacking ``e_t`` under ``A`` must not raise
+    the numerical rank.  ``A`` must have full row rank, every singular
+    value above NumPy's floor ``s_0 * max(rows, cols) * eps``, or the
+    receiver decodes nothing; the rank is the plan's.  ``A`` is factored
     once, ``A^T = QR``.  Each target's residual ``d_t = ||e_t - Q
     Q[t]^H||``, divided by ``sqrt(1 + ||z||^2)`` with ``R z = Q[t]^H``,
-    is the singular value that stacking ``e_t`` would add; it is compared
-    with ``tol.relative * sqrt(s_0^2 + 1)``, the rank threshold of the
-    stacked matrix (:func:`.numerics.unit_residuals`).
+    is the singular value that stacking ``e_t`` would add; its ratio to
+    ``RANK_RTOL * sqrt(s_0^2 + 1)``, the rank threshold of the stacked
+    matrix, must be at most 1 (:func:`.numerics.unit_residuals`).  The
+    whole stack is factored by one batched QR.
     """
-    residuals, thresholds, *_ = decode_residuals(rows, targets, tol)
-    return bool((residuals <= thresholds).all())
+    return bool((unit_residuals(rows, targets)[0] <= 1).all())
 
 
 def combine(forms, weights) -> np.ndarray:
@@ -230,11 +206,11 @@ def combine(forms, weights) -> np.ndarray:
     return w @ forms
 
 
-def alignment_ranks(trace, tol: RankTolerance = DEFAULT_TOL):
+def alignment_ranks(trace):
     """Desired/interference stack ranks of the two-user scheme: for the
     first receiver of a completed two-user, two-antenna, three-slot
-    ``trace``, the numerical ranks (by ``tol``) of its three heard rows on
-    its own two symbols (desired) and on the other receiver's two symbols
+    ``trace``, the numerical ranks of its three heard rows on its own two
+    symbols (desired) and on the other receiver's two symbols
     (interference).  For generic channels they are ``(2, 1)``: both
     interference streams align in one dimension while the desired streams
     keep full rank; degenerate (hand-set) channels yield degenerate ranks.
@@ -251,5 +227,5 @@ def alignment_ranks(trace, tol: RankTolerance = DEFAULT_TOL):
         raise ValueError("first receiver must hold exactly 3 equations")
     desired_ids = table.owned_by(1)
     interference_ids = [s for s in table.ids if s not in desired_ids]
-    return (numerical_rank(first[:, desired_ids], tol),
-            numerical_rank(first[:, interference_ids], tol))
+    return (numerical_rank(first[:, desired_ids]),
+            numerical_rank(first[:, interference_ids]))

@@ -22,63 +22,41 @@ import numpy as np
 
 __all__ = [
     "NormalsLayout",
-    "RankTolerance",
+    "RANK_RTOL",
     "RngStream",
     "as_complex_matrix",
     "haar_unitaries",
     "normals_layout",
     "numerical_rank",
+    "singular_rank",
     "stacks",
     "unit_residuals",
 ]
 
-class RankTolerance:
-    """Relative singular-value threshold of the rank rule.
-
-    A singular value counts toward the rank when it exceeds
-    ``relative * max_singular_value``: :func:`numerical_rank`, and with it
-    the alignment ranks and the rate path's interference ranks, whose
-    kept values lie decades above the default of ``1e-9``.  The decode
-    check does not decide rank by it: a decode matrix has full row rank,
-    and its generic singular values shrink with the scheme's size, to
-    5.3e-10 of ``s_0`` in square-6 and about 1e-10 in square-7, below
-    the default.  There :func:`unit_residuals` takes the rank from NumPy's
-    floor, and ``relative`` only scales the threshold of the residuals.
-
-    Parameters
-    ----------
-    relative : float
-        Relative threshold; must satisfy ``0 <= relative < 1``.
-    """
-
-    __slots__ = ("relative",)
-
-    def __init__(self, relative: float = 1e-9):
-        relative = float(relative)
-        if not 0.0 <= relative < 1.0:
-            raise ValueError(
-                f"relative tolerance must lie in [0, 1), got {relative}")
-        self.relative = relative
-
-    def __repr__(self):
-        return f"RankTolerance({self.relative!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, RankTolerance) and self.relative == other.relative
-
-    def rank(self, singular_values):
-        """Rank of a matrix with these singular values, largest first: how
-        many exceed ``relative * s_0``, 0 when there are none or the
-        largest is exactly zero.  A stack ``(..., n)`` gets an array of
-        ranks, matrix by matrix."""
-        s = np.asarray(singular_values)
-        ranks = (s > self.relative * s[..., :1]).sum(axis=-1)
-        return int(ranks) if np.ndim(ranks) == 0 else ranks
+#: Relative threshold of the one rank rule, ``s > RANK_RTOL * s_0``
+#: (:func:`singular_rank`): :func:`numerical_rank`, and with it the
+#: alignment ranks and the rate path's interference ranks, whose kept
+#: values lie at least 2.1e-2 of ``s_0`` and dropped ones at most 5.1e-16
+#: on square-3 to square-6.  The decode check does not decide rank by it:
+#: a decode matrix has full row rank, and its generic singular values
+#: shrink with the scheme's size, to 5.3e-10 of ``s_0`` in square-6 and
+#: about 1e-10 in square-7, below this value.  There
+#: :func:`unit_residuals` takes the rank from NumPy's floor, and
+#: ``RANK_RTOL`` only scales the threshold of the residuals.  The
+#: threshold is linear in the tolerance, so no other tolerance needs a
+#: run of its own: the verdict at any tolerance ``tau`` is ``ratio <= tau
+#: / RANK_RTOL`` for the ratios that :func:`unit_residuals` returns.
+RANK_RTOL = 1e-9
 
 
-#: Default tolerance shared by all rank decisions.
-DEFAULT_TOL = RankTolerance()
-
+def singular_rank(s):
+    """Rank of a matrix with singular values ``s``, largest first: how
+    many exceed ``RANK_RTOL * s_0``, 0 when there are none or the largest
+    is exactly zero.  A stack ``(..., n)`` gets an array of ranks, matrix
+    by matrix."""
+    s = np.asarray(s)
+    ranks = (s > RANK_RTOL * s[..., :1]).sum(axis=-1)
+    return int(ranks) if np.ndim(ranks) == 0 else ranks
 
 class RngStream:
     """Splittable deterministic random stream.
@@ -253,26 +231,26 @@ def haar_unitaries(z) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
-def numerical_rank(a, tol: RankTolerance = DEFAULT_TOL):
-    """Number of singular values above ``tol.relative`` times the largest,
-    per matrix for a stack.
+def numerical_rank(a):
+    """Number of singular values above ``RANK_RTOL`` times the largest,
+    per matrix for a stack (:func:`singular_rank`).
 
     Returns 0 for a matrix whose largest singular value is exactly zero.
     """
-    return tol.rank(np.linalg.svd(as_complex_matrix(a), compute_uv=False))
+    return singular_rank(np.linalg.svd(as_complex_matrix(a), compute_uv=False))
 
 
-def unit_residuals(a, columns, tol: RankTolerance = DEFAULT_TOL):
+def unit_residuals(a, targets):
     """How far each unit row ``e_t`` is from the row space of its matrix,
-    the threshold up to which it counts as inside, and the margin of the
-    rank decision, without forming the unit rows.
+    as a ratio to the threshold up to which it counts as inside, and the
+    margin of the rank decision, without forming the unit rows.
 
-    ``a`` is a matrix, or a stack ``(..., rows, cols)``, and may have no
-    rows; ``columns`` holds, per matrix, the columns ``t`` to test,
-    ``(..., count)``.  The rank is not decided by ``tol``: a matrix must
+    ``a`` is a stack of matrices, ``(receivers, equations, symbols)``,
+    which may have no equations; ``targets`` holds one nonempty list of
+    columns ``t`` to test per matrix, all of one length.  A matrix must
     have full row rank, every singular value above NumPy's floor ``s_0 *
-    max(rows, cols) * eps``, or it certifies nothing, and each of its
-    residuals is ``||e_t|| = 1``.  ``tol`` only scales the threshold.
+    max(equations, symbols) * eps``, or it certifies nothing, and each of
+    its residuals is ``||e_t|| = 1``.
 
     The stack is factored by one batched QR of the transposed view, ``A^T
     = QR`` (no conjugated copy: this is the conjugate of the QR of
@@ -282,37 +260,34 @@ def unit_residuals(a, columns, tol: RankTolerance = DEFAULT_TOL):
     only nonzero terms (never ``sqrt(1 - ||Q[t]||^2)``: that difference
     of squares cancels below ``d`` of about 1e-8).  The row ``y`` with
     ``y A = e_t - residual`` solves ``R z = Q[t]^H``, ``z = y^T``, and the
-    returned residual is ``g = d / sqrt(1 + ||z||^2)``: the singular value
-    that stacking ``e_t`` under the matrix adds, within a factor 2 (the
+    residual is ``g = d / sqrt(1 + ||z||^2)``: the singular value that
+    stacking ``e_t`` under the matrix adds, within a factor 2 (the
     derivation, in the SVD basis, is the test suite's dense reference
-    ``rowspace_residuals``).  The threshold is ``tol.relative *
-    sqrt(s_0^2 + 1)``, the rank threshold of the stacked matrix, and
-    ``e_t`` is inside iff ``g`` does not exceed it.  Singular values come
-    from ``svd(R)``.  Each result has the bits of that matrix factored
-    alone.
+    ``rowspace_residuals``).  Its threshold is ``RANK_RTOL * sqrt(s_0^2 +
+    1)``, the rank threshold of the stacked matrix, and ``e_t`` is inside
+    iff ``g`` does not exceed it.  Singular values come from ``svd(R)``.
+    Each result has the bits of that matrix factored alone.
 
     Returns
     -------
-    residuals, thresholds : numpy.ndarray
-        ``g`` and its threshold, ``(..., count)``.
+    ratios : numpy.ndarray
+        ``g`` over its threshold, ``(receivers, targets)``: ``e_t`` is
+        inside iff its ratio is at most 1.
     kept, dropped : numpy.ndarray
         The smallest singular value above the floor and the largest at or
-        below it, relative to the largest, per matrix (0-d for a single
-        matrix); ``kept`` is ``inf`` where none is above and ``dropped``
-        is 0 where none is at or below (full row rank).
+        below it, relative to the largest, per matrix; ``kept`` is ``inf``
+        where none is above and ``dropped`` is 0 where none is at or below
+        (full row rank).
     """
     a = as_complex_matrix(a)
-    t = np.asarray(columns, dtype=np.intp)
-    if t.shape[:-1] != a.shape[:-2]:
-        raise ValueError(f"columns of shape {t.shape} do not fit matrices of "
-                         f"shape {a.shape}")
-    shape, (m, n) = t.shape, a.shape[-2:]
-    a = a.reshape(math.prod(a.shape[:-2]), m, n)
-    t = t.reshape(len(a), shape[-1])
+    t = np.asarray(targets, dtype=np.intp)
+    if a.ndim != 3 or t.ndim != 2 or not t.size or len(t) != len(a):
+        raise ValueError("need a stack of matrices and one nonempty list of "
+                         "targets per matrix, all of one length")
+    m, n = a.shape[1:]
     if a.size == 0:
-        ones = np.ones(shape)
-        return (ones, tol.relative * ones,
-                np.full(shape[:-1], np.inf), np.zeros(shape[:-1]))
+        return (np.full(t.shape, 1.0 / RANK_RTOL),
+                np.full(len(a), np.inf), np.zeros(len(a)))
     q, r = np.linalg.qr(a.mT)
     s = np.linalg.svd(r, compute_uv=False)
     values, floor = s.tolist(), max(m, n) * _EPS
@@ -337,7 +312,5 @@ def unit_residuals(a, columns, tol: RankTolerance = DEFAULT_TOL):
         at = slice(None) if all(full) else np.array(full)
         z = np.linalg.solve(r[at], coords[at].conj().mT)
         out[at] = d[at] / np.sqrt(1.0 + np.vecdot(z, z, axis=-2).real)
-    thresholds = np.array([[tol.relative * math.sqrt(v[0] * v[0] + 1.0)] * t.shape[1]
-                           for v in values])
-    return (out.reshape(shape), thresholds.reshape(shape),
-            kept.reshape(shape[:-1]), dropped.reshape(shape[:-1]))
+    out /= RANK_RTOL * np.sqrt(np.square(s[:, :1]) + 1.0)
+    return out, kept, dropped

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, RngStream, stacks
+from .numerics import RngStream, singular_rank, stacks
 from .schemes import tdma_trace
 
 __all__ = [
@@ -84,50 +84,50 @@ def snr_grid(lo_db: float, hi_db: float, step_db: float) -> list:
         raise ValueError(f"step must be positive and finite, got {step_db}")
     if hi_db < lo_db:
         raise ValueError(f"grid must be nondecreasing, got {lo_db}..{hi_db}")
-    n = int(round((hi_db - lo_db) / step_db))
+    # the last step at or below hi, then hi itself: never past it
+    n = math.floor((hi_db - lo_db) / step_db + 1e-9)
     grid = [lo_db + i * step_db for i in range(n + 1)]
     if grid[-1] < hi_db - 1e-9:
         grid.append(hi_db)
     return grid
 
 
-def receiver_gains(trace, receivers=None, tol=DEFAULT_TOL) -> list:
-    """SNR-free gains of each receiver in ``receivers`` (default: all, in
-    order): receiver ``r``'s rate at SNR ``P`` is ``sum(log2(1 + P *
-    gains)) / trace.total_slots`` bits per slot.
+def receiver_gains(trace) -> list:
+    """SNR-free gains of each receiver, in order: receiver ``r``'s rate at
+    SNR ``P`` is ``sum(log2(1 + P * gains)) / trace.total_slots`` bits per
+    slot.
 
     Scales each heard row (:attr:`.schemes.SchemeTrace.rows`, read once)
     by ``1/sqrt(active_antennas)`` of its slot, zero-forces the columns of
     all other receivers' symbols with one SVD of the interference block
-    (its rank by the ``tol`` rule), and returns the eigenvalues, clipped
-    at zero, of ``G^H G`` for the remaining desired block ``G``.  The
-    noise is white, and the projection keeps it white.  Empty when the
-    receiver wants nothing, heard nothing, or the interference fills every
-    observation.  Receivers that want as many symbols are stacked
+    (its rank by :func:`.numerics.singular_rank`), and returns the
+    eigenvalues, clipped at zero, of ``G^H G`` for the remaining desired
+    block ``G``.  The noise is white, and the projection keeps it white.
+    Empty when the receiver wants nothing, heard nothing, or the
+    interference fills every observation.  Receivers that want as many symbols are stacked
     (:func:`.numerics.stacks`): one gather of their columns, one batched
     SVD, then per interference rank one batched projection and
     ``eigvalsh``, with the bits of each receiver computed alone.
     """
-    receivers = range(1, trace.k + 1) if receivers is None else receivers
-    jobs = [(i, r - 1, trace.targets_for(r)) for i, r in enumerate(receivers)]
-    gains, heard = [np.zeros(0) for _ in jobs], trace.rows
+    gains, heard = [np.zeros(0) for _ in range(trace.k)], trace.rows
     m, n = heard.shape[1:]
-    jobs = [job for job in jobs if job[2] and m]
+    owns = [trace.targets_for(r) for r in range(1, trace.k + 1)]
+    jobs = [(r, own) for r, own in enumerate(owns) if own and m]
     active = np.asarray(trace.active_antennas, dtype=float)
     scale = 1.0 / np.sqrt(active[active > 0])[:, np.newaxis]
-    wants = [len(own) for _, _, own in jobs]
+    wants = [len(own) for _, own in jobs]
     for idx in stacks(wants, [16 * m * n] * len(jobs)):
         group = [jobs[i] for i in idx]
         mine = wants[idx[0]]
         # each receiver's columns read in the order (own symbols, others)
-        who = np.array([r for _, r, _ in group])[:, np.newaxis, np.newaxis]
-        cols = _own_first(tuple(tuple(own) for _, _, own in group), n)
+        who = np.array([r for r, _ in group])[:, np.newaxis, np.newaxis]
+        cols = _own_first(tuple(tuple(own) for _, own in group), n)
         rows = heard[who, np.arange(m)[:, np.newaxis], cols]
         rows *= scale
         g = rows[..., :mine]
         if mine < n:
             u, s, _ = np.linalg.svd(rows[..., mine:], full_matrices=True)
-            ranks = tol.rank(s).tolist()
+            ranks = singular_rank(s).tolist()
         else:
             u, ranks = None, [0] * len(group)
         # rank m: the interference fills every observation, no gains

@@ -42,7 +42,7 @@ plan scaled by ``sqrt(P / active_antennas)``.
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, starmap
 
@@ -54,10 +54,9 @@ from .ledger import (
     SymbolTable,
     can_decode,
     combine,
-    decode_residuals,
     transmit_slots,
 )
-from .numerics import DEFAULT_TOL, RngStream, haar_unitaries, normals_layout, stacks
+from .numerics import RngStream, haar_unitaries, normals_layout, stacks, unit_residuals
 
 __all__ = [
     "AirLog",
@@ -65,7 +64,6 @@ __all__ = [
     "PhaseRecord",
     "SchemeTrace",
     "build_phase",
-    "canonical_json",
     "json_pieces",
     "phase_layout",
     "run_alt22",
@@ -347,22 +345,21 @@ class SchemeTrace:
         for idx in stacks([len(t) for t in targets], [size] * self.k):
             yield self._heard(idx), [targets[i] for i in idx]
 
-    def decode_ok(self, tol=DEFAULT_TOL) -> bool:
+    def decode_ok(self) -> bool:
         """True iff every receiver can decode all of its symbols."""
         # starmap drops each stack before it derives the next
-        return all(starmap(partial(can_decode, tol=tol), self.decode_stacks()))
+        return all(starmap(can_decode, self.decode_stacks()))
 
-    def decode_residuals(self, tol=DEFAULT_TOL):
+    def decode_residuals(self):
         """What :meth:`decode_ok` decides from, with the same
-        factorizations: every target's residual and threshold, and every
-        receiver's smallest singular value above the rank floor and largest
-        at or below it, relative to its largest
-        (:func:`.ledger.decode_residuals`), flat in
-        the order of :meth:`decode_stacks`.  The trace decodes iff no
-        residual exceeds its threshold."""
-        parts = list(starmap(partial(decode_residuals, tol=tol), self.decode_stacks()))
+        factorizations: every target's residual over its threshold, and
+        every receiver's smallest singular value above the rank floor and
+        largest at or below it, relative to its largest
+        (:func:`.numerics.unit_residuals`), flat in the order of
+        :meth:`decode_stacks`.  The trace decodes iff no ratio exceeds 1."""
+        parts = list(starmap(unit_residuals, self.decode_stacks()))
         return tuple(np.concatenate([np.ravel(p[i]) for p in parts])
-                     for i in range(4))
+                     for i in range(3))
 
     def to_json(self, extra=None) -> str:
         """The join of :meth:`json_pieces`."""
@@ -516,11 +513,6 @@ def json_pieces(doc, arrays=None):
             sep = "," + _NL[2]
         yield "[]" if sep[0] == "[" else _NL[1] + "]"
     yield _NL[0] + "}"
-
-
-def canonical_json(doc, arrays=None) -> str:
-    """The join of :func:`json_pieces`."""
-    return "".join(json_pieces(doc, arrays))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from delayedcsit.numerics import DEFAULT_TOL, as_complex_matrix
+from delayedcsit.numerics import RANK_RTOL, as_complex_matrix
 
 
 class NumericalDomainError(ArithmeticError):
@@ -58,7 +58,7 @@ def logdet_capacity(g, noise_cov, power_per_symbol: float) -> float:
     return float(logdet / np.log(2.0))
 
 
-def rowspace_residuals(a, vectors, tol=DEFAULT_TOL):
+def rowspace_residuals(a, vectors, tol=RANK_RTOL):
     """The dense SVD reference of :func:`delayedcsit.numerics.unit_residuals`
     for any rows: how far each row of ``vectors`` is from the row space of
     ``a``, the threshold up to which it counts as inside, and the margin of
@@ -66,15 +66,15 @@ def rowspace_residuals(a, vectors, tol=DEFAULT_TOL):
 
     ``a`` is a matrix or a stack ``(..., rows, cols)``, and may have no
     rows; ``vectors`` holds the rows to test, ``(..., count, cols)``.
-    Returns ``(residuals, thresholds, kept, dropped)`` as
-    ``unit_residuals`` does, one residual and threshold per row of
-    ``vectors``, but with the rank by the ``tol`` rule: ``kept`` and
-    ``dropped`` are ``s_(r-1) / s_0`` and ``s_r / s_0``.
+    Returns ``(residuals, thresholds, kept, dropped)``, one residual and
+    threshold per row of ``vectors`` (``unit_residuals`` returns their
+    ratio) and the margins as ``unit_residuals`` does, but with the rank
+    by the rule ``s > tol * s_0``: ``kept`` and ``dropped`` are ``s_(r-1)
+    / s_0`` and ``s_r / s_0``.
 
     Each matrix is factored once, ``a = U S V^H`` (economy SVD).  Its rank
-    ``r`` follows the :class:`RankTolerance` rule; ``S_r`` holds the ``r``
-    kept singular values and ``V_r`` the matching right singular vectors
-    as rows.  For a tested row ``v`` with coordinates ``c = v V_r^H``, let
+    ``r`` follows that rule; ``S_r`` holds the ``r`` kept singular values
+    and ``V_r`` the matching right singular vectors as rows.  For a tested row ``v`` with coordinates ``c = v V_r^H``, let
     ``d = ||v - c V_r||`` be the norm of the explicit residual (never
     ``sqrt(||v||^2 - ||c||^2)``: that difference of squares cancels below
     ``d`` of about 1e-8, above the 1e-9 default tolerance).  The returned
@@ -95,9 +95,9 @@ def rowspace_residuals(a, vectors, tol=DEFAULT_TOL):
     inflates ``d`` past the tolerance; the weight removes exactly that,
     because a rotation of ``V_r`` by ``eps * s_0 / s_i`` is divided by
     ``1 / s_i`` again.  The stacked-rank rule counts the added value when
-    it exceeds ``tol.relative * s_max([a; v])``, and
+    it exceeds ``tol * s_max([a; v])``, and
     ``s_max([a; v]) <= sqrt(s_0^2 + ||v||^2)``.  So the threshold is
-    ``tol.relative * sqrt(s_0^2 + ||v||^2)``, ``v`` is in the row space iff
+    ``tol * sqrt(s_0^2 + ||v||^2)``, ``v`` is in the row space iff
     ``g <= threshold``, and the two rules can disagree only when the
     added singular value lies within a factor 2 below the threshold.
 
@@ -115,16 +115,16 @@ def rowspace_residuals(a, vectors, tol=DEFAULT_TOL):
     a = a.reshape(len(v), *a.shape[-2:])
     norms = np.linalg.norm(v, axis=-1)
     if a.size == 0:
-        return (norms.reshape(shape), tol.relative * norms.reshape(shape),
+        return (norms.reshape(shape), tol * norms.reshape(shape),
                 np.full(shape[:-1], np.inf), np.zeros(shape[:-1]))
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    ranks = tol.rank(s).tolist()
+    ranks = (s > tol * s[:, :1]).sum(axis=-1).tolist()
     # s is sorted, so s_(r-1) is the smallest kept value and s_r the
     # largest dropped one; r = 0 only where s_0 = 0
     kept, dropped = np.array([
         (sv[r - 1] / sv[0], sv[r] / sv[0] if r < len(sv) else 0.0) if r else (math.inf, 0.0)
         for sv, r in zip(s.tolist(), ranks)]).T
-    thresholds = tol.relative * np.sqrt(s[:, :1] ** 2 + norms ** 2)
+    thresholds = tol * np.sqrt(s[:, :1] ** 2 + norms ** 2)
     out = np.empty_like(norms)
     for r in sorted(set(ranks)):
         at = [i for i, rank in enumerate(ranks) if rank == r]

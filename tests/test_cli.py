@@ -288,6 +288,14 @@ def test_rate_sim_grid_validation(capsys):
     assert code == 2
 
 
+def test_rate_sim_grid_ends_on_hi(capsys):
+    # a step that does not divide the range never steps past hi, so no
+    # point leaves the 0-80 dB bound
+    doc = run_json(capsys, ["rate-sim", "--scheme", "tdma", "--k", "1",
+                            "--trials", "1", "--snr", "0:80:50"])
+    assert [p["snr_db"] for p in doc["points"]] == [0.0, 50.0, 80.0]
+
+
 @pytest.mark.parametrize("step", ["1e-320", "nan", "inf", "1e-6"])
 def test_rate_sim_refuses_a_bad_step_up_front(capsys, monkeypatch, step):
     # a step that overflows the point count, is not finite, or asks for

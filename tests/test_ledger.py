@@ -14,7 +14,6 @@ from delayedcsit.ledger import (
     alignment_ranks,
     can_decode,
     combine,
-    decode_residuals,
     transmit_slots,
 )
 from delayedcsit.numerics import (
@@ -253,6 +252,8 @@ def test_can_decode_hand_cases():
         can_decode([st1, st2], [[x], [x, y]])  # two target counts
     with pytest.raises(ValueError):
         can_decode([st1, st2], [[x]])  # one target list short
+    with pytest.raises(ValueError):
+        can_decode(st1, [[x], [y]])  # one matrix, not a stack
 
 
 def _stacked_rank_decodes(rows, targets):
@@ -336,8 +337,7 @@ def test_decode_residuals_are_decades_from_threshold():
         for tr, complete in ((trace, True), (_truncated(trace), False)):
             margins = []
             for rows, targets in tr.decode_stacks():
-                residuals, thresholds, kept, dropped = decode_residuals(rows, targets)
-                ratio = residuals / thresholds
+                ratio, kept, dropped = unit_residuals(rows, targets)
                 if low and not complete:
                     ratio = ratio.max(axis=-1)
                 assert np.all((ratio <= 0.1) | (ratio >= 10.0)), (
@@ -385,13 +385,13 @@ def test_stacked_residuals_equal_per_matrix(name):
             stacks, heard = list(tr.decode_stacks()), tr.rows
             assert np.array_equal(np.concatenate([rows for rows, _ in stacks]), heard)
             for rows, wanted in stacks:
-                got = decode_residuals(rows, wanted)
+                got = unit_residuals(rows, wanted)
                 for i, (a, t) in enumerate(zip(rows, wanted)):
-                    alone = decode_residuals(a[np.newaxis], [t])
+                    alone = unit_residuals(a[np.newaxis], [t])
                     assert [x[i].tobytes() for x in got] == [
                         x[0].tobytes() for x in alone], (seed, i)
                     g, thr, *_ = rowspace_residuals(a, np.eye(n)[t])
-                    verdict = bool(np.all(got[0][i] <= got[1][i]))
+                    verdict = bool(np.all(got[0][i] <= 1))
                     assert verdict == bool(np.all(g <= thr)) == (
                         _stacked_rank_decodes(a, t)), (seed, i)
             verdict = all(can_decode(*stack) for stack in stacks)
@@ -401,28 +401,29 @@ def test_stacked_residuals_equal_per_matrix(name):
         assert not _cleared(trace, 1).decode_ok() and not _deficient(trace, 2).decode_ok()
         t = trace.targets_for(1)
         got = unit_residuals(np.zeros((1, 0, n)), [t])
-        want = rowspace_residuals(np.zeros((0, n)), np.eye(n)[t])
+        g, thr, *margins = rowspace_residuals(np.zeros((0, n)), np.eye(n)[t])
         assert [a.tobytes() for a in got] == [
-            np.asarray(a)[np.newaxis].tobytes() for a in want]
+            np.asarray(a)[np.newaxis].tobytes() for a in (g / thr, *margins)]
         assert not can_decode(np.zeros((1, 0, n)), [t])
 
 
 def test_rank_deficient_receivers_certify_nothing():
     # below NumPy's floor a receiver's residuals are its targets' norms,
-    # 1, whatever the tolerance; the margins stay finite, and a deaf
-    # receiver keeps nothing and drops nothing
+    # 1, over the threshold 1e-9 * sqrt(s_0^2 + 1), so no tolerance would
+    # pass them; the margins stay finite, and a deaf receiver keeps
+    # nothing and drops nothing
     a = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                   [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
                   [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
-    residuals, thresholds, kept, dropped = unit_residuals(a, [[0], [0], [0]])
-    assert residuals[0] < 1e-15 and residuals[1:].tolist() == [[1.0], [1.0]]
-    assert thresholds.ravel() == pytest.approx(
-        [1e-9 * math.sqrt(2.0), 1e-9 * math.sqrt(6.0), 1e-9], rel=1e-15)
+    ratios, kept, dropped = unit_residuals(a, [[0], [0], [0]])
+    assert ratios[0] < 1e-15 / (1e-9 * math.sqrt(2.0))
+    assert ratios[1:].ravel() == pytest.approx(
+        [1 / (1e-9 * math.sqrt(6.0)), 1 / 1e-9], rel=1e-15)
     assert kept.tolist() == [1.0, 1.0, np.inf]
     assert dropped[0] == 0.0 and 0.0 <= dropped[1] <= 1e-15 and dropped[2] == 0.0
     # more equations than symbols: never full row rank
-    (g,), _, _, _ = unit_residuals(np.eye(3)[np.newaxis, :, :2], [[0]])
-    assert g.tolist() == [1.0]
+    (ratio,), _, _ = unit_residuals(np.eye(3)[np.newaxis, :, :2], [[0]])
+    assert ratio.tolist() == pytest.approx([1 / (1e-9 * math.sqrt(2.0))], rel=1e-15)
 
 
 def test_receiver_states_are_views_of_the_row_array():

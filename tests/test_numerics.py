@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayedcsit.numerics import (
-    RankTolerance,
+    RANK_RTOL,
     RngStream,
     as_complex_matrix,
     haar_unitaries,
     STACK_BYTES,
     numerical_rank,
+    singular_rank,
     stacks,
 )
 from oracles import NumericalDomainError, logdet_capacity, rowspace_residuals
@@ -87,15 +88,6 @@ def test_complex_normals_rejects_two_shapes_under_one_key():
     assert RngStream(1).complex_normals([]) == {}
 
 
-def test_rank_tolerance_validation():
-    assert RankTolerance(1e-6).relative == 1e-6
-    assert RankTolerance(1e-6) == RankTolerance(1e-6)
-    with pytest.raises(ValueError):
-        RankTolerance(-1e-9)
-    with pytest.raises(ValueError):
-        RankTolerance(1.0)
-
-
 def test_as_complex_matrix_validation():
     m = as_complex_matrix([[1, 2], [3, 4]])
     assert m.dtype == np.complex128 and m.shape == (2, 2)
@@ -150,18 +142,23 @@ def test_numerical_rank_constructed_cases():
 
 
 def test_numerical_rank_respects_tolerance():
-    d = np.diag([1.0, 1e-3, 1e-12])
-    assert numerical_rank(d, RankTolerance(1e-9)) == 2
-    assert numerical_rank(d, RankTolerance(1e-15)) == 3
-    assert numerical_rank(d, RankTolerance(1e-2)) == 1
+    # the one rule, s > 1e-9 s_0, on the singular values 1, 1e-3 and
+    # 1e-12 at any scale: 1e-3 is kept and 1e-12 dropped, a value just
+    # above the threshold is kept and one at it dropped
+    s = np.array([1.0, 1e-3, 1e-12])
+    assert RANK_RTOL == 1e-9
+    for scale in (1e-12, 1.0, 1e12):
+        assert numerical_rank(np.diag(s * scale)) == singular_rank(s * scale) == 2
+    above = float(np.nextafter(RANK_RTOL, 1.0))
+    assert singular_rank([1.0, 1e-3, above]) == 3
+    assert singular_rank([1.0, RANK_RTOL, 1e-12]) == 1
 
 
 def test_rank_rule_is_per_matrix_on_stacks():
-    tol = RankTolerance(1e-9)
     s = np.array([[2.0, 1e-3, 1e-12], [1e-6, 1e-15, 0.0], [0.0, 0.0, 0.0]])
-    assert tol.rank(s).tolist() == [2, 1, 0]
-    assert tol.rank(s[0]) == 2 and isinstance(tol.rank(s[0]), int)
-    assert tol.rank([]) == 0
+    assert singular_rank(s).tolist() == [2, 1, 0]
+    assert singular_rank(s[0]) == 2 and isinstance(singular_rank(s[0]), int)
+    assert singular_rank([]) == 0
     stack = np.stack([np.diag(row) for row in s])
     assert numerical_rank(stack).tolist() == [2, 1, 0]
     assert numerical_rank(np.zeros((2, 0, 3))).tolist() == [0, 0]
