@@ -3,10 +3,10 @@
 Every command echoes the seed it used, renders rationals exactly as
 ``p/q``, and emits canonical JSON (sorted keys), written a piece at a
 time as it is rendered (:func:`.schemes.json_pieces`), or a CSV projection.
-The ``scheme-run`` trace document is ``"schema": "v2"``: it lists the
-slots each receiver heard, not the equations themselves
+The ``scheme-run`` trace document is ``"schema": "v3"``, compact, of what
+was sent: it lists the slots each receiver heard, not the equations
 (:meth:`.schemes.SchemeTrace.json_pieces`).  Every other document is
-``"schema": "v1"`` (:data:`SCHEMA`).  Exit codes: 0 success, 1
+``"schema": "v1"`` (:data:`SCHEMA`), two-space indented.  Exit codes: 0 success, 1
 verification failure, 2 usage error.  The default seed can be overridden
 with the ``DELAYEDCSIT_SEED`` environment variable.
 """

@@ -17,9 +17,9 @@ a trace keeps what was sent and derives its receivers' rows, one
 (:attr:`.schemes.SchemeTrace.rows`), or a decode stack's at a time.  Receiver noise is white by rule:
 every equation heard over the air carries one fresh unit-variance noise
 sample, named by its ``(slot, receiver)`` pair, and nothing the
-transmitter rebuilds carries any, so the JSON trace writes no noise: a
-receiver's entry lists the slots it heard, and each equation is rebuilt
-as that slot's channel row times its plan plus the sample of its pair.
+transmitter rebuilds carries any, so the ``v3`` JSON trace has no noise
+field: a receiver's entry lists the slots it heard, and each equation is
+that slot's channel row times its plan plus the sample of its pair.
 Decodability is a row-space question on a receiver's rows, which have
 full row rank by the scheme's plan: a receiver whose rows fall below
 NumPy's rank floor decodes nothing.  Every slot is heard by every

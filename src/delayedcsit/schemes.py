@@ -42,9 +42,9 @@ plan scaled by ``sqrt(P / active_antennas)``.
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import combinations, pairwise, starmap
 
 import numpy as np
 
@@ -366,44 +366,26 @@ class SchemeTrace:
         return "".join(self.json_pieces(extra))
 
     def json_pieces(self, extra=None):
-        """This trace's schema-``v2`` document with the entries of ``extra``
-        added, byte for byte as ``json.dumps(doc, sort_keys=True,
-        indent=2)`` writes it, in pieces rendered as they are read.  It
-        holds what was sent: the slots, each with its plan and channel, and
-        the combination log, written from the trace's arrays
-        (:func:`_coeff_maps`, a stack of plan rows at a time, and
-        :func:`_matrices`, each block's floats spelled by :func:`_floats`),
-        and the symbol table, from a template per symbol.  A receiver's
+        """This trace's schema-``v3`` document with the entries of ``extra``
+        added, in pieces rendered as they are read: compact JSON (``,`` and
+        ``:``, no indentation), keys sorted at every level, ASCII.  It holds
+        what was sent: the slots, each with its channel and its plan, and
+        the combination log, every complex number an ``[re, im]`` pair; a
+        plan form lists its nonzero coefficients in ascending symbol id,
+        ``{"coeffs": [[re, im], ...], "ids": [...]}``.  A receiver's
         ``equations`` lists the slots it heard, every slot with an active
         antenna: its equation ``i`` is row ``r - 1`` of ``channel @ plan``
-        of slot ``equations[i]``, plus the unit noise sample ``"{slot}:{r}"``.
-        :func:`json_pieces` writes the small fields and splices those arrays in."""
-        n, dof, active = len(self.table), self.empirical_dof, self.active_antennas
-        channels = _matrices(self.channels, _NL[3])
-        plans = (form for b in self.plans if b.size for rows in [b.reshape(-1, n)]
-                 for at in stacks([0] * len(rows), [16 * n] * len(rows))
-                 for form in _coeff_maps(rows[at], _NL[5]))
-        slots = (_block("{}", [
-            f'"active_antennas": {p}', f'"channel": {channels[i]}',
-            '"plan": ' + _block("[]", [_PLAN % next(plans) for _ in range(p)], _NL[3]),
-            f'"slot": {i}'], _NL[2]) for i, p in enumerate(active))
-        heard = _block("[]", [str(i) for i, p in enumerate(active) if p], _NL[3])
-        receivers = [_block("{}", [f'"equations": {heard}', f'"receiver": {r}',
-                                   f'"slots_observed": {self.total_slots}'], _NL[2])
-                     for r in range(1, self.k + 1)]
-        labels = [label for block, _ in self.combination_log for label in block]
-        weights = _matrices([w for _, block in self.combination_log for w in block],
-                            _NL[3])
-        combos = [_block("{}", [f'"label": {json.dumps(label)}', f'"weights": {w}'],
-                         _NL[2]) for label, w in zip(labels, weights)]
-        owners = {o: _block("[]", [str(r) for r in sorted(o)], _NL[3])
-                  for o in {s.owner for s in self.table.symbols}}
-        symbols = [_SYMBOL % (s.id, json.dumps(s.label), s.order, owners[s.owner])
-                   for s in self.table.symbols]
-        arrays = {"slots": slots, "receivers": receivers, "combination_log": combos,
-                  "symbol_table": symbols}
+        of slot ``equations[i]``, plus the unit noise sample
+        ``"{slot}:{r}"``.  orjson spells the numbers of a stack of slots
+        (:meth:`_slot_stacks`) or a block of the log (:func:`_log_block`)
+        in one call, with the shortest digits that read back to the same
+        double; json spells the strings and the small fields.  A
+        non-finite float raises ``ValueError``: JSON cannot spell it."""
+        import orjson  # on first use: a run that writes no trace does not pay for the import
+        dumps = partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS)
+        dof, heard = self.empirical_dof, [i for i, p in enumerate(self.active_antennas) if p]
         doc = {
-            "schema": "v2", "scheme": self.name, "m": self.m, "k": self.k,
+            "schema": "v3", "scheme": self.name, "m": self.m, "k": self.k,
             "replication": {str(lvl): runs for lvl, runs in self.replication.items()},
             "total_slots": self.total_slots, "symbols": self.symbols_delivered,
             "dof": f"{dof.numerator}/{dof.denominator}",
@@ -411,12 +393,40 @@ class SchemeTrace:
             "phases": [{"level": p.level, "runs": p.runs,
                         "inputs": p.inputs_consumed, "slots": p.slots,
                         "outputs": p.outputs_generated} for p in self.phases],
+            "receivers": [{"equations": heard, "receiver": r,
+                           "slots_observed": self.total_slots}
+                          for r in range(1, self.k + 1)],
+            "symbol_table": [{"id": s.id, "label": s.label, "order": s.order,
+                              "owner": sorted(s.owner)} for s in self.table.symbols],
             **(extra or {})}
-        return json_pieces(doc, arrays)
+        arrays = {"slots": self._slot_stacks(dumps),
+                  "combination_log": (_log_block(labels, weights, dumps)
+                                      for labels, weights in self.combination_log
+                                      if len(labels))}
+        return json_pieces(doc, arrays, compact=True)
+
+    def _slot_stacks(self, dumps):
+        """The slots' JSON objects, comma-joined, a stack of up to
+        :data:`.numerics.STACK_BYTES` of plan rows per piece."""
+        n, first = len(self.table), 0
+        for b in self.plans:
+            p = b.shape[1]
+            for at in stacks([0] * len(b), [16 * n * p] * len(b)):
+                a, z = at[0], at[-1] + 1
+                rows = b[a:z].reshape((z - a) * p, n)
+                flat = np.flatnonzero(rows)  # contiguous, unlike np.nonzero's
+                coeffs, ids = _pairs(rows.ravel()[flat]), flat % n
+                ends = np.searchsorted(flat, np.arange(len(rows) + 1) * n).tolist()
+                forms = [{"coeffs": coeffs[s:e], "ids": ids[s:e]} for s, e in pairwise(ends)]
+                h = _pairs(self.channels[first + a:first + z])
+                yield dumps([{"active_antennas": p, "channel": h[i],
+                              "plan": forms[i * p:(i + 1) * p], "slot": first + a + i}
+                             for i in range(z - a)]).decode()[1:-1]
+            first += len(b)
 
 
-#: Newline and indentation of each nesting depth of the trace document.
-_NL = tuple("\n" + "  " * depth for depth in range(6))
+#: Newline and indentation of each nesting depth of a ``v1`` document.
+_NL = tuple("\n" + "  " * depth for depth in range(3))
 
 
 def _block(brackets: str, items, nl: str) -> str:
@@ -428,91 +438,58 @@ def _block(brackets: str, items, nl: str) -> str:
     return f'{brackets[0]}{nl}  {("," + nl + "  ").join(items)}{nl}{brackets[1]}'
 
 
-#: A symbol table entry (id, label, order, owner list) and a plan form
-#: (coefficients only), at their depths in the document.
-_SYMBOL = _block("{}", ['"id": %d', '"label": %s', '"order": %d', '"owner": %s'], _NL[2])
-_PLAN = _block("{}", ['"coeffs": %s', '"noise": {}'], _NL[4])
+def _pairs(z) -> np.ndarray:
+    """The complex array ``z`` as a contiguous float array of ``[re, im]``
+    pairs, ``z.shape + (2,)``, as orjson writes arrays: contiguous and
+    real only.  A non-finite part, which orjson would write as ``null``,
+    raises ``ValueError``."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    pairs = z.view(np.float64).reshape(*z.shape, 2)
+    if not np.isfinite(pairs).all():
+        raise ValueError("a trace document cannot hold a non-finite float")
+    return pairs
 
 
-def _floats(z) -> list:
-    """The real and imaginary parts of the flat complex array ``z``, in
-    turn, spelled as json spells them (``-0.0``, ``1e-05``, ``5e-324``):
-    orjson writes the shortest round-trip digits, as ``repr``, in one call,
-    and json respells the few it lays out otherwise (nonzero ``|x| < 1e-4``
-    or ``|x| >= 1e16``, NaN, infinities)."""
-    import orjson  # on first use: a run that writes no trace does not pay for the import
-    x = np.ascontiguousarray(z).view(np.float64)
-    out = (orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-           if x.size else [])
-    odd = np.flatnonzero(~((abs(x) >= 1e-4) & (abs(x) < 1e16)) & (x != 0))
-    for i, v in zip(odd.tolist(), x[odd].tolist()):
-        out[i] = json.dumps(v)
-    return out
+def _log_block(labels, weights, dumps) -> str:
+    """One block of the combination log, comma-joined: every weight
+    matrix of the block in one orjson call, each label spelled by json."""
+    text = dumps([{"weights": w} for w in _pairs(weights)]).decode()
+    return "".join(f'{{"label":{json.dumps(label)},"weights":{w}'
+                   for label, w in zip(labels, text[1:-1].split('{"weights":')[1:]))
 
 
-@lru_cache(maxsize=16)
-def _id_order(n: int):
-    """Symbol ids ``0 .. n-1`` in json's key order (``"10"`` before
-    ``"2"``), and their keys."""
-    order = sorted(range(n), key=str)
-    return np.array(order, dtype=np.intp), np.array([str(i) for i in order])
-
-
-def _coeff_maps(rows, nl: str) -> list:
-    """Each form's nonzero coefficients as a JSON object keyed by symbol
-    id, its closing brace at ``nl``; ``rows`` is ``(forms, symbols)``."""
-    order, keys = _id_order(rows.shape[1])
-    rows = rows[:, order]
-    at, col = np.nonzero(rows)
-    floats = _floats(rows[at, col])
-    args = [None] * (3 * len(col))
-    args[0::3], args[1::3], args[2::3] = keys[col].tolist(), floats[0::2], floats[1::2]
-    entry = '"%s": ' + _block("[]", ["%s", "%s"], nl + "  ")
-    ends = np.cumsum(np.bincount(at, minlength=len(rows))).tolist()
-    return [_block("{}", [entry] * (b - a), nl) % tuple(args[3 * a:3 * b])
-            for a, b in zip([0] + ends, ends)]
-
-
-def _matrices(mats, nl: str) -> list:
-    """Each complex matrix as rows of ``[re, im]`` pairs, its closing
-    bracket at ``nl``."""
-    mats = [np.asarray(a, dtype=np.complex128) for a in mats]
-    floats = _floats(np.concatenate([a.ravel() for a in mats])) if mats else []
-    pair, out, at = _block("[]", ["%s", "%s"], nl + "    "), [], 0
-    for a in mats:
-        row = _block("[]", [pair] * a.shape[1], nl + "  ")
-        end = at + 2 * a.size
-        out.append(_block("[]", [row] * a.shape[0], nl) % tuple(floats[at:end]))
-        at = end
-    return out
-
-
-def json_pieces(doc, arrays=None):
+def json_pieces(doc, arrays=None, compact=False):
     """The pieces of ``json.dumps(doc, sort_keys=True, indent=2)``, in
-    order.  Each entry of ``arrays`` is one more top-level key of the dict
-    ``doc``: its items, already rendered at depth 2 (strings, as
+    order, or with ``compact`` of the same with ``,`` and ``:`` separators,
+    no indentation and no NaN or infinity.  Each entry of ``arrays`` is
+    one more top-level key of the dict ``doc``, which a key of ``doc``
+    replaces: its items, already rendered at depth 2 (strings, as
     :func:`_block` renders them at ``_NL[2]``, or iterables of such
-    pieces), are spliced in at the key's sorted place as they come.  So a
-    large array whose shape the caller knows is written from templates,
-    not walked, and never held whole."""
+    pieces; compact items may each hold several elements, comma-joined),
+    are spliced in at the key's sorted place as they come.  So a large
+    array whose shape the caller knows is rendered from its arrays, not
+    walked, and never held whole."""
+    nl, colon = ("",) * 3 if compact else _NL, ":" if compact else ": "
+    dumps = partial(json.dumps, sort_keys=True, **(
+        {"separators": (",", ":"), "allow_nan": False} if compact else {"indent": 2}))
     if not arrays:
-        yield json.dumps(doc, sort_keys=True, indent=2)
+        yield dumps(doc)
         return
     for i, key in enumerate(sorted(doc.keys() | arrays.keys())):
-        yield ("," if i else "{") + _NL[1] + json.dumps(key) + ": "
+        yield ("," if i else "{") + nl[1] + json.dumps(key) + colon
         if key in doc:
-            yield json.dumps(doc[key], sort_keys=True, indent=2).replace("\n", _NL[1])
+            yield dumps(doc[key]).replace("\n", nl[1])
             continue
-        sep = "[" + _NL[2]
+        sep = "[" + nl[2]
         for item in arrays[key]:
             yield sep
             if isinstance(item, str):
                 yield item
             else:
                 yield from item
-            sep = "," + _NL[2]
-        yield "[]" if sep[0] == "[" else _NL[1] + "]"
-    yield _NL[0] + "}"
+            sep = "," + nl[2]
+        yield "[]" if sep[0] == "[" else nl[1] + "]"
+    yield nl[0] + "}"
 
 
 @lru_cache(maxsize=None)

@@ -188,8 +188,8 @@ def receiver_dict(trace, receiver) -> dict:
 def trace_doc(trace) -> dict:
     """The schema-``v1`` document of a scheme trace as nested dicts and
     lists, every heard equation written out: :func:`v1_from_v2` of
-    ``SchemeTrace.to_json()`` is its ``json.dumps(doc, sort_keys=True,
-    indent=2)``."""
+    :func:`v2_from_v3` of ``SchemeTrace.to_json()`` is its
+    ``json.dumps(doc, sort_keys=True, indent=2)``."""
     def cplx(z):
         z = complex(z)
         return [z.real, z.imag]
@@ -236,14 +236,84 @@ def trace_doc(trace) -> dict:
 
 
 def trace_doc_v2(trace) -> dict:
-    """The schema-``v2`` document of a scheme trace: ``SchemeTrace.to_json()``
-    is its ``json.dumps(doc, sort_keys=True, indent=2)``.  It is the ``v1``
+    """The schema-``v2`` document of a scheme trace: :func:`v2_from_v3` of
+    ``SchemeTrace.to_json()`` is its ``json.dumps(doc, sort_keys=True,
+    indent=2)``.  It is the ``v1``
     document with each receiver's equations replaced by the slots it heard
     them in."""
     heard = heard_slots(trace)
     return trace_doc(trace) | {"schema": "v2", "receivers": [
         {"receiver": r, "slots_observed": trace.total_slots, "equations": heard}
         for r in range(1, trace.k + 1)]}
+
+
+def v2_from_v3(text: str) -> str:
+    """The schema-``v2`` text of the schema-``v3`` trace document ``text``,
+    as the ``v2`` writer wrote it, ``json.dumps(doc, sort_keys=True,
+    indent=2)``: each plan form's coefficients as a map keyed by
+    ``str(id)``, with the empty ``"noise": {}`` every form carried.  The
+    numbers parse back to the doubles written, which json spells again."""
+    doc = json.loads(text)
+    if doc["schema"] != "v3":
+        raise ValueError(f"not a v3 trace document: schema {doc['schema']!r}")
+    doc["schema"] = "v2"
+    for slot in doc["slots"]:
+        slot["plan"] = [{"coeffs": {str(i): pair for i, pair in zip(form["ids"], form["coeffs"])},
+                         "noise": {}} for form in slot["plan"]]
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _matrix(rows) -> np.ndarray:
+    """A matrix given as rows of ``[re, im]`` pairs, as a complex array,
+    bit for bit."""
+    shape = (len(rows), len(rows[0]) if rows else 0, 2)
+    return np.array(rows, dtype=np.float64).reshape(shape).view(np.complex128)[..., 0]
+
+
+def arrays_from_v3(text: str) -> dict:
+    """What the schema-``v3`` trace document ``text`` holds, as arrays:
+    each slot's channel and its dense ``(p, symbols)`` plan, with every
+    absent id ``+0``, each combination's weight matrix and label, and the
+    symbol labels."""
+    doc = json.loads(text)
+    plans = []
+    for slot in doc["slots"]:
+        plan = np.zeros((slot["active_antennas"], len(doc["symbol_table"])),
+                        dtype=np.complex128)
+        for row, form in zip(plan, slot["plan"]):
+            row[form["ids"]] = _matrix([form["coeffs"]])[0]
+        plans.append(plan)
+    return {
+        "channels": [_matrix(slot["channel"]) for slot in doc["slots"]],
+        "plans": plans,
+        "weights": [_matrix(c["weights"]) for c in doc["combination_log"]],
+        "log_labels": [c["label"] for c in doc["combination_log"]],
+        "labels": [s["label"] for s in doc["symbol_table"]],
+    }
+
+
+def trace_arrays(trace) -> dict:
+    """What :func:`arrays_from_v3` rebuilds, taken from the trace itself: a
+    plan's zero coefficients, which ``v3`` does not write, as ``+0``."""
+    return {
+        "channels": list(trace.channels),
+        "plans": [np.where(plan == 0, 0, plan) for plan in slot_plans(trace)],
+        "weights": [w for _, block in trace.combination_log for w in block],
+        "log_labels": [label for labels, _ in trace.combination_log for label in labels],
+        "labels": [s.label for s in trace.table.symbols],
+    }
+
+
+def v3_losses(trace, text: str) -> list:
+    """The entries of :func:`arrays_from_v3` that differ from the trace's
+    own (:func:`trace_arrays`): arrays by shape and every part's
+    ``float.hex``, labels as strings.  Empty when ``v3`` lost nothing."""
+    def spelled(items):
+        return [item if isinstance(item, str) else (np.shape(item), [
+            float.hex(x) for x in np.ascontiguousarray(item, dtype=np.complex128)
+            .view(np.float64).ravel().tolist()]) for item in items]
+    got, want = arrays_from_v3(text), trace_arrays(trace)
+    return [key for key in want if spelled(got[key]) != spelled(want[key])]
 
 
 def _parse_v2(text: str):

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -105,7 +106,7 @@ def test_scheme_flags_below_one_are_refused(capsys, command, flags, refused):
 def test_scheme_run_json(capsys):
     doc = run_json(capsys, ["scheme-run", "--scheme", "square", "--k", "2"])
     assert doc["command"] == "scheme-run"
-    assert doc["schema"] == "v2"
+    assert doc["schema"] == "v3"
     assert doc["dof"] == "4/3"
     assert doc["expected_dof"] == "4/3"
     assert doc["decode_ok"] is True
@@ -402,13 +403,14 @@ def test_region_check_peak_memory_is_bounded(tmp_path):
 
 
 #: tracemalloc peak of ``scheme-run`` of square-5 at seed 1 written to a
-#: file (a 3,039,073-byte document), after a warm-up call: 5,891,966 bytes
-#: when the decode check holds one receiver's rows at a time and the
-#: document is written a piece at a time, against 9,796,813 when the check
-#: derived every receiver's rows at once and the document was rendered
-#: whole (Python 3.11.7, numpy 2.4.6, x86-64).  It may not need more than
-#: 5% above its value, which may be lowered, never raised.
-SCHEME_RUN_PEAK_BYTES = 5_891_966
+#: file (a 1,351,227-byte ``v3`` document), after a warm-up call:
+#: 5,146,437 bytes, against 5,891,966 with the 3,039,073-byte ``v2``
+#: document, both when the decode check holds one receiver's rows at a
+#: time and the document is written a piece at a time, and 9,796,813 when
+#: the check derived every receiver's rows at once and the document was
+#: rendered whole (Python 3.11.7, numpy 2.4.6, x86-64).  It may not need
+#: more than 5% above its value, which may be lowered, never raised.
+SCHEME_RUN_PEAK_BYTES = 5_146_437
 
 
 def test_scheme_run_peak_memory_is_bounded(tmp_path):
@@ -587,8 +589,14 @@ def test_unknown_scheme_is_an_argparse_error(capsys):
 ])
 def test_json_output_is_the_stdlib_rendering(capsys, argv):
     # every command's JSON is json.dumps(doc, sort_keys=True, indent=2)
-    # of its own document, byte for byte
+    # of its own document, byte for byte; the scheme-run trace, schema v3,
+    # is the compact rendering with sorted keys, as orjson writes it when
+    # every string is ASCII
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    doc = json.loads(out)
+    if doc["schema"] == "v3":
+        assert out == orjson.dumps(doc, option=orjson.OPT_SORT_KEYS).decode() + "\n"
+    else:
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -32,7 +32,7 @@ from delayedcsit.schemes import (
     run_square_scheme,
     tdma_trace,
 )
-from oracles import plan_counts, v1_doc_from_v2, v1_from_v2
+from oracles import plan_counts, v1_doc_from_v2, v1_from_v2, v2_from_v3, v3_losses
 
 SEEDS = (1, 2024)
 
@@ -48,8 +48,9 @@ BUILDERS = {
 }
 
 #: sha256 of the schema-``v1`` trace document at stream ``(seed, 3)``, one
-#: per seed: every JSON pin of a trace below hashes ``v1_from_v2`` of what
-#: ``to_json()`` writes, each heard equation rebuilt from its slot.
+#: per seed: every JSON pin of a trace below hashes ``v1_from_v2`` of
+#: ``v2_from_v3`` of what ``to_json()`` writes, each heard equation
+#: rebuilt from its slot.
 TRACE_SHA256 = {
     "square-2": (
         "c381f3abcda851099f7f8245b505d286eb18fd8213eb2eb4e201d8f109b36070",
@@ -85,8 +86,8 @@ TRACE_SHA256 = {
     ),
 }
 
-#: sha256 of ``to_json()`` itself, the schema-``v2`` document, for the
-#: traces of ``TRACE_SHA256``.
+#: sha256 of the schema-``v2`` document, ``v2_from_v3`` of ``to_json()``,
+#: for the traces of ``TRACE_SHA256``; captured from the ``v2`` writer.
 TRACE_V2_SHA256 = {
     "alt22": (
         "a01e8436535fcc9d8d7df689ec0a72e9ea75178c0ee6b7cb3d22af4e684aa134",
@@ -119,6 +120,43 @@ TRACE_V2_SHA256 = {
     "tdma-3": (
         "bafc3400338301de0380d56692cdcf2a68b61652f0a08acaf18a96ae9cf9f0fe",
         "ccba67d828b54e0e3d4d90ed68a533128f34f1b91f3b6b10d8644ec4ca50bc7f",
+    ),
+}
+
+#: sha256 of ``to_json()`` itself, the schema-``v3`` document, for the
+#: traces of ``TRACE_SHA256``.
+TRACE_V3_SHA256 = {
+    "alt22": (
+        "078a4c62676f35b195fa65954dc3ea38df05529407f75230e3ba91b50faa0b6a",
+        "d6d784d05f122dd329024ce68e18f9a056281623d89ae812918ccd274dc407d7",
+    ),
+    "mat23": (
+        "37be53432198ea913edaf2adc41a4b686aa3d930d238697e62d4c52a2d09b77d",
+        "be59a9dc038b332a782e57e8c6d43d2e5775624ba64833b3b36c5371a8fa1b8e",
+    ),
+    "opt23": (
+        "4151cf6951b9389fc62c7960a51127bb74c1fa0403edf395be27d68d89dca17c",
+        "74512056e8f32424f3c252e3119a8d903941348322c14a8599b326e519f78410",
+    ),
+    "order-2-3-2": (
+        "0592cfbd3f2698f1d4edef31cac608ad766f5a754e0800180e4a9c9c51d13c56",
+        "490cd75f6f2a0c8f887fc69b71bb3417324d8bb9ff00fdf7ffc12a45bd48e08e",
+    ),
+    "square-2": (
+        "bc33579db661d9f83b4cb886d51da50f150284382ad16b4e55724db967d74672",
+        "198e017e6fe04d42c1b2ccbb9b259e36287d0ed45f4ae9a32e0f1a77eff0ab94",
+    ),
+    "square-3": (
+        "e5468b30a3d36dc1285ebbdd4adcbf1abc320d7e6bcb089f752456d19ef38e20",
+        "b7e0eb41460e1eb79859254c042746124360b2ceb4f6052d0733824a68cccecf",
+    ),
+    "square-5": (
+        "552207b5620eb67a662e10dfcb418f97151a89d92678decc2bb35e8cb4af2801",
+        "7af2c2bc5679e4e2818e1b0a02e067afdc1b2775464e93cabb0833b5ad31bcea",
+    ),
+    "tdma-3": (
+        "b76182621334ba73f0ad638e4770bbe944893c183a8d40745b76360697d9430a",
+        "9f3b67accbfc045ff0cdb9294efd9da169bba5259ae6f5c4249533cab9adc3e2",
     ),
 }
 
@@ -234,8 +272,8 @@ VERIFY_VERDICTS = {
 }
 
 #: sha256 of ``delayedcsit scheme-run`` stdout at ``--seed`` 1 and 2024
-#: (square-5 at 1 alone), in schema ``v1``: ``v1_from_v2`` of the trace
-#: document and the keys the command adds to it (``command``,
+#: (square-5 at 1 alone), in schema ``v1``: ``v1_from_v2`` of
+#: ``v2_from_v3`` of the trace document and the keys the command adds to it (``command``,
 #: ``decode_ok``, ``expected_dof``).  Captured from the writer that
 #: rendered the whole ``v1`` document with json.
 CLI_SHA256 = {
@@ -256,7 +294,8 @@ CLI_SHA256 = {
     )),
 }
 
-#: sha256 of the same stdout as the command writes it, in schema ``v2``.
+#: sha256 of the same stdout in schema ``v2``: ``v2_from_v3`` of the
+#: document and its newline, as the ``v2`` writer wrote it.
 CLI_V2_SHA256 = {
     "square-3": (
         "42fdcdc8af07f83940eaf7223ceb769f6d904c93fa462c14240f8518f397d0f5",
@@ -272,6 +311,25 @@ CLI_V2_SHA256 = {
     ),
     "square-5": (
         "a910f6f995763def5e2c871f41d8b0247c4e3dccc47e48ae92ed5f7bcfd043e3",
+    ),
+}
+
+#: sha256 of the same stdout as the command writes it, in schema ``v3``.
+CLI_V3_SHA256 = {
+    "square-3": (
+        "8138c123ad9044f7e49efaafae9cac9f5d1becb88683ae876702583a583db9bc",
+        "2aea8d266543374c7bf887a3ffd023f2092aada92c6002ddcf47d6a21e43c2e6",
+    ),
+    "opt23": (
+        "0bd0a6cdd051e3e5761c64bf896af3bbbde6f0b5deed0bf1c43a4263594f28be",
+        "c755e0f995710ea9f7e23f792e3409641436c41b67d10d6ad8238342e9e44b67",
+    ),
+    "order-2-3-2": (
+        "135e2758006970f03a0b4dbc1b379572ed310b44c57d0f6ca93fce5eea52bffc",
+        "9f2e555504de1afe92fb01782404368617411c5009e1010b7799e72c40be49e4",
+    ),
+    "square-5": (
+        "9d1d8a32c8a1f64ef9520cba1bbc67666648f4201dd955c376073427788a3ff9",
     ),
 }
 
@@ -445,8 +503,8 @@ def _digest(text):
 
 
 def _sha(trace):
-    """sha256 of the ``v1`` document rebuilt from the ``v2`` one written."""
-    return _digest(v1_from_v2(trace.to_json()))
+    """sha256 of the ``v1`` document rebuilt from the ``v3`` one written."""
+    return _digest(v1_from_v2(v2_from_v3(trace.to_json())))
 
 
 def _overrides():
@@ -459,12 +517,14 @@ def _overrides():
 @pytest.mark.parametrize("name", sorted(TRACE_SHA256))
 def test_trace_json_is_unchanged(name):
     texts = [BUILDERS[name](RngStream(seed, 3)).to_json() for seed in SEEDS]
-    assert tuple(map(_digest, texts)) == TRACE_V2_SHA256[name]
+    assert tuple(map(_digest, texts)) == TRACE_V3_SHA256[name]
     # what the CLI writes, the document a piece at a time, joins to the pins
     pieces = [list(BUILDERS[name](RngStream(seed, 3)).json_pieces()) for seed in SEEDS]
-    assert tuple(_digest("".join(p)) for p in pieces) == TRACE_V2_SHA256[name]
+    assert tuple(_digest("".join(p)) for p in pieces) == TRACE_V3_SHA256[name]
     assert all(len(p) > 1 and all(isinstance(x, str) for x in p) for p in pieces)
-    assert tuple(_digest(v1_from_v2(text)) for text in texts) == TRACE_SHA256[name]
+    v2 = [v2_from_v3(text) for text in texts]
+    assert tuple(map(_digest, v2)) == TRACE_V2_SHA256[name]
+    assert tuple(_digest(v1_from_v2(text)) for text in v2) == TRACE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(set(BUILDERS) - {"square-5"}))
@@ -473,7 +533,7 @@ def test_v1_renderer_matches_the_stdlib(name):
     # templates: on the small golden traces it is byte for byte the
     # stdlib's rendering of the v1 document
     for seed in SEEDS:
-        text = BUILDERS[name](RngStream(seed, 3)).to_json()
+        text = v2_from_v3(BUILDERS[name](RngStream(seed, 3)).to_json())
         want = json.dumps(v1_doc_from_v2(text), sort_keys=True, indent=2)
         assert v1_from_v2(text) == want, seed
 
@@ -528,12 +588,15 @@ def test_scheme_verify_verdicts_are_unchanged(name, capsys):
 @pytest.mark.parametrize("name", sorted(CLI_SHA256))
 def test_scheme_run_stdout_is_unchanged(name, capsys):
     argv, want = CLI_SHA256[name]
-    v2, v1 = [], []
+    v3, v2, v1 = [], [], []
     for seed in SEEDS[:len(want)]:
         assert main(["scheme-run", *argv, "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
-        v2.append(_digest(out))
-        v1.append(_digest(v1_from_v2(out) + "\n"))
+        v3.append(_digest(out))
+        text = v2_from_v3(out)
+        v2.append(_digest(text + "\n"))
+        v1.append(_digest(v1_from_v2(text) + "\n"))
+    assert tuple(v3) == CLI_V3_SHA256[name]
     assert tuple(v2) == CLI_V2_SHA256[name]
     assert tuple(v1) == want
 
@@ -574,6 +637,14 @@ def _golden_traces():
             yield name, build(RngStream(seed, 3), channels)
     for key in sorted(CHAIN_SHA256):
         yield f"chain-{key}", _run_chain("chain", *key, RngStream(1, 3))
+
+
+def test_v3_loses_nothing():
+    # every golden trace's channels, dense plans (absent ids +0) and
+    # weights, rebuilt from its v3 document, have the trace's bits, and
+    # its symbol and combination labels are the trace's
+    for name, trace in _golden_traces():
+        assert v3_losses(trace, trace.to_json()) == [], name
 
 
 def _first_phase_by_identity(m, k, start, rng):

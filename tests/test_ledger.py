@@ -38,6 +38,7 @@ from oracles import (
     rowspace_residuals,
     slot_plans,
     v1_from_v2,
+    v2_from_v3,
 )
 
 SMALL_SCHEMES = {
@@ -169,12 +170,12 @@ def _noise_weights(receiver_doc):
 
 
 def _written_v1(trace):
-    """The ``v1`` document rebuilt from the ``v2`` one the trace writes,
+    """The ``v1`` document rebuilt from the ``v3`` one the trace writes,
     whose receivers each list the slots they heard."""
     text = trace.to_json()
     for rec in json.loads(text)["receivers"]:
         assert rec["equations"] == heard_slots(trace), rec["receiver"]
-    return json.loads(v1_from_v2(text))
+    return json.loads(v1_from_v2(v2_from_v3(text)))
 
 
 def test_noise_ids_are_unique_per_slot_and_receiver():

@@ -1,8 +1,10 @@
 """Scheme execution: phase cardinalities, exact accounting, decodability."""
 
 import dataclasses
+import functools
 import json
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -40,7 +42,15 @@ from delayedcsit.schemes import (
 )
 from delayedcsit.ledger import SymbolTable
 from delayedcsit.dof_calc import DofQuery, NonsquarePhaseParams
-from oracles import plan_counts, slot_plans, trace_doc, trace_doc_v2, v1_from_v2
+from oracles import (
+    plan_counts,
+    slot_plans,
+    trace_doc,
+    trace_doc_v2,
+    v1_from_v2,
+    v2_from_v3,
+    v3_losses,
+)
 
 
 def test_square_scheme_exact_accounting():
@@ -157,7 +167,7 @@ def test_trace_determinism_and_serialization():
     assert a == b
     assert a != c
     doc = json.loads(a)
-    assert doc["schema"] == "v2"
+    assert doc["schema"] == "v3"
     assert doc["dof"] == "4/3"
     assert doc["rng"] == {"seed": 42, "index": 0}
     assert len(doc["slots"]) == 3
@@ -375,9 +385,10 @@ def test_scheme_trace_decode_across_seeds():
         assert run_opt23(RngStream(seed)).decode_ok()
 
 
-#: The executed frontier: square ``k = 5, 6`` and the antenna-limited
-#: ``k = 5`` chains, each built and decoded at stream ``(1, 0)``.
-FRONTIER = ((5, 5), (6, 6), (4, 5), (3, 5), (2, 5))
+#: The executed frontier: square ``k = 5, 6``, the antenna-limited
+#: ``k = 5`` chains and the ``(5, 6)`` chain (750 symbols, 324 slots), each
+#: built and decoded at stream ``(1, 0)``.
+FRONTIER = ((5, 5), (6, 6), (4, 5), (3, 5), (2, 5), (5, 6))
 
 #: Seconds for building and decoding all of ``FRONTIER``; about 5 s on a
 #: 2-core x86-64 host.
@@ -551,13 +562,25 @@ def _stdlib_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _sorted_keys(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys), keys
+    return dict(pairs)
+
+
 def _check_documents(trace, extra=None):
-    """``to_json(extra)`` is the stdlib rendering of the ``v2`` oracle
-    document, and the ``v1`` document rebuilt from it is the stdlib
-    rendering of the ``v1`` oracle; return the ``v2`` and ``v1`` texts."""
+    """``to_json(extra)`` is compact ASCII JSON, no whitespace outside its
+    strings, with its keys sorted at every level; the ``v2`` document
+    rebuilt from it is the stdlib rendering of the ``v2`` oracle, and the
+    ``v1`` one rebuilt from that is the stdlib rendering of the ``v1``
+    oracle; return the ``v3`` and ``v1`` texts."""
     text = trace.to_json(extra)
-    assert text == _stdlib_json(trace_doc_v2(trace) | (extra or {}))
-    v1 = v1_from_v2(text)
+    assert text.isascii()
+    assert not re.search(r"\s", re.sub(r'"(?:[^"\\]|\\.)*"', "", text))
+    json.loads(text, object_pairs_hook=_sorted_keys)
+    v2 = v2_from_v3(text)
+    assert v2 == _stdlib_json(trace_doc_v2(trace) | (extra or {}))
+    v1 = v1_from_v2(v2)
     assert v1 == _stdlib_json(trace_doc(trace) | (extra or {}))
     return text, v1
 
@@ -593,7 +616,7 @@ def test_to_json_matches_stdlib_with_extra_keys_and_overrides():
                   run_mat23_suboptimal(RngStream(2), mat23),
                   tdma_trace(3, RngStream(3))):
         _check_documents(trace, extra)
-    assert trace.combination_log == [] and '"combination_log": []' in trace.to_json()
+    assert trace.combination_log == [] and '"combination_log":[]' in trace.to_json()
     # an extra key replaces the trace's own, as a dict union does
     assert json.loads(trace.to_json({"slots": 0, "m": None}))["slots"] == 0
 
@@ -631,53 +654,87 @@ def test_to_json_edge_cases():
     trace = _hand_trace(12, [plan, np.zeros((0, 12))], [channel, channel],
                         [channel[:1], np.zeros((2, 0))])
     text, v1 = _check_documents(trace)
+    assert v3_losses(trace, text) == []
     doc = json.loads(text)
     first, second = doc["slots"]
-    assert first["plan"][0]["coeffs"] == {} and second["plan"] == []
-    assert list(first["plan"][1]["coeffs"]) == ["10", "11", "2"]
+    assert first["plan"][0] == {"coeffs": [], "ids": []} and second["plan"] == []
+    assert first["plan"][1]["ids"] == [2, 10, 11]
     assert [rec["equations"] for rec in doc["receivers"]] == [[0], [0]]
     assert doc["combination_log"][1]["weights"] == [[], []]
     heard = [rec["equations"] for rec in json.loads(v1)["receivers"]]
     assert [eq["slot"] for eqs in heard for eq in eqs] == [0, 0]
     assert heard[0][0]["form"]["coeffs"] == {}
     assert list(heard[1][0]["form"]["coeffs"]) == ["10", "11", "2"]
+    # orjson spells v3's numbers, and json those of the v2 rebuild
+    for spelled in ("-0.0", "0.00001", "1e16", "5e-324", "-1e16"):
+        assert re.search(rf"[\[,]{spelled}[,\]]", text), spelled
+    v2 = v2_from_v3(text)
     for spelled in ("-0.0", "1e-05", "1e+16", "5e-324", "-1e+16"):
-        assert f" {spelled}," in text or f" {spelled}\n" in text, spelled
+        assert f" {spelled}," in v2 or f" {spelled}\n" in v2, spelled
 
 
-def _stdlib_floats(x):
-    return json.dumps(np.asarray(x, dtype=np.float64).tolist())[1:-1].split(", ")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_to_json_refuses_non_finite_floats(bad):
+    # JSON cannot spell them, and orjson would write null: in a plan
+    # coefficient, a channel, a weight or an extra key, the writer raises
+    plan, channel, weight = np.ones((2, 3), complex), np.ones((2, 2), complex), np.ones((1, 2))
+    for where in range(3):
+        arrays = [plan.copy(), channel.copy(), weight.astype(complex)]
+        arrays[where][-1, -1] = complex(bad, 0) if where else complex(0, bad)
+        trace = _hand_trace(3, [arrays[0]], [arrays[1]], [arrays[2]])
+        with pytest.raises(ValueError, match="non-finite"):
+            trace.to_json()
+    with pytest.raises(ValueError):
+        _hand_trace(3, [plan], [channel], [weight]).to_json({"x": bad})
 
 
-def test_floats_spell_every_double_as_json_does():
+def test_v3_round_trips_every_finite_double():
     # every power of two and every 1eN that parses, each one ulp either
-    # side, and both signs; zeros, the least subnormal, NaN, infinities and
-    # random bit patterns (NaN payloads among them): orjson writes the
-    # digits, json's layout is kept on both sides of 1e-4 and 1e16
+    # side, and both signs; zeros, the least subnormal and random finite
+    # bit patterns: orjson writes the shortest digits, and json reads
+    # back the same double, in every channel, plan and weight
     bases = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
                             [float(f"1e{e}") for e in range(-330, 309)]])
     near = np.concatenate([bases, np.nextafter(bases, 0), np.nextafter(bases, np.inf)])
     bits = np.random.default_rng(2018).integers(0, 2**64, 10**5, dtype=np.uint64)
-    x = np.concatenate([near, -near, [0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf,
-                                      -np.inf], bits.view(np.float64)])
-    x = x[:len(x) // 2 * 2]
-    assert schemes._floats(x.view(np.complex128)) == _stdlib_floats(x)
-    assert schemes._floats(np.zeros(0, dtype=np.complex128)) == []
+    x = np.concatenate([near, -near, [0.0, -0.0, 5e-324, -5e-324], bits.view(np.float64)])
+    x = x[np.isfinite(x)]
+    z = np.concatenate([x, np.zeros(-len(x) % 256)]).view(np.complex128).reshape(-1, 2, 64)
+    trace = dataclasses.replace(_hand_trace(64, list(z), list(z), [z.reshape(-1, 64)]), m=64)
+    assert v3_losses(trace, trace.to_json()) == []
 
 
-def test_floats_copy_a_strided_array_first():
-    # orjson refuses a non-contiguous array, and the view as float64 needs
-    # a contiguous one too
-    z = _complex(np.arange(8.0) - 3.5, 1e-05 * np.arange(8.0))[::3]
-    assert not z.flags.c_contiguous
-    assert schemes._floats(z) == _stdlib_floats(np.ascontiguousarray(z).view(np.float64))
+def test_v3_round_trips_strided_arrays():
+    # orjson refuses a non-contiguous array, and the view as [re, im]
+    # pairs needs a contiguous one too: a stepped, a transposed and a
+    # column-sliced input are copied first, with their bits
+    z = _complex(np.arange(48.0) - 3.5, 1e-05 * np.arange(48.0))
+    plans = z.reshape(4, 6, 2)[::2].transpose(0, 2, 1)
+    channels = z.reshape(2, 2, 12)[:, :, ::3]
+    weights = z.reshape(3, 2, 8)[:, :, 1::2]
+    assert not any(a.flags.c_contiguous for a in (plans, channels, weights))
+    table = SymbolTable(2)
+    for i in range(6):
+        table.new_symbol({1 + i % 2}, f"x{i}")
+    trace = SchemeTrace(
+        name="strided", m=4, k=2, replication={1: 1}, table=table,
+        channels=channels, plans=[plans], phases=[PhaseRecord(1, 1, 6, 2, 0)],
+        combination_log=[(("a", "b", "c"), weights)], seed=0, stream_index=0)
+    assert v3_losses(trace, trace.to_json()) == []
 
 
 def test_v2_document_is_smaller_than_its_v1_rebuild():
     # the heard equations were most of the v1 document: 35% is left of
     # square-5's bytes
-    text = run_square_scheme(5, RngStream(1)).to_json()
+    text = v2_from_v3(run_square_scheme(5, RngStream(1)).to_json())
     assert len(text) <= 0.4 * len(v1_from_v2(text))
+
+
+def test_v3_document_is_smaller_than_its_v2_rebuild():
+    # no indentation, no per-coefficient key, no empty noise map: 45% is
+    # left of square-5's v2 bytes
+    text = run_square_scheme(5, RngStream(1)).to_json()
+    assert len(text) <= 0.5 * len(v2_from_v3(text))
 
 
 #: tracemalloc peaks on square-5 at stream ``(1, 0)``, each in a fresh
@@ -685,12 +742,14 @@ def test_v2_document_is_smaller_than_its_v1_rebuild():
 #: x86-64).  The build: 5,991,130 bytes, against 11,736,419 when a trace
 #: kept its rows, the first phase multiplied an ``n x n`` identity and a
 #: phase held its plans and stacked inputs while it sent.
-#: ``to_json()``: 7,085,702 bytes, against 10,603,593 when it rendered every
-#: plan at once and 38,801,596 with the writer that stacked each receiver's
-#: list of row views.  Neither may need more than 5% above its value; the
-#: values may be lowered, never raised.
+#: ``to_json()``: 3,038,981 bytes, most of it the joined 1.35 MB
+#: document and its pieces, against 7,085,702 with the indented ``v2``
+#: writer, 10,603,593 when it rendered every plan at once and 38,801,596
+#: with the writer that stacked each receiver's list of row views.
+#: Neither may need more than 5% above its value; the values may be
+#: lowered, never raised.
 BUILD_PEAK_BYTES = 5_991_130
-TO_JSON_PEAK_BYTES = 7_085_702
+TO_JSON_PEAK_BYTES = 3_038_981
 
 #: ``decode_ok()`` of the same trace: 2,339,210 bytes, one receiver's rows
 #: at a time, against 4,969,254 when the check derived every receiver's
@@ -770,8 +829,13 @@ def test_to_json_matches_stdlib_on_any_arrays(n, antennas, data):
     channels = [draw(2, 2) for _ in antennas]
     weights = [draw(*data.draw(st.tuples(st.integers(0, 2), st.integers(0, 3))))
                for _ in range(data.draw(st.integers(0, 2)))]
-    with np.errstate(all="ignore"):  # inf and nan parts make inf and nan products
-        _check_documents(_hand_trace(n, plans, channels, weights))
+    trace = _hand_trace(n, plans, channels, weights)
+    if not all(np.isfinite(a).all() for a in [*plans, *channels, *weights]):
+        with pytest.raises(ValueError, match="non-finite"):
+            trace.to_json()
+        return
+    with np.errstate(all="ignore"):  # large parts make inf products
+        _check_documents(trace)
 
 
 _TRICKY_TEXT = ("", "0", "3:2", "a,b", "x]", "[", "[]", ":[", '"q"', "\\",
@@ -808,7 +872,8 @@ def test_canonical_json_matches_stdlib_on_any_tree(tree, lists):
     # values; keys and strings that need escaping, non-ASCII ones and ones
     # holding brackets, commas and quotes; ints, bools, None, -0.0, the
     # least subnormal, 1e16, NaN and infinities; tuples and dicts with
-    # integer keys
+    # integer keys.  Compact, the same with "," and ":" separators, and
+    # NaN or an infinity in the document (not in pre-rendered items) raises
     doc = {key: value for key, value in tree.items() if key not in lists}
     arrays = {}
     for key, items in lists.items():
@@ -816,6 +881,15 @@ def test_canonical_json_matches_stdlib_on_any_tree(tree, lists):
         arrays[key] = [text if i % 2 else [text[:len(text) // 2], text[len(text) // 2:]]
                        for i, text in enumerate(texts)]
     assert "".join(json_pieces(doc, arrays)) == _stdlib_json(doc | lists)
+    compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    arrays = {key: [compact(item) for item in items] for key, items in lists.items()}
+    try:
+        compact(doc, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError, match="Out of range float"):
+            "".join(json_pieces(doc, arrays, compact=True))
+    else:
+        assert "".join(json_pieces(doc, arrays, compact=True)) == compact(doc | lists)
 
 
 def test_canonical_json_fails_on_a_cycle_as_json_does():
