@@ -25,15 +25,15 @@ full row rank by the scheme's plan: a receiver whose rows fall below
 NumPy's rank floor decodes nothing.  Every slot is heard by every
 receiver, so a trace's receivers hold matrices of one shape, and a stack
 of them, at most :data:`.numerics.STACK_BYTES` of rows, is answered with
-one batched QR by :func:`.numerics.unit_residuals`; a large receiver is
-a stack of one.
+one batched QR by :func:`.numerics.units_inside` (its margins by
+:func:`.numerics.unit_residuals`); a large receiver is a stack of one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import numerical_rank, unit_residuals
+from .numerics import numerical_rank, units_inside
 
 __all__ = [
     "BaseSymbol",
@@ -189,9 +189,12 @@ def can_decode(rows, targets) -> bool:
     is the singular value that stacking ``e_t`` would add; its ratio to
     ``RANK_RTOL * sqrt(s_0^2 + 1)``, the rank threshold of the stacked
     matrix, must be at most 1 (:func:`.numerics.unit_residuals`).  The
-    whole stack is factored by one batched QR.
+    whole stack is factored by one batched QR; it solves for ``z`` only if
+    a receiver is below full row rank or some ``d_t`` exceeds its
+    threshold (:func:`.numerics.units_inside`), since the ratio is at most
+    ``d_t`` over it.
     """
-    return bool((unit_residuals(rows, targets)[0] <= 1).all())
+    return units_inside(rows, targets)
 
 
 def combine(forms, weights) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything downstream (symbol ledgers, scheme runners, rate simulation)
 funnels its numerical work through this module: batched complex
 Gaussian draws, stacked Haar unitaries, SVD-based rank tests and, by one
-QR per matrix of full row rank, membership of unit rows in a row space.
+QR per matrix of full row rank, membership of unit rows in a row space,
+as margins or as a verdict that solves only if the residuals need it.
 The linear algebra works on stacks of matrices of one shape, so that
 many small matrices share one numpy call; one matrix goes through the
 same code.
@@ -31,6 +32,7 @@ __all__ = [
     "singular_rank",
     "stacks",
     "unit_residuals",
+    "units_inside",
 ]
 
 #: Relative threshold of the one rank rule, ``s > RANK_RTOL * s_0``
@@ -240,6 +242,52 @@ def numerical_rank(a):
     return singular_rank(np.linalg.svd(as_complex_matrix(a), compute_uv=False))
 
 
+def _factor(a, targets):
+    """The factorization that :func:`unit_residuals` and
+    :func:`units_inside` share: one batched QR of ``A^T`` and ``svd(R)``.
+    Returns each matrix's singular values, largest first, its rank at
+    NumPy's floor and whether that is full row rank; each target's
+    explicit residual ``d``, ``(matrices, targets)``, and each matrix's
+    threshold, ``(matrices, 1)``; and ``R`` and ``Q[t]`` for the solve.
+    ``Q`` and the residual rows are freed first.  A stack with no entries
+    has rank 0 and every ``d = 1``."""
+    a = as_complex_matrix(a)
+    t = np.asarray(targets, dtype=np.intp)
+    if a.ndim != 3 or t.ndim != 2 or not t.size or len(t) != len(a):
+        raise ValueError("need a stack of matrices and one nonempty list of "
+                         "targets per matrix, all of one length")
+    m, n = a.shape[1:]
+    if a.size == 0:
+        return ([[0.0]] * len(a), [0] * len(a), [False] * len(a),
+                np.ones(t.shape), np.full((len(a), 1), RANK_RTOL), None, None)
+    q, r = np.linalg.qr(a.mT)
+    s = np.linalg.svd(r, compute_uv=False)
+    values, floor = s.tolist(), max(m, n) * _EPS
+    ranks = [sum(x > v[0] * floor for x in v) for v in values]
+    # Q[t] of each matrix, (matrices, count, m); x is e_t - Q Q[t]^H
+    # negated, which leaves its norm
+    rows = np.arange(len(a))[:, np.newaxis]
+    coords = q[rows, t]
+    x = coords.conj() @ q.mT
+    x[rows, np.arange(t.shape[1]), t] -= 1.0
+    d = np.sqrt(np.vecdot(x, x).real)
+    del x, q
+    thr = RANK_RTOL * np.sqrt(np.square(s[:, :1]) + 1.0)
+    return values, ranks, [k == m for k in ranks], d, thr, r, coords
+
+
+def _ratios(full, d, thr, r, coords) -> np.ndarray:
+    """Each target's ``g = d / sqrt(1 + ||z||^2)``, ``R z = Q[t]^H``, over
+    its threshold; 1 over it where the matrix is below full row rank."""
+    out = np.ones(d.shape)
+    if any(full):
+        at = slice(None) if all(full) else np.array(full)
+        z = np.linalg.solve(r[at], coords[at].conj().mT)
+        out[at] = d[at] / np.sqrt(1.0 + np.vecdot(z, z, axis=-2).real)
+    out /= thr
+    return out
+
+
 def unit_residuals(a, targets):
     """How far each unit row ``e_t`` is from the row space of its matrix,
     as a ratio to the threshold up to which it counts as inside, and the
@@ -266,7 +314,9 @@ def unit_residuals(a, targets):
     ``rowspace_residuals``).  Its threshold is ``RANK_RTOL * sqrt(s_0^2 +
     1)``, the rank threshold of the stacked matrix, and ``e_t`` is inside
     iff ``g`` does not exceed it.  Singular values come from ``svd(R)``.
-    Each result has the bits of that matrix factored alone.
+    Each result has the bits of that matrix factored alone.  A verdict
+    alone is :func:`units_inside`, which solves only when ``d`` cannot
+    settle it.
 
     Returns
     -------
@@ -279,38 +329,24 @@ def unit_residuals(a, targets):
         where none is above and ``dropped`` is 0 where none is at or below
         (full row rank).
     """
-    a = as_complex_matrix(a)
-    t = np.asarray(targets, dtype=np.intp)
-    if a.ndim != 3 or t.ndim != 2 or not t.size or len(t) != len(a):
-        raise ValueError("need a stack of matrices and one nonempty list of "
-                         "targets per matrix, all of one length")
-    m, n = a.shape[1:]
-    if a.size == 0:
-        return (np.full(t.shape, 1.0 / RANK_RTOL),
-                np.full(len(a), np.inf), np.zeros(len(a)))
-    q, r = np.linalg.qr(a.mT)
-    s = np.linalg.svd(r, compute_uv=False)
-    values, floor = s.tolist(), max(m, n) * _EPS
+    values, ranks, *rest = _factor(a, targets)
     # s is sorted, so with r values above the floor, s_(r-1) is the
     # smallest of them and s_r the largest at or below it; r = 0 only
-    # where s_0 = 0
-    ranks = [sum(x > v[0] * floor for x in v) for v in values]
+    # where s_0 = 0 or the stack has no entries
     kept, dropped = np.array([
         (v[r - 1] / v[0], v[r] / v[0] if r < len(v) else 0.0) if r else (math.inf, 0.0)
         for v, r in zip(values, ranks)]).T
-    full = [r == m for r in ranks]
-    # Q[t] of each matrix, (matrices, count, m); x is e_t - Q Q[t]^H
-    # negated, which leaves its norm
-    rows = np.arange(len(a))[:, np.newaxis]
-    coords = q[rows, t]
-    x = coords.conj() @ q.mT
-    x[rows, np.arange(t.shape[1]), t] -= 1.0
-    d = np.sqrt(np.vecdot(x, x).real)
-    del x, q
-    out = np.ones(t.shape)
-    if any(full):
-        at = slice(None) if all(full) else np.array(full)
-        z = np.linalg.solve(r[at], coords[at].conj().mT)
-        out[at] = d[at] / np.sqrt(1.0 + np.vecdot(z, z, axis=-2).real)
-    out /= RANK_RTOL * np.sqrt(np.square(s[:, :1]) + 1.0)
-    return out, kept, dropped
+    return _ratios(*rest), kept, dropped
+
+
+def units_inside(a, targets) -> bool:
+    """True iff every ratio of :func:`unit_residuals` is at most 1, bit
+    for bit, from the same factorization but without the solve where the
+    residuals settle it: when every matrix has full row rank and every
+    ``d`` is within its threshold.  ``g = d / w`` with ``w >= 1``, so in
+    floating point ``fl(d / w) <= d``, and dividing by the same threshold
+    keeps the order; any other stack gets its ratios computed."""
+    _, _, full, d, thr, *rest = _factor(a, targets)
+    if all(full) and bool((d <= thr).all()):
+        return True
+    return bool((_ratios(full, d, thr, *rest) <= 1).all())

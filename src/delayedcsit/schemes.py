@@ -346,12 +346,14 @@ class SchemeTrace:
             yield self._heard(idx), [targets[i] for i in idx]
 
     def decode_ok(self) -> bool:
-        """True iff every receiver can decode all of its symbols."""
+        """True iff every receiver can decode all of its symbols: the
+        verdict of :meth:`decode_residuals`' ratios, without their solve
+        where the explicit residuals settle it (:func:`.ledger.can_decode`)."""
         # starmap drops each stack before it derives the next
         return all(starmap(can_decode, self.decode_stacks()))
 
     def decode_residuals(self):
-        """What :meth:`decode_ok` decides from, with the same
+        """The margins behind :meth:`decode_ok`, from the same
         factorizations: every target's residual over its threshold, and
         every receiver's smallest singular value above the rank floor and
         largest at or below it, relative to its largest

@@ -306,14 +306,31 @@ def trace_arrays(trace) -> dict:
 
 def v3_losses(trace, text: str) -> list:
     """The entries of :func:`arrays_from_v3` that differ from the trace's
-    own (:func:`trace_arrays`): arrays by shape and every part's
-    ``float.hex``, labels as strings.  Empty when ``v3`` lost nothing."""
-    def spelled(items):
-        return [item if isinstance(item, str) else (np.shape(item), [
-            float.hex(x) for x in np.ascontiguousarray(item, dtype=np.complex128)
-            .view(np.float64).ravel().tolist()]) for item in items]
+    own (:func:`trace_arrays`): arrays by shape and the bits of every
+    part, labels as strings.  Each loss is its key with the first item
+    that differs on each side, an array spelled by its shape and every
+    part's ``float.hex``.  Empty when ``v3`` lost nothing."""
+    def bits(item):
+        return np.ascontiguousarray(item, dtype=np.complex128).view(np.uint64)
+
+    def same(a, b):
+        if isinstance(a, str) or isinstance(b, str):
+            return a == b
+        return np.shape(a) == np.shape(b) and np.array_equal(bits(a), bits(b))
+
+    def spelled(item):
+        return item if isinstance(item, str) else (np.shape(item), [
+            float.hex(x) for x in bits(item).view(np.float64).ravel().tolist()])
+
     got, want = arrays_from_v3(text), trace_arrays(trace)
-    return [key for key in want if spelled(got[key]) != spelled(want[key])]
+    losses = []
+    for key in want:
+        a, b = got[key], want[key]
+        differ = [i for i, (x, y) in enumerate(zip(a, b)) if not same(x, y)]
+        if differ or len(a) != len(b):
+            i = differ[0] if differ else min(len(a), len(b))
+            losses.append((key, i, *(spelled(c[i]) if i < len(c) else None for c in (a, b))))
+    return losses
 
 
 def _parse_v2(text: str):

@@ -228,7 +228,7 @@ def test_equation_rows_are_channel_times_plan():
                 assert all(coeffs[s] == row[s] for s in coeffs)
 
 
-def test_can_decode_hand_cases():
+def test_can_decode_hand_cases(monkeypatch):
     t = SymbolTable(2)
     x = t.new_symbol({1}, "x")
     y = t.new_symbol({2}, "y")
@@ -255,6 +255,20 @@ def test_can_decode_hand_cases():
         can_decode([st1, st2], [[x]])  # one target list short
     with pytest.raises(ValueError):
         can_decode(st1, [[x], [y]])  # one matrix, not a stack
+    # the three outcomes of deciding from the explicit residual d: on the
+    # row (1, delta), d over its threshold is 0.71, 1.27 and 2.12, and the
+    # ratio g / thr of unit_residuals 0.5, 0.9 and 1.5; the verdict solves
+    # R z = Q[t]^H only when d does not settle it
+    solve, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
+    for delta, ok, solved in ((1e-9, True, False), (1.8e-9, True, True),
+                              (3e-9, False, True)):
+        row = np.array([[[1.0, delta]]])
+        solves.clear()
+        assert can_decode(row, [[x]]) == ok, delta
+        assert bool(solves) == solved, delta
+        (ratio,), _, _ = unit_residuals(row, [[x]])
+        assert bool(ratio[0] <= 1) == ok, (delta, ratio)
 
 
 def _stacked_rank_decodes(rows, targets):
@@ -301,7 +315,8 @@ def test_can_decode_matches_stacked_rank_oracle(name):
                 verdicts.append(got)
             assert all(verdicts) == complete, (name, seed, complete)
             assert all(can_decode(*stack) for stack in tr.decode_stacks()) == complete
-            assert tr.decode_ok() == complete
+            assert tr.decode_ok() == complete == bool(
+                (tr.decode_residuals()[0] <= 1).all())
 
 
 #: Traces whose smallest singular value lies below 1e-9 of ``s_0``, the
@@ -336,9 +351,10 @@ def test_decode_residuals_are_decades_from_threshold():
     for build, stream, low in cases:
         trace = build(stream)
         for tr, complete in ((trace, True), (_truncated(trace), False)):
-            margins = []
+            margins, ratios = [], []
             for rows, targets in tr.decode_stacks():
                 ratio, kept, dropped = unit_residuals(rows, targets)
+                ratios.append(ratio)
                 if low and not complete:
                     ratio = ratio.max(axis=-1)
                 assert np.all((ratio <= 0.1) | (ratio >= 10.0)), (
@@ -349,7 +365,9 @@ def test_decode_residuals_are_decades_from_threshold():
                     assert margin == pytest.approx(sv[-1] / sv[0], rel=1e-6)
                 # every receiver has full row rank: nothing dropped
                 assert np.all(dropped == 0.0), (stream, dropped)
-            assert tr.decode_ok() == complete, stream
+            # ratios holds decode_residuals()[0] a stack at a time
+            assert tr.decode_ok() == complete == all(
+                bool((r <= 1).all()) for r in ratios), stream
             if low:
                 # chosen for a singular value below the default
                 # tolerance, which the last slot's row brings
