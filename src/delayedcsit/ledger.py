@@ -42,6 +42,7 @@ __all__ = [
     "alignment_ranks",
     "can_decode",
     "combine",
+    "reconstructions",
     "transmit_slots",
 ]
 
@@ -161,13 +162,19 @@ def transmit_slots(plans, channels, receivers: int):
     if h.shape[1] != receivers:
         raise ValueError(
             f"channel has {h.shape[1]} rows but there are {receivers} receivers")
+    if plans.shape[1] > h.shape[2]:
+        raise ValueError(f"plan uses {plans.shape[1]} antennas but the channel "
+                         f"has only {h.shape[2]}")
+    return reconstructions(plans, h)
+
+
+def reconstructions(plans, channels) -> np.ndarray:
+    """:func:`transmit_slots` without its checks, for a caller whose
+    ``complex128`` plans and finite channels fit by construction."""
     p = plans.shape[1]
-    if p > h.shape[2]:
-        raise ValueError(
-            f"plan uses {p} antennas but the channel has only {h.shape[2]}")
     if not p:
         return plans
-    recon = h[:, :, :p] @ plans
+    recon = channels[:, :, :p] @ plans
     recon.flags.writeable = False
     return recon
 

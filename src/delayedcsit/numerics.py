@@ -2,7 +2,8 @@
 
 Everything downstream (symbol ledgers, scheme runners, rate simulation)
 funnels its numerical work through this module: batched complex
-Gaussian draws, stacked Haar unitaries, SVD-based rank tests and, by one
+Gaussian draws, stacked Haar unitaries (squares of several sizes in one
+stack, each padded to the largest), SVD-based rank tests and, by one
 QR per matrix of full row rank, membership of unit rows in a row space,
 as margins or as a verdict that solves only if the residuals need it.
 The linear algebra works on stacks of matrices of one shape, so that
@@ -16,18 +17,14 @@ boundaries.
 
 import math
 import numbers
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "NormalsLayout",
     "RANK_RTOL",
     "RngStream",
     "as_complex_matrix",
     "haar_unitaries",
-    "normals_layout",
     "numerical_rank",
     "singular_rank",
     "stacks",
@@ -105,58 +102,38 @@ class RngStream:
 
         ``draws`` lists ``(key, shape)`` pairs in the order the draws
         would be made one at a time, each shape an int or a tuple; one key
-        has one shape.  A caller that makes the same draws again and again
-        passes their :func:`normals_layout` instead.  Returns each key's
-        draws stacked in order, ``(count, *shape)``, bit for bit as
-        consecutive ``complex_normal(shape)`` calls: a draw takes ``2 *
-        size`` consecutive standard normals, the real parts first, and
-        numpy divides a complex by a real as a product with its
-        reciprocal, so the normals are scaled by ``1 / sqrt(2)`` first.
+        has one shape.  Returns each key's draws stacked in order,
+        ``(count, *shape)``, bit for bit as consecutive
+        ``complex_normal(shape)`` calls: a draw takes ``2 * size``
+        consecutive standard normals, the real parts first, and numpy
+        divides a complex by a real as a product with its reciprocal, so
+        the normals are scaled by ``1 / sqrt(2)`` first.
         """
-        total, index, stacks = (draws if isinstance(draws, NormalsLayout)
-                                else normals_layout(tuple(draws)))
-        pairs = (self._gen.standard_normal(total) * (1.0 / np.sqrt(2.0)))[index]
-        z = pairs.view(np.complex128)
-        return {key: z[a:b].reshape(shape) for key, a, b, shape in stacks}
+        starts, shapes, total = {}, {}, 0
+        for key, shape in draws:
+            shape = (shape,) if isinstance(shape, numbers.Integral) else tuple(shape)
+            if shapes.setdefault(key, shape) != shape:
+                raise ValueError(
+                    f"draws under key {key!r} have shapes {shapes[key]} and {shape}")
+            starts.setdefault(key, []).append(total)
+            total += 2 * math.prod(shape)
+        parts, out = self.normal_parts(total), {}
+        for key, first in starts.items():
+            size = math.prod(shapes[key])
+            re = np.add.outer(np.array(first, dtype=np.intp), np.arange(size))
+            pairs = parts[np.stack([re, re + size], axis=-1)]
+            out[key] = pairs.view(np.complex128).reshape(len(first), *shapes[key])
+        return out
+
+    def normal_parts(self, total: int) -> np.ndarray:
+        """``total`` standard normals from one generator call, scaled by
+        ``1 / sqrt(2)``: the real and imaginary parts of CN(0, 1) draws,
+        which :meth:`complex_normals` gathers and a caller that lays out
+        its own draws scatters."""
+        return self._gen.standard_normal(total) * (1.0 / np.sqrt(2.0))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, index={self.index})"
-
-
-class NormalsLayout(NamedTuple):
-    """Where :meth:`RngStream.complex_normals` puts its standard normals:
-    how many it draws, the positions of the real and imaginary part of
-    each output entry, key by key, and per key its slice of the entries
-    and stack shape."""
-
-    total: int
-    index: np.ndarray
-    stacks: tuple
-
-
-@lru_cache(maxsize=256)
-def normals_layout(draws: tuple) -> NormalsLayout:
-    """The :class:`NormalsLayout` of a tuple of ``(key, shape)`` draws."""
-    starts, shapes = {}, {}
-    total = 0
-    for key, shape in draws:
-        shape = (shape,) if isinstance(shape, numbers.Integral) else tuple(shape)
-        if shapes.setdefault(key, shape) != shape:
-            raise ValueError(
-                f"draws under key {key!r} have shapes {shapes[key]} and {shape}")
-        starts.setdefault(key, []).append(total)
-        total += 2 * math.prod(shape)
-    index, stacks = [np.zeros((0, 2), dtype=np.intp)], []
-    done = 0
-    for key, first in starts.items():
-        size = math.prod(shapes[key])
-        re = np.add.outer(np.array(first, dtype=np.intp), np.arange(size)).ravel()
-        index.append(np.stack([re, re + size], axis=-1))
-        stacks.append((key, done, done + len(re), (len(first), *shapes[key])))
-        done += len(re)
-    index = np.concatenate(index)
-    index.flags.writeable = False  # shared by every caller
-    return NormalsLayout(total, index, tuple(stacks))
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -223,6 +200,12 @@ def haar_unitaries(z) -> np.ndarray:
     generic as raw Gaussian rows (every rank event that holds almost
     surely for one holds for the other) but keep the mixtures well
     conditioned, which matters for finite-SNR rates.
+
+    A square ``Z`` padded as ``[[Z, 0], [0, I]]`` gets in its leading
+    ``n x n`` block the unitary of ``Z`` alone, bit for bit: Householder
+    QR's reflectors for ``Z``'s columns touch no padded row, and those
+    for the identity's columns are the identity.  So squares of several
+    sizes can share one stack, each padded to the largest.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim < 2 or z.shape[-1] != z.shape[-2] or z.shape[-1] < 1:
@@ -230,7 +213,8 @@ def haar_unitaries(z) -> np.ndarray:
             f"need a stack of nonempty square matrices, got shape {z.shape}")
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., np.newaxis, :]
+    q *= (diag / np.abs(diag))[..., np.newaxis, :]
+    return q
 
 
 def numerical_rank(a):
@@ -245,12 +229,13 @@ def numerical_rank(a):
 def _factor(a, targets):
     """The factorization that :func:`unit_residuals` and
     :func:`units_inside` share: one batched QR of ``A^T`` and ``svd(R)``.
-    Returns each matrix's singular values, largest first, its rank at
-    NumPy's floor and whether that is full row rank; each target's
-    explicit residual ``d``, ``(matrices, targets)``, and each matrix's
-    threshold, ``(matrices, 1)``; and ``R`` and ``Q[t]`` for the solve.
-    ``Q`` and the residual rows are freed first.  A stack with no entries
-    has rank 0 and every ``d = 1``."""
+    Returns each matrix's singular values, largest first, as lists, and
+    NumPy's rank floor relative to the largest; whether each matrix has
+    full row rank at that floor; each target's explicit residual ``d``,
+    ``(matrices, targets)``, and each matrix's threshold, ``(matrices,
+    1)``; and ``R`` and ``Q[t]`` for the solve.  ``Q`` and the residual
+    rows are freed first.  A stack with no entries has rank 0 and every
+    ``d = 1``."""
     a = as_complex_matrix(a)
     t = np.asarray(targets, dtype=np.intp)
     if a.ndim != 3 or t.ndim != 2 or not t.size or len(t) != len(a):
@@ -258,33 +243,35 @@ def _factor(a, targets):
                          "targets per matrix, all of one length")
     m, n = a.shape[1:]
     if a.size == 0:
-        return ([[0.0]] * len(a), [0] * len(a), [False] * len(a),
-                np.ones(t.shape), np.full((len(a), 1), RANK_RTOL), None, None)
+        return ([[0.0]] * len(a), 0.0, [False] * len(a), np.ones(t.shape),
+                np.full((len(a), 1), RANK_RTOL), None, None)
     q, r = np.linalg.qr(a.mT)
     s = np.linalg.svd(r, compute_uv=False)
     values, floor = s.tolist(), max(m, n) * _EPS
-    ranks = [sum(x > v[0] * floor for x in v) for v in values]
+    # full row rank: m values, the smallest of them above the floor
+    full = [len(v) == m and v[-1] > v[0] * floor for v in values]
     # Q[t] of each matrix, (matrices, count, m); x is e_t - Q Q[t]^H
     # negated, which leaves its norm
-    rows = np.arange(len(a))[:, np.newaxis]
-    coords = q[rows, t]
+    coords = q[np.arange(len(a))[:, np.newaxis], t]
     x = coords.conj() @ q.mT
-    x[rows, np.arange(t.shape[1]), t] -= 1.0
+    x.reshape(-1)[np.arange(0, t.size * n, n) + t.ravel()] -= 1.0  # x is new: a view
     d = np.sqrt(np.vecdot(x, x).real)
     del x, q
-    thr = RANK_RTOL * np.sqrt(np.square(s[:, :1]) + 1.0)
-    return values, ranks, [k == m for k in ranks], d, thr, r, coords
+    # RANK_RTOL * sqrt(s_0^2 + 1) with numpy's bits, without four calls
+    thr = np.array([[RANK_RTOL * math.sqrt(v[0] * v[0] + 1.0)] for v in values])
+    return values, floor, full, d, thr, r, coords
 
 
 def _ratios(full, d, thr, r, coords) -> np.ndarray:
     """Each target's ``g = d / sqrt(1 + ||z||^2)``, ``R z = Q[t]^H``, over
-    its threshold; 1 over it where the matrix is below full row rank."""
-    out = np.ones(d.shape)
+    its threshold; where the matrix is below full row rank, ``1 /
+    RANK_RTOL``, the ratio of a receiver that heard nothing, at any scale
+    of its entries."""
+    out = np.full(d.shape, 1.0 / RANK_RTOL)
     if any(full):
         at = slice(None) if all(full) else np.array(full)
         z = np.linalg.solve(r[at], coords[at].conj().mT)
-        out[at] = d[at] / np.sqrt(1.0 + np.vecdot(z, z, axis=-2).real)
-    out /= thr
+        out[at] = d[at] / np.sqrt(1.0 + np.vecdot(z, z, axis=-2).real) / thr[at]
     return out
 
 
@@ -297,8 +284,10 @@ def unit_residuals(a, targets):
     which may have no equations; ``targets`` holds one nonempty list of
     columns ``t`` to test per matrix, all of one length.  A matrix must
     have full row rank, every singular value above NumPy's floor ``s_0 *
-    max(equations, symbols) * eps``, or it certifies nothing, and each of
-    its residuals is ``||e_t|| = 1``.
+    max(equations, symbols) * eps``, or it certifies nothing: each of its
+    ratios is ``1 / RANK_RTOL``, that of a matrix with no equations
+    (``||e_t|| = 1`` over the threshold of an all-zero matrix), whatever
+    the scale of its entries.
 
     The stack is factored by one batched QR of the transposed view, ``A^T
     = QR`` (no conjugated copy: this is the conjugate of the QR of
@@ -329,10 +318,11 @@ def unit_residuals(a, targets):
         where none is above and ``dropped`` is 0 where none is at or below
         (full row rank).
     """
-    values, ranks, *rest = _factor(a, targets)
+    values, floor, *rest = _factor(a, targets)
     # s is sorted, so with r values above the floor, s_(r-1) is the
     # smallest of them and s_r the largest at or below it; r = 0 only
     # where s_0 = 0 or the stack has no entries
+    ranks = [sum(x > v[0] * floor for x in v) for v in values]
     kept, dropped = np.array([
         (v[r - 1] / v[0], v[r] / v[0] if r < len(v) else 0.0) if r else (math.inf, 0.0)
         for v, r in zip(values, ranks)]).T
@@ -347,6 +337,6 @@ def units_inside(a, targets) -> bool:
     floating point ``fl(d / w) <= d``, and dividing by the same threshold
     keeps the order; any other stack gets its ratios computed."""
     _, _, full, d, thr, *rest = _factor(a, targets)
-    if all(full) and bool((d <= thr).all()):
+    if all(full) and (d <= thr).all():
         return True
     return bool((_ratios(full, d, thr, *rest) <= 1).all())

@@ -17,7 +17,8 @@ the minimal integral number of times.
 
 No random draw depends on what was sent, so a scheme draws its whole
 trace's channels and mixing weights up front, with one generator call and
-one QR per size of unitary (:meth:`AirLog.draw`).  The draw list is every
+one QR per group of unitary sizes, each unitary padded to its group's
+largest (:meth:`AirLog.draw`).  The draw list is every
 phase's layout in order (:func:`phase_layout`), laid out in the order a
 slot-at-a-time execution would make the draws, so a seed gives the same
 trace either way.  A chain's replication, phase records and starting
@@ -54,9 +55,9 @@ from .ledger import (
     SymbolTable,
     can_decode,
     combine,
-    transmit_slots,
+    reconstructions,
 )
-from .numerics import RngStream, haar_unitaries, normals_layout, stacks, unit_residuals
+from .numerics import RngStream, haar_unitaries, stacks, unit_residuals
 
 __all__ = [
     "AirLog",
@@ -114,38 +115,45 @@ class AirLog:
 
     def draw(self, layout, *shape) -> dict:
         """Draw the whole trace's randomness with one generator call
-        (:meth:`.numerics.RngStream.complex_normals`) and one QR per size
-        of unitary; return the stack of each key, also kept as
+        (:meth:`.numerics.RngStream.normal_parts`) and one QR per group
+        of unitary sizes; return the stack of each key, also kept as
         :attr:`drawn`.  Call it once, before the first slot.
 
         ``layout(*shape)`` lists ``(key, n)`` pairs in the order a
         slot-at-a-time execution draws them: an ``n x n`` Haar unitary of
         mixing weights, or :data:`CHANNEL`, the next slot's ``k x m``
         channel, drawn unless an override covers it.  The plan of the draw
-        is cached per ``(layout, shape)`` and count of overrides, so a
-        trace builds no layout.  :meth:`broadcast` sends slot ``i`` on the
-        ``i``-th channel, overrides first.
+        (:func:`_draw_plan`) is cached per ``(layout, shape)`` and count of
+        overrides, so a trace builds no layout: the normals are scattered
+        into a copy of its template, each group of squares, padded to its
+        largest size, is factored by one :func:`.numerics.haar_unitaries`
+        call, and a key's stack is the leading block of its unitaries.
+        :meth:`broadcast` sends slot ``i`` on the ``i``-th channel,
+        overrides first.
         """
         if self.slots:
             raise ValueError("a trace is drawn once, before its first slot")
-        plan, sizes, covered = _draw_plan(layout, shape, len(self._override),
-                                          self.k, self.m)
-        drawn = self.rng.complex_normals(plan)
-        for keys in sizes:
-            z = [drawn[key] for key in keys]
-            u = haar_unitaries(z[0] if len(z) == 1 else np.concatenate(z))
-            for key in keys:
-                drawn[key], u = u[:len(drawn[key])], u[len(drawn[key]):]
-        h = drawn.get(CHANNEL[0], self._h)
+        total, scatter, template, groups, keys, channels, covered = _draw_plan(
+            layout, shape, len(self._override), self.k, self.m)
+        buf = template.copy()
+        buf.view(np.float64)[scatter] = self.rng.normal_parts(total)
+        u = [haar_unitaries(buf[a:b].reshape(-1, n, n)) for a, b, n in groups]
+        drawn = {key: u[g][a:b, :n, :n] for key, g, a, b, n in keys}
+        h = self._h
+        if channels:  # a copy: the squares' normals are not kept with the trace
+            drawn[CHANNEL[0]] = h = buf[:channels].reshape(-1, self.k, self.m).copy()
         self._h = np.concatenate([self._override[:covered], h]) if covered else h
         self.drawn = drawn
         return drawn
 
     def broadcast(self, plans) -> np.ndarray:
         """Send a stack of plans (:meth:`_send`); return the ``(slots, k,
-        symbols)`` reconstructions."""
+        symbols)`` reconstructions, the product of
+        :func:`.ledger.transmit_slots` without its checks: the channels
+        were drawn or checked with the trace, and the builders send at
+        most ``m`` forms a slot."""
         h = self._h[self.slots:self.slots + len(plans)]
-        return transmit_slots(self._send(plans), h, self.k)
+        return reconstructions(self._send(plans), h)
 
     def send_each(self, forms) -> None:
         """Send each form alone, one slot per form, rebuilding nothing."""
@@ -157,7 +165,8 @@ class AirLog:
         if self.slots + len(plans) > len(self._h):
             raise ValueError(f"slots {self.slots} to {self.slots + len(plans) - 1} "
                              f"need channels, but {len(self._h)} were drawn")
-        norms = np.linalg.norm(plans, axis=-1)
+        # np.linalg.norm(plans, axis=-1)'s formula and bits, without its wrapper
+        norms = np.sqrt(np.add.reduce((plans.conj() * plans).real, -1))
         inverse = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0)
         normalized = plans * inverse[..., np.newaxis]
         self.slots += len(normalized)
@@ -193,20 +202,78 @@ def _overrides(channels, k: int, m: int) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _draw_plan(layout, shape: tuple, spare: int, k: int, m: int):
     """The draws of :meth:`AirLog.draw` for ``layout(*shape)`` with
-    ``spare`` override channels: their
-    :func:`.numerics.normals_layout`, the square keys grouped by size,
-    and how many channels the overrides cover."""
-    draws, sizes, covered = [], {}, 0
+    ``spare`` override channels, as one complex buffer: the drawn
+    channels first, then each group of squares (:func:`_size_groups`),
+    ``(count, N, N)`` at its largest size ``N``, every square ``Z`` of
+    size ``n`` padded as ``[[Z, 0], [0, I]]``.  A draw takes ``2 * size``
+    consecutive standard normals, its real parts first, as
+    :meth:`.numerics.RngStream.complex_normals` lays them out.  Returns
+    how many normals to draw and the float position in the buffer of
+    each, the read-only template of the buffer, each group's ``(start,
+    stop, N)`` in it, each square key's ``(key, group, first, last, n)``,
+    its stack being the group's unitaries ``first:last``, the number of
+    channel entries, and how many channels the overrides cover."""
+    draws, counts, covered, total = {}, {}, 0, 0  # draws: key -> (n, normals before each)
     for key, n in layout(*shape):
-        if key != CHANNEL[0]:
-            draws.append((key, (n, n)))
-            if key not in sizes.setdefault(n, [key]):
-                sizes[n].append(key)
-        elif covered < spare:
+        if key == CHANNEL[0] and covered < spare:
             covered += 1
+            continue
+        if draws.setdefault(key, (n, []))[0] != n:
+            raise ValueError(f"draws under key {key!r} have sizes {draws[key][0]} and {n}")
+        draws[key][1].append(total)
+        if key != CHANNEL[0]:
+            counts[n] = counts.get(n, 0) + 1
+        total += 2 * (k * m if key == CHANNEL[0] else n * n)
+    at = channels = k * m * len(draws.get(CHANNEL[0], (0, ()))[1])
+    groups, group_of = [], {}
+    for g, sizes in enumerate(_size_groups(counts)):
+        big = sizes[0]
+        groups.append((at, at + sum(counts[n] for n in sizes) * big * big, big))
+        group_of.update(dict.fromkeys(sizes, g))
+        at = groups[-1][1]
+    template, scatter = np.zeros(at, dtype=np.complex128), np.empty(total, dtype=np.intp)
+    keys, filled = [], [0] * len(groups)  # filled: squares placed per group
+    for key, (n, first) in draws.items():
+        if key == CHANNEL[0]:  # in draw order from the buffer's start
+            dest = np.arange(channels).reshape(len(first), k * m)
         else:
-            draws.append((key, (k, m)))
-    return normals_layout(tuple(draws)), tuple(map(tuple, sizes.values())), covered
+            g, count = group_of[n], len(first)
+            start, _, big = groups[g]
+            keys.append((key, g, filled[g], filled[g] + count, n))
+            starts = start + (filled[g] + np.arange(count)) * big * big
+            filled[g] += count
+            dest = np.add.outer(starts, np.add.outer(np.arange(n) * big, np.arange(n)).ravel())
+            pad = np.arange(n, big) * (big + 1)  # the identity's diagonal
+            template[np.add.outer(starts, pad).ravel()] = 1.0
+        re = np.add.outer(first, np.arange(dest.shape[1]))
+        scatter[re], scatter[re + dest.shape[1]] = 2 * dest, 2 * dest + 1
+    for a in (scatter, template):
+        a.flags.writeable = False  # shared by every trace
+    return total, scatter, template, tuple(groups), tuple(keys), channels, covered
+
+
+#: Padded entries whose QR costs about as much as one more call: a stacked
+#: QR (:func:`.numerics.haar_unitaries`) takes 25-30 us a call and about
+#: 0.05 us per entry of its squares, sizes 2 to 25, on a 2-core x86-64
+#: host with numpy 2.4.6 and OpenBLAS.
+_CALL_ENTRIES = 512
+
+
+def _size_groups(counts) -> list:
+    """The sizes of square drawn, ``counts[n]`` of size ``n``, in groups
+    that are factored together, each padded to its largest size, the
+    first.  Sizes join a group in descending order while padding a size's
+    squares to the group's size adds at most :data:`_CALL_ENTRIES`
+    entries, the cost of the call it saves: so every trace of the verify
+    and rate mixes is one group, and a size of many squares stands
+    alone."""
+    groups = []
+    for n in sorted(counts, reverse=True):
+        if groups and counts[n] * (groups[-1][0] ** 2 - n * n) <= _CALL_ENTRIES:
+            groups[-1].append(n)
+        else:
+            groups.append([n])
+    return groups
 
 
 def _sends(n: int) -> tuple:

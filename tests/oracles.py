@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from delayedcsit.numerics import RANK_RTOL, as_complex_matrix
+from delayedcsit.numerics import RANK_RTOL, as_complex_matrix, haar_unitaries
 
 
 class NumericalDomainError(ArithmeticError):
@@ -434,3 +434,26 @@ def v1_from_v2(text: str) -> str:
     if len(rest) != len(lists):
         raise ValueError("the placeholder of the equations is in the document")
     return head + "".join(a + b for a, b in zip(lists, rest))
+
+
+def unpadded_draw(rng, layout, k: int, m: int) -> dict:
+    """The draws of ``layout`` made as ``AirLog.draw`` makes them, from
+    one generator call, but with no padding: each key's squares are
+    factored as one stack of their own size by ``haar_unitaries``, and
+    each channel is a ``k x m`` draw."""
+    drawn = rng.complex_normals([(key, (k, m) if key == "channel" else (n, n))
+                                 for key, n in layout])
+    return {key: z if key == "channel" else haar_unitaries(z) for key, z in drawn.items()}
+
+
+def draw_losses(got: dict, want: dict) -> list:
+    """The keys whose stacks differ between two draws in shape or in any
+    bit, each with a message; ``[]`` when the draws agree."""
+    losses = [(key, "missing") for key in want.keys() ^ got.keys()]
+    for key in want.keys() & got.keys():
+        a, b = np.ascontiguousarray(got[key]), np.ascontiguousarray(want[key])
+        if a.shape != b.shape or a.tobytes() != b.tobytes():
+            losses.append((key, f"the padded QR changed bits of {b.shape} stack "
+                                "(the BLAS does not keep [[Z, 0], [0, I]]'s "
+                                "leading block as Z's own)"))
+    return losses

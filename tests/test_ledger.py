@@ -427,22 +427,28 @@ def test_stacked_residuals_equal_per_matrix(name):
 
 
 def test_rank_deficient_receivers_certify_nothing():
-    # below NumPy's floor a receiver's residuals are its targets' norms,
-    # 1, over the threshold 1e-9 * sqrt(s_0^2 + 1), so no tolerance would
-    # pass them; the margins stay finite, and a deaf receiver keeps
-    # nothing and drops nothing
+    # below NumPy's floor every target of a receiver gets 1 / 1e-9, the
+    # ratio of a receiver that heard nothing, so no tolerance up to 1e-9
+    # would pass it, at any scale of its entries; the margins stay
+    # finite, and a deaf receiver keeps nothing and drops nothing
     a = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                   [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
                   [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
     ratios, kept, dropped = unit_residuals(a, [[0], [0], [0]])
     assert ratios[0] < 1e-15 / (1e-9 * math.sqrt(2.0))
-    assert ratios[1:].ravel() == pytest.approx(
-        [1 / (1e-9 * math.sqrt(6.0)), 1 / 1e-9], rel=1e-15)
+    assert ratios[1:].ravel().tolist() == [1 / 1e-9, 1 / 1e-9]
     assert kept.tolist() == [1.0, 1.0, np.inf]
     assert dropped[0] == 0.0 and 0.0 <= dropped[1] <= 1e-15 and dropped[2] == 0.0
     # more equations than symbols: never full row rank
     (ratio,), _, _ = unit_residuals(np.eye(3)[np.newaxis, :, :2], [[0]])
-    assert ratio.tolist() == pytest.approx([1 / (1e-9 * math.sqrt(2.0))], rel=1e-15)
+    assert ratio.tolist() == [1 / 1e-9]
+    # the threshold grows with s_0, but a rank-deficient receiver's ratio
+    # does not shrink with it: symbol 1's column is all zero at both scales
+    for scale in (1e10, 1e-10, 1.0):
+        short = a[1:2] * scale
+        assert not can_decode(short, [[1]]), scale
+        assert not can_decode(short, [[0]]), scale
+        assert unit_residuals(short, [[1]])[0].tolist() == [[1 / 1e-9]], scale
 
 
 def test_receiver_states_are_views_of_the_row_array():

@@ -43,10 +43,12 @@ from delayedcsit.schemes import (
 from delayedcsit.ledger import SymbolTable
 from delayedcsit.dof_calc import DofQuery, NonsquarePhaseParams
 from oracles import (
+    draw_losses,
     plan_counts,
     slot_plans,
     trace_doc,
     trace_doc_v2,
+    unpadded_draw,
     v1_from_v2,
     v2_from_v3,
     v3_losses,
@@ -242,41 +244,72 @@ def test_overrides_of_the_wrong_shape_are_refused():
         run_opt23(RngStream(1), [np.ones((3, 2)), np.full((3, 2), np.nan)])
 
 
-#: Each builder, and the distinct sizes of the Haar unitaries it draws.
+#: Each builder, and the size of the stack each QR of its draw factors:
+#: one QR per group of unitary sizes, every unitary padded to its group's
+#: largest size (``schemes._size_groups``), so one for every trace the
+#: verify workload builds.
 QR_SIZES = {
-    "square-2": (lambda s: run_square_scheme(2, s), 1),
-    "square-3": (lambda s: run_square_scheme(3, s), 2),
-    "square-4": (lambda s: run_square_scheme(4, s), 3),
-    "alt22": (run_alt22, 1),
-    "mat23": (run_mat23_suboptimal, 3),
-    "opt23": (run_opt23, 3),
-    "tdma-3": (lambda s: tdma_trace(3, s), 0),
-    "order-2-3-2": (lambda s: run_order_j_delivery(2, 3, 2, s), 2),
+    "square-2": (lambda s: run_square_scheme(2, s), [2]),
+    "square-3": (lambda s: run_square_scheme(3, s), [3]),
+    "square-4": (lambda s: run_square_scheme(4, s), [4]),
+    "square-6": (lambda s: run_square_scheme(6, s), [6, 4, 2]),
+    "alt22": (run_alt22, [4]),
+    "mat23": (run_mat23_suboptimal, [4]),
+    "opt23": (run_opt23, [4]),
+    "tdma-3": (lambda s: tdma_trace(3, s), []),
+    "order-2-3-2": (lambda s: run_order_j_delivery(2, 3, 2, s), [3]),
+    "(2, 4)": (lambda s: _run_chain("chain", 2, 4, 1, s), [6, 3]),
+    "(2, 5)": (lambda s: _run_chain("chain", 2, 5, 1, s), [8, 6, 4, 3, 2]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(QR_SIZES))
 def test_a_trace_is_drawn_with_one_call(name, monkeypatch):
-    # one generator call per trace, and one QR per distinct unitary size
+    # one generator call per trace, and one QR per group of unitary sizes
     build, sizes = QR_SIZES[name]
     calls = {"normals": 0, "qr": []}
-    normals, qr = RngStream.complex_normals, np.linalg.qr
+    normals, qr = RngStream.normal_parts, np.linalg.qr
 
-    def count_normals(self, draws):
+    def count_normals(self, total):
         calls["normals"] += 1
-        return normals(self, draws)
+        return normals(self, total)
 
     def count_qr(a, *args, **kwargs):
         calls["qr"].append(np.shape(a)[-1])
         return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(RngStream, "complex_normals", count_normals)
+    monkeypatch.setattr(RngStream, "normal_parts", count_normals)
     monkeypatch.setattr(np.linalg, "qr", count_qr)
     for seed in range(3):
         calls["normals"], calls["qr"] = 0, []
         build(RngStream(seed))
         assert calls["normals"] == 1
-        assert len(calls["qr"]) == len(set(calls["qr"])) == sizes
+        assert calls["qr"] == sizes
+
+
+#: The draw of each builder of :data:`QR_SIZES`, and of square-5, as
+#: ``(layout, shape, k, m)``.
+LAYOUTS = {
+    **{f"square-{k}": (schemes._chain_layout, (k, k, 1), k, k) for k in (2, 3, 4, 5, 6)},
+    "alt22": (schemes._pairs_layout, (2,), 2, 2),
+    "mat23": (schemes._chain_layout, (2, 3, 1), 3, 2),
+    "opt23": (schemes._pairs_layout, (3,), 3, 2),
+    "tdma-3": (schemes._sends, (3,), 3, 1),
+    "order-2-3-2": (schemes._chain_layout, (2, 3, 2), 3, 2),
+    "(2, 4)": (schemes._chain_layout, (2, 4, 1), 4, 2),
+    "(2, 5)": (schemes._chain_layout, (2, 5, 1), 5, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_padded_draw_equals_one_stack_per_key(name):
+    # padding a square as [[Z, 0], [0, I]] keeps the bits of Z's own QR
+    assert set(QR_SIZES) <= set(LAYOUTS)
+    layout, shape, k, m = LAYOUTS[name]
+    for seed in range(3):
+        drawn = AirLog(SymbolTable(k), m, RngStream(seed, 7)).draw(layout, *shape)
+        want = unpadded_draw(RngStream(seed, 7), layout(*shape), k, m)
+        assert draw_losses(drawn, want) == []
 
 
 def test_plans_are_unit_norm():
