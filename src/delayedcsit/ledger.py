@@ -25,8 +25,11 @@ full row rank by the scheme's plan: a receiver whose rows fall below
 NumPy's rank floor decodes nothing.  Every slot is heard by every
 receiver, so a trace's receivers hold matrices of one shape, and a stack
 of them, at most :data:`.numerics.STACK_BYTES` of rows, is answered with
-one batched QR by :func:`.numerics.units_inside` (its margins by
-:func:`.numerics.unit_residuals`); a large receiver is a stack of one.
+one batched QR by :func:`.numerics.units_inside`, which proves full row
+rank from the triangular factor's inverse and takes its SVD only where
+that proof falls short (the margins come from
+:func:`.numerics.unit_residuals`, which always takes it); a large
+receiver is a stack of one.
 """
 
 from dataclasses import dataclass
@@ -196,9 +199,12 @@ def can_decode(rows, targets) -> bool:
     is the singular value that stacking ``e_t`` would add; its ratio to
     ``RANK_RTOL * sqrt(s_0^2 + 1)``, the rank threshold of the stacked
     matrix, must be at most 1 (:func:`.numerics.unit_residuals`).  The
-    whole stack is factored by one batched QR; it solves for ``z`` only if
-    a receiver is below full row rank or some ``d_t`` exceeds its
-    threshold (:func:`.numerics.units_inside`), since the ratio is at most
+    whole stack is factored by one batched QR (:func:`.numerics.units_inside`).
+    Where ``R`` and its triangular inverse prove every receiver of full
+    row rank and every ``d_t`` below a lower bound of its threshold, that
+    is the verdict, with no SVD; otherwise ``svd(R)`` of the same QR
+    decides, and it solves for ``z`` only if a receiver is below full row
+    rank or some ``d_t`` exceeds its threshold, since the ratio is at most
     ``d_t`` over it.
     """
     return units_inside(rows, targets)

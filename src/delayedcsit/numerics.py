@@ -5,7 +5,9 @@ funnels its numerical work through this module: batched complex
 Gaussian draws, stacked Haar unitaries (squares of several sizes in one
 stack, each padded to the largest), SVD-based rank tests and, by one
 QR per matrix of full row rank, membership of unit rows in a row space,
-as margins or as a verdict that solves only if the residuals need it.
+as margins or as a verdict.  The verdict proves full row rank from the
+triangular factor's inverse, and takes its SVD, or solves, only where
+that proof or the explicit residuals fall short.
 The linear algebra works on stacks of matrices of one shape, so that
 many small matrices share one numpy call; one matrix goes through the
 same code.
@@ -38,9 +40,14 @@ __all__ = [
 #: values lie at least 2.1e-2 of ``s_0`` and dropped ones at most 5.1e-16
 #: on square-3 to square-6.  The decode check does not decide rank by it:
 #: a decode matrix has full row rank, and its generic singular values
-#: shrink with the scheme's size, to 5.3e-10 of ``s_0`` in square-6 and
-#: about 1e-10 in square-7, below this value.  There
-#: :func:`unit_residuals` takes the rank from NumPy's floor, and
+#: shrink with the scheme's size, below this value: the smallest
+#: ``s_min / s_0`` is 5.3e-10 in square-6 (stream ``(110044, 0)``), 8.8e-10
+#: in square-7 and 1.4e-10 in the ``(3, 6)`` chain (at ``(1, 0)``).  The
+#: certificate of :func:`units_inside` still proves them above NumPy's
+#: floor, where ``1 / (||R||_F ||R^-1||_F)`` must exceed
+#: :data:`_CERTIFY_C` = 16 floors: the smallest such margin is 1.3e3
+#: floors in those square-6 streams, 94 in square-7 and 21 in ``(3,
+#: 6)``.  There :func:`unit_residuals` takes the rank from NumPy's floor, and
 #: ``RANK_RTOL`` only scales the threshold of the residuals.  The
 #: threshold is linear in the tolerance, so no other tolerance needs a
 #: run of its own: the verdict at any tolerance ``tau`` is ``ratio <= tau
@@ -93,43 +100,19 @@ class RngStream:
         return self._gen.standard_normal(shape)
 
     def complex_normal(self, shape):
-        """Circularly-symmetric complex Gaussian samples, CN(0, 1)."""
-        shape = shape if isinstance(shape, (tuple, numbers.Integral)) else tuple(shape)
-        return self.complex_normals([(None, shape)])[None][0]
-
-    def complex_normals(self, draws):
-        """Many :meth:`complex_normal` draws from one generator call.
-
-        ``draws`` lists ``(key, shape)`` pairs in the order the draws
-        would be made one at a time, each shape an int or a tuple; one key
-        has one shape.  Returns each key's draws stacked in order,
-        ``(count, *shape)``, bit for bit as consecutive
-        ``complex_normal(shape)`` calls: a draw takes ``2 * size``
-        consecutive standard normals, the real parts first, and numpy
-        divides a complex by a real as a product with its reciprocal, so
-        the normals are scaled by ``1 / sqrt(2)`` first.
-        """
-        starts, shapes, total = {}, {}, 0
-        for key, shape in draws:
-            shape = (shape,) if isinstance(shape, numbers.Integral) else tuple(shape)
-            if shapes.setdefault(key, shape) != shape:
-                raise ValueError(
-                    f"draws under key {key!r} have shapes {shapes[key]} and {shape}")
-            starts.setdefault(key, []).append(total)
-            total += 2 * math.prod(shape)
-        parts, out = self.normal_parts(total), {}
-        for key, first in starts.items():
-            size = math.prod(shapes[key])
-            re = np.add.outer(np.array(first, dtype=np.intp), np.arange(size))
-            pairs = parts[np.stack([re, re + size], axis=-1)]
-            out[key] = pairs.view(np.complex128).reshape(len(first), *shapes[key])
-        return out
+        """Circularly-symmetric complex Gaussian samples, CN(0, 1): from
+        ``2 * size`` consecutive :meth:`normal_parts`, the real parts
+        first."""
+        shape = (shape,) if isinstance(shape, numbers.Integral) else tuple(shape)
+        parts = self.normal_parts(2 * math.prod(shape)).reshape(2, -1)
+        return np.ascontiguousarray(parts.T).view(np.complex128).reshape(shape)
 
     def normal_parts(self, total: int) -> np.ndarray:
         """``total`` standard normals from one generator call, scaled by
-        ``1 / sqrt(2)``: the real and imaginary parts of CN(0, 1) draws,
-        which :meth:`complex_normals` gathers and a caller that lays out
-        its own draws scatters."""
+        ``1 / sqrt(2)``: the real and imaginary parts of CN(0, 1) draws.
+        numpy divides a complex by a real as a product with its
+        reciprocal, so these are the bits of ``(re + 1j * im) /
+        sqrt(2)``; a caller that lays out its own draws scatters them."""
         return self._gen.standard_normal(total) * (1.0 / np.sqrt(2.0))
 
     def __repr__(self):
@@ -194,7 +177,7 @@ def haar_unitaries(z) -> np.ndarray:
     """Haar-distributed unitaries from a stack of complex Gaussian squares.
 
     ``z`` has shape ``(..., n, n)`` with i.i.d. CN(0, 1) entries, as drawn
-    by :meth:`RngStream.complex_normals`.  Each matrix is factored by one
+    by :meth:`RngStream.complex_normal`.  Each matrix is factored by one
     stacked QR and the phases of R's diagonal are folded back into Q,
     which makes Q exactly Haar.  Used for mixing weights: Haar rows are as
     generic as raw Gaussian rows (every rank event that holds almost
@@ -228,38 +211,116 @@ def numerical_rank(a):
 
 def _factor(a, targets):
     """The factorization that :func:`unit_residuals` and
-    :func:`units_inside` share: one batched QR of ``A^T`` and ``svd(R)``.
-    Returns each matrix's singular values, largest first, as lists, and
-    NumPy's rank floor relative to the largest; whether each matrix has
-    full row rank at that floor; each target's explicit residual ``d``,
-    ``(matrices, targets)``, and each matrix's threshold, ``(matrices,
-    1)``; and ``R`` and ``Q[t]`` for the solve.  ``Q`` and the residual
-    rows are freed first.  A stack with no entries has rank 0 and every
-    ``d = 1``."""
+    :func:`units_inside` share: one batched QR of ``A^T``, and each
+    target's explicit residual ``d``, ``(matrices, targets)``.  Returns
+    ``a``'s shape, ``d``, and ``R`` and ``Q[t]`` for the rest; ``Q`` and
+    the residual rows are freed first.  A stack with no entries has every
+    ``d = 1`` and no ``R``."""
     a = as_complex_matrix(a)
     t = np.asarray(targets, dtype=np.intp)
     if a.ndim != 3 or t.ndim != 2 or not t.size or len(t) != len(a):
         raise ValueError("need a stack of matrices and one nonempty list of "
                          "targets per matrix, all of one length")
-    m, n = a.shape[1:]
     if a.size == 0:
-        return ([[0.0]] * len(a), 0.0, [False] * len(a), np.ones(t.shape),
-                np.full((len(a), 1), RANK_RTOL), None, None)
+        return a.shape, np.ones(t.shape), None, None
+    n = a.shape[2]
     q, r = np.linalg.qr(a.mT)
-    s = np.linalg.svd(r, compute_uv=False)
-    values, floor = s.tolist(), max(m, n) * _EPS
-    # full row rank: m values, the smallest of them above the floor
-    full = [len(v) == m and v[-1] > v[0] * floor for v in values]
     # Q[t] of each matrix, (matrices, count, m); x is e_t - Q Q[t]^H
     # negated, which leaves its norm
     coords = q[np.arange(len(a))[:, np.newaxis], t]
     x = coords.conj() @ q.mT
     x.reshape(-1)[np.arange(0, t.size * n, n) + t.ravel()] -= 1.0  # x is new: a view
     d = np.sqrt(np.vecdot(x, x).real)
-    del x, q
+    return a.shape, d, r, coords
+
+
+def _spectrum(shape, r):
+    """``svd(R)``: each matrix's singular values, largest first, as lists,
+    and NumPy's rank floor relative to the largest; whether each matrix
+    has full row rank at that floor; and each matrix's threshold
+    ``RANK_RTOL * sqrt(s_0^2 + 1)``, ``(matrices, 1)``.  With no ``R``
+    (no entries) every rank is 0."""
+    count, m, n = shape
+    if r is None:
+        return [[0.0]] * count, 0.0, [False] * count, np.full((count, 1), RANK_RTOL)
+    values, floor = np.linalg.svd(r, compute_uv=False).tolist(), max(m, n) * _EPS
+    # full row rank: m values, the smallest of them above the floor
+    full = [len(v) == m and v[-1] > v[0] * floor for v in values]
     # RANK_RTOL * sqrt(s_0^2 + 1) with numpy's bits, without four calls
     thr = np.array([[RANK_RTOL * math.sqrt(v[0] * v[0] + 1.0)] for v in values])
-    return values, floor, full, d, thr, r, coords
+    return values, floor, full, thr
+
+
+#: How far inside NumPy's rank floor :func:`_certified` must prove a
+#: matrix to be: ``||R||_F ||X||_F < 1 / (C max(m, n) eps)`` for the
+#: computed inverse ``X`` of ``R``.  Exactly, ``s_min / s_0 = 1 /
+#: (||R||_2 ||R^-1||_2) >= 1 / (||R||_F ||R^-1||_F)``.  Two errors stand
+#: between that and the verdict of :func:`_spectrum`, which compares
+#: LAPACK's computed ``s_min`` with ``max(m, n) eps`` times its computed
+#: ``s_0``.  LAPACK computes every singular value within ``p eps s_0``,
+#: ``p`` a modest function of the size (LAPACK Users' Guide, section 4.9,
+#: whose estimate takes ``p = 1``; here ``p <= max(m, n)``): that moves
+#: the two sides by at most one more floor, so ``C > 2`` would do for
+#: the exact inverse.  A triangular inverse has ``|RX - I| <= c_m u |R||X|``
+#: with ``u = eps / 2`` and ``c_m`` of order ``m``, for substitution and for the blocked
+#: recursion alike (Higham, *Accuracy and Stability of Numerical
+#: Algorithms*, ch. 14), so ``||R^-1||_F <= ||X||_F / (1 - c_m u ||R||_F
+#: ||X||_F)``, within a few percent of ``||X||_F`` under the bound.
+#: ``C = 16`` takes both and leaves a factor of 7 for the constants those
+#: bounds leave open.
+_CERTIFY_C = 16
+
+#: Largest triangle that :func:`_triangular_inverse` hands to
+#: ``np.linalg.inv`` whole.
+_LEAF = 16
+
+
+def _triangular_inverse(r) -> np.ndarray:
+    """The inverse of each upper triangle of a stack, by halves:
+    ``[[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]]``, down to
+    triangles of at most :data:`_LEAF` rows, which ``np.linalg.inv``
+    takes (its LU of a triangle pivots nowhere, so it is the triangle's
+    substitution).  Raises ``LinAlgError`` where a diagonal entry is
+    exactly zero."""
+    m = r.shape[-1]
+    if m <= _LEAF:
+        return np.linalg.inv(r)
+    h = m // 2
+    a, d = _triangular_inverse(r[:, :h, :h]), _triangular_inverse(r[:, h:, h:])
+    out = np.zeros_like(r)
+    out[:, :h, :h], out[:, h:, h:] = a, d
+    np.matmul(a @ r[:, :h, h:], -d, out=out[:, :h, h:])
+    return out
+
+
+def _certified(shape, d, r) -> bool:
+    """True when ``R`` alone proves the verdict of :func:`_spectrum`'s
+    full row rank and ``d <= thr``, for every matrix, without ``svd(R)``:
+    ``m <= n``; every ``d`` at most ``RANK_RTOL * sqrt(||R||_F^2 / m (1
+    - 1e-8) + 1)``, below the threshold since ``s_0^2 >= ||R||_F^2 / m``
+    (the ``1e-8`` covers the rounding of both sides); and ``||R||_F
+    ||R^-1||_F`` below ``1 / (C max(m, n) eps)`` (:data:`_CERTIFY_C`).
+    False, so that the caller decides from ``svd(R)``, when any of these
+    fails, when the inverse raises ``LinAlgError`` or when a norm is not
+    finite (every comparison with NaN fails)."""
+    count, m, n = shape
+    if r is None or m > n:
+        return False
+    flat, below = r.reshape(count, -1), (1.0 - 1e-8) / m
+    # a huge or NaN norm only declines: no warning for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        fr = np.vecdot(flat, flat).real.tolist()
+        # d first: a stack that fails it makes no inverse
+        if not all(w <= RANK_RTOL * math.sqrt(a * below + 1.0)
+                   for a, w in zip(fr, d.max(axis=1).tolist())):
+            return False
+        try:
+            x = _triangular_inverse(r).reshape(count, -1)
+        except np.linalg.LinAlgError:
+            return False
+        fx = np.vecdot(x, x).real.tolist()
+    bound = (1.0 / (_CERTIFY_C * max(m, n) * _EPS)) ** 2
+    return all(a * b < bound for a, b in zip(fr, fx))
 
 
 def _ratios(full, d, thr, r, coords) -> np.ndarray:
@@ -318,7 +379,8 @@ def unit_residuals(a, targets):
         where none is above and ``dropped`` is 0 where none is at or below
         (full row rank).
     """
-    values, floor, *rest = _factor(a, targets)
+    shape, d, *qr = _factor(a, targets)
+    values, floor, full, thr = _spectrum(shape, qr[0])
     # s is sorted, so with r values above the floor, s_(r-1) is the
     # smallest of them and s_r the largest at or below it; r = 0 only
     # where s_0 = 0 or the stack has no entries
@@ -326,17 +388,24 @@ def unit_residuals(a, targets):
     kept, dropped = np.array([
         (v[r - 1] / v[0], v[r] / v[0] if r < len(v) else 0.0) if r else (math.inf, 0.0)
         for v, r in zip(values, ranks)]).T
-    return _ratios(*rest), kept, dropped
+    return _ratios(full, d, thr, *qr), kept, dropped
 
 
 def units_inside(a, targets) -> bool:
     """True iff every ratio of :func:`unit_residuals` is at most 1, bit
-    for bit, from the same factorization but without the solve where the
-    residuals settle it: when every matrix has full row rank and every
-    ``d`` is within its threshold.  ``g = d / w`` with ``w >= 1``, so in
-    floating point ``fl(d / w) <= d``, and dividing by the same threshold
-    keeps the order; any other stack gets its ratios computed."""
-    _, _, full, d, thr, *rest = _factor(a, targets)
+    for bit, from the same QR, but with ``svd(R)`` only where ``R``
+    cannot certify the stack and the solve only where the residuals
+    cannot settle it.  The certificate (:func:`_certified`) proves from
+    ``R`` and a triangular inverse what the SVD would find: every matrix
+    of full row rank at NumPy's floor and every ``d`` within its
+    threshold.  Without it the SVD decides that.  ``g = d / w`` with ``w
+    >= 1``, so in floating point ``fl(d / w) <= d``, and dividing by the
+    same threshold keeps the order; any other stack gets its ratios
+    computed."""
+    shape, d, r, coords = _factor(a, targets)
+    if _certified(shape, d, r):
+        return True
+    _, _, full, thr = _spectrum(shape, r)
     if all(full) and (d <= thr).all():
         return True
-    return bool((_ratios(full, d, thr, *rest) <= 1).all())
+    return bool((_ratios(full, d, thr, r, coords) <= 1).all())

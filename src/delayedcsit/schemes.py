@@ -207,7 +207,7 @@ def _draw_plan(layout, shape: tuple, spare: int, k: int, m: int):
     ``(count, N, N)`` at its largest size ``N``, every square ``Z`` of
     size ``n`` padded as ``[[Z, 0], [0, I]]``.  A draw takes ``2 * size``
     consecutive standard normals, its real parts first, as
-    :meth:`.numerics.RngStream.complex_normals` lays them out.  Returns
+    :meth:`.numerics.RngStream.complex_normal` lays one out.  Returns
     how many normals to draw and the float position in the buffer of
     each, the read-only template of the buffer, each group's ``(start,
     stop, N)`` in it, each square key's ``(key, group, first, last, n)``,
@@ -359,26 +359,30 @@ class SchemeTrace:
 
     def _heard(self, idx) -> np.ndarray:
         """:attr:`rows` of the receivers ``idx`` (0-based, in order): each
-        chunk of slots is every receiver's product, the bits
-        :func:`.ledger.transmit_slots` made (one receiver's channel row
-        alone would round differently), made in place or, for fewer
-        receivers, in a buffer no larger than the rows it fills."""
-        heard, n, whole = (sum(len(b) for b in self.plans if b.shape[1]),
-                           len(self.table), len(idx) == self.k)
+        chunk of slots is the product of their channel rows with its plans,
+        the bits :func:`.ledger.transmit_slots` made.  A product of one
+        channel row is a matrix-vector product, which rounds differently,
+        so a lone receiver is computed with its neighbour, in a buffer no
+        larger than the rows it fills."""
+        idx = list(idx)
+        heard, n = sum(len(b) for b in self.plans if b.shape[1]), len(self.table)
         rows = np.empty((len(idx), heard, n), dtype=np.complex128)
-        step = max(1, heard * len(idx) // self.k)
-        buf = rows if whole else np.empty((self.k, min(step, heard), n), dtype=np.complex128)
+        lone = len(idx) == 1 < self.k
+        first = min(idx[0], self.k - 2) if lone else idx[0]
+        use = [first, first + 1] if lone else idx
         # consecutive receivers, as in every scheme here, are a view, not a copy
-        pick = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else list(idx)
+        pick = slice(use[0], use[-1] + 1) if use == list(range(use[0], use[-1] + 1)) else use
+        step = max(1, heard // 2) if lone else max(1, heard)
+        buf = np.empty((2, min(step, heard), n), dtype=np.complex128) if lone else rows
         at = slot = 0
         for b in self.plans:
-            h = self.channels[slot:slot + len(b), :, :b.shape[1]]
+            h = self.channels[slot:slot + len(b), pick, :b.shape[1]]
             for i in range(0, len(b) if b.shape[1] else 0, step):
                 c = min(step, len(b) - i)
-                out = buf[:, at:at + c] if whole else buf[:, :c]
+                out = buf[:, :c] if lone else rows[:, at:at + c]
                 np.matmul(h[i:i + c], b[i:i + c], out=out.transpose(1, 0, 2))
-                if not whole:
-                    rows[:, at:at + c] = out[pick]
+                if lone:
+                    rows[0, at:at + c] = out[idx[0] - first]
                 at += c
             slot += len(b)
         rows.flags.writeable = False
@@ -414,8 +418,10 @@ class SchemeTrace:
 
     def decode_ok(self) -> bool:
         """True iff every receiver can decode all of its symbols: the
-        verdict of :meth:`decode_residuals`' ratios, without their solve
-        where the explicit residuals settle it (:func:`.ledger.can_decode`)."""
+        verdict of :meth:`decode_residuals`' ratios, without their SVD
+        where the triangular factor certifies the stack and without their
+        solve where the explicit residuals settle it
+        (:func:`.ledger.can_decode`)."""
         # starmap drops each stack before it derives the next
         return all(starmap(can_decode, self.decode_stacks()))
 

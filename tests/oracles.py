@@ -436,13 +436,40 @@ def v1_from_v2(text: str) -> str:
     return head + "".join(a + b for a, b in zip(lists, rest))
 
 
+def complex_normals(rng, draws) -> dict:
+    """Many ``rng.complex_normal`` draws from one generator call.
+
+    ``draws`` lists ``(key, shape)`` pairs in the order the draws would be
+    made one at a time, each shape an int or a tuple; one key has one
+    shape.  Returns each key's draws stacked in order, ``(count,
+    *shape)``, bit for bit as consecutive ``complex_normal(shape)`` calls:
+    a draw takes ``2 * size`` consecutive ``normal_parts``, the real parts
+    first.
+    """
+    starts, shapes, total = {}, {}, 0
+    for key, shape in draws:
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        if shapes.setdefault(key, shape) != shape:
+            raise ValueError(
+                f"draws under key {key!r} have shapes {shapes[key]} and {shape}")
+        starts.setdefault(key, []).append(total)
+        total += 2 * math.prod(shape)
+    parts, out = rng.normal_parts(total), {}
+    for key, first in starts.items():
+        size = math.prod(shapes[key])
+        re = np.add.outer(np.array(first, dtype=np.intp), np.arange(size))
+        pairs = parts[np.stack([re, re + size], axis=-1)]
+        out[key] = pairs.view(np.complex128).reshape(len(first), *shapes[key])
+    return out
+
+
 def unpadded_draw(rng, layout, k: int, m: int) -> dict:
     """The draws of ``layout`` made as ``AirLog.draw`` makes them, from
     one generator call, but with no padding: each key's squares are
     factored as one stack of their own size by ``haar_unitaries``, and
     each channel is a ``k x m`` draw."""
-    drawn = rng.complex_normals([(key, (k, m) if key == "channel" else (n, n))
-                                 for key, n in layout])
+    drawn = complex_normals(rng, [(key, (k, m) if key == "channel" else (n, n))
+                                  for key, n in layout])
     return {key: z if key == "channel" else haar_unitaries(z) for key, z in drawn.items()}
 
 

@@ -32,6 +32,7 @@ from delayedcsit.schemes import (
     run_square_scheme,
 )
 from oracles import (
+    complex_normals,
     equation_dict,
     form_dict,
     heard_slots,
@@ -378,6 +379,34 @@ def test_decode_residuals_are_decades_from_threshold():
                 assert min(margins) >= 1e-7, (stream, min(margins))
 
 
+def test_decode_ok_needs_no_svd_where_r_certifies(monkeypatch):
+    # R and its triangular inverse settle every receiver of the five
+    # verify schemes and of square-5 and square-6 at (1, 0): decode_ok
+    # calls no svd, and decode_residuals, whose margins read it, one per
+    # stack
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: calls.append(a.shape) or svd(a, *args, **kw))
+    traces = [SMALL_SCHEMES[name](RngStream(seed))
+              for name in sorted(SMALL_SCHEMES) for seed in range(20)]
+    traces += [run_square_scheme(k, RngStream(1, 0)) for k in (5, 6)]
+    for trace in traces:
+        calls.clear()
+        assert trace.decode_ok(), trace.name
+        assert calls == [], trace.name
+        trace.decode_residuals()
+        assert len(calls) == sum(1 for _ in trace.decode_stacks()), trace.name
+
+
+def test_decode_ok_equals_the_ratios_at_2_5():
+    # where the certificate declines, the verdict comes from svd(R) of
+    # the same QR; the frontier's low-margin square-6 streams are checked
+    # in test_decode_residuals_are_decades_from_threshold
+    trace = _run_chain("nonsquare", 2, 5, 1, RngStream(1, 0))
+    for tr, complete in ((trace, True), (_truncated(trace), False)):
+        assert tr.decode_ok() == complete == bool((tr.decode_residuals()[0] <= 1).all())
+
+
 def _cleared(trace, receiver):
     """``trace`` with one receiver deaf: its channel is zero in every
     slot, so its rows are all zero."""
@@ -474,8 +503,8 @@ def test_mixing_weights_are_unitary_rows():
     # every square of one size with one QR, bit for bit as one by one
     layout = [("a", 4), CHANNEL, ("b", 4), ("c", 2)]
     drawn = AirLog(SymbolTable(2), 2, RngStream(3)).draw(lambda: layout)
-    z = RngStream(3).complex_normals(
-        [("a", (4, 4)), ("channel", (2, 2)), ("b", (4, 4)), ("c", (2, 2))])
+    z = complex_normals(RngStream(3), [("a", (4, 4)), ("channel", (2, 2)),
+                                       ("b", (4, 4)), ("c", (2, 2))])
     for key in "abc":
         assert np.array_equal(drawn[key], haar_unitaries(z[key])), key
     assert np.array_equal(drawn["channel"], z["channel"])

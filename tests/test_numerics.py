@@ -1,12 +1,14 @@
 """Tests for the numerical kernel: RNG streams, rank decisions, capacity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delayedcsit import numerics
 from delayedcsit.numerics import (
     RANK_RTOL,
     RngStream,
@@ -16,8 +18,15 @@ from delayedcsit.numerics import (
     numerical_rank,
     singular_rank,
     stacks,
+    unit_residuals,
+    units_inside,
 )
-from oracles import NumericalDomainError, logdet_capacity, rowspace_residuals
+from oracles import (
+    NumericalDomainError,
+    complex_normals,
+    logdet_capacity,
+    rowspace_residuals,
+)
 
 
 def test_rng_stream_reproducible():
@@ -59,7 +68,10 @@ _shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_complex_normals_equal_consecutive_draws(draws, seed):
-    # one shape per key: the first one drawn under it
+    # the tests' gather of many draws from one generator call (the
+    # reference of AirLog.draw's padded draw) is bit for bit one
+    # complex_normal call per draw, and both are the definition; one
+    # shape per key: the first one drawn under it
     first = {}
     draws = [(key, first.setdefault(key, shape)) for key, shape in draws]
     ref, one, many = (RngStream(seed, 1) for _ in range(3))
@@ -70,7 +82,7 @@ def test_complex_normals_equal_consecutive_draws(draws, seed):
         im = ref.standard_normal(shape)
         want.setdefault(key, []).append((re + 1j * im) / np.sqrt(2.0))
         calls.setdefault(key, []).append(one.complex_normal(shape))
-    got = many.complex_normals(draws)
+    got = complex_normals(many, draws)
     assert set(got) == set(want)
     for key, parts in want.items():
         stacked = np.stack(parts)
@@ -84,8 +96,8 @@ def test_complex_normals_equal_consecutive_draws(draws, seed):
 
 def test_complex_normals_rejects_two_shapes_under_one_key():
     with pytest.raises(ValueError):
-        RngStream(1).complex_normals([("a", (2, 2)), ("a", (3, 3))])
-    assert RngStream(1).complex_normals([]) == {}
+        complex_normals(RngStream(1), [("a", (2, 2)), ("a", (3, 3))])
+    assert complex_normals(RngStream(1), []) == {}
 
 
 def test_as_complex_matrix_validation():
@@ -250,6 +262,88 @@ def test_rowspace_residuals_shapes():
     g, thr, kept, dropped = rowspace_residuals(np.zeros((2, 0, 3)), np.ones((2, 1, 3)))
     assert g.shape == thr.shape == (2, 1) and kept.tolist() == [np.inf, np.inf]
     assert dropped.tolist() == [0.0, 0.0]
+
+
+def _counted_svd(monkeypatch):
+    """The shapes of the stacks ``np.linalg.svd`` factors from now on."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: calls.append(a.shape) or svd(a, *args, **kw))
+    return calls
+
+
+def _near_floor(ratio):
+    """A 2 x 2 matrix whose singular values are 1 and ``ratio`` times
+    NumPy's floor, ``max(m, n) eps``, rotated by Haar unitaries; every
+    unit row lies in its row space."""
+    u, v = haar_unitaries(RngStream(5).complex_normal((2, 2, 2)))
+    return u @ np.diag([1.0, ratio * 2 * np.finfo(float).eps]) @ v
+
+
+def test_units_inside_certifies_or_decides_from_the_svd(monkeypatch):
+    # the verdict is unit_residuals' whether or not R certifies the stack:
+    # the certificate (full row rank, every d below a lower threshold)
+    # skips svd(R), and each way it declines falls back to it
+    calls = _counted_svd(monkeypatch)
+    declines = [
+        # exactly singular R: the inverse raises
+        ("singular", [[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]], [[0]], False),
+        ("deaf", np.zeros((1, 2, 3)), [[0]], False),
+        # full rank at the floor, but the inverse's norm overflows
+        ("overflow", [[[1.0, 0.0, 0.0], [0.0, 1e-300, 0.0]]], [[0]], False),
+        ("more rows than columns", np.eye(3)[np.newaxis, :, :2], [[0]], False),
+        # full rank, 4x above the floor: within C = 16 of it
+        ("near the floor", [_near_floor(4.0)], [[0, 1]], True),
+        # s_0^2 = 1 against ||R||_F^2 / m = 0.505: d = 1.3e-9 lies between
+        # the lower threshold 1.227e-9 and thr = 1.414e-9
+        ("d above the lower threshold", [[[1.0, 0.0, 1.3e-9], [0.0, 0.1, 0.0]]],
+         [[0]], True),
+        ("no entries", np.zeros((1, 0, 2)), [[1]], False),
+    ]
+    for name, a, targets, want in declines:
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = units_inside(a, targets)
+        assert calls or name == "no entries", name
+        assert got == bool((unit_residuals(a, targets)[0] <= 1).all()) == want, name
+    # what R certifies: no SVD, the same verdict
+    certifies = [
+        ("far from the floor", [_near_floor(64.0)], [[0, 1]]),
+        ("stack", [[[1.0, 1.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, -1.0]]], [[0], [1]]),
+        ("wide", [[[1.0, 0.0, 0.0], [0.0, 1.0, 1e-12]]], [[0]]),
+    ]
+    for name, a, targets in certifies:
+        calls.clear()
+        assert units_inside(a, targets), name
+        assert not calls, name
+        assert (unit_residuals(a, targets)[0] <= 1).all(), name
+    # triangles larger than the inverse's leaves: the row space of
+    # symbols 0 to 36 of 40, with one row scaled down to 1e-14, within C
+    # of the floor (40 eps = 8.9e-15), or not at all
+    m = haar_unitaries(RngStream(6).complex_normal((2, 37, 37)))
+    for scale, certified in ((1.0, True), (1e-14, False)):
+        a = np.concatenate([m, np.zeros((2, 37, 3))], axis=-1)
+        a[:, -1] *= scale
+        targets = [[0, 5, 36]] * 2
+        calls.clear()
+        got = units_inside(a, targets)
+        assert bool(calls) != certified, scale
+        assert got == bool((unit_residuals(a, targets)[0] <= 1).all()), scale
+        assert got or not certified, scale
+
+
+def test_triangular_inverse_by_halves():
+    # the blocked recursion is the inverse: a product with R is the
+    # identity, and every entry below the diagonal stays exactly zero
+    for m in (1, 16, 17, 40, 137):
+        z = RngStream(m).complex_normal((2, m, m))
+        r = np.triu(z) + 4 * np.eye(m)
+        x = numerics._triangular_inverse(r)
+        assert np.allclose(r @ x, np.eye(m), atol=1e-12), m
+        assert not np.tril(x, -1).any(), m
+    with pytest.raises(np.linalg.LinAlgError):
+        numerics._triangular_inverse(np.triu(np.ones((1, 20, 20))) - np.eye(20) * (np.arange(20) == 19))
 
 
 def test_rank_margin_on_both_sides():

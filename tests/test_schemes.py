@@ -43,6 +43,7 @@ from delayedcsit.schemes import (
 from delayedcsit.ledger import SymbolTable
 from delayedcsit.dof_calc import DofQuery, NonsquarePhaseParams
 from oracles import (
+    complex_normals,
     draw_losses,
     plan_counts,
     slot_plans,
@@ -212,8 +213,8 @@ def test_draw_skips_channels_an_override_covers():
     layout = [("plan", 2), CHANNEL] * 3
     over = [np.eye(3, 2)] * 2
     drawn = AirLog(SymbolTable(3), 2, RngStream(6), over).draw(lambda: layout)
-    want = RngStream(6).complex_normals([("plan", (2, 2))] * 3
-                                        + [("channel", (3, 2))])
+    want = complex_normals(RngStream(6), [("plan", (2, 2))] * 3
+                           + [("channel", (3, 2))])
     assert drawn.keys() == want.keys()
     assert np.array_equal(drawn["plan"], haar_unitaries(want["plan"]))
     assert np.array_equal(drawn["channel"], want["channel"])
