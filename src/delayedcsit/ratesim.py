@@ -10,12 +10,12 @@ zero-forcing projection has orthonormal rows, so the projected noise
 stays white.  Rates are normalized per slot; the high-SNR slope of the
 sum rate estimates the scheme's DoF.
 
-Everything but the SNR factor is SNR-independent, so a trace's receivers
-are factored once, together (:func:`receiver_gains`: one gather from the
-trace's row array, then one batched SVD, projection and eigenvalue call
-for all receivers that want as many symbols), and the
-whole SNR grid is read off each receiver's gains as
-``sum log2(1 + P * gain) / slots``.
+Everything but the SNR factor is SNR-independent, so each trial factors
+its trace once (:func:`_grams`: one gather through a plan cached per
+trace shape, one interference SVD per stack of receivers that want as
+many symbols, a small Gram per receiver), and the whole SNR grid is read
+off the Grams' eigenvalues ``lambda`` as ``sum log2(1 + P * lambda) /
+slots``, batched across trials up to :data:`.numerics.STACK_BYTES`.
 
 The asymptotic model pins down only the DoF, not a finite-SNR decoding
 strategy; unit-power Gaussian symbols with per-slot power split equally
@@ -25,7 +25,7 @@ Trials are independent: trial ``t`` consumes the derived stream
 ``rng.split(t)``, so a run is reproducible from its seed alone.  Trials
 run serially in the calling thread: a thread pool over trials measured
 slower than the serial loop, because the per-trial work is mostly
-interpreter-bound ledger building.
+interpreter-bound ledger building and one LAPACK SVD.
 """
 
 import math
@@ -34,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import numerics
 from .numerics import RngStream, singular_rank, stacks
 from .schemes import tdma_trace
 
@@ -95,76 +96,83 @@ def snr_grid(lo_db: float, hi_db: float, step_db: float) -> list:
 def receiver_gains(trace) -> list:
     """SNR-free gains of each receiver, in order: receiver ``r``'s rate at
     SNR ``P`` is ``sum(log2(1 + P * gains)) / trace.total_slots`` bits per
-    slot.
-
-    Scales each heard row (:attr:`.schemes.SchemeTrace.rows`, read once)
-    by ``1/sqrt(active_antennas)`` of its slot, zero-forces the columns of
-    all other receivers' symbols with one SVD of the interference block
-    (its rank by :func:`.numerics.singular_rank`), and returns the
-    eigenvalues, clipped at zero, of ``G^H G`` for the remaining desired
-    block ``G``.  The noise is white, and the projection keeps it white.
-    Empty when the receiver wants nothing, heard nothing, or the
-    interference fills every observation.  Receivers that want as many symbols are stacked
-    (:func:`.numerics.stacks`): one gather of their columns, one batched
-    SVD, then per interference rank one batched projection and
-    ``eigvalsh``, with the bits of each receiver computed alone.
-    """
-    gains, heard = [np.zeros(0) for _ in range(trace.k)], trace.rows
-    m, n = heard.shape[1:]
-    owns = [trace.targets_for(r) for r in range(1, trace.k + 1)]
-    jobs = [(r, own) for r, own in enumerate(owns) if own and m]
-    active = np.asarray(trace.active_antennas, dtype=float)
-    scale = 1.0 / np.sqrt(active[active > 0])[:, np.newaxis]
-    wants = [len(own) for _, own in jobs]
-    for idx in stacks(wants, [16 * m * n] * len(jobs)):
-        group = [jobs[i] for i in idx]
-        mine = wants[idx[0]]
-        # each receiver's columns read in the order (own symbols, others)
-        who = np.array([r for r, _ in group])[:, np.newaxis, np.newaxis]
-        cols = _own_first(tuple(tuple(own) for _, own in group), n)
-        rows = heard[who, np.arange(m)[:, np.newaxis], cols]
-        rows *= scale
-        g = rows[..., :mine]
-        if mine < n:
-            u, s, _ = np.linalg.svd(rows[..., mine:], full_matrices=True)
-            ranks = singular_rank(s).tolist()
-        else:
-            u, ranks = None, [0] * len(group)
-        # rank m: the interference fills every observation, no gains
-        for rank in sorted(set(ranks) - {m}):
-            at = [i for i, r in enumerate(ranks) if r == rank]
-            pick = slice(None) if len(at) == len(group) else at
-            p = g[pick] if u is None else u[pick][..., rank:].conj().mT @ g[pick]
-            lam = np.maximum(np.linalg.eigvalsh(p.conj().mT @ p), 0.0)
-            for i, values in zip(at, lam):
-                gains[group[i][0]] = values
+    slot.  The one-trace case of :func:`simulate_rates`: the eigenvalues,
+    clipped at zero, of the Grams of :func:`_grams`, one ``eigvalsh`` per
+    Gram shape; empty when the receiver wants nothing, heard nothing, or
+    the interference fills every observation."""
+    gains = [np.zeros(0) for _ in range(trace.k)]
+    for who, lam in _spectra(_grams(trace)):
+        for r, values in zip(who, lam):
+            gains[r] = values
     return gains
 
 
 @lru_cache(maxsize=64)
-def _own_first(owns: tuple, n: int) -> np.ndarray:
-    """Per receiver, the symbol ids ``0..n-1`` with its own (``owns[i]``)
-    first, each part in id order: a read-only ``(receivers, 1, n)`` array,
-    shared by every trace of one shape."""
-    cols = np.empty((len(owns), 1, n), dtype=np.intp)
-    for i, own in enumerate(owns):
-        others = np.ones(n, dtype=bool)
-        others[list(own)] = False
-        cols[i, 0] = np.concatenate([own, np.flatnonzero(others)])
-    cols.flags.writeable = False
-    return cols
+def _gain_plan(owns: tuple, blocks: tuple, n: int, cap: int):
+    """What :func:`_grams` needs of every trace with targets ``owns``, plan
+    blocks of ``(slots, active antennas)`` and ``n`` symbols, at the stack
+    cap ``cap``: the gather index ``(receivers, heard rows, own columns
+    first)``, each heard row's ``1/sqrt(active antennas)``, and the
+    receiver stacks as ``(first, end, wants, receivers)`` of the gather."""
+    active = np.array([p for slots, p in blocks for p in [p] * slots], dtype=float)
+    scale = 1.0 / np.sqrt(active[active > 0])[:, np.newaxis]
+    jobs = [r for r, own in enumerate(owns) if own and len(scale)]
+    wants, parts, order = [len(owns[r]) for r in jobs], [], []
+    for idx in stacks(wants, [16 * len(scale) * n] * len(jobs)):
+        who = tuple(jobs[i] for i in idx)
+        parts.append((len(order), len(order) + len(who), wants[idx[0]], who))
+        order += who
+    cols = np.array([owns[r] + tuple(c for c in range(n) if c not in owns[r])
+                     for r in order], dtype=np.intp).reshape(len(order), 1, n)
+    index = (np.array(order, dtype=np.intp)[:, np.newaxis, np.newaxis],
+             np.arange(len(scale))[:, np.newaxis], cols)
+    for a in (*index, scale):
+        a.flags.writeable = False
+    return index, scale, tuple(parts)
 
 
-def _rates(gains, snrs, slots) -> np.ndarray:
-    """Per-slot rate at every SNR in ``snrs`` from one receiver's gains."""
-    return np.log1p(np.outer(snrs, gains)).sum(axis=1) / (math.log(2.0) * slots)
+def _grams(trace) -> list:
+    """``(receivers, Grams)`` per receiver stack and interference rank:
+    one gather of the heard rows (:attr:`.schemes.SchemeTrace.rows`, read
+    once) through :func:`_gain_plan`, each row scaled by its
+    ``1/sqrt(active antennas)``; per stack, one SVD of the interference
+    columns (rank by :func:`.numerics.singular_rank`) zero-forces the other
+    receivers' symbols, and per rank the desired block's projection ``p``
+    gives the ``wants x wants`` Gram ``p^H p``.  The noise is white, and
+    the projection keeps it white."""
+    owns = tuple(tuple(trace.targets_for(r)) for r in range(1, trace.k + 1))
+    index, scale, parts = _gain_plan(owns, tuple(b.shape[:2] for b in trace.plans),
+                                     len(trace.table), numerics.STACK_BYTES)
+    rows = trace.rows[index]
+    rows *= scale
+    m, n = rows.shape[1:]
+    out = []
+    for first, end, mine, who in parts:
+        g = rows[first:end, :, :mine]
+        if mine < n:
+            u, s, _ = np.linalg.svd(rows[first:end, :, mine:], full_matrices=True)
+            ranks = singular_rank(s).tolist()
+        else:
+            u, ranks = None, [0] * len(who)
+        # rank m: the interference fills every observation, no Gram
+        for rank in sorted(set(ranks) - {m}):
+            at = [i for i, r in enumerate(ranks) if r == rank]
+            pick = slice(None) if len(at) == len(who) else at
+            p = g[pick] if u is None else u[pick][..., rank:].conj().mT @ g[pick]
+            out.append(([who[i] for i in at], p.conj().mT @ p))
+    return out
 
 
-def _trial_matrix(builder, stream, snrs):
-    """Rates of one trial: row per SNR, column per receiver."""
-    trace = builder(stream)
-    return np.column_stack([_rates(gains, snrs, trace.total_slots)
-                            for gains in receiver_gains(trace)])
+def _spectra(grams) -> list:
+    """``(keys, Grams)`` pairs regrouped by Gram shape: each shape's keys
+    and its Grams' eigenvalues, clipped at zero, from one ``eigvalsh``."""
+    groups = {}
+    for keys, gram in grams:
+        group = groups.setdefault(gram.shape[1:], ([], []))
+        group[0].extend(keys)
+        group[1].append(gram)
+    return [(keys, np.maximum(np.linalg.eigvalsh(np.concatenate(g)), 0.0))
+            for keys, g in groups.values()]
 
 
 def simulate_rates(builder, snr_grid_db, trials: int, rng: RngStream,
@@ -173,29 +181,41 @@ def simulate_rates(builder, snr_grid_db, trials: int, rng: RngStream,
 
     ``builder`` maps an RNG stream to a scheme trace; one trace per
     trial is shared by every grid point (common random numbers), which
-    removes most of the trial noise from slope estimates.  ``threads`` is
-    accepted and ignored: trials always run serially (module docstring).
+    removes most of the trial noise from slope estimates.  Each trial's
+    Grams (:func:`_grams`) wait until the pending ones reach
+    :data:`.numerics.STACK_BYTES`, or the last trial; then one
+    ``eigvalsh`` and one ``log1p`` per Gram shape give their rates at
+    every SNR point, bit for bit those of each receiver alone.  ``threads``
+    is accepted and ignored: trials always run serially.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     grid = list(snr_grid_db)
     if not grid:
         raise ValueError("the SNR grid must be nonempty")
-    snrs = [10.0 ** (db / 10.0) for db in grid]
-    results = np.stack([_trial_matrix(builder, rng.split(t), snrs)
-                        for t in range(trials)])
+    snrs = np.array([10.0 ** (db / 10.0) for db in grid])[:, np.newaxis]
+    results, pending, size = None, [], 0
+    for t in range(trials):
+        trace = builder(rng.split(t))
+        if results is None:
+            results = np.zeros((trials, len(grid), trace.k))
+        for who, gram in _grams(trace):
+            pending.append(([(t, r, trace.total_slots) for r in who], gram))
+            size += gram.nbytes
+        if size >= numerics.STACK_BYTES or t == trials - 1:
+            for keys, lam in _spectra(pending):
+                at, who, slots = np.array(keys).T
+                results[at, :, who] = (np.log1p(snrs * lam[:, np.newaxis]).sum(axis=-1)
+                                       / (math.log(2.0) * slots[:, np.newaxis]))
+            pending, size = [], 0
     points = []
     for gi, db in enumerate(grid):
         per = results[:, gi, :].mean(axis=0)
         sums = results[:, gi, :].sum(axis=1)
         stderr = float(sums.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        points.append(RatePoint(
-            snr_db=float(db),
-            sum_rate=float(per.sum()),
-            per_receiver=tuple(float(x) for x in per),
-            trials=trials,
-            stderr=stderr,
-        ))
+        points.append(RatePoint(snr_db=float(db), sum_rate=float(per.sum()),
+                                per_receiver=tuple(float(x) for x in per),
+                                trials=trials, stderr=stderr))
     return points
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from delayedcsit.numerics import RANK_RTOL, as_complex_matrix, haar_unitaries
+from delayedcsit.ratesim import RatePoint, receiver_gains
 
 
 class NumericalDomainError(ArithmeticError):
@@ -484,3 +485,35 @@ def draw_losses(got: dict, want: dict) -> list:
                                 "(the BLAS does not keep [[Z, 0], [0, I]]'s "
                                 "leading block as Z's own)"))
     return losses
+
+
+def rates(gains, snrs, slots) -> np.ndarray:
+    """Per-slot rate at every SNR in ``snrs`` from one receiver's gains."""
+    return np.log1p(np.outer(snrs, gains)).sum(axis=1) / (math.log(2.0) * slots)
+
+
+def trial_matrix(builder, stream, snrs):
+    """Rates of one trial: row per SNR, column per receiver, each from
+    that receiver's own gains."""
+    trace = builder(stream)
+    return np.column_stack([rates(gains, snrs, trace.total_slots)
+                            for gains in receiver_gains(trace)])
+
+
+def per_trial_rates(builder, snr_grid_db, trials: int, rng) -> list:
+    """``simulate_rates`` a trial and a receiver at a time: every trial's
+    rates from :func:`trial_matrix`, stacked, then averaged per SNR
+    point."""
+    grid = list(snr_grid_db)
+    snrs = [10.0 ** (db / 10.0) for db in grid]
+    results = np.stack([trial_matrix(builder, rng.split(t), snrs)
+                        for t in range(trials)])
+    points = []
+    for gi, db in enumerate(grid):
+        per = results[:, gi, :].mean(axis=0)
+        sums = results[:, gi, :].sum(axis=1)
+        stderr = float(sums.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        points.append(RatePoint(snr_db=float(db), sum_rate=float(per.sum()),
+                                per_receiver=tuple(float(x) for x in per),
+                                trials=trials, stderr=stderr))
+    return points

@@ -11,7 +11,6 @@ from delayedcsit import numerics
 from delayedcsit.numerics import RngStream, numerical_rank
 from delayedcsit.ratesim import (
     RatePoint,
-    _rates,
     fit_dof_slope,
     receiver_gains,
     simulate_rates,
@@ -19,7 +18,8 @@ from delayedcsit.ratesim import (
     tdma_baseline,
 )
 from delayedcsit.schemes import run_order_j_delivery, run_square_scheme, tdma_trace
-from oracles import logdet_capacity
+from oracles import logdet_capacity, per_trial_rates, rates
+from test_golden import RATE_SCHEMES
 
 LOG2_10 = math.log2(10.0)
 
@@ -60,7 +60,7 @@ def _receiver_rate(trace, receiver, snr):
     """One receiver's rate in bits per slot at ``snr``, read off its gains
     by the formula :func:`simulate_rates` uses."""
     gains = receiver_gains(trace)[receiver - 1]
-    return float(_rates(gains, [snr], trace.total_slots)[0])
+    return float(rates(gains, [snr], trace.total_slots)[0])
 
 
 def test_single_user_rate_matches_hand_formula():
@@ -147,6 +147,86 @@ def test_stacked_gains_equal_per_receiver(name, monkeypatch):
         assert [g.size for g in receiver_gains(nothing)] == [0] * trace.k
 
 
+def _silent(trace):
+    """``trace`` with no active antenna in any slot: nothing heard."""
+    return dataclasses.replace(trace, plans=[b[:, :0] for b in trace.plans])
+
+
+#: Builders and grids for the batched-against-per-trial check: the golden
+#: rate schemes, tdma-3 among them, and traces that are deaf,
+#: rank-deficient or silent, whose receivers get zero gains or no Gram;
+#: the altered ones from -10 dB, where ``log1p`` and ``log(1 + x)`` differ.
+ORACLE_SCHEMES = {
+    **RATE_SCHEMES,
+    "square-3-altered": (lambda s: _altered(run_square_scheme(3, s)), (-10.0, 60.0, 10.0)),
+    "tdma-3-altered": (lambda s: _altered(tdma_trace(3, s)), (-10.0, 60.0, 10.0)),
+    "square-2-silent": (lambda s: _silent(run_square_scheme(2, s)), (40.0, 60.0, 20.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SCHEMES))
+def test_batched_rates_equal_per_trial_oracle(name, monkeypatch):
+    # square-4 leaves 9,216 bytes of Grams a trial, so the pending ones
+    # first reach STACK_BYTES at trial 29: 27 to 29 straddle that flush
+    # and 60 makes two; a one-byte cap flushes after every trial
+    build, grid = ORACLE_SCHEMES[name]
+    for trials in (1, 27, 28, 29, 60):
+        want = per_trial_rates(build, snr_grid(*grid), trials, RngStream(9))
+        for cap in (numerics.STACK_BYTES, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "STACK_BYTES", cap)
+                got = simulate_rates(build, snr_grid(*grid), trials, RngStream(9))
+            assert got == want, (trials, cap)
+
+
+def _counting_eigvalsh(monkeypatch):
+    """Patch ``np.linalg.eigvalsh`` to record each call's input shape."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_mixed_gram_shapes_share_a_flush(monkeypatch):
+    # square-3 and tdma-3 both have k = 3, but Grams of 6 x 6 and 1 x 1:
+    # one flush holds both shapes and makes one eigvalsh for each
+    def build(s):
+        return (run_square_scheme if s.index % 2 else tdma_trace)(3, s)
+
+    grid = snr_grid(40.0, 60.0, 5.0)
+    for trials in (1, 2, 9):
+        want = per_trial_rates(build, grid, trials, RngStream(4))
+        with monkeypatch.context() as patch:
+            calls = _counting_eigvalsh(patch)
+            assert simulate_rates(build, grid, trials, RngStream(4)) == want
+        mixed = [(trials + 1) // 2 * 3, trials // 2 * 3]
+        assert calls == [(n, w, w) for n, w in zip(mixed, (1, 6)) if n], trials
+
+
+@pytest.mark.parametrize("trials", [40, 100])
+def test_pending_grams_are_bounded_by_stack_bytes(trials, monkeypatch):
+    # square-4: four 12 x 12 Grams a trace; a flush runs once the pending
+    # Grams reach STACK_BYTES, with one eigvalsh for its one Gram shape,
+    # so no call takes more than STACK_BYTES and one trace's Grams, at
+    # any trial count
+    one = sum(16 * g.size ** 2 for g in receiver_gains(run_square_scheme(4, RngStream(0))))
+    per = -(-numerics.STACK_BYTES // one)  # traces in a full flush
+    calls = _counting_eigvalsh(monkeypatch)
+    simulate_rates(lambda s: run_square_scheme(4, s), [60.0, 80.0], trials, RngStream(2))
+    flushes = [per] * (trials // per) + [trials % per] * (trials % per > 0)
+    assert calls == [(4 * n, 12, 12) for n in flushes]
+    assert all(16 * math.prod(c) <= numerics.STACK_BYTES + one for c in calls)
+    # the cap is read at call time: a one-byte cap flushes every trial
+    calls.clear()
+    monkeypatch.setattr(numerics, "STACK_BYTES", 1)
+    simulate_rates(lambda s: run_square_scheme(4, s), [60.0, 80.0], trials, RngStream(2))
+    assert calls == [(4, 12, 12)] * trials
+
+
 def test_rate_is_monotone_in_snr():
     trace = run_square_scheme(2, RngStream(1))
     for r in (1, 2):
@@ -162,7 +242,7 @@ def test_simulate_rates_is_deterministic():
     assert a == b
     c = simulate_rates(lambda s: run_square_scheme(2, s), grid, 5,
                        RngStream(7), threads=2)
-    assert a == c  # threading must not change a single bit
+    assert a == c  # threads is ignored: trials run serially
     d = simulate_rates(lambda s: run_square_scheme(2, s), grid, 5, RngStream(8))
     assert a != d
 
