@@ -32,8 +32,6 @@ from .numerics import RngStream
 from .ratesim import fit_dof_slope, simulate_rates, snr_grid
 from .region import decompose_time_sharing, in_region, iter_tight_permutations
 from .schemes import (
-    _NL,
-    _block,
     json_pieces,
     run_alt22,
     run_mat23_suboptimal,
@@ -296,7 +294,8 @@ def cmd_region_check(args, seed):
     if args.format == "csv":  # counts the orderings and renders none
         return 0, doc, header, [[doc["point"], member, sum(1 for _ in tight),
                                  parts is not None, seed]]
-    row = _block("[]", ["%d"] * len(point), _NL[2])
+    # an ordering as json.dumps(..., indent=2) writes it at depth 2
+    row = "[\n      " + ",\n      ".join(["%d"] * len(point)) + "\n    ]"
     # each ordering is written as the search finds it
     return 0, doc, header, None, {"tight_permutations": (row % p for p in tight)}
 

@@ -14,22 +14,15 @@ plan sent: the reconstruction :func:`transmit_slots` returns to the
 transmitter, which rebuilds it from delayed CSI.  So nothing stores it:
 a trace keeps what was sent and derives its receivers' rows, one
 ``(receivers, slots, symbols)`` array, on each read
-(:attr:`.schemes.SchemeTrace.rows`), or a decode stack's at a time.  Receiver noise is white by rule:
-every equation heard over the air carries one fresh unit-variance noise
-sample, named by its ``(slot, receiver)`` pair, and nothing the
-transmitter rebuilds carries any, so the ``v3`` JSON trace has no noise
-field: a receiver's entry lists the slots it heard, and each equation is
-that slot's channel row times its plan plus the sample of its pair.
-Decodability is a row-space question on a receiver's rows, which have
-full row rank by the scheme's plan: a receiver whose rows fall below
-NumPy's rank floor decodes nothing.  Every slot is heard by every
-receiver, so a trace's receivers hold matrices of one shape, and a stack
-of them, at most :data:`.numerics.STACK_BYTES` of rows, is answered with
-one batched QR by :func:`.numerics.units_inside`, which proves full row
-rank from the triangular factor's inverse and takes its SVD only where
-that proof falls short (the margins come from
-:func:`.numerics.unit_residuals`, which always takes it); a large
-receiver is a stack of one.
+(:attr:`.schemes.SchemeTrace.rows`), or a decode stack's at a time.
+Receiver noise is white by rule: every equation heard over the air
+carries one fresh unit-variance noise sample, named by its ``(slot,
+receiver)`` pair, and nothing the transmitter rebuilds carries any, so
+the ``v3`` JSON trace has no noise field: a receiver's entry lists the
+slots it heard, and each equation is that slot's channel row times its
+plan plus the sample of its pair.  Decodability is a row-space question
+on a receiver's rows (:func:`can_decode`), which :mod:`.numerics`
+answers for a stack of receivers with one batched QR.
 """
 
 from dataclasses import dataclass
@@ -184,28 +177,16 @@ def reconstructions(plans, channels) -> np.ndarray:
 
 def can_decode(rows, targets) -> bool:
     """True iff every receiver of a stack can recover every one of its
-    target symbols.
+    target symbols: each unit row ``e_t`` lies in the row space of its
+    receiver's heard rows, by the verdict of
+    :func:`.numerics.units_inside` (the ratios and margins behind it are
+    :func:`.numerics.unit_residuals`).
 
     ``rows`` is ``(receivers, equations, symbols)``, one matrix of heard
-    rows per receiver, and ``targets`` holds one nonempty list of symbol
-    ids per receiver, all of one length.  A target ``t`` is recoverable
-    when the unit row ``e_t`` lies in the row space of the receiver's
-    coefficient rows ``A``: stacking ``e_t`` under ``A`` must not raise
-    the numerical rank.  ``A`` must have full row rank, every singular
-    value above NumPy's floor ``s_0 * max(rows, cols) * eps``, or the
-    receiver decodes nothing; the rank is the plan's.  ``A`` is factored
-    once, ``A^T = QR``.  Each target's residual ``d_t = ||e_t - Q
-    Q[t]^H||``, divided by ``sqrt(1 + ||z||^2)`` with ``R z = Q[t]^H``,
-    is the singular value that stacking ``e_t`` would add; its ratio to
-    ``RANK_RTOL * sqrt(s_0^2 + 1)``, the rank threshold of the stacked
-    matrix, must be at most 1 (:func:`.numerics.unit_residuals`).  The
-    whole stack is factored by one batched QR (:func:`.numerics.units_inside`).
-    Where ``R`` and its triangular inverse prove every receiver of full
-    row rank and every ``d_t`` below a lower bound of its threshold, that
-    is the verdict, with no SVD; otherwise ``svd(R)`` of the same QR
-    decides, and it solves for ``z`` only if a receiver is below full row
-    rank or some ``d_t`` exceeds its threshold, since the ratio is at most
-    ``d_t`` over it.
+    rows per receiver, which has full row rank by the scheme's plan, and
+    ``targets`` holds one nonempty list of symbol ids per receiver, all
+    of one length.  A receiver whose rows fall below NumPy's rank floor
+    decodes nothing.
     """
     return units_inside(rows, targets)
 

@@ -6,8 +6,8 @@ Gaussian draws, stacked Haar unitaries (squares of several sizes in one
 stack, each padded to the largest), SVD-based rank tests and, by one
 QR per matrix of full row rank, membership of unit rows in a row space,
 as margins or as a verdict.  The verdict proves full row rank from the
-triangular factor's inverse, and takes its SVD, or solves, only where
-that proof or the explicit residuals fall short.
+triangular factor's inverse, and takes its SVD and solves only where
+that proof falls short.
 The linear algebra works on stacks of matrices of one shape, so that
 many small matrices share one numpy call; one matrix goes through the
 same code.
@@ -154,23 +154,21 @@ _EPS = float(np.finfo(np.float64).eps)
 STACK_BYTES = 1 << 18
 
 
-def stacks(keys, nbytes):
-    """Split items into stacks that are factored together.
+def stacks(keys, nbytes: int):
+    """Split items of ``nbytes`` each into stacks that are factored
+    together.
 
     Items ``i`` and ``j`` may share a stack only when ``keys[i] ==
     keys[j]`` (a key names the shapes of the item's matrices, so a stack
     is one array).  Stacks keep the items' order, and a stack holds as
-    many items as fit in :data:`STACK_BYTES` at ``nbytes[i]`` each, and
-    at least one.  Returns lists of item indices.
+    many items as fit in :data:`STACK_BYTES`, and at least one.  Returns
+    lists of item indices.
     """
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    out = []
-    for idx in groups.values():
-        per = max(1, STACK_BYTES // max(1, nbytes[idx[0]]))
-        out.extend(idx[i:i + per] for i in range(0, len(idx), per))
-    return out
+    per = max(1, STACK_BYTES // max(1, nbytes))
+    return [idx[i:i + per] for idx in groups.values() for i in range(0, len(idx), per)]
 
 
 def haar_unitaries(z) -> np.ndarray:
@@ -365,8 +363,8 @@ def unit_residuals(a, targets):
     1)``, the rank threshold of the stacked matrix, and ``e_t`` is inside
     iff ``g`` does not exceed it.  Singular values come from ``svd(R)``.
     Each result has the bits of that matrix factored alone.  A verdict
-    alone is :func:`units_inside`, which solves only when ``d`` cannot
-    settle it.
+    alone is :func:`units_inside`, which takes neither the SVD nor the
+    solve where ``R`` certifies the stack.
 
     Returns
     -------
@@ -393,19 +391,15 @@ def unit_residuals(a, targets):
 
 def units_inside(a, targets) -> bool:
     """True iff every ratio of :func:`unit_residuals` is at most 1, bit
-    for bit, from the same QR, but with ``svd(R)`` only where ``R``
-    cannot certify the stack and the solve only where the residuals
-    cannot settle it.  The certificate (:func:`_certified`) proves from
-    ``R`` and a triangular inverse what the SVD would find: every matrix
+    for bit, from the same QR, in two tiers.  The certificate
+    (:func:`_certified`) proves from ``R`` and a triangular inverse, with
+    no ``svd(R)`` and no solve, what the ratios would show: every matrix
     of full row rank at NumPy's floor and every ``d`` within its
-    threshold.  Without it the SVD decides that.  ``g = d / w`` with ``w
-    >= 1``, so in floating point ``fl(d / w) <= d``, and dividing by the
-    same threshold keeps the order; any other stack gets its ratios
-    computed."""
+    threshold (``g = d / w`` with ``w >= 1``, so in floating point
+    ``fl(d / w) <= d``).  A stack it does not certify gets its ratios
+    computed, and their verdict is the answer."""
     shape, d, r, coords = _factor(a, targets)
     if _certified(shape, d, r):
         return True
     _, _, full, thr = _spectrum(shape, r)
-    if all(full) and (d <= thr).all():
-        return True
     return bool((_ratios(full, d, thr, r, coords) <= 1).all())

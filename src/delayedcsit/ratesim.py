@@ -11,11 +11,11 @@ stays white.  Rates are normalized per slot; the high-SNR slope of the
 sum rate estimates the scheme's DoF.
 
 Everything but the SNR factor is SNR-independent, so each trial factors
-its trace once (:func:`_grams`: one gather through a plan cached per
-trace shape, one interference SVD per stack of receivers that want as
-many symbols, a small Gram per receiver), and the whole SNR grid is read
-off the Grams' eigenvalues ``lambda`` as ``sum log2(1 + P * lambda) /
-slots``, batched across trials up to :data:`.numerics.STACK_BYTES`.
+its trace once (:func:`_grams`: one gather and one interference SVD
+per stack of the trace's receiver plan, a small Gram per receiver), and
+the whole SNR grid is read off the Grams' eigenvalues ``lambda`` as
+``sum log2(1 + P * lambda) / slots``, batched across trials up to
+:data:`.numerics.STACK_BYTES`.
 
 The asymptotic model pins down only the DoF, not a finite-SNR decoding
 strategy; unit-power Gaussian symbols with per-slot power split equally
@@ -30,12 +30,11 @@ interpreter-bound ledger building and one LAPACK SVD.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import numerics
-from .numerics import RngStream, singular_rank, stacks
+from .numerics import RngStream, singular_rank
 from .schemes import tdma_trace
 
 __all__ = [
@@ -107,50 +106,26 @@ def receiver_gains(trace) -> list:
     return gains
 
 
-@lru_cache(maxsize=64)
-def _gain_plan(owns: tuple, blocks: tuple, n: int, cap: int):
-    """What :func:`_grams` needs of every trace with targets ``owns``, plan
-    blocks of ``(slots, active antennas)`` and ``n`` symbols, at the stack
-    cap ``cap``: the gather index ``(receivers, heard rows, own columns
-    first)``, each heard row's ``1/sqrt(active antennas)``, and the
-    receiver stacks as ``(first, end, wants, receivers)`` of the gather."""
-    active = np.array([p for slots, p in blocks for p in [p] * slots], dtype=float)
-    scale = 1.0 / np.sqrt(active[active > 0])[:, np.newaxis]
-    jobs = [r for r, own in enumerate(owns) if own and len(scale)]
-    wants, parts, order = [len(owns[r]) for r in jobs], [], []
-    for idx in stacks(wants, [16 * len(scale) * n] * len(jobs)):
-        who = tuple(jobs[i] for i in idx)
-        parts.append((len(order), len(order) + len(who), wants[idx[0]], who))
-        order += who
-    cols = np.array([owns[r] + tuple(c for c in range(n) if c not in owns[r])
-                     for r in order], dtype=np.intp).reshape(len(order), 1, n)
-    index = (np.array(order, dtype=np.intp)[:, np.newaxis, np.newaxis],
-             np.arange(len(scale))[:, np.newaxis], cols)
-    for a in (*index, scale):
-        a.flags.writeable = False
-    return index, scale, tuple(parts)
-
-
 def _grams(trace) -> list:
     """``(receivers, Grams)`` per receiver stack and interference rank:
-    one gather of the heard rows (:attr:`.schemes.SchemeTrace.rows`, read
-    once) through :func:`_gain_plan`, each row scaled by its
-    ``1/sqrt(active antennas)``; per stack, one SVD of the interference
-    columns (rank by :func:`.numerics.singular_rank`) zero-forces the other
-    receivers' symbols, and per rank the desired block's projection ``p``
-    gives the ``wants x wants`` Gram ``p^H p``.  The noise is white, and
-    the projection keeps it white."""
-    owns = tuple(tuple(trace.targets_for(r)) for r in range(1, trace.k + 1))
-    index, scale, parts = _gain_plan(owns, tuple(b.shape[:2] for b in trace.plans),
-                                     len(trace.table), numerics.STACK_BYTES)
-    rows = trace.rows[index]
-    rows *= scale
+    per stack of :meth:`.schemes.SchemeTrace.receiver_plan`, one gather
+    of its receivers' heard rows (:attr:`.schemes.SchemeTrace.rows`, read
+    once), own columns first, each row scaled by its ``1/sqrt(active
+    antennas)``; one SVD of the interference columns (rank by
+    :func:`.numerics.singular_rank`) zero-forces the other receivers'
+    symbols, and per rank the desired block's projection ``p`` gives the
+    ``wants x wants`` Gram ``p^H p``.  The noise is white, and the
+    projection keeps it white."""
+    _, scale, parts = trace.receiver_plan()
+    rows, out = trace.rows, []
     m, n = rows.shape[1:]
-    out = []
-    for first, end, mine, who in parts:
-        g = rows[first:end, :, :mine]
+    for who, cols, mine in parts:
+        x = rows[np.array(who)[:, np.newaxis, np.newaxis], np.arange(m)[:, np.newaxis],
+                 cols[:, np.newaxis]]
+        x *= scale
+        g = x[..., :mine]
         if mine < n:
-            u, s, _ = np.linalg.svd(rows[first:end, :, mine:], full_matrices=True)
+            u, s, _ = np.linalg.svd(x[..., mine:], full_matrices=True)
             ranks = singular_rank(s).tolist()
         else:
             u, ranks = None, [0] * len(who)

@@ -49,6 +49,7 @@ from itertools import combinations, pairwise, starmap
 
 import numpy as np
 
+from . import numerics
 from .dof_calc import DofQuery, NonsquarePhaseParams, OutOfRegimeError
 from .ledger import (
     ReceiverState,
@@ -405,22 +406,27 @@ class SchemeTrace:
     def targets_for(self, receiver: int):
         return self.table.owned_by(receiver)
 
+    def receiver_plan(self):
+        """What the decode check, the rate path and the JSON trace read of
+        this trace's shape, cached per shape (:func:`_receiver_plan`): the
+        heard slots, each heard row's ``1/sqrt(active antennas)``, and the
+        stacks of receivers that want something."""
+        owns = tuple(tuple(self.targets_for(r)) for r in range(1, self.k + 1))
+        return _receiver_plan(owns, tuple(b.shape[:2] for b in self.plans),
+                              len(self.table), numerics.STACK_BYTES)
+
     def decode_stacks(self):
-        """The receivers grouped as the decode check factors them, a stack
-        at a time: its rows (:meth:`_heard`), derived when the check reaches
-        it, and its receivers' targets, in receiver order.  Receivers share
-        a stack when they want as many symbols, up to
-        :data:`.numerics.STACK_BYTES` of rows (:func:`.numerics.stacks`)."""
-        targets = [self.targets_for(r) for r in range(1, self.k + 1)]
-        size = 16 * len(self.table) * sum(len(b) for b in self.plans if b.shape[1])
-        for idx in stacks([len(t) for t in targets], [size] * self.k):
-            yield self._heard(idx), [targets[i] for i in idx]
+        """The stacks of :meth:`receiver_plan`, as the decode check factors
+        them, one at a time: its rows (:meth:`_heard`), derived when the
+        check reaches it, and its receivers' targets, ``(receivers,
+        wants)``.  A receiver that wants nothing is in no stack."""
+        for who, cols, wants in self.receiver_plan()[2]:
+            yield self._heard(who), cols[:, :wants]
 
     def decode_ok(self) -> bool:
         """True iff every receiver can decode all of its symbols: the
-        verdict of :meth:`decode_residuals`' ratios, without their SVD
-        where the triangular factor certifies the stack and without their
-        solve where the explicit residuals settle it
+        verdict of :meth:`decode_residuals`' ratios, without their SVD and
+        solve where the triangular factor certifies the stack
         (:func:`.ledger.can_decode`)."""
         # starmap drops each stack before it derives the next
         return all(starmap(can_decode, self.decode_stacks()))
@@ -433,7 +439,7 @@ class SchemeTrace:
         (:func:`.numerics.unit_residuals`), flat in the order of
         :meth:`decode_stacks`.  The trace decodes iff no ratio exceeds 1."""
         parts = list(starmap(unit_residuals, self.decode_stacks()))
-        return tuple(np.concatenate([np.ravel(p[i]) for p in parts])
+        return tuple(np.concatenate([np.zeros(0), *(np.ravel(p[i]) for p in parts)])
                      for i in range(3))
 
     def to_json(self, extra=None) -> str:
@@ -458,7 +464,7 @@ class SchemeTrace:
         non-finite float raises ``ValueError``: JSON cannot spell it."""
         import orjson  # on first use: a run that writes no trace does not pay for the import
         dumps = partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS)
-        dof, heard = self.empirical_dof, [i for i, p in enumerate(self.active_antennas) if p]
+        dof, heard = self.empirical_dof, self.receiver_plan()[0]
         doc = {
             "schema": "v3", "scheme": self.name, "m": self.m, "k": self.k,
             "replication": {str(lvl): runs for lvl, runs in self.replication.items()},
@@ -486,7 +492,7 @@ class SchemeTrace:
         n, first = len(self.table), 0
         for b in self.plans:
             p = b.shape[1]
-            for at in stacks([0] * len(b), [16 * n * p] * len(b)):
+            for at in stacks([0] * len(b), 16 * n * p):
                 a, z = at[0], at[-1] + 1
                 rows = b[a:z].reshape((z - a) * p, n)
                 flat = np.flatnonzero(rows)  # contiguous, unlike np.nonzero's
@@ -500,17 +506,37 @@ class SchemeTrace:
             first += len(b)
 
 
+@lru_cache(maxsize=64)
+def _receiver_plan(owns: tuple, blocks: tuple, n: int, cap: int):
+    """The one grouping of receivers for the decode check and the rate
+    path, of every trace with targets ``owns``, plan blocks of ``(slots,
+    active antennas)`` and ``n`` symbols, at the stack cap ``cap``
+    (:data:`.numerics.STACK_BYTES`, which :func:`.numerics.stacks` reads):
+    the heard slots, every slot with an active antenna; each heard row's
+    ``1/sqrt(active antennas)``, ``(heard, 1)``; and the stacks of
+    receivers that want something, ``(receivers, columns, wants)``.
+    Receivers share a stack when they want as many symbols, up to ``cap``
+    bytes of rows, in receiver order; a stack's ``(receivers, n)`` columns
+    list each receiver's targets, then its other symbols, each ascending."""
+    active = np.array([p for slots, p in blocks for p in [p] * slots], dtype=float)
+    heard = np.flatnonzero(active)
+    scale = 1.0 / np.sqrt(active[heard])[:, np.newaxis]
+    jobs, parts = [r for r, own in enumerate(owns) if own], []
+    for idx in stacks([len(owns[r]) for r in jobs], 16 * len(heard) * n):
+        who = tuple(jobs[i] for i in idx)
+        # False at each receiver's targets, which a stable sort puts first;
+        # int32 halves what the cache holds
+        others = np.ones((len(who), n), dtype=bool)
+        others[np.arange(len(who))[:, np.newaxis], [owns[r] for r in who]] = False
+        cols = np.argsort(others, kind="stable").astype(np.int32)
+        cols.flags.writeable = False
+        parts.append((who, cols, len(owns[who[0]])))
+    scale.flags.writeable = False
+    return tuple(heard.tolist()), scale, tuple(parts)
+
+
 #: Newline and indentation of each nesting depth of a ``v1`` document.
 _NL = tuple("\n" + "  " * depth for depth in range(3))
-
-
-def _block(brackets: str, items, nl: str) -> str:
-    """A JSON container of already rendered ``items`` whose closing
-    bracket is indented by ``nl``, as ``json.dumps(..., indent=2)`` writes
-    it."""
-    if not items:
-        return brackets
-    return f'{brackets[0]}{nl}  {("," + nl + "  ").join(items)}{nl}{brackets[1]}'
 
 
 def _pairs(z) -> np.ndarray:
@@ -539,9 +565,9 @@ def json_pieces(doc, arrays=None, compact=False):
     no indentation and no NaN or infinity.  Each entry of ``arrays`` is
     one more top-level key of the dict ``doc``, which a key of ``doc``
     replaces: its items, already rendered at depth 2 (strings, as
-    :func:`_block` renders them at ``_NL[2]``, or iterables of such
-    pieces; compact items may each hold several elements, comma-joined),
-    are spliced in at the key's sorted place as they come.  So a large
+    ``json.dumps`` indents them there, or iterables of such pieces;
+    compact items may each hold several elements, comma-joined), are
+    spliced in at the key's sorted place as they come.  So a large
     array whose shape the caller knows is rendered from its arrays, not
     walked, and never held whole."""
     nl, colon = ("",) * 3 if compact else _NL, ":" if compact else ": "
@@ -651,7 +677,7 @@ def build_phase(k: int, j: int, inputs, air: AirLog):
     w = plan_w.reshape(runs, len(subsets), -1, p.beta)
     if inputs is None:  # a stack of runs' unit rows at a time: no n x n identity
         plans = np.empty(w.shape[:3] + (n,), dtype=np.complex128)
-        for at in stacks([0] * runs, [16 * n * ids[:1].size] * runs):
+        for at in stacks([0] * runs, 16 * n * ids[:1].size):
             units = air.table.unit_forms(ids[at].ravel()).reshape(*ids[at].shape, n)
             plans[at] = combine(units, w[at])
     else:

@@ -702,9 +702,9 @@ def test_stack_rows_are_slices_of_the_row_array():
             assert trace._heard(idx).tobytes() == rows[idx].tobytes(), (name, idx)
         targets = [trace.targets_for(r) for r in range(1, k + 1)]
         got = list(trace.decode_stacks())
-        want = stacks([len(t) for t in targets], [16 * rows[0].size] * k)
+        want = stacks([len(t) for t in targets], 16 * rows[0].size)
         assert len(got) == len(want), name
         for (stack, wanted), idx in zip(got, want):
             assert stack.tobytes() == rows[idx].tobytes(), (name, idx)
             assert not stack.flags.writeable
-            assert wanted == [targets[i] for i in idx]
+            assert wanted.tolist() == [targets[i] for i in idx]

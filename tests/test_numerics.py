@@ -177,12 +177,12 @@ def test_rank_rule_is_per_matrix_on_stacks():
 
 
 def test_stacks_group_by_key_under_the_byte_cap():
-    assert stacks([], []) == []
-    assert stacks(["a", "b", "a", "a"], [8, 8, 8, 8]) == [[0, 2, 3], [1]]
+    assert stacks([], 8) == []
+    assert stacks(["a", "b", "a", "a"], 8) == [[0, 2, 3], [1]]
     half = STACK_BYTES // 2
-    assert stacks(["a"] * 5, [half] * 5) == [[0, 1], [2, 3], [4]]
+    assert stacks(["a"] * 5, half) == [[0, 1], [2, 3], [4]]
     # an item above the cap is a stack of its own
-    assert stacks(["a", "a"], [STACK_BYTES + 1] * 2) == [[0], [1]]
+    assert stacks(["a", "a"], STACK_BYTES + 1) == [[0], [1]]
 
 
 def _in_rowspace(a, v):

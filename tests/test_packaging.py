@@ -135,3 +135,22 @@ def test_every_xfail_is_strict_with_a_reason():
              for path in sorted((ROOT / "tests").glob("test_*.py"))
              for line in _loose_xfails(path.read_text(encoding="utf-8"))]
     assert not loose
+
+
+def _private_imports(source: str) -> list:
+    """The ``_name``s that ``source`` imports from a sibling module."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is its module's own: a caller elsewhere would keep it
+    # from being changed or deleted there
+    assert _private_imports(
+        "from . import numerics\nfrom .schemes import _NL, json_pieces\n"
+        "from numpy import _core\ndef f():\n    from .ledger import _block\n"
+    ) == ["_NL", "_block"]
+    found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in _private_imports(path.read_text(encoding="utf-8"))]
+    assert not found

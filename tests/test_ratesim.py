@@ -8,6 +8,7 @@ import pytest
 from scipy.special import exp1
 
 from delayedcsit import numerics
+from delayedcsit.ledger import SymbolTable
 from delayedcsit.numerics import RngStream, numerical_rank
 from delayedcsit.ratesim import (
     RatePoint,
@@ -150,6 +151,43 @@ def test_stacked_gains_equal_per_receiver(name, monkeypatch):
 def _silent(trace):
     """``trace`` with no active antenna in any slot: nothing heard."""
     return dataclasses.replace(trace, plans=[b[:, :0] for b in trace.plans])
+
+
+def _owned(trace, *owners):
+    """``trace`` with a table of one symbol per owner set, in order."""
+    table = SymbolTable(trace.k)
+    for owner in owners:
+        table.new_symbol(owner)
+    return dataclasses.replace(trace, table=table)
+
+
+def test_a_receiver_that_wants_nothing_is_skipped_by_decode_and_rates():
+    # receiver 3 is in no decode stack and gets no gain, while receivers 1
+    # and 2 decode and get theirs
+    trace = _owned(tdma_trace(3, RngStream(1)), {1}, {2}, {2})
+    assert trace.decode_ok()
+    ratios, kept, dropped = trace.decode_residuals()
+    assert ratios.shape == (3,) and (ratios <= 1).all()
+    assert kept.shape == dropped.shape == (2,)
+    assert [g.size for g in receiver_gains(trace)] == [1, 2, 0]
+
+
+def test_a_trace_of_no_symbols_decodes_with_no_margins():
+    trace = tdma_trace(3, RngStream(1))
+    empty = dataclasses.replace(_owned(trace), plans=[b[..., :0] for b in trace.plans])
+    assert empty.decode_ok()
+    assert [x.shape for x in empty.decode_residuals()] == [(0,)] * 3
+    assert [g.size for g in receiver_gains(empty)] == [0] * 3
+
+
+def test_a_receiver_that_heard_nothing_still_fails_and_gets_no_gain():
+    # every slot silent: receivers 1 and 2 want symbols and fail with the
+    # ratio of an empty matrix; receiver 3 wants nothing
+    deaf = _silent(_owned(tdma_trace(3, RngStream(1)), {1}, {2}, {2}))
+    assert not deaf.decode_ok()
+    ratios, kept, _ = deaf.decode_residuals()
+    assert ratios.tolist() == [1.0 / numerics.RANK_RTOL] * 3 and kept.shape == (2,)
+    assert [g.size for g in receiver_gains(deaf)] == [0] * 3
 
 
 #: Builders and grids for the batched-against-per-trial check: the golden

@@ -574,7 +574,7 @@ def test_decode_stacks_follow_the_size_rule():
             trace = build(RngStream(seed))
             [(rows, targets)] = trace.decode_stacks()
             assert np.array_equal(rows, trace.rows)
-            assert targets == [trace.targets_for(r) for r in range(1, trace.k + 1)]
+            assert targets.tolist() == [trace.targets_for(r) for r in range(1, trace.k + 1)]
     for m, k in ((6, 6), (2, 5)):
         trace = _frontier_trace(m, k, RngStream(1, 0))
         stacks = list(trace.decode_stacks())
@@ -587,7 +587,7 @@ def test_decode_stacks_follow_the_size_rule():
         table.new_symbol(owner)
     trace = dataclasses.replace(tdma_trace(3, RngStream(1)), table=table)
     stacks = list(trace.decode_stacks())
-    assert [targets for _, targets in stacks] == [[[0], [0]], [[1, 2]]]
+    assert [targets.tolist() for _, targets in stacks] == [[[0], [0]], [[1, 2]]]
     assert stacks[0][0].tobytes() == trace.rows[[0, 2]].tobytes()
     assert stacks[1][0].tobytes() == trace.rows[[1]].tobytes()
 
