@@ -30,18 +30,19 @@ all of its blocks of forms with one stacked ``W @ F`` and sends all of
 its slots with one :meth:`AirLog.broadcast`.  A trace records what was
 sent as arrays, a block per broadcast, and derives what its receivers
 heard, each slot's channel times its plan, as the transmitter does from
-delayed CSI (:attr:`SchemeTrace.rows`), for the decode check a stack of
-receivers at a time.  The JSON trace writes only what was sent, a piece
-at a time.
+delayed CSI (:attr:`SchemeTrace.rows`), for the decode check and the
+rate path a stack of receivers at a time.  The JSON trace writes only
+what was sent, a piece at a time.
 
 Transmitted antenna forms are normalized to unit coefficient norm, so a
 recorded trace doubles as the SNR-independent skeleton used by the rate
 simulator: the physical transmit signal at SNR ``P`` is the recorded
-plan scaled by ``sqrt(P / active_antennas)``.
+plan scaled by ``sqrt(P / p)`` in a slot of ``p`` active antennas.
 """
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
@@ -347,45 +348,41 @@ class SchemeTrace:
         return len(self.channels)
 
     @property
-    def active_antennas(self) -> list:
-        """The number of forms sent in each slot."""
-        return [p for block in self.plans for p in [block.shape[1]] * len(block)]
-
-    @property
     def rows(self) -> np.ndarray:
         """What was heard, derived anew on each read: ``rows[r - 1, i]`` of
         the read-only ``(k, heard, symbols)`` array is receiver ``r``'s row
-        in the ``i``-th slot with an active antenna."""
+        in the ``i``-th heard slot of :meth:`receiver_plan`."""
         return self._heard(range(self.k))
 
-    def _heard(self, idx) -> np.ndarray:
-        """:attr:`rows` of the receivers ``idx`` (0-based, in order): each
-        chunk of slots is the product of their channel rows with its plans,
-        the bits :func:`.ledger.transmit_slots` made.  A product of one
-        channel row is a matrix-vector product, which rounds differently,
-        so a lone receiver is computed with its neighbour, in a buffer no
-        larger than the rows it fills."""
+    def _heard(self, idx, heard=None) -> np.ndarray:
+        """:attr:`rows` of the receivers ``idx`` (0-based, in order) in the
+        ``heard`` slots of :meth:`receiver_plan`, read from it if not given:
+        a plan block's heard slots, a chunk at a time, are the product of
+        their channel rows with its plans, the bits :func:`.ledger.transmit_slots`
+        made.  A product of one channel row is a matrix-vector product, which
+        rounds differently, so a lone receiver is paired with itself, in a
+        buffer no larger than the rows it fills."""
         idx = list(idx)
-        heard, n = sum(len(b) for b in self.plans if b.shape[1]), len(self.table)
-        rows = np.empty((len(idx), heard, n), dtype=np.complex128)
-        lone = len(idx) == 1 < self.k
-        first = min(idx[0], self.k - 2) if lone else idx[0]
-        use = [first, first + 1] if lone else idx
+        heard = self.receiver_plan()[0] if heard is None else heard
+        n, lone = len(self.table), len(idx) == 1 < self.k
+        rows = np.empty((len(idx), len(heard), n), dtype=np.complex128)
+        use = idx * 2 if lone else idx
         # consecutive receivers, as in every scheme here, are a view, not a copy
         pick = slice(use[0], use[-1] + 1) if use == list(range(use[0], use[-1] + 1)) else use
-        step = max(1, heard // 2) if lone else max(1, heard)
-        buf = np.empty((2, min(step, heard), n), dtype=np.complex128) if lone else rows
+        step = max(1, len(heard) // 2 if lone else len(heard))
+        buf = np.empty((2, min(step, len(heard)), n), dtype=np.complex128) if lone else rows
         at = slot = 0
         for b in self.plans:
             h = self.channels[slot:slot + len(b), pick, :b.shape[1]]
-            for i in range(0, len(b) if b.shape[1] else 0, step):
-                c = min(step, len(b) - i)
+            slot += len(b)
+            count = bisect_left(heard, slot) - at  # the block's heard slots
+            for i in range(0, count, step):
+                c = min(step, count - i)
                 out = buf[:, :c] if lone else rows[:, at:at + c]
                 np.matmul(h[i:i + c], b[i:i + c], out=out.transpose(1, 0, 2))
                 if lone:
-                    rows[0, at:at + c] = out[idx[0] - first]
+                    rows[0, at:at + c] = out[0]
                 at += c
-            slot += len(b)
         rows.flags.writeable = False
         return rows
 
@@ -416,12 +413,13 @@ class SchemeTrace:
                               len(self.table), numerics.STACK_BYTES)
 
     def decode_stacks(self):
-        """The stacks of :meth:`receiver_plan`, as the decode check factors
-        them, one at a time: its rows (:meth:`_heard`), derived when the
-        check reaches it, and its receivers' targets, ``(receivers,
+        """The stacks of :meth:`receiver_plan`, as the decode check and the
+        rate path read them, one at a time: its rows (:meth:`_heard`),
+        derived when the reader reaches it, and its targets, ``(receivers,
         wants)``.  A receiver that wants nothing is in no stack."""
-        for who, cols, wants in self.receiver_plan()[2]:
-            yield self._heard(who), cols[:, :wants]
+        heard, _, parts = self.receiver_plan()
+        for who, cols, wants in parts:
+            yield self._heard(who, heard), cols[:, :wants]
 
     def decode_ok(self) -> bool:
         """True iff every receiver can decode all of its symbols: the

@@ -130,7 +130,7 @@ def test_transmit_slot_validation_and_empty_plan():
     air.broadcast(np.zeros((1, 0, 1)))
     air.send_each(t.unit_forms([x, x]))
     trace = air.trace("hand", {}, [])
-    assert trace.total_slots == 3 and trace.active_antennas == [0, 1, 1]
+    assert trace.total_slots == 3 and [b.shape[1] for b in trace.plans for _ in b] == [0, 1, 1]
     assert np.array_equal(trace.rows, air.channels[1:, :, :1].transpose(1, 0, 2))
     assert heard_slots(trace) == [1, 2]
 

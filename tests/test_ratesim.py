@@ -78,9 +78,9 @@ def _per_snr_rate(trace, receiver, snr):
     other receivers' symbols and take the log det, all at this SNR."""
     ids = trace.table.ids
     own = set(trace.targets_for(receiver))
-    heard = [slot for slot, p in enumerate(trace.active_antennas) if p]
+    active = [b.shape[1] for b in trace.plans for _ in b]
     rows = trace.rows[receiver - 1][:, ids] * np.array(
-        [math.sqrt(snr / trace.active_antennas[slot]) for slot in heard])[:, None]
+        [math.sqrt(snr / p) for p in active if p])[:, None]
     own_idx = [i for i, s in enumerate(ids) if s in own]
     int_idx = [i for i, s in enumerate(ids) if s not in own]
     interference = rows[:, int_idx]
