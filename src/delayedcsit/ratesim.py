@@ -24,8 +24,9 @@ over active antennas plus zero-forcing is the instantiation used here.
 Trials are independent: trial ``t`` consumes the derived stream
 ``rng.split(t)``, so a run is reproducible from its seed alone.  Trials
 run serially: a thread pool over trials measured slower.  A square-4
-trial takes 0.6 ms to build and 0.9 ms of gains, 0.5 ms of it the
-full-``U`` LAPACK SVD (one core of a 2-core x86-64 host, OpenBLAS).
+trial takes 0.4 ms to build and 0.8 ms of gains, 0.6 ms of it the LAPACK
+SVD, which skips the full ``Vh`` where ``U`` is square without it (one
+core of a 2-core x86-64 host, OpenBLAS).
 """
 
 import math
@@ -123,8 +124,8 @@ def _grams(trace) -> list:
                  cols[:, np.newaxis]]
         x *= scale
         g = x[..., :mine]
-        if mine < cols.shape[1]:  # interference columns
-            u, s, _ = np.linalg.svd(x[..., mine:], full_matrices=True)
+        if mine < cols.shape[1]:  # interference columns; full U only if fewer than m
+            u, s, _ = np.linalg.svd(x[..., mine:], full_matrices=m > cols.shape[1] - mine)
             ranks = singular_rank(s).tolist()
         else:
             u, ranks = None, [0] * len(who)

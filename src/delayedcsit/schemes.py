@@ -2,24 +2,24 @@
 
 Each scheme is executed symbolically against sampled (or injected)
 channels and recorded as a :class:`SchemeTrace` with exact slot/symbol
-accounting.  A scheme is a chain of *phases*: phase ``j`` consumes
-order-``j`` forms grouped by their target subset, spends slots
+accounting.  A scheme is a chain of *phases*: phase ``j`` consumes a
+stack of order-``j`` forms, a block per target subset, spends slots
 broadcasting random mixtures of them, and turns the overheard equations
-into order-``j+1`` forms for the next phase, until order-``k`` forms are
-delivered by plain broadcast.  One builder, :func:`build_phase`, runs a
-phase for any antenna count ``m``: each subset gets a sub-phase of slots
-on ``q + 1 <= m`` antennas, and each receiver outside it purifies what
-it overheard there.  The full-antenna phase (``m >= k - j + 1``) is its
-``q = k - j`` case: one slot per subset, whose one overheard equation
-per outside receiver needs no purification.  When consecutive phases'
-output/input cardinalities do not match, earlier phases are replicated
-the minimal integral number of times.
+into the next phase's stack of order-``j+1`` forms, until order-``k``
+forms are delivered by plain broadcast.  One builder, :func:`build_phase`,
+runs a phase for any antenna count ``m``: each subset gets a sub-phase
+of slots on ``q + 1 <= m`` antennas, and each receiver outside it
+purifies what it overheard there.  The full-antenna phase (``m >= k - j
++ 1``) is its ``q = k - j`` case: one slot per subset, whose one
+overheard equation per outside receiver needs no purification.  When
+consecutive phases' output/input cardinalities do not match, earlier
+phases are replicated the minimal integral number of times.
 
 No random draw depends on what was sent, so a scheme draws its whole
-trace's channels and mixing weights up front, with one generator call and
-one QR per group of unitary sizes, each unitary padded to its group's
-largest (:meth:`AirLog.draw`).  The draw list is every
-phase's layout in order (:func:`phase_layout`), laid out in the order a
+trace's channels and mixing weights up front, with one generator call
+and one QR per group of unitary sizes, each unitary padded to its
+group's largest (:meth:`AirLog.draw`).  The draw list is every phase's
+layout in order (:func:`phase_layout`), laid out in the order a
 slot-at-a-time execution would make the draws, so a seed gives the same
 trace either way.  A chain's replication, phase records and starting
 symbol table are one draw-free plan, cached per shape, that the build
@@ -56,7 +56,6 @@ from .ledger import (
     ReceiverState,
     SymbolTable,
     can_decode,
-    combine,
     reconstructions,
 )
 from .numerics import RngStream, haar_unitaries, stacks, unit_residuals
@@ -110,10 +109,6 @@ class AirLog:
     def channels(self) -> np.ndarray:
         """The ``(slots, k, m)`` channels of the slots sent so far."""
         return self._h[:self.slots]
-
-    def log_combos(self, labels, weights) -> None:
-        """Log one block of combinations: ``weights[i]`` made ``labels[i]``."""
-        self.combos.append((labels, weights))
 
     def draw(self, layout, *shape) -> dict:
         """Draw the whole trace's randomness with one generator call
@@ -169,7 +164,8 @@ class AirLog:
                              f"need channels, but {len(self._h)} were drawn")
         # np.linalg.norm(plans, axis=-1)'s formula and bits, without its wrapper
         norms = np.sqrt(np.add.reduce((plans.conj() * plans).real, -1))
-        inverse = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0)
+        inverse = 1.0 / norms if norms.all() else np.divide(  # a zero form stays zero
+            1.0, norms, out=np.ones_like(norms), where=norms > 0)
         normalized = plans * inverse[..., np.newaxis]
         self.slots += len(normalized)
         self.plans.append(normalized)
@@ -187,7 +183,9 @@ class AirLog:
 def _overrides(channels, k: int, m: int) -> np.ndarray:
     """The override channels as one ``(slots, k, m)`` stack, each checked
     to be a finite ``k x m`` matrix."""
-    channels = [] if channels is None else list(channels)
+    if channels is None:  # one read-only empty stack per shape, for every trace
+        return _no_overrides(k, m)
+    channels = list(channels)
     out = np.empty((len(channels), k, m), dtype=np.complex128)
     for slot, h in enumerate(channels):
         h = np.asarray(h, dtype=np.complex128)
@@ -198,6 +196,13 @@ def _overrides(channels, k: int, m: int) -> np.ndarray:
             raise ValueError(f"the channel override of slot {slot} has "
                              f"non-finite entries")
         out[slot] = h
+    return out
+
+
+@lru_cache(maxsize=None)
+def _no_overrides(k: int, m: int) -> np.ndarray:
+    out = np.empty((0, k, m), dtype=np.complex128)
+    out.flags.writeable = False
     return out
 
 
@@ -624,86 +629,90 @@ def _overheard(k: int, j: int, sub_slots: int, runs: int):
     return out
 
 
-def _runs(inputs, subsets, block: int, what: str):
-    """Each subset's forms as ``runs`` blocks of ``block``, run by run:
-    an array of shape ``(runs, subsets, block, symbols)``."""
-    if set(inputs) != set(subsets):
-        raise ValueError(f"{what}: inputs must be keyed by all size-j subsets")
-    counts = sorted({len(inputs[s]) for s in subsets})
-    if len(counts) > 1 or not counts[0] or counts[0] % block:
-        raise ValueError(f"{what}: every subset needs the same positive "
-                         f"multiple of {block} forms, got {counts}")
-    forms = np.stack([inputs[s] for s in subsets])
-    return forms.reshape(len(subsets), -1, block, forms.shape[-1]).swapaxes(0, 1)
+def _runs(inputs, subsets: int, block: int, what: str):
+    """The stack ``inputs``, ``(subsets, forms, symbols)`` in :func:`_subsets`
+    order, as ``(runs, subsets, block, symbols)``; ``ValueError`` unless
+    each subset has the same positive multiple of ``block`` forms."""
+    forms = np.asarray(inputs, dtype=np.complex128)
+    if forms.ndim != 3 or len(forms) != subsets or not forms.shape[1] or forms.shape[1] % block:
+        raise ValueError(f"{what}: inputs must stack {subsets} subsets' blocks of the same "
+                         f"positive multiple of {block} forms, got shape {forms.shape}")
+    return forms.reshape(subsets, -1, block, forms.shape[-1]).swapaxes(0, 1)
+
+
+@lru_cache(maxsize=64)
+def _unit_runs(n: int, subsets: int, beta: int, cap: int) -> tuple:
+    """The run count of a first phase of ``n`` unit rows, ``beta`` per
+    subset a run, and per chunk of runs of up to ``cap`` bytes of rows
+    (:func:`.numerics.stacks`), its runs, ids (a list) and ids' shape."""
+    ids = np.arange(n).reshape(subsets, -1, beta).swapaxes(0, 1)
+    return len(ids), tuple((at, ids[at].ravel().tolist(), ids[at].shape)
+                           for at in stacks([0] * len(ids), 16 * n * ids[:1].size))
 
 
 def build_phase(k: int, j: int, inputs, air: AirLog):
     """Run phase ``j`` (``1 <= j < k``) of the chain on ``air``, with the
     parameters of ``air.m`` antennas (:class:`.dof_calc.NonsquarePhaseParams`).
 
-    ``inputs`` maps each size-``j`` subset ``S`` (a ``frozenset``) to
-    ``beta`` forms per run of the phase, run after run, or is ``None``:
-    the unit rows of ``air.table``, an equal block per subset, mixed a
-    stack of runs at a time.  In a run, each ``S`` gets a sub-phase of
-    ``(k - j) / eta`` slots, every slot sending ``q + 1`` random mixtures
-    of the ``beta`` forms on ``q + 1`` antennas.  Each receiver outside
-    ``S`` then *purifies* its overheard equations into ``q / eta`` random
-    combinations (preshared coefficients), and for every size-``j+1``
-    subset ``T`` the ``(j + 1) q / eta`` purified forms are compressed
-    into ``j * q / eta`` order-``j+1`` outputs per run (none when
-    ``m == 1``).  With ``m >= k - j + 1`` antennas,
-    ``q = eta = k - j``: one slot per subset on ``k - j + 1`` antennas,
-    and each outside receiver's one overheard equation is already pure,
-    so the ``j + 1`` equations of ``T`` are compressed into ``j`` outputs.
-    Returns the slots used and the outputs keyed by ``T``, run after run.
-    The weights are ``air.drawn``'s keys of ``j``, drawn with the trace
-    (:func:`phase_layout`).
+    ``inputs`` stacks each size-``j`` subset ``S``'s ``beta`` forms per
+    run, run after run, ``(subsets, forms, symbols)`` with the subsets in
+    :func:`itertools.combinations` order, or is ``None``: the unit rows of
+    ``air.table``, an equal block per subset.  In a run, each ``S`` gets a
+    sub-phase of ``(k - j) / eta`` slots, every slot sending ``q + 1``
+    random mixtures of the ``beta`` forms on ``q + 1`` antennas.  Each
+    receiver outside ``S`` then *purifies* its overheard equations into
+    ``q / eta`` random combinations (preshared coefficients), and for
+    every size-``j+1`` subset ``T`` the ``(j + 1) q / eta`` purified forms
+    are compressed into ``j * q / eta`` order-``j+1`` outputs per run
+    (none when ``m == 1``).  With ``m >= k - j + 1`` antennas, ``q = eta
+    = k - j``: one slot per subset on ``k - j + 1`` antennas, and each
+    outside receiver's one overheard equation is already pure, so the
+    ``j + 1`` equations of ``T`` are compressed into ``j`` outputs.
+    Returns the slots used and the outputs, stacked by ``T`` in the same
+    order, run after run.  The weights are ``air.drawn``'s keys of ``j``
+    (:func:`phase_layout`), mixed in by plain ``W @ F`` products.
     """
     if not 1 <= j < k:
         raise ValueError(f"phase level must satisfy 1 <= j < k, got j={j}, k={k}")
     p = _params(air.m, k, j)
-    subsets, uppers = _subsets(k, j), _subsets(k, j + 1)
-    if inputs is None:  # per run, per subset, the ids of its unit rows
-        ids = np.arange(len(air.table)).reshape(len(subsets), -1, p.beta).swapaxes(0, 1)
-        runs, n = len(ids), len(air.table)
+    subsets, uppers, n = math.comb(k, j), math.comb(k, j + 1), len(air.table)
+    if inputs is None:  # the ids, not the rows: square-7's would take 138 MB
+        runs, chunks = _unit_runs(n, subsets, p.beta, numerics.STACK_BYTES)
     else:
         forms = _runs(inputs, subsets, p.beta, f"phase {j}")
         runs, n = forms.shape[0], forms.shape[-1]
     sub_slots, pur = p.slots_per_subphase, p.q // p.eta  # pur: forms per outside receiver
     plan_w = air.drawn[j, "plan"][:, :p.q + 1].reshape(
-        runs, len(subsets), sub_slots, p.q + 1, p.beta)
-    w = plan_w.reshape(runs, len(subsets), -1, p.beta)
-    if inputs is None:  # a stack of runs' unit rows at a time: no n x n identity
+        runs, subsets, sub_slots, p.q + 1, p.beta)
+    w = plan_w.reshape(runs, subsets, -1, p.beta)
+    if inputs is None:  # a chunk of runs' unit rows at a time: no n x n identity
         plans = np.empty(w.shape[:3] + (n,), dtype=np.complex128)
-        for at in stacks([0] * runs, 16 * n * ids[:1].size):
-            units = air.table.unit_forms(ids[at].ravel()).reshape(*ids[at].shape, n)
-            plans[at] = combine(units, w[at])
+        for at, ids, shape in chunks:
+            plans[at] = w[at] @ air.table.unit_forms(ids).reshape(*shape, n)
     else:
-        plans = combine(forms, w)
+        plans = w @ forms
         del forms  # the stacked inputs, not held while the phase sends
     recon = air.broadcast(plans.reshape(-1, p.q + 1, n))
     del plans  # air holds them normalized: not held twice
     logged = plan_w.reshape(runs, 1, -1, p.q + 1, p.beta)  # each run's blocks of weights
-    outputs = {t: recon[:0, 0] for t in uppers}
+    outputs = np.empty((uppers, 0, n), dtype=np.complex128)
     if pur:
         rows, pair = _overheard(k, j, sub_slots, runs)
         heard = recon.reshape(-1, n)[rows]
         if sub_slots > 1:  # receiver r purifies what it heard in the sub-phase of S
             pur_w = air.drawn[j, "purify"][:, :pur].reshape(
-                runs, len(subsets), k - j, pur, sub_slots)
-            heard = combine(heard, pur_w.reshape(-1, pur, sub_slots)[pair])
+                runs, subsets, k - j, pur, sub_slots)
+            heard = pur_w.reshape(-1, pur, sub_slots)[pair] @ heard
             logged = [[w for both in zip(ws, pw) for w in both]
                       for ws, pw in zip(plan_w, pur_w)]
-        out_w = air.drawn[j, "order"][:, :j * pur].reshape(
-            runs, len(uppers), j * pur, (j + 1) * pur)
-        outs = combine(heard.reshape(runs, len(uppers), -1, n), out_w).swapaxes(0, 1)
-        outputs = dict(zip(uppers, outs.reshape(len(uppers), -1, n)))
+        out_w = air.drawn[j, "order"][:, :j * pur].reshape(runs, uppers, j * pur, (j + 1) * pur)
+        outs = (out_w @ heard.reshape(runs, uppers, -1, n)).swapaxes(0, 1)
+        outputs = outs.reshape(uppers, -1, n)
     labels, order_labels = _phase_labels(k, j, p.q, sub_slots)
     for run in range(runs):
-        for names, weights in zip(labels, logged[run]):
-            air.log_combos(names, weights)
+        air.combos.extend(zip(labels, logged[run]))
         if pur:
-            air.log_combos(order_labels, out_w[run])
+            air.combos.append((order_labels, out_w[run]))
     return len(recon), outputs
 
 
@@ -774,14 +783,13 @@ def _chain_layout(m: int, k: int, start: int) -> tuple:
 
 def _send_chain(k: int, records, inputs, air: AirLog) -> None:
     """Send the phases ``records`` on ``air`` from ``inputs``, the first
-    phase's forms by subset, or from its unit rows if ``None``; raise
-    ``AssertionError`` when a phase sends other than its record's slots."""
+    phase's stack (:func:`build_phase`), or its unit rows if ``None``;
+    raise ``AssertionError`` when a phase sends other than its record's slots."""
     for p in records:
         if p.level < k:
             slots, inputs = build_phase(k, p.level, inputs, air)
-        else:
-            forms = (air.table.unit_forms(air.table.ids) if inputs is None  # start = k
-                     else inputs[frozenset(range(1, k + 1))])
+        else:  # phase k, from the unit rows if the chain starts there
+            forms = air.table.unit_forms(air.table.ids) if inputs is None else inputs[0]
             air.send_each(forms)
             slots = len(forms)
         if slots != p.slots:
@@ -880,14 +888,14 @@ def _run_pairs(name: str, k: int, rng: RngStream, channels=None) -> SchemeTrace:
     table, units, heard, cross, labels, replication, records = _pairs_plan(k)
     air = AirLog(table.copy(), 2, rng, channels)
     w = air.draw(_pairs_layout, k)[1, "plan"][:, :2]
-    air.log_combos(labels, w)
-    recon = air.broadcast(combine(units, w))
+    air.combos.append((labels, w))
+    recon = air.broadcast(w @ units)
     if len(recon) != records[0].slots:
         raise AssertionError(f"pair accounting is off: phase 1 sent {len(recon)} "
                              f"slots, its record says {records[0].slots}")
     # per pair (x, y): y's equation on x's symbols, x's on y's
     parts = np.where(cross, recon[np.arange(len(recon))[:, np.newaxis], heard], 0.0)
-    _send_chain(k, records[1:], dict(zip(_subsets(k, 2), parts)), air)
+    _send_chain(k, records[1:], parts, air)
     return air.trace(name, dict(replication), list(records))  # the cached dict stays unshared
 
 

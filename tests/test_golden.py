@@ -656,7 +656,7 @@ def _first_phase_by_identity(m, k, start, rng):
     air.draw(_chain_layout, m, k, start)
     subsets, n = _subsets(k, start), len(air.table)
     units = np.eye(n, dtype=np.complex128).reshape(len(subsets), -1, n)
-    build_phase(k, start, dict(zip(subsets, units)), air)
+    build_phase(k, start, units, air)
     return air.plans[0]
 
 

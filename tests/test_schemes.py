@@ -246,6 +246,26 @@ def test_overrides_of_the_wrong_shape_are_refused():
         run_opt23(RngStream(1), [np.ones((3, 2)), np.full((3, 2), np.nan)])
 
 
+def test_a_zero_form_is_sent_as_zeros(monkeypatch):
+    # each form goes out at unit norm, bit for bit row * (1 / norm); an
+    # all-zero form has no norm to divide by and goes out as zeros, and
+    # only a block that holds one takes the masked np.divide
+    rows = RngStream(23).complex_normal((2, 4))
+    divide, divides = np.divide, []
+    monkeypatch.setattr(np, "divide", lambda *a, **kw: divides.append(a) or divide(*a, **kw))
+    for block, masked in (([rows[0], rows[1]], False), ([np.zeros(4), rows[1]], True)):
+        air = AirLog(SymbolTable(1), 1, RngStream(24))
+        air.draw(lambda: [CHANNEL] * 2)
+        divides.clear()
+        air.send_each(block)
+        (sent,) = air.plans
+        assert bool(divides) == masked
+        for form, row in zip(sent[:, 0], block):
+            norm = np.linalg.norm(row, axis=-1)
+            want = row * (1.0 / norm) if norm else np.zeros(4, dtype=np.complex128)
+            assert form.tobytes() == want.tobytes()
+
+
 #: Each builder, and the size of the stack each QR of its draw factors:
 #: one QR per group of unitary sizes, every unitary padded to its group's
 #: largest size (``schemes._size_groups``), so one for every trace the
@@ -332,16 +352,17 @@ def test_full_antenna_phase_cardinalities():
     table = SymbolTable(3)
     air = AirLog(table, 3, RngStream(15))
     from itertools import combinations
-    syms = {frozenset(s): [table.new_symbol(s, f"u{s[0]}.{i}") for i in range(3)]
-            for s in combinations(range(1, 4), 1)}
-    inputs = {fs: table.unit_forms(ids) for fs, ids in syms.items()}
+    syms = [[table.new_symbol(s, f"u{s[0]}.{i}") for i in range(3)]
+            for s in combinations(range(1, 4), 1)]
+    inputs = np.stack([table.unit_forms(ids) for ids in syms])
     air.draw(phase_layout, 3, 3, 1, 1)
     slots, outs = build_phase(3, 1, inputs, air)
     assert slots == 3
-    assert set(outs) == {frozenset(t) for t in combinations(range(1, 4), 2)}
-    assert all(len(v) == 1 for v in outs.values())
+    # one output per order-2 subset, stacked in combinations order
+    uppers = [frozenset(t) for t in combinations(range(1, 4), 2)]
+    assert outs.shape == (len(uppers), 1, len(table))
     # every order-2 output mixes the symbols of exactly its two owners
-    for t, forms in outs.items():
+    for t, forms in zip(uppers, outs):
         wanted = {s for r in t for s in table.owned_by(r)}
         assert set(np.flatnonzero(forms[0])) <= wanted
     # a full-antenna phase draws and logs no purification
@@ -356,8 +377,7 @@ def test_build_phase_validation():
     table = SymbolTable(3)
     fs = frozenset({1})
     syms = [table.new_symbol(fs, "") for _ in range(3)]
-    inputs = {frozenset(s): table.unit_forms(syms)
-              for s in [(1,), (2,), (3,)]}
+    inputs = np.stack([table.unit_forms(syms)] * 3)  # a block per subset
     # on two antennas phase 1 of k = 3 is antenna-limited: beta = 4 forms
     # per subset, so three are refused and four give 6 slots
     air = AirLog(table, 2, RngStream(17))
@@ -366,25 +386,26 @@ def test_build_phase_validation():
     with pytest.raises(ValueError):  # nor are the table's 3 unit rows
         build_phase(3, 1, None, air)
     air.draw(phase_layout, 2, 3, 1, 1)
-    slots, _ = build_phase(3, 1, {s: table.unit_forms(syms + syms[:1]) for s in inputs},
-                           air)
+    slots, _ = build_phase(3, 1, np.stack([table.unit_forms(syms + syms[:1])] * 3), air)
     assert slots == 6 and air.slots == 6
     air3 = AirLog(SymbolTable(3), 3, RngStream(19))
-    with pytest.raises(ValueError):
-        build_phase(3, 1, {frozenset({1}): []}, air3)
+    with pytest.raises(ValueError):  # one subset's block of the three
+        build_phase(3, 1, inputs[:1], air3)
     with pytest.raises(ValueError):
         build_phase(3, 3, inputs, air3)
+    # a stack of the wrong rank: one block, or a block per form
+    for wrong in (inputs[0], inputs[..., np.newaxis]):
+        with pytest.raises(ValueError):
+            build_phase(3, 1, wrong, air3)
     # each subset needs the same positive multiple of k - j + 1 forms:
-    # one block per run of the phase
-    for counts in ((3, 3, 4), (3, 3, 6), (0, 0, 0)):
-        uneven = {frozenset({r}): table.unit_forms(syms * 2)[:n]
-                  for r, n in zip((1, 2, 3), counts)}
+    # one block per run of the phase; uneven blocks make no stack
+    for counts in ((3, 3, 4), (3, 3, 6), (0, 0, 0), (4, 4, 4)):
+        uneven = [table.unit_forms(syms * 2)[:n] for n in counts]
         with pytest.raises(ValueError):
             build_phase(3, 1, uneven, air3)
     air3.draw(phase_layout, 3, 3, 1, 2)
-    slots, outs = build_phase(
-        3, 1, {fs: table.unit_forms(syms * 2) for fs in inputs}, air3)
-    assert slots == 6 and all(len(v) == 2 for v in outs.values())
+    slots, outs = build_phase(3, 1, np.stack([table.unit_forms(syms * 2)] * 3), air3)
+    assert slots == 6 and outs.shape[:2] == (3, 2)
     assert air3.slots == 6
 
 
@@ -395,13 +416,13 @@ def test_antenna_limited_phase_cardinalities():
     air = AirLog(table, 2, RngStream(22))
     params = NonsquarePhaseParams.for_query(DofQuery(2, 3, 1))
     from itertools import combinations
-    syms = {frozenset(s): [table.new_symbol(s, "") for _ in range(params.beta)]
-            for s in combinations(range(1, 4), 1)}
-    inputs = {fs: table.unit_forms(ids) for fs, ids in syms.items()}
+    syms = [[table.new_symbol(s, "") for _ in range(params.beta)]
+            for s in combinations(range(1, 4), 1)]
+    inputs = np.stack([table.unit_forms(ids) for ids in syms])
     air.draw(phase_layout, 2, 3, 1, 1)
     slots, outs = build_phase(3, 1, inputs, air)
     assert slots == 6
-    assert all(len(v) == 1 for v in outs.values())
+    assert outs.shape[:2] == (3, 1)
     assert air.slots == 6
     assert [plans.shape[:2] for plans in air.plans] == [(6, 2)]
     # an antenna-limited phase draws and logs a purification per
@@ -797,11 +818,12 @@ TO_JSON_PEAK_BYTES = 3_038_981
 DECODE_PEAK_BYTES = 2_339_210
 DECODE_RESIDUALS_PEAK_BYTES = 2_437_467
 
-#: ``receiver_gains()`` of the same trace: 3,216,196 bytes, each stack's
+#: ``receiver_gains()`` of the same trace: 2,819,972 bytes, each stack's
 #: rows derived as the decode check derives them and freed with the
-#: stack's gather and SVD before the next, against 6,699,101 when it
+#: stack's gather and SVD before the next, against 3,215,513 when the SVD
+#: also returned the full ``Vh`` that nothing reads and 6,699,101 when it
 #: gathered from every receiver's ``rows`` at once.  The same rules hold.
-RATE_PEAK_BYTES = 3_216_196
+RATE_PEAK_BYTES = 2_819_972
 
 
 def _traced_peak(call):
