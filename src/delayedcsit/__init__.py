@@ -26,8 +26,6 @@ from .ledger import (
     SymbolTable,
     alignment_ranks,
     can_decode,
-    combine,
-    transmit_slots,
 )
 from .numerics import RngStream, numerical_rank
 from .ratesim import (
@@ -79,7 +77,6 @@ __all__ = [
     "can_decode",
     "coherence_dof",
     "combination_value",
-    "combine",
     "corner_candidates",
     "decompose_time_sharing",
     "dof_square",
@@ -104,5 +101,4 @@ __all__ = [
     "tdma_baseline",
     "tdma_trace",
     "tight_permutations",
-    "transmit_slots",
 ]

@@ -45,6 +45,11 @@ __all__ = ["main"]
 
 DEFAULT_SEED = 12345
 SCHEMA = "v1"
+#: The largest ``--k`` that ``identity-check`` and a ``dof-table`` sweep take.
+#: Their work grows about as ``k^3``: at ``k = 120`` they took 1.4-1.5 s and
+#: 2.6-3.7 s (peak RSS 67 MB) on a 2-core x86-64 host, and both build
+#: every case first, so a much larger ``--k`` would exhaust memory.
+MAX_SWEEP_K = 120
 
 # One row per --scheme: the trace's name, its (m, k, j) with a flag name
 # where the user gives the value, a builder of (m, k, j, rng) that looks its
@@ -132,6 +137,9 @@ def cmd_dof_table(args, seed):
     k = _require(args.k, "--k", "dof-table")
     if k < 1:
         raise ValueError(f"--k must be positive, got {k}")
+    if (args.m is None or args.j is None) and k > MAX_SWEEP_K:
+        raise ValueError(f"dof-table sweeps --k at most {MAX_SWEEP_K}, got {k}; "
+                         "give --m and --j for one cell")
     ms = [args.m] if args.m is not None else list(range(1, k + 1))
     js = [args.j] if args.j is not None else list(range(1, k + 1))
     rows = []
@@ -314,6 +322,8 @@ def cmd_identity_check(args, seed):
     k_max = args.k if args.k is not None else 30
     if k_max < 1:
         raise ValueError(f"--k must be positive, got {k_max}")
+    if k_max > MAX_SWEEP_K:
+        raise ValueError(f"identity-check takes --k at most {MAX_SWEEP_K}, got {k_max}")
     q_max = 40
     identity = [(k, j) for k in range(1, k_max + 1) for j in range(1, k + 1)]
     hockey = [(p, q) for q in range(q_max + 1) for p in range(q + 1)]
@@ -359,8 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dof-table", parents=[common, dims],
-                       help="lower/upper DoF bounds as exact rationals")
+    p = sub.add_parser(
+        "dof-table", parents=[common, dims],
+        help="lower/upper DoF bounds as exact rationals",
+        description=("Lower/upper DoF bounds as exact rationals, one row per (m, j), "
+                     "each swept over 1..k when not given.  A sweep takes --k at most "
+                     f"{MAX_SWEEP_K}; one cell's (--m and --j given) is not bounded."))
     p.set_defaults(func=cmd_dof_table)
 
     p = sub.add_parser("scheme-run", parents=[common, dims, scheme],
@@ -390,8 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated coordinates, e.g. 2/3,2/3")
     p.set_defaults(func=cmd_region_check)
 
-    p = sub.add_parser("identity-check", parents=[common, receivers],
-                       help="combinatorial identity sweeps")
+    p = sub.add_parser(
+        "identity-check", parents=[common, receivers],
+        help="combinatorial identity sweeps",
+        description=("Combinatorial identity sweeps: the DoF identity for every "
+                     f"1 <= j <= k <= --k (default 30, at most {MAX_SWEEP_K}) and "
+                     "the hockey-stick identity up to q = 40."))
     p.set_defaults(func=cmd_identity_check)
     return parser
 

@@ -1,19 +1,20 @@
-"""Symbolic ledger of everything transmitted and received.
+"""Symbolic ledger: the symbol table, and the decode check's entry point.
 
 Every signal in a scheme execution is linear in the base data symbols,
 so a *form* is a ``complex128`` row over the symbol table (entry ``i``
 is the coefficient of symbol ``i``) and a block of forms is a 2-D array,
-one row per form.  Mixing is a matrix product: :func:`combine` is
-``W @ F`` and a broadcast slot is ``H @ P``.  Both work on stacks, so a
-phase mixes all of its blocks with one ``W @ F`` and broadcasts all of
-its slots with one :func:`transmit_slots`.  Forms span the whole table,
-so a scheme registers all of its symbols before it builds any.
+one row per form.  Mixing is a matrix product, ``W @ F``, and so is a
+broadcast slot, ``H @ P``: a phase builder mixes all of its blocks with
+one stacked ``W @ F`` and sends all of its slots with one
+:meth:`.schemes.AirLog.broadcast`.  Forms span the whole table, so a
+scheme's table is fixed with its draw-free plan, before it builds any
+form: a :class:`SymbolTable` is built in one call and is frozen, and
+every trace of a shape shares its plan's table.
 
 What a receiver hears in a slot is that slot's channel row times the
-plan sent: the reconstruction :func:`transmit_slots` returns to the
-transmitter, which rebuilds it from delayed CSI.  So nothing stores it:
-a trace keeps what was sent and derives its receivers' rows, one
-``(receivers, slots, symbols)`` array, on each read
+plan sent, which the transmitter rebuilds from delayed CSI.  So nothing
+stores it: a trace keeps what was sent and derives its receivers' rows,
+one ``(receivers, slots, symbols)`` array, on each read
 (:attr:`.schemes.SchemeTrace.rows`), or a decode stack's at a time.
 Receiver noise is white by rule: every equation heard over the air
 carries one fresh unit-variance noise sample, named by its ``(slot,
@@ -25,7 +26,7 @@ on a receiver's rows (:func:`can_decode`), which :mod:`.numerics`
 answers for a stack of receivers with one batched QR.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,21 +38,7 @@ __all__ = [
     "SymbolTable",
     "alignment_ranks",
     "can_decode",
-    "combine",
-    "reconstructions",
-    "transmit_slots",
 ]
-
-
-def _block(forms) -> np.ndarray:
-    """Forms as a complex array of rows, or a stack of such blocks; no
-    forms is ``(0, 0)``."""
-    f = np.asarray(forms, dtype=np.complex128)
-    if f.size == 0 and f.ndim < 2:
-        return f.reshape(0, 0)
-    if f.ndim < 2:
-        raise ValueError(f"forms must be rows of one length, got shape {f.shape}")
-    return f
 
 
 @dataclass(frozen=True)
@@ -64,34 +51,48 @@ class BaseSymbol:
     label: str
 
 
+@dataclass(frozen=True)
 class SymbolTable:
-    """Registry of base symbols for one scheme instance.
+    """The base symbols of one scheme instance, fixed with its plan.
 
-    A symbol's id is its column in every form.
+    Symbol ``i`` is wanted by every receiver in ``owners[i]`` and named
+    ``labels[i]`` (``""`` when no labels are given), and its id ``i`` is
+    its column in every form.  Frozen: every field is a tuple, and a
+    cached plan's table is shared by all of its traces.
 
     Parameters
     ----------
     k : int
         Number of receivers; the receiver universe is ``{1, .., k}``.
+    owners : iterable of iterables of int
+        Each symbol's nonempty set of receivers in the universe.
+    labels : iterable of str, optional
+        One label per symbol.
     """
 
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError(f"need at least one receiver, got k={k}")
-        self.k = k
-        self.universe = frozenset(range(1, k + 1))
-        self.symbols: list[BaseSymbol] = []
-        self._owned = {}  # receiver -> its symbol ids, until the next symbol
+    k: int
+    owners: tuple = ()
+    labels: tuple = ()
+    symbols: tuple = field(init=False, repr=False, compare=False)
+    owns: tuple = field(init=False, repr=False, compare=False)  # each receiver's ids
 
-    def new_symbol(self, owner, label: str = "") -> int:
-        owner = frozenset(owner)
-        if not owner or not owner <= self.universe:
-            raise ValueError(f"owner {set(owner)} must be a nonempty subset "
-                             f"of {set(self.universe)}")
-        sym = BaseSymbol(len(self.symbols), owner, len(owner), label)
-        self.symbols.append(sym)
-        self._owned.clear()
-        return sym.id
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"need at least one receiver, got k={self.k}")
+        universe = frozenset(range(1, self.k + 1))
+        owners = tuple(map(frozenset, self.owners))
+        labels = tuple(self.labels) or ("",) * len(owners)
+        for owner in owners:
+            if not owner or not owner <= universe:
+                raise ValueError(f"owner {set(owner)} must be a nonempty subset "
+                                 f"of {set(universe)}")
+        symbols = tuple(BaseSymbol(i, owner, len(owner), label) for i, (owner, label)
+                        in enumerate(zip(owners, labels, strict=True)))
+        owns = tuple(tuple(s.id for s in symbols if r in s.owner)
+                     for r in range(1, self.k + 1))
+        for name, value in (("owners", owners), ("labels", labels),
+                            ("symbols", symbols), ("owns", owns)):
+            object.__setattr__(self, name, value)
 
     def unit_forms(self, sym_ids) -> np.ndarray:
         """The unit rows of ``sym_ids``, in order: rows of the identity."""
@@ -102,20 +103,11 @@ class SymbolTable:
 
     @property
     def ids(self):
-        return [s.id for s in self.symbols]
+        return list(range(len(self.symbols)))
 
     def owned_by(self, receiver: int):
         """Ids of all symbols receiver ``receiver`` must decode."""
-        if receiver not in self._owned:
-            self._owned[receiver] = [s.id for s in self.symbols if receiver in s.owner]
-        return list(self._owned[receiver])
-
-    def copy(self) -> "SymbolTable":
-        """A table of the same symbols that registers its own new ones."""
-        table = SymbolTable(self.k)
-        table.symbols = list(self.symbols)
-        table._owned = dict(self._owned)  # its lists are never handed out
-        return table
+        return list(self.owns[receiver - 1]) if 1 <= receiver <= self.k else []
 
     def __len__(self):
         return len(self.symbols)
@@ -136,45 +128,6 @@ class ReceiverState:
         return self.rows
 
 
-def transmit_slots(plans, channels, receivers: int):
-    """Broadcast a stack of slots to ``receivers`` receivers.
-
-    ``plans`` is ``(slots, p, symbols)``, one form per active antenna,
-    and ``channels`` is ``(slots, receivers, antennas)`` with at least
-    ``p`` antennas.  In slot ``s`` receiver ``r`` hears the row
-    ``channels[s, r, :p] @ plans[s]``, plus by rule the fresh noise sample
-    of that slot and ``r``.  Returns those rows, the noise-free
-    reconstructions the transmitter recovers from delayed CSI, as a
-    read-only ``(slots, receivers, symbols)`` array.  Empty plans
-    (``p = 0``) are heard by nobody: no rows.
-    """
-    h = np.asarray(channels, dtype=np.complex128)
-    plans = np.asarray(plans, dtype=np.complex128)
-    if h.ndim != 3 or plans.ndim != 3 or len(h) != len(plans):
-        raise ValueError(f"need one channel per plan, got channels of shape "
-                         f"{h.shape} and plans of shape {plans.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("channel entries must be finite")
-    if h.shape[1] != receivers:
-        raise ValueError(
-            f"channel has {h.shape[1]} rows but there are {receivers} receivers")
-    if plans.shape[1] > h.shape[2]:
-        raise ValueError(f"plan uses {plans.shape[1]} antennas but the channel "
-                         f"has only {h.shape[2]}")
-    return reconstructions(plans, h)
-
-
-def reconstructions(plans, channels) -> np.ndarray:
-    """:func:`transmit_slots` without its checks, for a caller whose
-    ``complex128`` plans and finite channels fit by construction."""
-    p = plans.shape[1]
-    if not p:
-        return plans
-    recon = channels[:, :, :p] @ plans
-    recon.flags.writeable = False
-    return recon
-
-
 def can_decode(rows, targets) -> bool:
     """True iff every receiver of a stack can recover every one of its
     target symbols: each unit row ``e_t`` lies in the row space of its
@@ -189,18 +142,6 @@ def can_decode(rows, targets) -> bool:
     decodes nothing.
     """
     return units_inside(rows, targets)
-
-
-def combine(forms, weights) -> np.ndarray:
-    """Deterministic linear combinations ``weights @ forms``: row ``i`` of
-    ``weights`` gives the coefficients of output form ``i`` over ``forms``,
-    and stacks of blocks combine block by block."""
-    forms = _block(forms)
-    w = np.asarray(weights, dtype=np.complex128)
-    if w.ndim < 2 or w.shape[-1] != forms.shape[-2]:
-        raise ValueError(
-            f"weights must have {forms.shape[-2]} columns, got shape {w.shape}")
-    return w @ forms
 
 
 def alignment_ranks(trace):

@@ -174,8 +174,9 @@ def stacks(keys, nbytes: int):
 def haar_unitaries(z) -> np.ndarray:
     """Haar-distributed unitaries from a stack of complex Gaussian squares.
 
-    ``z`` has shape ``(..., n, n)`` with i.i.d. CN(0, 1) entries, as drawn
-    by :meth:`RngStream.complex_normal`.  Each matrix is factored by one
+    ``z`` has shape ``(..., n, n)`` with i.i.d. CN(0, 1) entries, as
+    :meth:`.schemes.AirLog.draw` scatters them from one
+    :meth:`RngStream.normal_parts` call.  Each matrix is factored by one
     stacked QR and the phases of R's diagonal are folded back into Q,
     which makes Q exactly Haar.  Used for mixing weights: Haar rows are as
     generic as raw Gaussian rows (every rank event that holds almost

@@ -79,8 +79,18 @@ class SlopeFit:
     slope_stderr: float
 
 
+def _finite_db(values) -> list:
+    """The SNR values ``values`` as a list, refusing a non-finite one."""
+    values = list(values)
+    for db in values:
+        if not math.isfinite(db):
+            raise ValueError(f"SNR values must be finite, got {db}")
+    return values
+
+
 def snr_grid(lo_db: float, hi_db: float, step_db: float) -> list:
     """Inclusive dB grid ``lo, lo+step, ..., hi``."""
+    _finite_db((lo_db, hi_db))
     if not 0 < step_db < math.inf:
         raise ValueError(f"step must be positive and finite, got {step_db}")
     if hi_db < lo_db:
@@ -166,7 +176,7 @@ def simulate_rates(builder, snr_grid_db, trials: int, rng: RngStream,
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    grid = list(snr_grid_db)
+    grid = _finite_db(snr_grid_db)
     if not grid:
         raise ValueError("the SNR grid must be nonempty")
     snrs = np.array([10.0 ** (db / 10.0) for db in grid])[:, np.newaxis]

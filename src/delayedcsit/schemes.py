@@ -21,13 +21,14 @@ and one QR per group of unitary sizes, each unitary padded to its
 group's largest (:meth:`AirLog.draw`).  The draw list is every phase's
 layout in order (:func:`phase_layout`), laid out in the order a
 slot-at-a-time execution would make the draws, so a seed gives the same
-trace either way.  A chain's replication, phase records and starting
-symbol table are one draw-free plan, cached per shape, that the build
-checks itself against.  alt22 and opt23 share one such plan: a mixed slot
-per receiver pair, then the chain ``(2, k, 2)``.  The phase is the unit
-of work: its slots do not depend on each other, so a phase builder mixes
-all of its blocks of forms with one stacked ``W @ F`` and sends all of
-its slots with one :meth:`AirLog.broadcast`.  A trace records what was
+trace either way.  A chain's replication, phase records and frozen
+starting symbol table are one draw-free plan, cached per shape and
+shared by its traces, that the build checks itself against.  alt22 and
+opt23 share one such plan: a mixed slot per receiver pair, then the
+chain ``(2, k, 2)``.  The phase is the unit of work: its slots do not
+depend on each other, so a phase builder mixes all of its blocks of
+forms with one stacked ``W @ F`` and sends all of its slots with one
+:meth:`AirLog.broadcast`.  A trace records what was
 sent as arrays, a block per broadcast, and derives what its receivers
 heard, each slot's channel times its plan, as the transmitter does from
 delayed CSI (:attr:`SchemeTrace.rows`), for the decode check and the
@@ -52,12 +53,7 @@ import numpy as np
 
 from . import numerics
 from .dof_calc import DofQuery, NonsquarePhaseParams, OutOfRegimeError
-from .ledger import (
-    ReceiverState,
-    SymbolTable,
-    can_decode,
-    reconstructions,
-)
+from .ledger import ReceiverState, SymbolTable, can_decode
 from .numerics import RngStream, haar_unitaries, stacks, unit_residuals
 
 __all__ = [
@@ -90,7 +86,8 @@ class AirLog:
     anything; phase builders take their keys from :attr:`drawn` and
     transmit through :meth:`broadcast`.
     ``channels`` optionally overrides the ``k x m`` channels of the first
-    slots, in slot order; later slots get fresh i.i.d. CN(0, 1) draws.
+    slots, in slot order; later slots get fresh i.i.d. CN(0, 1) draws,
+    and :meth:`draw` refuses more overrides than the trace has slots.
     """
 
     def __init__(self, table: SymbolTable, m: int, rng: RngStream, channels=None):
@@ -132,6 +129,9 @@ class AirLog:
             raise ValueError("a trace is drawn once, before its first slot")
         total, scatter, template, groups, keys, channels, covered = _draw_plan(
             layout, shape, len(self._override), self.k, self.m)
+        if covered < len(self._override):
+            raise ValueError(f"{len(self._override)} channel overrides were given, "
+                             f"but the trace has only {covered} channels")
         buf = template.copy()
         buf.view(np.float64)[scatter] = self.rng.normal_parts(total)
         u = [haar_unitaries(buf[a:b].reshape(-1, n, n)) for a, b, n in groups]
@@ -144,13 +144,20 @@ class AirLog:
         return drawn
 
     def broadcast(self, plans) -> np.ndarray:
-        """Send a stack of plans (:meth:`_send`); return the ``(slots, k,
-        symbols)`` reconstructions, the product of
-        :func:`.ledger.transmit_slots` without its checks: the channels
-        were drawn or checked with the trace, and the builders send at
-        most ``m`` forms a slot."""
+        """Send a stack of plans (:meth:`_send`); return what every receiver
+        heard without its noise, the reconstructions the transmitter
+        rebuilds from delayed CSI: in slot ``s`` receiver ``r``'s row
+        ``h[s, r, :p] @ plan[s]``, as one read-only ``(slots, k, symbols)``
+        product, or no rows for an empty plan (``p = 0``).  Nothing is
+        checked here: the channels were drawn or checked with the trace,
+        and the builders send at most ``m`` forms a slot."""
         h = self._h[self.slots:self.slots + len(plans)]
-        return reconstructions(self._send(plans), h)
+        plans = self._send(plans)
+        if not plans.shape[1]:
+            return plans
+        recon = h[:, :, :plans.shape[1]] @ plans
+        recon.flags.writeable = False
+        return recon
 
     def send_each(self, forms) -> None:
         """Send each form alone, one slot per form, rebuilding nothing."""
@@ -363,7 +370,7 @@ class SchemeTrace:
         """:attr:`rows` of the receivers ``idx`` (0-based, in order) in the
         ``heard`` slots of :meth:`receiver_plan`, read from it if not given:
         a plan block's heard slots, a chunk at a time, are the product of
-        their channel rows with its plans, the bits :func:`.ledger.transmit_slots`
+        their channel rows with its plans, the bits :meth:`AirLog.broadcast`
         made.  A product of one channel row is a matrix-vector product, which
         rounds differently, so a lone receiver is paired with itself, in a
         buffer no larger than the rows it fills."""
@@ -405,16 +412,12 @@ class SchemeTrace:
         """Delivered symbols per slot, as an exact rational."""
         return Fraction(self.symbols_delivered, self.total_slots)
 
-    def targets_for(self, receiver: int):
-        return self.table.owned_by(receiver)
-
     def receiver_plan(self):
         """What the decode check, the rate path and the JSON trace read of
         this trace's shape, cached per shape (:func:`_receiver_plan`): the
         heard slots, each heard row's ``1/sqrt(active antennas)``, and the
         stacks of receivers that want something."""
-        owns = tuple(tuple(self.targets_for(r)) for r in range(1, self.k + 1))
-        return _receiver_plan(owns, tuple(b.shape[:2] for b in self.plans),
+        return _receiver_plan(self.table.owns, tuple(b.shape[:2] for b in self.plans),
                               len(self.table), numerics.STACK_BYTES)
 
     def decode_stacks(self):
@@ -745,8 +748,8 @@ def _params(m: int, k: int, level: int) -> NonsquarePhaseParams:
 def _chain_plan(m: int, k: int, start: int):
     """The shape of the chain ``(m, k, start)``, fixed before anything is
     drawn: the minimal integral replication of each level, the record of
-    each phase that runs, and the starting symbol table (the first phase's
-    inputs, a block per subset, with each receiver's symbols looked up).
+    each phase that runs, and the frozen starting symbol table (the first
+    phase's inputs, a block per subset).
     Phase ``j < k`` turns order-``j`` inputs into order-``j+1`` outputs
     (none on one antenna, which ends the chain); phase ``k`` sends one
     form a slot."""
@@ -766,12 +769,10 @@ def _chain_plan(m: int, k: int, start: int):
     records = tuple(PhaseRecord(level, runs, i * runs, s * runs, o * runs)
                     for level, i, s, o in per_run
                     for runs in [replication.get(level, 0)] if runs)
-    table = SymbolTable(k)
-    for s in _subsets(k, start):
-        for i in range(per_run[0][1] // math.comb(k, start) * replication[start]):
-            table.new_symbol(s, f"u{_tag(s)}.{i}")
-    for r in range(1, k + 1):
-        table.owned_by(r)
+    per = range(per_run[0][1] // math.comb(k, start) * replication[start])
+    subsets = _subsets(k, start)
+    table = SymbolTable(k, [s for s in subsets for _ in per],
+                        [f"u{_tag(s)}.{i}" for s in subsets for i in per])
     return replication, records, table
 
 
@@ -801,7 +802,7 @@ def _run_chain(name: str, m: int, k: int, start: int, rng: RngStream,
                channels=None) -> SchemeTrace:
     """Chain phases ``start .. k`` as :func:`_chain_plan` lays them out."""
     replication, records, table = _chain_plan(m, k, start)
-    air = AirLog(table.copy(), m, rng, channels)
+    air = AirLog(table, m, rng, channels)
     air.draw(_chain_layout, m, k, start)
     _send_chain(k, records, None, air)
     return air.trace(name, dict(replication), list(records))  # the cached dict stays unshared
@@ -854,9 +855,11 @@ def _pairs_plan(k: int):
     ``2 C(k, 2)`` forms fill.  Beyond the counts only the labels depend on
     ``k``: alt22's (``k = 2``) are ``u1, v1, u2, v2`` and
     ``phase1/mixed-slot/plan``."""
-    table, pairs = SymbolTable(k), [tuple(sorted(s)) for s in _subsets(k, 2)]
-    ids = [[table.new_symbol({r}, f"{'uv'[i]}{r}" if k == 2 else f"u{r}.{2 * at + i}")
-            for at, r in enumerate(pair) for i in range(2)] for pair in pairs]
+    pairs = [tuple(sorted(s)) for s in _subsets(k, 2)]
+    table = SymbolTable(k, [{r} for pair in pairs for r in pair for _ in range(2)],
+                        [f"{'uv'[i]}{r}" if k == 2 else f"u{r}.{2 * at + i}"
+                         for pair in pairs for at, r in enumerate(pair) for i in range(2)])
+    ids = np.arange(len(table)).reshape(-1, 4)
     units = np.stack([table.unit_forms(row) for row in ids])
     heard = np.array([[y - 1, x - 1] for x, y in pairs])
     cross = np.zeros((len(ids), 2, len(table)), dtype=bool)
@@ -886,7 +889,7 @@ def _run_pairs(name: str, k: int, rng: RngStream, channels=None) -> SchemeTrace:
     pair, of two fresh symbols per member; the cross part of each member's
     equation, on the other's symbols, is an order-2 form for the chain."""
     table, units, heard, cross, labels, replication, records = _pairs_plan(k)
-    air = AirLog(table.copy(), 2, rng, channels)
+    air = AirLog(table, 2, rng, channels)
     w = air.draw(_pairs_layout, k)[1, "plan"][:, :2]
     air.combos.append((labels, w))
     recon = air.broadcast(w @ units)
@@ -915,11 +918,9 @@ def run_opt23(rng: RngStream, channels=None) -> SchemeTrace:
 
 def tdma_trace(k: int, rng: RngStream, channels=None) -> SchemeTrace:
     """Round-robin single-user transmission: one symbol per slot, no CSI."""
-    if k < 1:
-        raise ValueError(f"need at least one receiver, got k={k}")
-    table = SymbolTable(k)
+    receivers = range(1, k + 1)
+    table = SymbolTable(k, [{r} for r in receivers], [f"s{r}" for r in receivers])
     air = AirLog(table, 1, rng, channels)
-    syms = [table.new_symbol({r}, f"s{r}") for r in range(1, k + 1)]
     air.draw(_sends, k)
-    air.send_each(table.unit_forms(syms))
+    air.send_each(table.unit_forms(table.ids))
     return air.trace("tdma", {1: k}, [PhaseRecord(1, k, k, k, 0)])

@@ -348,6 +348,26 @@ def test_region_check_refuses_too_many_tight_orderings(capsys, tmp_path):
     assert doc["in_region"] is True and doc["tight_permutations"] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["identity-check"], ["dof-table"], ["dof-table", "--m", "2"],
+    ["dof-table", "--j", "1"]])
+def test_sweeps_refuse_a_k_they_cannot_finish(capsys, tmp_path, argv):
+    # identity-check and a dof-table sweep take --k at most MAX_SWEEP_K,
+    # as their help says; a larger one is refused before any case is
+    # built, so the call returns at once, and no output file is made
+    k = str(cli.MAX_SWEEP_K + 1)
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"at most {cli.MAX_SWEEP_K}" in " ".join(capsys.readouterr().out.split())
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, [*argv, "--k", "100000000"])
+    assert code == 2 and f"at most {cli.MAX_SWEEP_K}" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+    path = tmp_path / "sweep.json"
+    code, out, err = run_cli(capsys, [*argv, "--k", k, "--out", str(path)])
+    assert code == 2 and f"got {k}" in err and not path.exists()
+
+
 def test_region_check_csv(capsys):
     code, out, err = run_cli(
         capsys, ["region-check", "--point", "6/11,6/11,6/11",

@@ -652,7 +652,7 @@ def _first_phase_by_identity(m, k, start, rng):
     made it before it stopped holding an ``n x n`` identity: the phase's
     drawn weights times the identity's rows, all runs in one stacked
     product."""
-    air = AirLog(_chain_plan(m, k, start)[2].copy(), m, rng)
+    air = AirLog(_chain_plan(m, k, start)[2], m, rng)
     air.draw(_chain_layout, m, k, start)
     subsets, n = _subsets(k, start), len(air.table)
     units = np.eye(n, dtype=np.complex128).reshape(len(subsets), -1, n)
@@ -700,7 +700,7 @@ def test_stack_rows_are_slices_of_the_row_array():
         rows, k = trace.rows, trace.k
         for idx in [[r] for r in range(k)] + [[0, k - 1]] * (k > 2):
             assert trace._heard(idx).tobytes() == rows[idx].tobytes(), (name, idx)
-        targets = [trace.targets_for(r) for r in range(1, k + 1)]
+        targets = [trace.table.owned_by(r) for r in range(1, k + 1)]
         got = list(trace.decode_stacks())
         want = stacks([len(t) for t in targets], 16 * rows[0].size)
         assert len(got) == len(want), name

@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayedcsit.ledger import (
-    SymbolTable,
-    alignment_ranks,
-    can_decode,
-    combine,
-    transmit_slots,
-)
+from delayedcsit.ledger import SymbolTable, alignment_ranks, can_decode
 from delayedcsit.numerics import (
     RngStream,
     haar_unitaries,
@@ -34,7 +28,6 @@ from delayedcsit.schemes import (
 from oracles import (
     complex_normals,
     equation_dict,
-    form_dict,
     heard_slots,
     rowspace_residuals,
     slot_plans,
@@ -55,53 +48,37 @@ LEDGER_SCHEMES = {**SMALL_SCHEMES,
                   "square-4": lambda s: run_square_scheme(4, s)}
 
 
-def test_linear_form_algebra():
-    # a form is a row over the symbol table; sums and scalings are
-    # matrix products, and a cancelling coefficient is an exact zero
-    f = np.array([0.0, 2.0, 1.0, 0.0])
-    g = np.array([0.0, 0.0, -1.0, 4.0])
-    s = combine([f, g], [[1.0, 1.0]])[0]
-    assert np.array_equal(s, [0.0, 2.0, 0.0, 4.0])
-    assert np.array_equal(combine([f], [[2.0]])[0], [0.0, 4.0, 2.0, 0.0])
-    assert form_dict(s) == {"coeffs": {"1": [2.0, 0.0], "3": [4.0, 0.0]},
-                            "noise": {}}
-
-
-@given(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                          allow_infinity=False))
-@settings(max_examples=50, deadline=None)
-def test_linear_form_scaling_is_homogeneous(c):
-    f = np.array([0.0, 1.0 + 2.0j, 0.0, -3.0])
-    g = combine([f], [[c]])[0]
-    assert (abs(np.linalg.norm(g) - abs(c) * np.linalg.norm(f))
-            <= 1e-9 * (1 + abs(c)))
-    assert set(np.flatnonzero(g)) <= {1, 3}
-
-
 def test_symbol_table_bookkeeping():
-    t = SymbolTable(3)
-    a = t.new_symbol({1}, "a")
-    b = t.new_symbol({1, 2}, "b")
-    assert t.ids == [a, b]
+    t = SymbolTable(3, [{1}, {1, 2}], ["a", "b"])
+    a, b = t.ids
+    assert t.ids == [0, 1]
     assert [s.order for s in t.symbols] == [1, 2]
+    assert [s.label for s in t.symbols] == ["a", "b"]
     assert t.owned_by(1) == [a, b]
     assert t.owned_by(2) == [b]
-    assert t.owned_by(3) == []
+    assert t.owned_by(3) == t.owned_by(0) == t.owned_by(4) == []
+    assert t.owns == ((a, b), (b,), ())
     assert len(t) == 2
+    assert [s.label for s in SymbolTable(2, [{1}, {2}]).symbols] == ["", ""]
     with pytest.raises(ValueError):
-        t.new_symbol({4}, "bad")
+        SymbolTable(0)
     with pytest.raises(ValueError):
-        t.new_symbol(set(), "empty")
+        SymbolTable(3, [{4}], ["bad"])
+    with pytest.raises(ValueError):
+        SymbolTable(3, [set()], ["empty"])
+    with pytest.raises(ValueError):  # a label for each symbol
+        SymbolTable(3, [{1}, {2}], ["one"])
 
 
 def test_transmit_slot_exact_rows():
-    # a single slot is a stack of one
-    t = SymbolTable(2)
-    x = t.new_symbol({1}, "x")
-    y = t.new_symbol({2}, "y")
+    # a single slot is a stack of one, sent on an override channel
+    t = SymbolTable(2, [{1}, {2}], ["x", "y"])
+    x, y = t.ids
     assert np.array_equal(t.unit_forms([y, x]), [[0.0, 1.0], [1.0, 0.0]])
     h = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    recon = transmit_slots(t.unit_forms([x, y])[np.newaxis], h[np.newaxis], 2)
+    air = AirLog(t, 2, RngStream(1), [h])
+    air.draw(lambda: [CHANNEL])
+    recon = air.broadcast(t.unit_forms([x, y])[np.newaxis])
     # receiver r hears h[r, 0]*x + h[r, 1]*y plus its own fresh noise; the
     # reconstructions are those rows without the noise, and read-only
     assert np.array_equal(recon, [[[1.0, 2.0], [3.0, 4.0]]])
@@ -110,25 +87,16 @@ def test_transmit_slot_exact_rows():
 
 
 def test_transmit_slot_validation_and_empty_plan():
-    t = SymbolTable(2)
-    x = t.new_symbol({1}, "x")
-    h = np.eye(2, dtype=complex)[np.newaxis]
-    with pytest.raises(ValueError):  # more forms than antennas
-        transmit_slots(t.unit_forms([x] * 3)[np.newaxis], h, 2)
-    with pytest.raises(ValueError):  # three channel rows, two receivers
-        transmit_slots(t.unit_forms([x])[np.newaxis],
-                       np.eye(3, dtype=complex)[np.newaxis], 2)
-    with pytest.raises(ValueError):
-        transmit_slots(t.unit_forms([x])[np.newaxis], [[[np.nan], [1.0]]], 2)
-    with pytest.raises(ValueError):  # two plans, one channel
-        transmit_slots(np.stack([t.unit_forms([x])] * 2), h, 2)
-    # an empty plan is heard by nobody: no rows, and no row in a trace
-    out = transmit_slots(np.zeros((1, 0, 1)), h, 2)
-    assert out.shape == (1, 0, 1)
+    # an empty plan is heard by nobody: no rows, and no row in a trace;
+    # a slot past the drawn channels is refused
+    t = SymbolTable(2, [{1}], ["x"])
     air = AirLog(t, 2, RngStream(1))
     air.draw(lambda: [CHANNEL] * 3)
-    air.broadcast(np.zeros((1, 0, 1)))
-    air.send_each(t.unit_forms([x, x]))
+    out = air.broadcast(np.zeros((1, 0, 1)))
+    assert out.shape == (1, 0, 1)
+    air.send_each(t.unit_forms([0, 0]))
+    with pytest.raises(ValueError, match="need channels"):
+        air.broadcast(t.unit_forms([0])[np.newaxis])
     trace = air.trace("hand", {}, [])
     assert trace.total_slots == 3 and [b.shape[1] for b in trace.plans for _ in b] == [0, 1, 1]
     assert np.array_equal(trace.rows, air.channels[1:, :, :1].transpose(1, 0, 2))
@@ -140,14 +108,18 @@ def test_transmit_slot_validation_and_empty_plan():
 @settings(max_examples=40, deadline=None)
 def test_transmit_slots_stacked_rows(slots, receivers, p, symbols, seed):
     # slot s puts h_s[r, :p] @ plan_s into receiver r, slots in stack
-    # order; the rows are read-only
+    # order, bit for bit the stacked product of the plans sent (each form
+    # at unit norm); the rows are read-only
     rng = RngStream(seed)
     antennas = max(p, 1) + 1
     h = rng.complex_normal((slots, receivers, antennas))
-    plans = rng.complex_normal((slots, p, symbols))
-    recon = transmit_slots(plans, h, receivers)
+    air = AirLog(SymbolTable(receivers, [{1}] * symbols), antennas, rng, h)
+    air.draw(lambda: [CHANNEL] * slots)
+    recon = air.broadcast(rng.complex_normal((slots, p, symbols)))
+    (plans,) = air.plans
     assert recon.shape == (slots, receivers if p else 0, symbols)
     assert not (p and recon.flags.writeable)
+    assert not p or np.array_equal(recon, h[:, :, :p] @ plans)
     for s in range(slots if p else 0):
         for r in range(receivers):
             # bit for bit the one-slot product; the vector product takes
@@ -230,9 +202,8 @@ def test_equation_rows_are_channel_times_plan():
 
 
 def test_can_decode_hand_cases(monkeypatch):
-    t = SymbolTable(2)
-    x = t.new_symbol({1}, "x")
-    y = t.new_symbol({2}, "y")
+    t = SymbolTable(2, [{1}, {2}], ["x", "y"])
+    x, y = t.ids
     one = np.array([[1.0, 1.0]])
     assert not can_decode([one], [[x]])  # one equation, two unknowns
     st1 = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -309,7 +280,7 @@ def test_can_decode_matches_stacked_rank_oracle(name):
         for tr, complete in ((trace, True), (_truncated(trace), False)):
             verdicts = []
             for r, rows in enumerate(tr.rows, start=1):
-                targets = tr.targets_for(r)
+                targets = tr.table.owned_by(r)
                 got = can_decode(rows[np.newaxis], [targets])
                 assert got == _stacked_rank_decodes(rows, targets), (
                     name, seed, complete, r)
@@ -444,10 +415,10 @@ def test_stacked_residuals_equal_per_matrix(name):
                         _stacked_rank_decodes(a, t)), (seed, i)
             verdict = all(can_decode(*stack) for stack in stacks)
             assert verdict == tr.decode_ok() == all(
-                _stacked_rank_decodes(a, tr.targets_for(r))
+                _stacked_rank_decodes(a, tr.table.owned_by(r))
                 for r, a in enumerate(heard, start=1))
         assert not _cleared(trace, 1).decode_ok() and not _deficient(trace, 2).decode_ok()
-        t = trace.targets_for(1)
+        t = trace.table.owned_by(1)
         got = unit_residuals(np.zeros((1, 0, n)), [t])
         g, thr, *margins = rowspace_residuals(np.zeros((0, n)), np.eye(n)[t])
         assert [a.tobytes() for a in got] == [
@@ -489,15 +460,6 @@ def test_receiver_states_are_views_of_the_row_array():
         assert len(st.equations) == trace.total_slots
 
 
-def test_combine_exact():
-    f = np.array([0.0, 1.0, 0.0])
-    g = np.array([0.0, 0.0, 1.0])
-    out = combine([f, g], [[2.0, 3.0], [0.0, 1.0j]])
-    assert np.array_equal(out, [[0.0, 2.0, 3.0], [0.0, 0.0, 1.0j]])
-    with pytest.raises(ValueError):
-        combine([f, g], [[1.0]])
-
-
 def test_mixing_weights_are_unitary_rows():
     # mixing weights are rows of Haar unitaries; a trace's draw factors
     # every square of one size with one QR, bit for bit as one by one
@@ -510,20 +472,16 @@ def test_mixing_weights_are_unitary_rows():
     assert np.array_equal(drawn["channel"], z["channel"])
     forms = np.eye(5)[1:]
     w = drawn["a"][0, :2]
-    out = combine(forms, w)
     assert w.shape == (2, 4)
     assert np.allclose(w @ w.conj().T, np.eye(2), atol=1e-12)
-    assert np.array_equal(out, w @ forms)
+    out = w @ forms  # mixing unit rows places the weights in their columns
+    assert np.array_equal(out[:, 1:], w) and not out[:, 0].any()
     # a stack: block i is mixed by its own weights
     blocks = RngStream(4).complex_normal((3, 4, 6))
     w = haar_unitaries(RngStream(5).complex_normal((3, 4, 4)))[:, :3]
-    out = combine(blocks, w)
+    out = w @ blocks
     for i in range(3):
         assert np.array_equal(out[i], w[i] @ blocks[i])
-    with pytest.raises(ValueError):  # weights over 3 forms, given 4
-        combine(forms, drawn["a"][0, :2, :3])
-    with pytest.raises(ValueError):  # no forms
-        combine([], drawn["c"][0, :1])
 
 
 def test_alignment_ranks_generic():

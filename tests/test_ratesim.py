@@ -46,6 +46,23 @@ def test_snr_grid():
             snr_grid(0, 10, step)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_snr_values_are_refused(value):
+    # neither a grid nor a rate is made of a non-finite SNR: one
+    # ValueError names the value, before any trace is built
+    built = []
+
+    def builder(stream):
+        built.append(stream)
+        return tdma_trace(2, stream)
+
+    for call in (lambda: snr_grid(value, 10, 1), lambda: snr_grid(0, value, 1),
+                 lambda: simulate_rates(builder, [10.0, value], 2, RngStream(1))):
+        with pytest.raises(ValueError, match=f"SNR values must be finite, got {value}"):
+            call()
+    assert built == []
+
+
 def test_rate_point_validation():
     RatePoint(snr_db=10.0, sum_rate=3.0, per_receiver=(1.0, 2.0), trials=4,
               stderr=0.1)
@@ -77,7 +94,7 @@ def _per_snr_rate(trace, receiver, snr):
     """One receiver's rate the long way: scale by the SNR, zero-force the
     other receivers' symbols and take the log det, all at this SNR."""
     ids = trace.table.ids
-    own = set(trace.targets_for(receiver))
+    own = set(trace.table.owned_by(receiver))
     active = [b.shape[1] for b in trace.plans for _ in b]
     rows = trace.rows[receiver - 1][:, ids] * np.array(
         [math.sqrt(snr / p) for p in active if p])[:, None]
@@ -155,10 +172,7 @@ def _silent(trace):
 
 def _owned(trace, *owners):
     """``trace`` with a table of one symbol per owner set, in order."""
-    table = SymbolTable(trace.k)
-    for owner in owners:
-        table.new_symbol(owner)
-    return dataclasses.replace(trace, table=table)
+    return dataclasses.replace(trace, table=SymbolTable(trace.k, owners))
 
 
 def test_a_receiver_that_wants_nothing_is_skipped_by_decode_and_rates():

@@ -63,7 +63,7 @@ def test_square_scheme_exact_accounting():
         tr = run_square_scheme(k, rng.split(k))
         assert tr.empirical_dof == Fraction(k) / harmonic(k)
         assert tr.symbols_delivered == len(tr.table)
-        assert len(tr.targets_for(1)) * k == tr.symbols_delivered
+        assert len(tr.table.owned_by(1)) * k == tr.symbols_delivered
         assert tr.decode_ok()
 
 
@@ -146,7 +146,7 @@ def test_opt23_structure():
     assert tr.empirical_dof == Fraction(3, 2)
     assert tr.total_slots == 8
     assert tr.symbols_delivered == 12
-    assert len(tr.targets_for(1)) == 4
+    assert len(tr.table.owned_by(1)) == 4
     assert tr.decode_ok()
     # first three slots each mix the four fresh symbols of one pair
     for slot, pair in zip(range(3), ((1, 2), (1, 3), (2, 3))):
@@ -219,8 +219,14 @@ def test_draw_skips_channels_an_override_covers():
     assert drawn.keys() == want.keys()
     assert np.array_equal(drawn["plan"], haar_unitaries(want["plan"]))
     assert np.array_equal(drawn["channel"], want["channel"])
-    fully = AirLog(SymbolTable(3), 2, RngStream(6), over * 2).draw(lambda: layout)
+    fully = AirLog(SymbolTable(3), 2, RngStream(6), over + over[:1]).draw(lambda: layout)
     assert "channel" not in fully
+    # an override past the trace's last slot would be dropped: refused
+    with pytest.raises(ValueError, match="4 channel overrides were given, but the "
+                                         "trace has only 3 channels"):
+        AirLog(SymbolTable(3), 2, RngStream(6), over * 2).draw(lambda: layout)
+    with pytest.raises(ValueError, match="10 channel overrides"):
+        run_alt22(RngStream(1), channels=[np.eye(2)] * 10)
 
 
 def test_a_trace_is_drawn_once_before_its_slots():
@@ -349,12 +355,12 @@ def _logged_labels(air):
 
 def test_full_antenna_phase_cardinalities():
     # three antennas, three receivers, order 1: one slot per subset
-    table = SymbolTable(3)
-    air = AirLog(table, 3, RngStream(15))
     from itertools import combinations
-    syms = [[table.new_symbol(s, f"u{s[0]}.{i}") for i in range(3)]
-            for s in combinations(range(1, 4), 1)]
-    inputs = np.stack([table.unit_forms(ids) for ids in syms])
+    singles = list(combinations(range(1, 4), 1))
+    table = SymbolTable(3, [s for s in singles for _ in range(3)],
+                        [f"u{s[0]}.{i}" for s in singles for i in range(3)])
+    air = AirLog(table, 3, RngStream(15))
+    inputs = np.stack([table.unit_forms(ids) for ids in np.reshape(table.ids, (3, 3))])
     air.draw(phase_layout, 3, 3, 1, 1)
     slots, outs = build_phase(3, 1, inputs, air)
     assert slots == 3
@@ -374,9 +380,8 @@ def test_full_antenna_phase_cardinalities():
 
 
 def test_build_phase_validation():
-    table = SymbolTable(3)
-    fs = frozenset({1})
-    syms = [table.new_symbol(fs, "") for _ in range(3)]
+    table = SymbolTable(3, [{1}] * 3)
+    syms = table.ids
     inputs = np.stack([table.unit_forms(syms)] * 3)  # a block per subset
     # on two antennas phase 1 of k = 3 is antenna-limited: beta = 4 forms
     # per subset, so three are refused and four give 6 slots
@@ -412,13 +417,13 @@ def test_build_phase_validation():
 def test_antenna_limited_phase_cardinalities():
     # two antennas, three receivers, order 1: eta=1, beta=4, two slots
     # per subset, one purified form per outside receiver
-    table = SymbolTable(3)
-    air = AirLog(table, 2, RngStream(22))
     params = NonsquarePhaseParams.for_query(DofQuery(2, 3, 1))
     from itertools import combinations
-    syms = [[table.new_symbol(s, "") for _ in range(params.beta)]
-            for s in combinations(range(1, 4), 1)]
-    inputs = np.stack([table.unit_forms(ids) for ids in syms])
+    table = SymbolTable(3, [s for s in combinations(range(1, 4), 1)
+                            for _ in range(params.beta)])
+    air = AirLog(table, 2, RngStream(22))
+    inputs = np.stack([table.unit_forms(ids)
+                       for ids in np.reshape(table.ids, (3, params.beta))])
     air.draw(phase_layout, 2, 3, 1, 1)
     slots, outs = build_phase(3, 1, inputs, air)
     assert slots == 6
@@ -523,17 +528,25 @@ def test_chain_accounting_is_checked(monkeypatch, plan, levels, phase):
     lambda s: run_order_j_delivery(2, 3, 2, s), run_alt22, run_opt23,
 ], ids=["square-3", "mat23", "order-2-3-2", "alt22", "opt23"])
 def test_cached_plans_are_not_shared_through_traces(build):
-    # every builder starts from a cached plan: what one trace's caller
-    # changes in its table, replication or phases never reaches the next
+    # every builder starts from a cached plan: two traces of one shape
+    # share its frozen table, whose fields are tuples that no assignment
+    # replaces and whose owned_by lists are fresh; what one trace's caller
+    # changes in its replication or phases never reaches the next
     first = build(RngStream(1))
-    want = (list(first.table.symbols), dict(first.replication), list(first.phases),
-            [first.table.owned_by(r) for r in range(1, first.k + 1)])
-    first.table.new_symbol({1}, "extra")
+    table = first.table
+    want = (dict(first.replication), list(first.phases),
+            [table.owned_by(r) for r in range(1, first.k + 1)])
+    for f in dataclasses.fields(table):
+        assert f.name == "k" or isinstance(getattr(table, f.name), tuple), f.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, f.name, ())
+    table.owned_by(1).append(len(table))
     first.replication[first.k + 1] = 1
     first.phases.clear()
     second = build(RngStream(1))
-    assert (list(second.table.symbols), second.replication, second.phases,
-            [second.table.owned_by(r) for r in range(1, second.k + 1)]) == want
+    assert second.table is table
+    assert (second.replication, second.phases,
+            [table.owned_by(r) for r in range(1, second.k + 1)]) == want
 
 
 def test_pairs_plan_arrays_are_read_only():
@@ -596,7 +609,7 @@ def test_decode_stacks_follow_the_size_rule():
             trace = build(RngStream(seed))
             [(rows, targets)] = trace.decode_stacks()
             assert np.array_equal(rows, trace.rows)
-            assert targets.tolist() == [trace.targets_for(r) for r in range(1, trace.k + 1)]
+            assert targets.tolist() == [trace.table.owned_by(r) for r in range(1, trace.k + 1)]
     for m, k in ((6, 6), (2, 5)):
         trace = _frontier_trace(m, k, RngStream(1, 0))
         stacks = list(trace.decode_stacks())
@@ -604,9 +617,7 @@ def test_decode_stacks_follow_the_size_rule():
         assert np.array_equal(np.concatenate([rows for rows, _ in stacks]), trace.rows)
     # receivers that want different numbers of symbols stack apart, each
     # stack in receiver order
-    table = SymbolTable(3)
-    for owner in ({1, 3}, {2}, {2}):
-        table.new_symbol(owner)
+    table = SymbolTable(3, [{1, 3}, {2}, {2}])
     trace = dataclasses.replace(tdma_trace(3, RngStream(1)), table=table)
     stacks = list(trace.decode_stacks())
     assert [targets.tolist() for _, targets in stacks] == [[[0], [0]], [[1, 2]]]
@@ -682,9 +693,7 @@ def _hand_trace(n, plans, channels, weights):
     sending ``plans[s]`` over ``channels[s]``, heard by the two receivers
     as ``channels[s][:, :p] @ plans[s]``, and a block of one combination
     per weight matrix."""
-    table = SymbolTable(2)
-    for i in range(n):
-        table.new_symbol({1 + i % 2}, f"x{i}")
+    table = SymbolTable(2, [{1 + i % 2} for i in range(n)], [f"x{i}" for i in range(n)])
     return SchemeTrace(
         name="hand", m=2, k=2, replication={1: 1}, table=table,
         channels=np.array(channels), plans=[plan[np.newaxis] for plan in plans],
@@ -769,9 +778,7 @@ def test_v3_round_trips_strided_arrays():
     channels = z.reshape(2, 2, 12)[:, :, ::3]
     weights = z.reshape(3, 2, 8)[:, :, 1::2]
     assert not any(a.flags.c_contiguous for a in (plans, channels, weights))
-    table = SymbolTable(2)
-    for i in range(6):
-        table.new_symbol({1 + i % 2}, f"x{i}")
+    table = SymbolTable(2, [{1 + i % 2} for i in range(6)], [f"x{i}" for i in range(6)])
     trace = SchemeTrace(
         name="strided", m=4, k=2, replication={1: 1}, table=table,
         channels=channels, plans=[plans], phases=[PhaseRecord(1, 1, 6, 2, 0)],
@@ -864,10 +871,8 @@ def test_to_json_peak_memory_is_bounded():
 
 def test_to_json_symbol_table_matches_stdlib():
     # labels json must escape, owner sets of several receivers, no symbols
-    table = SymbolTable(3)
-    for owner, label in (({1}, 'a"b'), ({2, 3}, "\\ %d é\n"), ({1, 2, 3}, ""),
-                         ({3, 1}, "x")):
-        table.new_symbol(owner, label)
+    table = SymbolTable(3, *zip(({1}, 'a"b'), ({2, 3}, "\\ %d é\n"), ({1, 2, 3}, ""),
+                                ({3, 1}, "x")))
     for table in (table, SymbolTable(3)):
         trace = SchemeTrace(  # one slot with no active antenna: no equations
             name="hand", m=1, k=3, replication={}, table=table,
