@@ -16,9 +16,9 @@ trace = run_square_scheme(2, RngStream(7))
 table = trace.table
 
 print("symbols and owners")
-for sym in table.symbols:
-    owner = ",".join(str(r) for r in sorted(sym.owner))
-    print(f"  symbol {sym.id} ({sym.label}) -> wanted by receiver(s) {owner}")
+for i, (owner, label) in enumerate(zip(table.owners, table.labels)):
+    owners = ",".join(str(r) for r in sorted(owner))
+    print(f"  symbol {i} ({label}) -> wanted by receiver(s) {owners}")
 
 
 def fmt(row):

@@ -20,13 +20,7 @@ from .dof_calc import (
     nonsquare_recursion,
     outer_bound_lhs,
 )
-from .ledger import (
-    BaseSymbol,
-    ReceiverState,
-    SymbolTable,
-    alignment_ranks,
-    can_decode,
-)
+from .ledger import can_decode
 from .numerics import RngStream, numerical_rank
 from .ratesim import (
     RatePoint,
@@ -47,7 +41,10 @@ from .region import (
 )
 from .schemes import (
     PhaseRecord,
+    ReceiverState,
     SchemeTrace,
+    SymbolTable,
+    alignment_ranks,
     build_phase,
     run_alt22,
     run_mat23_suboptimal,
@@ -60,7 +57,6 @@ from .schemes import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BaseSymbol",
     "DofQuery",
     "NonsquarePhaseParams",
     "OutOfRegimeError",

@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import os
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -50,6 +51,9 @@ SCHEMA = "v1"
 #: 2.6-3.7 s (peak RSS 67 MB) on a 2-core x86-64 host, and both build
 #: every case first, so a much larger ``--k`` would exhaust memory.
 MAX_SWEEP_K = 120
+#: The largest ``--k`` a scheme run takes.  Square-7 (2,940 symbols in
+#: 1,089 slots) is then the largest run; square-8 would need 2 GB of rows.
+MAX_SCHEME_K = 7
 
 # One row per --scheme: the trace's name, its (m, k, j) with a flag name
 # where the user gives the value, a builder of (m, k, j, rng) that looks its
@@ -72,8 +76,14 @@ SCHEMES = {
 }
 
 
-def _rat(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+def _rat(f: Fraction, what: str = "a value") -> str:
+    """``f`` as ``p/q``, or a ``ValueError`` naming ``what`` past Python's
+    limit on the digits of an int it writes, which the CLI keeps."""
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} "
+                         "digits, Python's limit for writing an integer") from None
 
 
 def _resolve_seed(args) -> int:
@@ -119,7 +129,8 @@ def _require(flag_value, flag: str, command: str):
 
 def _scheme_builder(args):
     """Resolve --scheme into (trace name, builder, expected DoF),
-    refusing any --m, --k or --j below 1 or differing from the scheme's own."""
+    refusing any --m, --k or --j below 1 or differing from the scheme's own,
+    and a --k above MAX_SCHEME_K before anything is built."""
     name, dims, build, dof = SCHEMES[args.scheme]
     m, k, j = (_require(getattr(args, d), f"--{d}", f"--scheme {args.scheme}")
                if isinstance(d, str) else d for d in dims)
@@ -130,6 +141,8 @@ def _scheme_builder(args):
         if given not in (None, own):
             raise ValueError(
                 f"--scheme {args.scheme} runs --{dim} {own}, not {given}")
+    if k > MAX_SCHEME_K:
+        raise ValueError(f"scheme runs take --k at most {MAX_SCHEME_K}, got {k}")
     return name, lambda s: build(m, k, j, s), dof(DofQuery(m, k, j))
 
 
@@ -151,9 +164,10 @@ def cmd_dof_table(args, seed):
             note = next((f"a better scheme is known: {key} achieves {_rat(dof(q))}"
                          for key, (_, dims, _, dof) in SCHEMES.items()
                          if dims == (m, k, j) and dof(q) > lower), "")
+            cell = f"a bound of cell m={m}, k={k}, j={j}"
             rows.append({
                 "m": m, "k": k, "j": j,
-                "lower": _rat(lower), "upper": _rat(upper),
+                "lower": _rat(lower, cell), "upper": _rat(upper, cell),
                 "tight": lower == upper, "note": note,
             })
     return (0, {"rows": rows}, ["m", "k", "j", "lower", "upper", "tight", "note"],
@@ -266,6 +280,10 @@ def cmd_rate_sim(args, seed):
 
 
 def cmd_region_check(args, seed):
+    limit = sys.get_int_max_str_digits()
+    if limit and re.search(rf"\d{{{limit + 1}}}", args.point):
+        raise ValueError(f"--point has a number of more than {limit} digits, "
+                         "Python's limit for reading an integer")
     try:
         point = [Fraction(tok) for tok in args.point.split(",") if tok.strip()]
     except ZeroDivisionError:
@@ -288,13 +306,11 @@ def cmd_region_check(args, seed):
             f"the point's equal coordinates allow {orderings} tight orderings; "
             "region-check lists at most 9! = 362880")
     tight = iter_tight_permutations(point)
-    decomposition = None
-    if parts is not None:
-        decomposition = [
-            {"support": sorted(s), "weight": _rat(w)} for s, w in parts
-        ]
+    decomposition = None if parts is None else [
+        {"support": sorted(s), "weight": _rat(w, "a decomposition weight")} for s, w in parts]
     doc = {
-        "k": len(point), "point": [_rat(x) for x in point],
+        "k": len(point),
+        "point": [_rat(x, f"--point coordinate {i}") for i, x in enumerate(point, 1)],
         "in_region": member,
         "decomposition": decomposition,
     }
@@ -377,12 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
                      f"{MAX_SWEEP_K}; one cell's (--m and --j given) is not bounded."))
     p.set_defaults(func=cmd_dof_table)
 
+    largest = f"  A scheme takes --k at most {MAX_SCHEME_K}, refused before any build."
     p = sub.add_parser("scheme-run", parents=[common, dims, scheme],
-                       help="execute one seeded scheme trace")
+                       help="execute one seeded scheme trace",
+                       description="Execute one seeded scheme trace." + largest)
     p.set_defaults(func=cmd_scheme_run)
 
     p = sub.add_parser("scheme-verify", parents=[common, dims, scheme],
-                       help="decode/accounting verification over many trials")
+                       help="decode/accounting verification over many trials",
+                       description="Decode and accounting verification over many "
+                                   "trials." + largest)
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_scheme_verify)
 
@@ -392,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=("Monte Carlo sum-rate curve and its fitted DoF slope.  The sum "
                      "rate adds up every receiver's rate, so under --scheme order a "
                      "common symbol counts once per receiver that wants it, and the "
-                     "fitted slope is j times expected_dof."))
+                     "fitted slope is j times expected_dof." + largest))
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--snr", default="40:60:5", metavar="LO:HI:STEP",
                    help="SNR grid in dB (default 40:60:5)")

@@ -1,7 +1,7 @@
 """Complex dense linear algebra, rank decisions, and reproducible sampling.
 
-Everything downstream (symbol ledgers, scheme runners, rate simulation)
-funnels its numerical work through this module: batched complex
+Everything downstream (scheme runners and their decode check, rate
+simulation) funnels its numerical work through this module: batched complex
 Gaussian draws, stacked Haar unitaries (squares of several sizes in one
 stack, each padded to the largest), SVD-based rank tests and, by one
 QR per matrix of full row rank, membership of unit rows in a row space,

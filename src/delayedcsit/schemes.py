@@ -44,7 +44,7 @@ plan scaled by ``sqrt(P / p)`` in a slot of ``p`` active antennas.
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from fractions import Fraction
 from itertools import combinations, pairwise, starmap
@@ -53,14 +53,16 @@ import numpy as np
 
 from . import numerics
 from .dof_calc import DofQuery, NonsquarePhaseParams, OutOfRegimeError
-from .ledger import ReceiverState, SymbolTable, can_decode
 from .numerics import RngStream, haar_unitaries, stacks, unit_residuals
 
 __all__ = [
     "AirLog",
     "CHANNEL",
     "PhaseRecord",
+    "ReceiverState",
     "SchemeTrace",
+    "SymbolTable",
+    "alignment_ranks",
     "build_phase",
     "json_pieces",
     "phase_layout",
@@ -75,6 +77,67 @@ __all__ = [
 
 #: Layout entry of :meth:`AirLog.draw` standing for the next slot's channel.
 CHANNEL = ("channel", None)
+
+
+@dataclass(frozen=True)
+class SymbolTable:
+    """The base symbols of one scheme instance, fixed with its plan.
+
+    Symbol ``i`` is wanted by every receiver in ``owners[i]`` and named
+    ``labels[i]`` (``""`` when no labels are given); ``i`` is its column
+    in every form, a ``complex128`` row of coefficients over the table.
+    Frozen: every field is a tuple, and a cached plan's table is shared
+    by all of its traces.
+
+    Parameters
+    ----------
+    k : int
+        Number of receivers; the receiver universe is ``{1, .., k}``.
+    owners : iterable of iterables of int
+        Each symbol's nonempty set of receivers in the universe.
+    labels : iterable of str, optional
+        One label per symbol.
+    """
+
+    k: int
+    owners: tuple = ()
+    labels: tuple = ()
+    owns: tuple = field(init=False, repr=False, compare=False)  # each receiver's ids
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"need at least one receiver, got k={self.k}")
+        universe = frozenset(range(1, self.k + 1))
+        owners = tuple(map(frozenset, self.owners))
+        labels = tuple(self.labels) or ("",) * len(owners)
+        for owner in owners:
+            if not owner or not owner <= universe:
+                raise ValueError(f"owner {set(owner)} must be a nonempty subset "
+                                 f"of {set(universe)}")
+        if len(labels) != len(owners):
+            raise ValueError(f"{len(labels)} labels for {len(owners)} symbols")
+        owns = tuple(tuple(i for i, owner in enumerate(owners) if r in owner)
+                     for r in range(1, self.k + 1))
+        for name, value in (("owners", owners), ("labels", labels), ("owns", owns)):
+            object.__setattr__(self, name, value)
+
+    def unit_forms(self, sym_ids) -> np.ndarray:
+        """The unit rows of ``sym_ids``, in order: rows of the identity."""
+        sym_ids = list(sym_ids)
+        rows = np.zeros((len(sym_ids), len(self)), dtype=np.complex128)
+        rows[np.arange(len(sym_ids)), sym_ids] = 1.0
+        return rows
+
+    @property
+    def ids(self):
+        return list(range(len(self)))
+
+    def owned_by(self, receiver: int):
+        """Ids of all symbols receiver ``receiver`` must decode."""
+        return list(self.owns[receiver - 1]) if 1 <= receiver <= self.k else []
+
+    def __len__(self):
+        return len(self.owners)
 
 
 class AirLog:
@@ -333,6 +396,21 @@ class PhaseRecord:
     outputs_generated: int
 
 
+@dataclass(frozen=True)
+class ReceiverState:
+    """One receiver's view of a trace's row array: the coefficient ``rows``
+    it heard, ``(equations, symbols)``, one per slot with an active
+    antenna, in slot order."""
+
+    receiver: int
+    rows: np.ndarray
+
+    @property
+    def equations(self) -> np.ndarray:
+        """The heard equations' coefficient rows, in the order heard."""
+        return self.rows
+
+
 @dataclass
 class SchemeTrace:
     """Complete record of one scheme execution: what was sent, as arrays.
@@ -430,12 +508,15 @@ class SchemeTrace:
             yield self._heard(who, heard), cols[:, :wants]
 
     def decode_ok(self) -> bool:
-        """True iff every receiver can decode all of its symbols: the
-        verdict of :meth:`decode_residuals`' ratios, without their SVD and
-        solve where the triangular factor certifies the stack
-        (:func:`.ledger.can_decode`)."""
+        """True iff every receiver can decode all of its symbols: each of
+        its target unit rows lies in the row space of its heard rows.  It
+        is the verdict of :meth:`decode_residuals`' ratios, one
+        :func:`.numerics.units_inside` call per stack of
+        :meth:`decode_stacks`, without their SVD and solve where the
+        triangular factor certifies the stack.  A receiver whose rows fall
+        below NumPy's rank floor decodes nothing."""
         # starmap drops each stack before it derives the next
-        return all(starmap(can_decode, self.decode_stacks()))
+        return all(starmap(numerics.units_inside, self.decode_stacks()))
 
     def decode_residuals(self):
         """The margins behind :meth:`decode_ok`, from the same
@@ -483,8 +564,9 @@ class SchemeTrace:
             "receivers": [{"equations": heard, "receiver": r,
                            "slots_observed": self.total_slots}
                           for r in range(1, self.k + 1)],
-            "symbol_table": [{"id": s.id, "label": s.label, "order": s.order,
-                              "owner": sorted(s.owner)} for s in self.table.symbols],
+            "symbol_table": [{"id": i, "label": label, "order": len(owner),
+                              "owner": sorted(owner)} for i, (owner, label)
+                             in enumerate(zip(self.table.owners, self.table.labels))],
             **(extra or {})}
         arrays = {"slots": self._slot_stacks(dumps),
                   "combination_log": (_log_block(labels, weights, dumps)
@@ -924,3 +1006,28 @@ def tdma_trace(k: int, rng: RngStream, channels=None) -> SchemeTrace:
     air.draw(_sends, k)
     air.send_each(table.unit_forms(table.ids))
     return air.trace("tdma", {1: k}, [PhaseRecord(1, k, k, k, 0)])
+
+
+def alignment_ranks(trace):
+    """Desired/interference stack ranks of the two-user scheme: for the
+    first receiver of a completed two-user, two-antenna, three-slot
+    ``trace``, the numerical ranks of its three heard rows on its own two
+    symbols (desired) and on the other receiver's two symbols
+    (interference).  For generic channels they are ``(2, 1)``: both
+    interference streams align in one dimension while the desired streams
+    keep full rank; degenerate (hand-set) channels yield degenerate ranks.
+    Raises ``ValueError`` for a trace of any other shape.
+    """
+    if getattr(trace, "k", None) != 2 or getattr(trace, "m", None) != 2:
+        raise ValueError("alignment ranks are defined for the 2x2 scheme only")
+    table = trace.table
+    if len(table) != 4 or trace.total_slots != 3:
+        raise ValueError("trace does not look like a completed 2-user scheme "
+                         "(need 2 receivers, 4 symbols, 3 slots)")
+    first = trace.rows[0]
+    if len(first) != 3:
+        raise ValueError("first receiver must hold exactly 3 equations")
+    desired_ids = table.owned_by(1)
+    interference_ids = [s for s in table.ids if s not in desired_ids]
+    return (numerics.numerical_rank(first[:, desired_ids]),
+            numerics.numerical_rank(first[:, interference_ids]))

@@ -210,9 +210,10 @@ def trace_doc(trace) -> dict:
         "dof": f"{dof.numerator}/{dof.denominator}",
         "rng": {"seed": trace.seed, "index": trace.stream_index},
         "symbol_table": [
-            {"id": s.id, "owner": sorted(s.owner), "order": s.order,
-             "label": s.label}
-            for s in trace.table.symbols
+            {"id": i, "owner": sorted(owner), "order": len(owner),
+             "label": label}
+            for i, (owner, label) in enumerate(zip(trace.table.owners,
+                                                   trace.table.labels))
         ],
         "phases": [
             {"level": p.level, "runs": p.runs,
@@ -301,7 +302,7 @@ def trace_arrays(trace) -> dict:
         "plans": [np.where(plan == 0, 0, plan) for plan in slot_plans(trace)],
         "weights": [w for _, block in trace.combination_log for w in block],
         "log_labels": [label for labels, _ in trace.combination_log for label in labels],
-        "labels": [s.label for s in trace.table.symbols],
+        "labels": list(trace.table.labels),
     }
 
 

@@ -24,7 +24,6 @@ from delayedcsit.dof_calc import (
     nonsquare_closed_form,
     nonsquare_recursion,
 )
-from delayedcsit.ledger import alignment_ranks
 from delayedcsit.numerics import RngStream
 from delayedcsit.ratesim import fit_dof_slope, simulate_rates, snr_grid
 from delayedcsit.region import (
@@ -36,6 +35,7 @@ from delayedcsit.region import (
     tight_permutations,
 )
 from delayedcsit.schemes import (
+    alignment_ranks,
     run_alt22,
     run_mat23_suboptimal,
     run_opt23,

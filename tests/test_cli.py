@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -366,6 +367,48 @@ def test_sweeps_refuse_a_k_they_cannot_finish(capsys, tmp_path, argv):
     path = tmp_path / "sweep.json"
     code, out, err = run_cli(capsys, [*argv, "--k", k, "--out", str(path)])
     assert code == 2 and f"got {k}" in err and not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme-run", "--scheme", "square"], ["scheme-verify", "--scheme", "tdma"],
+    ["rate-sim", "--scheme", "order", "--m", "20", "--j", "6"]])
+def test_scheme_runs_refuse_a_k_they_cannot_build(capsys, tmp_path, argv):
+    # scheme-run, scheme-verify and rate-sim take --k at most MAX_SCHEME_K,
+    # as their help says; a larger one is refused before anything is built
+    # (square-8 alone would need about 2 GB of rows), so the call returns
+    # at once, and no output file is made
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"at most {cli.MAX_SCHEME_K}" in " ".join(capsys.readouterr().out.split())
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, [*argv, "--k", "100000000"])
+    assert code == 2 and f"at most {cli.MAX_SCHEME_K}" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+    path = tmp_path / "run.json"
+    k = "25" if "order" in argv else str(cli.MAX_SCHEME_K + 1)
+    code, out, err = run_cli(capsys, [*argv, "--k", k, "--out", str(path)])
+    assert code == 2 and f"got {k}" in err and not path.exists()
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["dof-table", "--m", "1500", "--k", "3000", "--j", "1"],
+     "cell m=1500, k=3000, j=1"),
+    (["dof-table", "--m", "2", "--k", "20000", "--j", "1"], "cell m=2, k=20000, j=1"),
+    (["region-check", "--point", "1/1" + "0" * 5000 + ",1/2"], "--point"),
+    (["region-check", "--point", "1e-5000,1/2"], "decomposition weight")])
+def test_python_digit_limit_is_refused_in_our_words(capsys, argv, where):
+    # a value past the interpreter's limit on the digits of an int it reads
+    # or writes (which the CLI leaves as it is) is refused with exit 2 by a
+    # message that names where it is and the limit, not Python's advice
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert where in err and f"{sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_dof_table_cell_within_the_digit_limit_answers(capsys):
+    (row,) = run_json(capsys, ["dof-table", "--m", "2", "--k", "3000", "--j", "1"])["rows"]
+    assert row["k"] == 3000 and row["lower"].count("/") == 1
 
 
 def test_region_check_csv(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayedcsit.ledger import SymbolTable, alignment_ranks, can_decode
+from delayedcsit.ledger import can_decode
 from delayedcsit.numerics import (
     RngStream,
     haar_unitaries,
@@ -19,7 +19,9 @@ from delayedcsit.numerics import (
 from delayedcsit.schemes import (
     CHANNEL,
     AirLog,
+    SymbolTable,
     _run_chain,
+    alignment_ranks,
     run_alt22,
     run_mat23_suboptimal,
     run_opt23,
@@ -52,14 +54,14 @@ def test_symbol_table_bookkeeping():
     t = SymbolTable(3, [{1}, {1, 2}], ["a", "b"])
     a, b = t.ids
     assert t.ids == [0, 1]
-    assert [s.order for s in t.symbols] == [1, 2]
-    assert [s.label for s in t.symbols] == ["a", "b"]
+    assert t.owners == (frozenset({1}), frozenset({1, 2}))
+    assert t.labels == ("a", "b")
     assert t.owned_by(1) == [a, b]
     assert t.owned_by(2) == [b]
     assert t.owned_by(3) == t.owned_by(0) == t.owned_by(4) == []
     assert t.owns == ((a, b), (b,), ())
     assert len(t) == 2
-    assert [s.label for s in SymbolTable(2, [{1}, {2}]).symbols] == ["", ""]
+    assert SymbolTable(2, [{1}, {2}]).labels == ("", "")
     with pytest.raises(ValueError):
         SymbolTable(0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """The distribution metadata names the package and reads its version;
-every exported name resolves; every runtime import is a declared
+every exported name resolves; README's module map has one row per
+module; every runtime import is a declared
 dependency, and importing the package loads no writer it does not use; no
 test shadows another; every xfail is strict and gives its reason."""
 
@@ -52,6 +53,15 @@ def _third_party_imports(source: str) -> set:
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names.add(node.module.split(".")[0])
     return names - set(sys.stdlib_module_names) - {"delayedcsit"}
+
+
+def test_readme_module_map_has_one_row_per_module():
+    # a retired or added module cannot leave the architecture doc stale
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    modules = [path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)
 
 
 def test_runtime_imports_are_declared():

@@ -8,7 +8,6 @@ import pytest
 from scipy.special import exp1
 
 from delayedcsit import numerics
-from delayedcsit.ledger import SymbolTable
 from delayedcsit.numerics import RngStream, numerical_rank
 from delayedcsit.ratesim import (
     RatePoint,
@@ -18,7 +17,12 @@ from delayedcsit.ratesim import (
     snr_grid,
     tdma_baseline,
 )
-from delayedcsit.schemes import run_order_j_delivery, run_square_scheme, tdma_trace
+from delayedcsit.schemes import (
+    SymbolTable,
+    run_order_j_delivery,
+    run_square_scheme,
+    tdma_trace,
+)
 from oracles import logdet_capacity, per_trial_rates, rates
 from test_golden import RATE_SCHEMES
 

@@ -28,6 +28,7 @@ from delayedcsit.schemes import (
     AirLog,
     PhaseRecord,
     SchemeTrace,
+    SymbolTable,
     _NL,
     _chain_plan,
     _run_chain,
@@ -41,7 +42,6 @@ from delayedcsit.schemes import (
     run_square_scheme,
     tdma_trace,
 )
-from delayedcsit.ledger import SymbolTable
 from delayedcsit.dof_calc import DofQuery, NonsquarePhaseParams
 from oracles import (
     complex_normals,
